@@ -9,8 +9,6 @@ eliminated by Lorentz boosts.
 from .boost import (
     BETA_LIMIT,
     ETA,
-    BoostX,
-    GeneralBoost,
     apply_two_sided,
     boost_general,
     boost_x,

@@ -10,7 +10,6 @@ X = (gamma - 1)/beta^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,71 +24,6 @@ BETA_LIMIT = 1e-9
 
 def _gamma(beta_sq: float) -> float:
     return 1.0 / math.sqrt(1.0 - beta_sq)
-
-
-@dataclass(frozen=True)
-class BoostX:
-    """A boost acting in the (0, axis) plane of R."""
-
-    beta: float
-    axis: int = 1
-
-    def __post_init__(self):
-        if self.axis not in (1, 2, 3):
-            raise InvalidParameterError("axis must be 1, 2 or 3")
-        if not math.isfinite(self.beta):
-            raise InvalidParameterError("beta must be finite")
-        if abs(self.beta) >= 1.0 - BETA_LIMIT:
-            raise BoostLimitError(
-                f"|beta| = {abs(self.beta):.12g} reaches the light-speed limit",
-                beta=self.beta,
-            )
-
-    @property
-    def gamma(self) -> float:
-        return _gamma(self.beta * self.beta)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return boost_x(self.beta, self.axis)
-
-
-@dataclass(frozen=True)
-class GeneralBoost:
-    """A symmetric boost along an arbitrary velocity 3-vector."""
-
-    beta: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.beta, dtype=float).reshape(3)
-        if not np.all(np.isfinite(v)):
-            raise InvalidParameterError("beta must be finite")
-        if float(v @ v) >= 1.0 - BETA_LIMIT:
-            raise BoostLimitError(
-                f"beta^2 = {float(v @ v):.12g} reaches the light-speed limit",
-                beta=float(np.sqrt(v @ v)),
-            )
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "beta", v)
-
-    @property
-    def beta_sq(self) -> float:
-        return float(self.beta @ self.beta)
-
-    @property
-    def gamma(self) -> float:
-        return _gamma(self.beta_sq)
-
-    @property
-    def x_factor(self) -> float:
-        # (gamma - 1)/beta^2 in a cancellation-free form; -> 1/2 as beta -> 0.
-        g = self.gamma
-        return g * g / (g + 1.0)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return boost_general(self.beta)
 
 
 def boost_x(beta: float, axis: int = 1, beta_limit: float = BETA_LIMIT) -> np.ndarray:

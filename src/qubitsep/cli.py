@@ -18,14 +18,9 @@ import sys
 
 import numpy as np
 
+from .boost import BETA_LIMIT
 from .errors import QubitSepError
-from .hs import (
-    HSParams,
-    eigenvalues_hermitian,
-    rho_from_hs,
-    tdiag_via_local_rotations,
-    tdiag_via_symmetric_rotation,
-)
+from .hs import PSD_TOL, HSParams, eigenvalues_hermitian, rho_from_hs
 from .normal_form import (
     GENERIC,
     NO_PHYSICAL_BOOST,
@@ -38,12 +33,16 @@ from .normal_form import (
 )
 from .pt import (
     SEPARABLE,
-    mds_criterion,
+    VERDICT_TOL,
     necessity_check,
     partial_transpose_matrix,
-    peres_horodecki,
+    ppt_verdict,
 )
-from .sampling import FAMILIES, SampleSpec, batch_stats
+from .sampling import FAMILIES, SampleSpec, batch_stats, reduce_to_diagonal
+
+# Not called here; perfbench/tracing.py wraps these names on this module.
+from .hs import tdiag_via_local_rotations, tdiag_via_symmetric_rotation  # noqa: F401
+from .pt import peres_horodecki  # noqa: F401
 
 EXIT_SEPARABLE = 0
 EXIT_ENTANGLED = 1
@@ -119,21 +118,6 @@ def _verdict_dict(verdict) -> dict:
     return dataclasses.asdict(verdict)
 
 
-def _reduce_to_diagonal(params: HSParams, notes: list[str]) -> HSParams:
-    if params.is_t_diagonal():
-        return params
-    if params.is_symmetric() and float(np.abs(params.t - params.t.T).max()) <= 1e-12:
-        work, _ = tdiag_via_symmetric_rotation(params)
-        notes.append(
-            "correlation matrix diagonalized by one shared local rotation "
-            "(symmetric state preserved)"
-        )
-    else:
-        work, _, _ = tdiag_via_local_rotations(params)
-        notes.append("correlation matrix diagonalized by local rotations")
-    return work
-
-
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2))
@@ -167,12 +151,12 @@ def _cmd_analyze(args) -> int:
         return EXIT_ERROR
 
     pt_spectrum = eigenvalues_hermitian(partial_transpose_matrix(rho, "A"))
-    ppt = peres_horodecki(rho, tol=args.tol_verdict)
+    ppt = ppt_verdict(pt_spectrum, args.tol_verdict)
     report["pt_eigenvalues_4l"] = _floats(pt_spectrum.four_lambda)
     report["ppt_verdict"] = _verdict_dict(ppt)
 
-    notes: list[str] = []
-    work = _reduce_to_diagonal(params, notes)
+    work, note = reduce_to_diagonal(params)
+    notes = [] if note is None else [note]
     tdiag = work.t_diagonal()
     if float(np.abs(work.a).max()) <= 1e-12 and float(np.abs(work.b).max()) <= 1e-12:
         notes.append(
@@ -218,7 +202,7 @@ def _cmd_classify(args) -> int:
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    work = _reduce_to_diagonal(params, [])
+    work, _ = reduce_to_diagonal(params)
     classification = solve_normal_form(work).classification
     label = _KIND_LABELS[classification.kind]
     if classification.detail:
@@ -254,12 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="full analysis of one state file")
     p_analyze.add_argument("state_file")
-    p_analyze.add_argument("--tol-psd", type=float, default=1e-10, dest="tol_psd")
+    p_analyze.add_argument("--tol-psd", type=float, default=PSD_TOL, dest="tol_psd")
     p_analyze.add_argument(
-        "--tol-verdict", type=float, default=1e-10, dest="tol_verdict"
+        "--tol-verdict", type=float, default=VERDICT_TOL, dest="tol_verdict"
     )
     p_analyze.add_argument(
-        "--beta-limit", type=float, default=1e-9, dest="beta_limit"
+        "--beta-limit", type=float, default=BETA_LIMIT, dest="beta_limit"
     )
     p_analyze.add_argument("--format", choices=("json", "text"), default="json")
     p_analyze.set_defaults(func=_cmd_analyze)

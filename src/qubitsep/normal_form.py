@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BETA_LIMIT, BoostX, GeneralBoost, apply_two_sided
+from .boost import BETA_LIMIT, apply_two_sided, boost_general, boost_x
 from .errors import (
     BoostLimitError,
     InvalidParameterError,
@@ -425,40 +425,37 @@ def solve_symmetric_quartic(a, tdiag, beta_limit: float = BETA_LIMIT):
 
 def eliminate_and_diagonalize(
     r: RMatrix,
-    boosts,
+    betas,
+    axis: int | None = None,
     polynomial_residual: float = 0.0,
-    offdiag_tol: float = OFFDIAG_TOL,
+    beta_limit: float = BETA_LIMIT,
 ) -> tuple[SigmaForm, SolveReport]:
     """Apply solved boosts to R, certify the elimination, read off Sigma.
 
-    `boosts` is either a (BoostX, BoostX) pair acting on the two sides or a
-    single GeneralBoost applied symmetrically.  The corner of the raw result
-    is s0; the residual symmetric 3x3 block is diagonalized by a rotation and
-    its eigenvalues are ordered by descending magnitude for reproducibility.
+    With `axis` set, `betas` is the pair (beta_a, beta_b) of boosts in the
+    (0, axis) plane acting on the two sides; with `axis=None` it is one
+    velocity 3-vector whose symmetric boost acts on both sides.  Every boost
+    is checked against `beta_limit`.  The corner of the raw result is s0; the
+    residual symmetric 3x3 block is diagonalized by a rotation and its
+    eigenvalues are ordered by descending magnitude for reproducibility.
     """
-    if isinstance(boosts, GeneralBoost):
-        left = right = boosts.matrix
+    if axis is None:
+        left = right = boost_general(betas, beta_limit)
         boost_kind = "symmetric"
-        betas = tuple(float(x) for x in boosts.beta)
-        axis = None
     else:
-        boost_a, boost_b = boosts
-        if boost_a.axis != boost_b.axis:
-            raise InvalidParameterError("pair boosts must share an axis")
-        left, right = boost_a.matrix, boost_b.matrix
+        beta_a, beta_b = betas
+        left = boost_x(beta_a, axis, beta_limit)
+        right = boost_x(beta_b, axis, beta_limit)
         boost_kind = "pair"
-        betas = (boost_a.beta, boost_b.beta)
-        axis = boost_a.axis
-    q = apply_two_sided(r, left, right)
-    raw = q.raw
+    raw = apply_two_sided(r, left, right).raw
     offdiag = float(max(np.abs(raw[0, 1:]).max(), np.abs(raw[1:, 0]).max()))
-    if offdiag >= offdiag_tol:
+    if offdiag >= OFFDIAG_TOL:
         raise SolverInconsistencyError(
             f"linear terms not eliminated: residual {offdiag:.3g}"
         )
     block = raw[1:, 1:]
     sym = 0.5 * (block + block.T)
-    if float(np.abs(block - block.T).max()) >= offdiag_tol:
+    if float(np.abs(block - block.T).max()) >= OFFDIAG_TOL:
         raise SolverInconsistencyError("transformed spatial block is not symmetric")
     eig = np.linalg.eigvalsh(sym)
     order = np.argsort(-np.abs(eig), kind="stable")
@@ -466,7 +463,7 @@ def eliminate_and_diagonalize(
     report = SolveReport(
         classification=Classification(GENERIC),
         boost_kind=boost_kind,
-        betas=betas,
+        betas=tuple(float(x) for x in np.ravel(betas)),
         axis=axis,
         polynomial_residual=float(polynomial_residual),
         offdiag_residual=offdiag,
@@ -566,7 +563,6 @@ def _no_boost_report(classification: Classification) -> SolveReport:
 def solve_normal_form(
     params: HSParams,
     beta_limit: float = BETA_LIMIT,
-    zero_tol: float = _ZERO_TOL,
 ) -> SolveReport:
     """Full pipeline for diagonal-t parameters: classify, solve, certify.
 
@@ -580,21 +576,24 @@ def solve_normal_form(
     if structural is not None:
         return _no_boost_report(structural)
     a, b = params.a, params.b
-    active = (np.abs(a) > zero_tol) | (np.abs(b) > zero_tol)
+    active = (np.abs(a) > _ZERO_TOL) | (np.abs(b) > _ZERO_TOL)
     n_active = int(active.sum())
     r = r_from_hs(params)
     try:
         if n_active == 0:
-            _, report = eliminate_and_diagonalize(r, GeneralBoost(np.zeros(3)))
+            _, report = eliminate_and_diagonalize(
+                r, np.zeros(3), beta_limit=beta_limit
+            )
             return report
         if n_active == 1:
             k = int(np.flatnonzero(active)[0])
             beta_a, beta_b = solve_pair_general(a[k], b[k], tdiag[k], beta_limit)
             poly = _pair_residual(a[k], b[k], tdiag[k], beta_a, beta_b)
-            boosts = (BoostX(beta_a, axis=k + 1), BoostX(beta_b, axis=k + 1))
-            _, report = eliminate_and_diagonalize(r, boosts, poly)
+            _, report = eliminate_and_diagonalize(
+                r, (beta_a, beta_b), k + 1, poly, beta_limit=beta_limit
+            )
             return report
-        if not params.is_symmetric(zero_tol):
+        if not params.is_symmetric(_ZERO_TOL):
             return _no_boost_report(
                 Classification(
                     NO_PHYSICAL_BOOST,
@@ -625,7 +624,9 @@ def solve_normal_form(
             poly = abs(float(np.polyval(_quartic_coefficients(work.a, wt), b1)))
             beta = np.zeros(3)
             beta[np.asarray(order)] = (b1, b2, b3)
-        _, report = eliminate_and_diagonalize(r, GeneralBoost(beta), poly)
+        _, report = eliminate_and_diagonalize(
+            r, beta, polynomial_residual=poly, beta_limit=beta_limit
+        )
         return report
     except NoPhysicalBoostError as exc:
         return _no_boost_report(Classification(NO_PHYSICAL_BOOST, str(exc)))

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ContractViolationError, InvalidParameterError, InvalidStateError
 from .hs import (
     HSParams,
+    Spectrum,
     eigenvalues_hermitian,
     require_hermitian,
 )
@@ -100,12 +101,19 @@ def peres_horodecki(rho, tol: float = VERDICT_TOL, qubit: str = "A") -> Verdict:
     m = require_hermitian(rho)
     if float(eigenvalues_hermitian(m).values[0]) < -tol:
         raise InvalidStateError("input is not positive semidefinite; not a state")
-    pt_spec = eigenvalues_hermitian(partial_transpose_matrix(m, qubit))
-    min_lam = float(pt_spec.values[0])
-    entangled = min_lam < -tol
+    return ppt_verdict(eigenvalues_hermitian(partial_transpose_matrix(m, qubit)), tol)
+
+
+def ppt_verdict(pt_spectrum: Spectrum, tol: float = VERDICT_TOL) -> Verdict:
+    """The Peres-Horodecki verdict read from an already computed PT spectrum.
+
+    Unlike peres_horodecki this does not check that the input is a state;
+    the caller has done so with its own tolerance.
+    """
+    min_lam = float(pt_spectrum.values[0])
     return Verdict(
-        kind=ENTANGLED if entangled else SEPARABLE,
-        witness=float(pt_spec.four_lambda[0]),
+        kind=ENTANGLED if min_lam < -tol else SEPARABLE,
+        witness=float(pt_spectrum.four_lambda[0]),
         criterion="peres-horodecki",
         boundary=abs(min_lam) <= tol,
     )

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boost import BETA_LIMIT
 from .errors import InvalidParameterError, SamplingExhaustedError
 from .hs import (
+    DIAG_TOL,
     HSParams,
     eigenvalues_hermitian,
     rho_from_hs,
@@ -27,7 +29,7 @@ from .normal_form import (
     separability_verdict,
     solve_normal_form,
 )
-from .pt import Verdict, peres_horodecki
+from .pt import VERDICT_TOL, Verdict, peres_horodecki
 
 RNG_ALGORITHM = "pcg64"
 
@@ -155,29 +157,41 @@ def random_state(
     )
 
 
+def reduce_to_diagonal(params: HSParams) -> tuple[HSParams, str | None]:
+    """Diagonalize t by proper local rotations; return the result and a note.
+
+    A symmetric state (a == b, t symmetric) gets one shared rotation so the
+    symmetric boost solvers still apply; any other state gets independent
+    rotations on the two qubits.  The note says which was used and is None
+    when t was already diagonal.
+    """
+    if params.is_t_diagonal():
+        return params, None
+    if params.is_symmetric() and float(np.abs(params.t - params.t.T).max()) <= DIAG_TOL:
+        work, _ = tdiag_via_symmetric_rotation(params)
+        return work, (
+            "correlation matrix diagonalized by one shared local rotation "
+            "(symmetric state preserved)"
+        )
+    work, _, _ = tdiag_via_local_rotations(params)
+    return work, "correlation matrix diagonalized by local rotations"
+
+
 def cross_validate(
     params: HSParams,
-    tol: float = 1e-10,
-    boundary_tol: float = _BOUNDARY_TOL,
-    beta_limit: float = 1e-9,
+    tol: float = VERDICT_TOL,
+    beta_limit: float = BETA_LIMIT,
 ) -> CrossValidation:
     """Run the exact partial-transpose test and the boost pipeline side by side.
 
-    Samples whose partial-transpose witness sits within `boundary_tol` of
-    zero are bucketed as boundary and excluded from disagreement accounting;
-    both criteria are exact only in exact arithmetic.
+    Samples whose partial-transpose witness sits within 1e-8 of zero are
+    bucketed as boundary and excluded from disagreement accounting; both
+    criteria are exact only in exact arithmetic.
     """
-    rho = rho_from_hs(params)
-    ppt = peres_horodecki(rho, tol=tol)
-    work = params
-    if not params.is_t_diagonal():
-        sym_t = float(np.abs(params.t - params.t.T).max()) <= 1e-12
-        if params.is_symmetric() and sym_t:
-            work, _ = tdiag_via_symmetric_rotation(params)
-        else:
-            work, _, _ = tdiag_via_local_rotations(params)
+    ppt = peres_horodecki(rho_from_hs(params), tol=tol)
+    work, _ = reduce_to_diagonal(params)
     report = solve_normal_form(work, beta_limit=beta_limit)
-    boundary = abs(ppt.witness) < boundary_tol
+    boundary = abs(ppt.witness) < _BOUNDARY_TOL
     lorentz = None
     agree = None
     if report.classification.is_generic:

@@ -13,9 +13,7 @@ from qubitsep import (
     ENTANGLED,
     SEPARABLE,
     BoostLimitError,
-    BoostX,
     ETA,
-    GeneralBoost,
     HSParams,
     SampleSpec,
     batch_stats,
@@ -126,9 +124,7 @@ def test_criterion_4_one_sided_pair():
         sig = sigma_pair_b1zero(0.2, [0.3, 0.3, 0.3])
         # brute-force substitution oracle: boost R on both sides, renormalize
         p = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0.3, 0.3, 0.3])
-        oracle_sig, _ = eliminate_and_diagonalize(
-            r_from_hs(p), (BoostX(beta_a, 1), BoostX(beta_b, 1))
-        )
+        oracle_sig, _ = eliminate_and_diagonalize(r_from_hs(p), (beta_a, beta_b), axis=1)
         assert abs(sig.tprime_sum - oracle_sig.tprime_sum) < 1e-4
         assert abs(sig.tprime_sum - 0.92756) < 1e-4
         lorentz = separability_verdict(sig)
@@ -153,8 +149,8 @@ def test_criterion_5_cubic_example():
         assert abs(b1 - 0.0792) < 5e-5
         assert abs(b2 - 0.1967) < 5e-5
         p = HSParams.diagonal([0.1, 0.15, 0], [0.1, 0.15, 0], tdiag)
-        boost = GeneralBoost(np.array([b1, b2, 0.0]))
-        q_raw = boost.matrix @ r_from_hs(p).raw @ boost.matrix.T
+        boost = boost_general([b1, b2, 0.0])
+        q_raw = boost @ r_from_hs(p).raw @ boost.T
         q_expected = np.array(
             [
                 [0.96257, 0, 0, 0],
@@ -164,7 +160,7 @@ def test_criterion_5_cubic_example():
             ]
         )
         assert np.abs(q_raw - q_expected).max() < 5e-4
-        sig, report = eliminate_and_diagonalize(r_from_hs(p), boost)
+        sig, report = eliminate_and_diagonalize(r_from_hs(p), [b1, b2, 0.0])
         assert report.offdiag_residual < 1e-9
         ratios = np.array([0.303945, -0.238396, 0.415552])
         order = np.argsort(-np.abs(ratios), kind="stable")
@@ -186,10 +182,10 @@ def test_criterion_6_quartic_example():
         assert abs(b2 - 0.2068) < 2e-3
         assert abs(b3 - 0.1777) < 2e-3
         p = HSParams.diagonal(a, a, tdiag)
-        boost = GeneralBoost(np.array([b1, b2, b3]))
-        sig, report = eliminate_and_diagonalize(r_from_hs(p), boost)
+        boost = boost_general([b1, b2, b3])
+        sig, report = eliminate_and_diagonalize(r_from_hs(p), [b1, b2, b3])
         assert report.offdiag_residual < 1e-9
-        q_raw = boost.matrix @ r_from_hs(p).raw @ boost.matrix.T
+        q_raw = boost @ r_from_hs(p).raw @ boost.T
         q_expected = np.array(
             [
                 [0.92527, 0, 0, 0],

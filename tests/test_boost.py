@@ -6,10 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from qubitsep import (
     BoostLimitError,
-    BoostX,
     DegenerateTransformationError,
     ETA,
-    GeneralBoost,
     HSParams,
     RMatrix,
     apply_two_sided,
@@ -73,7 +71,7 @@ def test_boost_x_limit():
     with pytest.raises(BoostLimitError):
         boost_x(1.0 - 1e-10, 1)
     with pytest.raises(BoostLimitError):
-        BoostX(1.0, 1)
+        boost_x(1.0, 1)
 
 
 def test_boost_general_identity():
@@ -115,17 +113,9 @@ def test_boost_general_reference_velocity():
 @given(betas)
 @settings(deadline=None)
 def test_gamma_consistency(beta):
-    b = BoostX(beta, 1)
-    assert b.gamma >= 1.0
-    assert abs(b.gamma**2 * (1.0 - beta * beta) - 1.0) < 1e-12
-
-
-def test_x_factor_continuity():
-    # removable singularity at beta -> 0: X tends to 1/2 without cancellation
-    assert GeneralBoost(np.zeros(3)).x_factor == 0.5
-    assert abs(GeneralBoost(np.array([1e-10, 0, 0])).x_factor - 0.5) < 1e-12
-    g = GeneralBoost(np.array([0.3, 0.2, 0.1]))
-    assert abs(g.x_factor * g.beta_sq - (g.gamma - 1.0)) < 1e-12
+    gamma = boost_x(beta, 1)[0, 0]
+    assert gamma >= 1.0
+    assert abs(gamma**2 * (1.0 - beta * beta) - 1.0) < 1e-12
 
 
 def test_boost_general_limit():

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qubitsep.cli import main
+from qubitsep import cross_validate
+from qubitsep.cli import load_state_file, main
 
 
 def write_state(tmp_path, doc, name="state.json"):
@@ -91,6 +92,39 @@ def test_analyze_rejects_non_state(tmp_path, capsys):
     assert doc["psd"] is False
 
 
+def test_analyze_tol_psd_alone_decides_validity(tmp_path, capsys):
+    # 4 lambda_min is about -3e-8: a state at --tol-psd 1e-6, not at the default
+    t = 1 / 3 + 1e-8
+    path = write_state(tmp_path, {"a": [0, 0, 0], "b": [0, 0, 0], "t_diag": [t, t, t]})
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 2
+    assert json.loads(out)["psd"] is False
+
+    code, out, _ = run(capsys, "analyze", path, "--tol-psd", "1e-6")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["psd"] is True
+    assert doc["ppt_verdict"]["kind"] == "separable"
+
+
+def test_analyze_beta_limit(tmp_path, capsys):
+    path = write_state(
+        tmp_path, {"a": [0.6, 0, 0], "b": [0.2, 0, 0], "t_diag": [0.3, 0.1, -0.1]}
+    )
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["classification"]["kind"] == "Generic"
+    assert np.allclose(doc["betas"], [0.0339, 0.5938], atol=1e-4)
+
+    code, out, _ = run(capsys, "analyze", path, "--beta-limit", "0.5")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["classification"]["kind"] == "NoPhysicalBoost"
+    assert "betas" not in doc
+    assert doc["ppt_verdict"]["kind"] == "separable"
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     path = write_state(tmp_path, {"a": [0, 0], "b": [0, 0, 0], "t_diag": [0, 0, 0]})
     code, _, err = run(capsys, "analyze", path)
@@ -116,15 +150,45 @@ def test_analyze_full_t_input(tmp_path, capsys):
     u = np.array([0.6, 0.0, 0.0])
     v = np.array([0.0, 0.6, 0.0])
     t = np.outer(u, v)
-    path = write_state(
+    product = write_state(
         tmp_path,
         {"a": list(u), "b": list(v), "t_full": [float(x) for x in t.ravel()]},
     )
-    code, out, _ = run(capsys, "analyze", path)
+    code, out, _ = run(capsys, "analyze", product)
     assert code in (0, 3)
     doc = json.loads(out)
     assert doc["ppt_verdict"]["kind"] == "separable"
     assert any("diagonalized" in note for note in doc["criteria_notes"])
+
+    # symmetric state with a full symmetric t takes the shared rotation
+    symmetric = write_state(
+        tmp_path,
+        {
+            "a": [0.2, 0.1, 0],
+            "b": [0.2, 0.1, 0],
+            "t_full": [0.3, 0.1, 0, 0.1, -0.2, 0.05, 0, 0.05, 0.1],
+        },
+        name="symmetric.json",
+    )
+    code, out, _ = run(capsys, "analyze", symmetric)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["classification"]["kind"] == "Generic"
+    assert any("one shared local rotation" in n for n in doc["criteria_notes"])
+    assert doc["boost_kind"] == "symmetric"
+    assert all(beta != 0.0 for beta in doc["betas"])
+
+    # analyze and cross_validate share one reduction and solve, bit for bit
+    for path in (product, symmetric):
+        _, out, _ = run(capsys, "analyze", path)
+        doc = json.loads(out)
+        rec = cross_validate(load_state_file(path)[0])
+        assert doc["ppt_verdict"]["witness"] == rec.ppt.witness
+        assert doc["betas"] == list(rec.report.betas)
+        assert doc["sigma"] == {
+            "s0": rec.report.sigma.s0,
+            "s": list(rec.report.sigma.s),
+        }
 
 
 def test_analyze_json_round_trip(pair64_file, capsys):

@@ -5,8 +5,6 @@ from qubitsep import (
     ENTANGLED,
     SEPARABLE,
     BoostLimitError,
-    BoostX,
-    GeneralBoost,
     HSParams,
     InvalidStateError,
     NoPhysicalBoostError,
@@ -14,6 +12,7 @@ from qubitsep import (
     SigmaForm,
     UnsupportedDegeneracyError,
     UnsupportedFormError,
+    boost_general,
     classify,
     eliminate_and_diagonalize,
     peres_horodecki,
@@ -177,9 +176,7 @@ def test_sigma_pair_b1zero_matches_brute_force_substitution():
     # independent route: apply the axis boosts to R and renormalize
     ba, bb = solve_pair_general(0.2, 0.0, 0.3)
     p = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0.3, 0.3, 0.3])
-    sig, report = eliminate_and_diagonalize(
-        r_from_hs(p), (BoostX(ba, 1), BoostX(bb, 1))
-    )
+    sig, report = eliminate_and_diagonalize(r_from_hs(p), (ba, bb), axis=1)
     closed = sigma_pair_b1zero(0.2, [0.3, 0.3, 0.3])
     assert abs(sig.tprime_sum - closed.tprime_sum) < 1e-12
     assert abs(sig.s0 - closed.s0) < 1e-12
@@ -280,7 +277,7 @@ def test_quartic_errors():
 
 def test_eliminate_identity_case():
     p = HSParams.diagonal([0, 0, 0], [0, 0, 0], [0.2, -0.5, 0.3])
-    sig, report = eliminate_and_diagonalize(r_from_hs(p), GeneralBoost(np.zeros(3)))
+    sig, report = eliminate_and_diagonalize(r_from_hs(p), np.zeros(3))
     assert sig.s0 == 1.0
     assert np.allclose(sig.s, [-0.5, 0.3, 0.2], atol=1e-15)  # descending |s|
     assert report.offdiag_residual == 0.0
@@ -288,9 +285,7 @@ def test_eliminate_identity_case():
 
 def test_eliminate_reference_cubic(cubic_state):
     b1, b2 = solve_symmetric_cubic(0.1, 0.15, [0.3, -0.2, 0.4])
-    sig, report = eliminate_and_diagonalize(
-        r_from_hs(cubic_state), GeneralBoost(np.array([b1, b2, 0.0]))
-    )
+    sig, report = eliminate_and_diagonalize(r_from_hs(cubic_state), [b1, b2, 0.0])
     q_expected = np.array(
         [
             [0.96257, 0, 0, 0],
@@ -299,11 +294,8 @@ def test_eliminate_reference_cubic(cubic_state):
             [0, 0, 0, 0.4],
         ]
     )
-    q_raw = (
-        GeneralBoost(np.array([b1, b2, 0.0])).matrix
-        @ r_from_hs(cubic_state).raw
-        @ GeneralBoost(np.array([b1, b2, 0.0])).matrix.T
-    )
+    boost = boost_general([b1, b2, 0.0])
+    q_raw = boost @ r_from_hs(cubic_state).raw @ boost.T
     assert np.abs(q_raw - q_expected).max() < 5e-4
     assert report.offdiag_residual < 1e-12
     assert abs(sig.s0 - 0.96257) < 5e-5
@@ -314,7 +306,7 @@ def test_eliminate_reference_cubic(cubic_state):
 
 def test_eliminate_reference_quartic(quartic_state):
     betas = solve_symmetric_quartic([0.1, 0.15, 0.2], [0.3, -0.2, 0.2])
-    boost = GeneralBoost(np.array(betas))
+    boost = boost_general(betas)
     q_expected = np.array(
         [
             [0.92527, 0, 0, 0],
@@ -323,9 +315,9 @@ def test_eliminate_reference_quartic(quartic_state):
             [0, -0.01713, -0.03401, 0.16432],
         ]
     )
-    q_raw = boost.matrix @ r_from_hs(quartic_state).raw @ boost.matrix.T
+    q_raw = boost @ r_from_hs(quartic_state).raw @ boost.T
     assert np.abs(q_raw - q_expected).max() < 5e-3
-    sig, report = eliminate_and_diagonalize(r_from_hs(quartic_state), boost)
+    sig, report = eliminate_and_diagonalize(r_from_hs(quartic_state), betas)
     assert report.offdiag_residual < 1e-9
     assert abs(sig.s0 - 0.9257) < 5e-3
     assert np.abs(sig.s - np.array([0.2943, -0.2344, 0.1653])).max() < 5e-3
