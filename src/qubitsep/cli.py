@@ -28,6 +28,7 @@ from .normal_form import (
     NON_GENERIC_B,
     NON_GENERIC_C,
     NON_GENERIC_D,
+    ZERO_TOL,
     separability_verdict,
     solve_normal_form,
 )
@@ -158,7 +159,7 @@ def _cmd_analyze(args) -> int:
     work, note = reduce_to_diagonal(params)
     notes = [] if note is None else [note]
     tdiag = work.t_diagonal()
-    if float(np.abs(work.a).max()) <= 1e-12 and float(np.abs(work.b).max()) <= 1e-12:
+    if float(np.abs(work.a).max()) <= ZERO_TOL and float(np.abs(work.b).max()) <= ZERO_TOL:
         notes.append(
             "maximally disordered subsystems: sum|t_i| <= 1 is necessary "
             f"and sufficient (sum = {float(np.abs(tdiag).sum()):.6g})"

@@ -79,6 +79,11 @@ class HSParams:
         return cls(a, b, np.diag(_as_real_vector(tdiag, "tdiag")))
 
     @classmethod
+    def from_grid(cls, c) -> "HSParams":
+        """Read params back from a 4x4 coefficient grid (see coefficient_grid)."""
+        return cls(c[1:, 0], c[0, 1:], c[1:, 1:])
+
+    @classmethod
     def zero(cls) -> "HSParams":
         return cls(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
 
@@ -114,15 +119,44 @@ class Spectrum:
         return self.four_lambda / 4.0
 
 
-def require_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(
+    matrix, tol: float = HERMITICITY_TOL, stacked: bool = False
+) -> np.ndarray:
+    """Check a 4x4 Hermitian matrix, or with `stacked` an (n, 4, 4) stack of them."""
     m = np.asarray(matrix, dtype=complex)
-    if m.shape != (4, 4):
-        raise ContractViolationError("expected a 4x4 matrix")
+    if m.shape[-2:] != (4, 4) or m.ndim != 2 + stacked:
+        raise ContractViolationError(
+            "expected a stack of 4x4 matrices" if stacked else "expected a 4x4 matrix"
+        )
     if not np.all(np.isfinite(m)):
         raise InvalidParameterError("matrix entries must be finite")
-    if float(np.abs(m - m.conj().T).max()) >= tol:
+    if float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) >= tol:
         raise ContractViolationError("matrix is not Hermitian within tolerance")
     return m
+
+
+def coefficient_grid(a, b, t) -> np.ndarray:
+    """Coefficients against sigma_m (qubit A) x sigma_n (qubit B) as a 4x4 grid.
+
+    a sits on the A side (column 0), b on the B side (row 0), t rows on A and
+    columns on B.  Leading axes of a (..., 3), b (..., 3) and t (..., 3, 3)
+    give a stack of grids.
+    """
+    a = np.asarray(a, dtype=float)
+    c = np.empty(a.shape[:-1] + (4, 4))
+    c[..., 0, 0] = 1.0
+    c[..., 1:, 0] = a
+    c[..., 0, 1:] = b
+    c[..., 1:, 1:] = t
+    return c
+
+
+def rho_from_grid(c) -> np.ndarray:
+    """(1/4) sum_mn c_mn sigma_m x sigma_n for one grid or a stack (..., 4, 4).
+
+    Each matrix of a stack is bit for bit the one a single grid gives.
+    """
+    return np.einsum("...mn,mnij->...ij", c, PAULI_KRON) / 4.0
 
 
 def rho_from_hs(params: HSParams) -> np.ndarray:
@@ -131,14 +165,7 @@ def rho_from_hs(params: HSParams) -> np.ndarray:
     The result is Hermitian with unit trace; positivity is not guaranteed and
     must be queried separately.
     """
-    # coefficient grid against sigma_m (qubit A) x sigma_n (qubit B):
-    # a sits on the A side, b on the B side, t rows on A and columns on B
-    c = np.empty((4, 4))
-    c[0, 0] = 1.0
-    c[1:, 0] = params.a
-    c[0, 1:] = params.b
-    c[1:, 1:] = params.t
-    return np.einsum("mn,mnij->ij", c, PAULI_KRON) / 4.0
+    return rho_from_grid(coefficient_grid(params.a, params.b, params.t))
 
 
 def hs_from_rho(rho) -> HSParams:
@@ -149,8 +176,7 @@ def hs_from_rho(rho) -> HSParams:
     below 1e-12.
     """
     m = require_hermitian(rho)
-    c = np.einsum("ij,mnji->mn", m, PAULI_KRON).real
-    return HSParams(c[1:, 0], c[0, 1:], c[1:, 1:])
+    return HSParams.from_grid(np.einsum("ij,mnji->mn", m, PAULI_KRON).real)
 
 
 def eigenvalues_hermitian(matrix) -> Spectrum:

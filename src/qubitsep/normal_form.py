@@ -46,7 +46,7 @@ NO_PHYSICAL_BOOST = "no-physical-boost"
 
 OFFDIAG_TOL = 1e-9
 _STRUCTURAL_TOL = 1e-9
-_ZERO_TOL = 1e-12
+ZERO_TOL = 1e-12  # a linear-term entry at or below this counts as zero
 _PAIR_RESIDUAL_TOL = 1e-12
 _FUNDAMENTAL_TOL = 1e-10
 
@@ -524,8 +524,8 @@ def _match_non_generic(params: HSParams, tol: float = _STRUCTURAL_TOL):
                 return Classification(
                     NON_GENERIC_C,
                     "symmetric half-strength pair with vanishing axis "
-                    "correlation (boundary |2a| = |1 + t1|); known verdict "
-                    "recorded: separable",
+                    "correlation (boundary |2a| = |1 + t1|); the label fixes no "
+                    "verdict, the exact test decides (see ppt_verdict)",
                 )
             if (
                 abs(abs(a[k]) - 1.0) <= tol
@@ -577,7 +577,7 @@ def solve_normal_form(
     if structural is not None:
         return _no_boost_report(structural)
     a, b = params.a, params.b
-    active = (np.abs(a) > _ZERO_TOL) | (np.abs(b) > _ZERO_TOL)
+    active = (np.abs(a) > ZERO_TOL) | (np.abs(b) > ZERO_TOL)
     n_active = int(active.sum())
     r = r_from_hs(params)
     try:
@@ -594,7 +594,7 @@ def solve_normal_form(
                 r, (beta_a, beta_b), k + 1, poly, beta_limit=beta_limit
             )
             return report
-        if not params.is_symmetric(_ZERO_TOL):
+        if not params.is_symmetric(ZERO_TOL):
             return _no_boost_report(
                 Classification(
                     NO_PHYSICAL_BOOST,

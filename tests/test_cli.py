@@ -82,6 +82,10 @@ def test_analyze_entangled_non_generic_still_gets_ppt_verdict(tmp_path, capsys):
     assert doc["classification"]["kind"] == "NonGenericC"
     assert doc["ppt_verdict"]["kind"] == "entangled"
     assert "lorentz_verdict" not in doc
+    # case c) holds entangled and separable states alike: the label must not
+    # contradict the exact verdict printed next to it
+    assert "separable" not in doc["classification"]["detail"]
+    assert "ppt_verdict" in doc["classification"]["detail"]
 
 
 def test_analyze_case_d_detail_matches_ppt_verdict(tmp_path, capsys):

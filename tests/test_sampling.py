@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -12,12 +13,15 @@ from qubitsep import (
     SamplingExhaustedError,
     batch_stats,
     cross_validate,
+    eigenvalues_hermitian,
     mds_criterion,
     peres_horodecki,
     random_state,
     rho_from_hs,
     tdiag_via_local_rotations,
 )
+from qubitsep.hs import rho_from_grid
+from qubitsep.sampling import FAMILIES, _draw_block
 
 
 def test_determinism_per_sample():
@@ -169,12 +173,54 @@ def test_sampling_exhausted():
     # find an index whose first draw is rejected, then cap attempts at one
     for index in range(200):
         rng = np.random.default_rng((spec.seed, index))
-        from qubitsep.sampling import _draw_params
-        from qubitsep import eigenvalues_hermitian
-
-        p = _draw_params(spec.family, spec.axis, rng)
-        if eigenvalues_hermitian(rho_from_hs(p)).values[0] < -1e-12:
+        c = _draw_block(spec.family, spec.axis, rng, 1)[0]
+        if eigenvalues_hermitian(rho_from_grid(c)).values[0] < -1e-12:
             with pytest.raises(SamplingExhaustedError):
                 random_state(spec, index, max_attempts=1)
             return
     pytest.fail("no rejecting draw found to exercise the attempt bound")
+
+
+def _state_bits(p: HSParams) -> bytes:
+    return b"".join(np.ascontiguousarray(x, dtype="<f8").tobytes() for x in (p.a, p.b, p.t))
+
+
+# sha256 over the float bits of random_state(SampleSpec(family, 1, seed, axis), i)
+# for seeds 0, 7, 2024 and i = 0..15, pinned from the one-candidate-at-a-time
+# sampler; any change to a family's draw order or accept rule shows here.
+PINNED_STREAMS = {
+    ("mds", 1): "4ac2bc61694e91f0bd415778efc0b9deceb92bb6b4f2ac7393e8a87b259a9464",
+    ("single-pair", 1): "ab5ae01db52a7148bfd3f3687ad682dc822cb0855bc81a3b451b596153bdbd2b",
+    ("single-pair", 2): "20e6847b3369e2ccf8c27adaffb2154ec022bca56754961e6d16b3a720700c1e",
+    ("single-pair", 3): "5760d3adde0803bf8d143216c23d1287e0599abbd43face828d5bec6a036652c",
+    ("symmetric-two", 1): "be4e9ee85ecbffd762a00c5caea5deab8550097ac176bfa29ed3d223f40eda9e",
+    ("symmetric-three", 1): "5701e88bb76a5b5e1a1ae1488c1efb9478a997e7d3349f3b0998a4044d4b48df",
+    ("full-symmetric", 1): "ea119acffd550fa127503dc682ed1eba012aee21fc908bd9e9f33a4e4995aeee",
+    ("product-mixture", 1): "48f16ed1deb1129d6372afbf88a114854cd035b0bc5feeaddcb2ef873b89f950",
+}
+
+
+def test_random_state_streams_pinned():
+    assert {family for family, _ in PINNED_STREAMS} == set(FAMILIES)
+    for (family, axis), expected in PINNED_STREAMS.items():
+        digest = hashlib.sha256()
+        for seed in (0, 7, 2024):
+            spec = SampleSpec(family, 1, seed, axis)
+            for index in range(16):
+                digest.update(_state_bits(random_state(spec, index)))
+        assert digest.hexdigest() == expected, (family, axis)
+
+
+@pytest.mark.parametrize(
+    "family, index, rejected",
+    # (seed 0, index): the first `rejected` candidates fail the PSD check and
+    # the next one passes.  6 ends inside the third block (1 + 2 + 4), 420
+    # inside the first block capped at 256, so both bounds truncate a block.
+    [("symmetric-three", 4, 6), ("full-symmetric", 12, 420)],
+)
+def test_random_state_exact_attempt_bound(family, index, rejected):
+    spec = SampleSpec(family=family, count=1, seed=0)
+    with pytest.raises(SamplingExhaustedError):
+        random_state(spec, index, max_attempts=rejected)
+    bounded = random_state(spec, index, max_attempts=rejected + 1)
+    assert _state_bits(bounded) == _state_bits(random_state(spec, index))
