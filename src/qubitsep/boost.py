@@ -46,7 +46,7 @@ def boost_x(beta: float, axis: int = 1, beta_limit: float = BETA_LIMIT) -> np.nd
 def boost_general(beta, beta_limit: float = BETA_LIMIT) -> np.ndarray:
     """The symmetric boost for a velocity 3-vector; reduces to boost_x on an axis."""
     v = np.asarray(beta, dtype=float).reshape(3)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidParameterError("beta must be finite")
     beta_sq = float(v @ v)
     if beta_sq >= 1.0 - beta_limit:
@@ -74,7 +74,7 @@ def apply_two_sided(r: RMatrix, left, right) -> RMatrix:
     rm = np.asarray(right, dtype=float)
     if lm.shape != (4, 4) or rm.shape != (4, 4):
         raise InvalidParameterError("boost factors must be 4x4")
-    if not (np.all(np.isfinite(lm)) and np.all(np.isfinite(rm))):
+    if not (np.isfinite(lm).all() and np.isfinite(rm).all()):
         raise InvalidParameterError("boost factors must be finite")
     raw = lm @ r.raw @ rm.T
     if raw[0, 0] <= 0.0:

@@ -41,7 +41,7 @@ PAULI_KRON = np.array([[np.kron(SIGMA[m], SIGMA[n]) for n in range(4)] for m in 
 
 def _as_real_vector(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(3)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidParameterError(f"{name} must be a finite real 3-vector")
     return v
 
@@ -65,7 +65,7 @@ class HSParams:
         t = np.asarray(self.t, dtype=float)
         if t.shape != (3, 3):
             raise InvalidParameterError("t must be a real 3x3 matrix")
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise InvalidParameterError("t must be finite")
         for arr in (a, b, t):
             arr.setflags(write=False)
@@ -128,7 +128,7 @@ def require_hermitian(
         raise ContractViolationError(
             "expected a stack of 4x4 matrices" if stacked else "expected a 4x4 matrix"
         )
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidParameterError("matrix entries must be finite")
     if float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) >= tol:
         raise ContractViolationError("matrix is not Hermitian within tolerance")

@@ -49,6 +49,9 @@ _STRUCTURAL_TOL = 1e-9
 ZERO_TOL = 1e-12  # a linear-term entry at or below this counts as zero
 _PAIR_RESIDUAL_TOL = 1e-12
 _FUNDAMENTAL_TOL = 1e-10
+# a velocity denominator at or below this (relative to 1, or to |a_1| when
+# larger) counts as zero: the velocity would diverge
+_DENOM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +66,7 @@ class SigmaForm:
         if not (math.isfinite(s0) and s0 > 0.0):
             raise InvalidParameterError("s0 must be finite and positive")
         v = np.asarray(self.s, dtype=float).reshape(3).copy()
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InvalidParameterError("s must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "s0", s0)
@@ -158,7 +161,7 @@ def solve_pair_general(
             f"beta_a = {beta_a:.12g} reaches the light-speed limit", beta=beta_a
         )
     denom = 1.0 - b1 * beta_a
-    if abs(denom) <= 1e-12:
+    if abs(denom) <= _DENOM_TOL:
         raise NoPhysicalBoostError("beta_b diverges; no physical boost")
     beta_b = (a1 - beta_a * t1) / denom
     if abs(beta_b) >= 1.0 - beta_limit:
@@ -280,7 +283,7 @@ def _coupled_betas(a, tdiag, beta1: float):
             betas.append(0.0)
             continue
         den = a1 + beta1 * (tdiag[j] - tdiag[0])
-        if abs(den) <= 1e-12 * max(1.0, abs(a1)):
+        if abs(den) <= _DENOM_TOL * max(1.0, abs(a1)):
             return None
         betas.append(a[j] * beta1 / den)
     return np.array(betas)
@@ -303,12 +306,13 @@ def _identity_polish(a, tdiag, beta1: float, steps: int = 8) -> float:
         d_j = a1 + b (t_j - t1),
 
     stays well conditioned there; a few Newton steps on it recover the root
-    to machine precision.
+    to machine precision.  The arithmetic runs on Python floats, the same
+    IEEE operations as on numpy scalars.
     """
-    a1, a2, a3 = a
-    t1 = tdiag[0]
-    dt2 = tdiag[1] - t1
-    dt3 = tdiag[2] - t1
+    a1, a2, a3 = map(float, a)
+    t1, t2, t3 = map(float, tdiag)
+    dt2 = t2 - t1
+    dt3 = t3 - t1
 
     def value(x):
         d2 = a1 + x * dt2
@@ -316,12 +320,17 @@ def _identity_polish(a, tdiag, beta1: float, steps: int = 8) -> float:
         if x == 0.0 or d2 == 0.0 or d3 == 0.0:
             return None, None
         f = a1 / x - t1 - 1.0 + a1 * x + a2 * a2 * x / d2 + a3 * a3 * x / d3
-        fp = (
-            -a1 / (x * x)
-            + a1
-            + a2 * a2 * a1 / (d2 * d2)
-            + a3 * a3 * a1 / (d3 * d3)
-        )
+        try:
+            fp = (
+                -a1 / (x * x)
+                + a1
+                + a2 * a2 * a1 / (d2 * d2)
+                + a3 * a3 * a1 / (d3 * d3)
+            )
+        except ZeroDivisionError:
+            # a square underflowed to 0; numpy scalars would give fp = inf or
+            # nan, which stops the iteration the same way
+            return f, math.nan
         return f, fp
 
     best = beta1
@@ -410,7 +419,7 @@ def solve_symmetric_quartic(a, tdiag, beta_limit: float = BETA_LIMIT):
     """
     av = np.asarray(a, dtype=float).reshape(3)
     t = np.asarray(tdiag, dtype=float).reshape(3)
-    if not np.all(np.isfinite(av)):
+    if not np.isfinite(av).all():
         raise InvalidParameterError("a must be finite")
     if np.any(av == 0.0):
         raise RelabelAxesError("the quartic path needs all three pairs active")

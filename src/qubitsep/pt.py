@@ -96,12 +96,16 @@ def peres_horodecki(rho, tol: float = VERDICT_TOL, qubit: str = "A") -> Verdict:
     """Exact separability test: entangled iff the partial transpose dips below -tol.
 
     Raises InvalidStateError for inputs that are not positive semidefinite;
-    a verdict on a non-state would mask upstream bugs.
+    a verdict on a non-state would mask upstream bugs.  The input is validated
+    once (the partial transpose of a finite Hermitian matrix is one too) and
+    both spectra come from one stacked eigensolve, each bit for bit what
+    eigenvalues_hermitian gives for its matrix alone.
     """
     m = require_hermitian(rho)
-    if float(eigenvalues_hermitian(m).values[0]) < -tol:
+    lam = np.linalg.eigvalsh(np.stack((m, partial_transpose_matrix(m, qubit))))
+    if float(lam[0, 0]) < -tol:
         raise InvalidStateError("input is not positive semidefinite; not a state")
-    return ppt_verdict(eigenvalues_hermitian(partial_transpose_matrix(m, qubit)), tol)
+    return ppt_verdict(Spectrum(4.0 * lam[1]), tol)
 
 
 def ppt_verdict(pt_spectrum: Spectrum, tol: float = VERDICT_TOL) -> Verdict:
@@ -122,7 +126,7 @@ def ppt_verdict(pt_spectrum: Spectrum, tol: float = VERDICT_TOL) -> Verdict:
 def mds_criterion(tdiag) -> bool:
     """|t1| + |t2| + |t3| <= 1, the exact test when both linear vectors vanish."""
     t = np.asarray(tdiag, dtype=float).reshape(3)
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise InvalidParameterError("tdiag must be finite")
     return float(np.abs(t).sum()) <= 1.0 + MDS_SUM_TOL
 

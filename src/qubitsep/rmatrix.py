@@ -32,7 +32,7 @@ class RMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.shape != (4, 4):
             raise InvalidParameterError("R must be a real 4x4 matrix")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise InvalidParameterError("R entries must be finite")
         scale = float(self.scale)
         if abs(m[0, 0] - 1.0) > _NORM_TOL:

@@ -4,6 +4,13 @@ The boost solvers only ever need the real roots, and the coefficient spread
 can be large (leading terms near unity against constants a few orders
 smaller), so each closed-form root gets a couple of Newton corrections on
 the original polynomial before it is returned.
+
+All of this runs on Python floats: the coefficients are converted once, and
+the IEEE operations are the ones numpy scalars would do, so the roots are
+the same bits, only cheaper to get.  Near a root, Newton in floating point
+often settles into an exact two-cycle between neighbouring floats; the
+polish detects it and returns the float the full step budget would have
+ended on, instead of spending the remaining steps bouncing.
 """
 
 from __future__ import annotations
@@ -33,7 +40,11 @@ def _polish(coeffs, x: float, steps: int = _MAX_POLISH_STEPS) -> float:
     # Newton iteration from the closed-form seed.  Usually one or two steps
     # suffice; widely spread roots (ratios beyond ~1e6) can leave the
     # resolvent seed several percent off, so iterate to a fixed point.
-    for _ in range(steps):
+    # The step depends on x alone, so once x_new equals the iterate of two
+    # steps back the rest of the loop alternates x_new, x, x_new, ...: return
+    # the one the last step would reach, chosen by the parity of the steps left.
+    prev = math.nan
+    for i in range(steps):
         p, dp = _eval_with_derivative(coeffs, x)
         if p == 0.0 or dp == 0.0 or not math.isfinite(p):
             break
@@ -43,7 +54,9 @@ def _polish(coeffs, x: float, steps: int = _MAX_POLISH_STEPS) -> float:
         x_new = x - step
         if x_new == x:
             break
-        x = x_new
+        if x_new == prev:
+            return x_new if (steps - i) % 2 == 1 else x
+        prev, x = x, x_new
     return x
 
 
@@ -75,7 +88,10 @@ def _cubic(b: float, c: float, d: float) -> list[float]:
     if disc >= 0.0 and p < 0.0:
         # three real roots, trigonometric form
         m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
+        den = p * m
+        # den underflows to -0.0 only for |p| < 1e-216; q / den is then -inf,
+        # +inf or nan, which the clamp maps to -1, 1 and -1
+        arg = 3.0 * q / den if den != 0.0 else (1.0 if q < 0.0 else -1.0)
         arg = min(1.0, max(-1.0, arg))
         phi = math.acos(arg) / 3.0
         return [m * math.cos(phi - 2.0 * math.pi * k / 3.0) + shift for k in range(3)]
@@ -168,7 +184,7 @@ def real_roots(coefficients) -> np.ndarray:
     c = np.asarray(coefficients, dtype=float).ravel()
     if c.size == 0:
         raise InvalidParameterError("empty coefficient list")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise InvalidParameterError("coefficients must be finite")
     scale = float(np.abs(c).max())
     if scale == 0.0:
@@ -182,7 +198,7 @@ def real_roots(coefficients) -> np.ndarray:
         raise InvalidParameterError("only degrees up to four are supported")
     if degree == 0:
         return np.empty(0)
-    monic = c / c[0]
+    monic = (c / c[0]).tolist()
     merged = _cluster((_polish(monic, x) for x in _closed_form(monic)), monic)
     if 0 < len(merged) < degree:
         # A cancellation inside the factorization can drop a close real pair
@@ -190,7 +206,7 @@ def real_roots(coefficients) -> np.ndarray:
         # Divide out the roots that were found, largest first, and mine the
         # low-degree quotient; candidates only count if they satisfy the
         # residual bound on the original polynomial.
-        quotient = list(monic)
+        quotient = monic
         for r in sorted(merged, key=abs, reverse=True):
             quotient = _deflate(quotient, r)
         if len(quotient) >= 2:

@@ -34,6 +34,7 @@ from qubitsep.normal_form import (
     NON_GENERIC_B,
     NON_GENERIC_C,
     NON_GENERIC_D,
+    _identity_polish,
 )
 
 # frozen from exact-root evaluation (verified against 30-digit arithmetic)
@@ -266,6 +267,15 @@ def test_quartic_continuity_to_zero():
     for eps in (1e-2, 1e-3, 1e-4):
         betas = solve_symmetric_quartic([eps, eps, eps], [0.3, -0.2, 0.2])
         assert np.abs(betas).max() < 5 * eps
+
+
+def test_identity_polish_underflowing_derivative_keeps_seed():
+    # beta1**2 underflows to 0, so the derivative is not finite: the polish
+    # must stop and keep the seed, not raise
+    a = np.array([0.1, 0.15, 0.2])
+    t = np.array([0.3, -0.2, 0.2])
+    for seed in (1e-170, -1e-300):
+        assert _identity_polish(a, t, seed) == seed
 
 
 def test_quartic_errors():

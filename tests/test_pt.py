@@ -134,8 +134,25 @@ def test_peres_horodecki_werner():
 
 def test_peres_horodecki_rejects_non_state():
     p = HSParams.diagonal([0, 0, 0], [0, 0, 0], [1.0, 1.0, 1.0])
-    with pytest.raises(InvalidStateError):
-        peres_horodecki(rho_from_hs(p))
+    for qubit in ("A", "B"):
+        with pytest.raises(InvalidStateError):
+            peres_horodecki(rho_from_hs(p), qubit=qubit)
+
+
+@pytest.mark.parametrize("qubit", ["A", "B"])
+def test_peres_horodecki_stacked_solve_matches_single(qubit):
+    # the stacked eigensolve gives each spectrum bit for bit
+    for family in ("single-pair", "symmetric-three", "full-symmetric", "product-mixture"):
+        spec = SampleSpec(family=family, count=1, seed=5)
+        for index in range(10):
+            rho = rho_from_hs(random_state(spec, index))
+            expected = eigenvalues_hermitian(partial_transpose_matrix(rho, qubit))
+            witness = peres_horodecki(rho, qubit=qubit).witness
+            assert witness.hex() == float(expected.four_lambda[0]).hex()
+            # a state shifted just below PSD is still refused
+            lam_min = float(eigenvalues_hermitian(rho).values[0])
+            with pytest.raises(InvalidStateError):
+                peres_horodecki(rho - (lam_min + 1e-6) * np.eye(4), qubit=qubit)
 
 
 def test_mds_criterion():

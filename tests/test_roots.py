@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qubitsep import InvalidParameterError, real_roots
+from qubitsep import InvalidParameterError, real_roots, roots
 
 coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -50,6 +52,14 @@ def test_reference_quartic():
     assert abs(smallest - 0.0816) < 5e-4
     for r in roots:
         assert abs(np.polyval(coeffs, r)) < 1e-12 * _poly_magnitude(coeffs, r)
+
+
+def test_tiny_depressed_cubic():
+    # x^3 - 1e-250 x: the trigonometric branch's denominator p*m underflows to
+    # zero; the three roots 0, +-1e-125 merge into one
+    out = real_roots([1.0, 0.0, -1e-250, 0.0])
+    assert out.shape == (1,)
+    assert abs(out[0]) <= 1e-124
 
 
 def test_biquadratic():
@@ -105,3 +115,55 @@ def test_residual_postcondition_random():
         for r in real_roots(coeffs):
             mag = _poly_magnitude(coeffs, r)
             assert abs(np.polyval(coeffs, r)) < 1e-12 * max(mag, 1e-300)
+
+
+def _reference_polish(coeffs, x, steps):
+    # the plain Newton loop without the two-cycle exit; returns (x, steps taken)
+    taken = 0
+    for _ in range(steps):
+        p, dp = roots._eval_with_derivative(coeffs, x)
+        if p == 0.0 or dp == 0.0 or not math.isfinite(p):
+            break
+        step = p / dp
+        if not math.isfinite(step):
+            break
+        x_new = x - step
+        if x_new == x:
+            break
+        x = x_new
+        taken += 1
+    return x, taken
+
+
+def test_polish_two_cycle_exit_matches_full_loop(monkeypatch):
+    # seeds from the closed form of random quartics whose plain Newton loop
+    # never stops early: it bounces between two neighbouring floats
+    rng = np.random.default_rng(0)
+    bouncing = []
+    while len(bouncing) < 20:
+        c = rng.uniform(-1.0, 1.0, 5)
+        monic = (c / c[0]).tolist()
+        for x0 in roots._closed_form(monic):
+            _, taken = _reference_polish(monic, x0, roots._MAX_POLISH_STEPS)
+            if taken == roots._MAX_POLISH_STEPS:
+                bouncing.append((monic, x0))
+    # both parities of the remaining step count pick a different end point
+    cases = [
+        (monic, x0, steps, _reference_polish(monic, x0, steps)[0])
+        for steps in (roots._MAX_POLISH_STEPS, roots._MAX_POLISH_STEPS - 1)
+        for monic, x0 in bouncing
+    ]
+    calls = 0
+    evaluate = roots._eval_with_derivative
+
+    def counting(coeffs, x):
+        nonlocal calls
+        calls += 1
+        return evaluate(coeffs, x)
+
+    monkeypatch.setattr(roots, "_eval_with_derivative", counting)
+    for monic, x0, steps, expected in cases:
+        calls = 0
+        got = roots._polish(monic, x0, steps)
+        assert got.hex() == expected.hex()
+        assert calls < steps
