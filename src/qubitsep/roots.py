@@ -151,11 +151,20 @@ def _deflate(coeffs, root: float) -> list[float]:
     return out
 
 
-def _magnitude(coeffs, x: float) -> float:
+def _is_root(monic, x: float) -> bool:
+    # the residual bound |p(x)| <= 1e-12 * sum |c_k| |x|^k, both by Horner
+    p = 0.0
     m = 0.0
-    for c in coeffs:
-        m = m * abs(x) + abs(c)
-    return m
+    ax = abs(x)
+    for c in monic:
+        p = p * x + c
+        m = m * ax + abs(c)
+    return math.isfinite(x) and abs(p) <= 1e-12 * m
+
+
+def _polished_roots(monic, seeds) -> list[float]:
+    polished = (_polish(monic, x) for x in seeds)
+    return [x for x in polished if _is_root(monic, x)]
 
 
 def _cluster(values, monic) -> list[float]:
@@ -178,8 +187,10 @@ def real_roots(coefficients) -> np.ndarray:
     Coefficients are ordered highest power first.  Leading coefficients that
     are negligible against the largest coefficient reduce the degree.  Roots
     are Newton-polished on the full polynomial and near-coincident roots
-    (within 1e-8) are merged, so multiple roots appear once.  An empty array
-    is a valid result.
+    (within 1e-8) are merged, so multiple roots appear once.  Every value
+    returned satisfies |p(x)| <= 1e-12 * sum |c_k| |x|^k on the monic
+    polynomial.  An empty array is a valid result; for odd degree it is
+    returned only if the companion-matrix eigenvalues give no root either.
     """
     c = np.asarray(coefficients, dtype=float).ravel()
     if c.size == 0:
@@ -199,23 +210,24 @@ def real_roots(coefficients) -> np.ndarray:
     if degree == 0:
         return np.empty(0)
     monic = (c / c[0]).tolist()
-    merged = _cluster((_polish(monic, x) for x in _closed_form(monic)), monic)
-    if 0 < len(merged) < degree:
+    candidates = _cluster((_polish(monic, x) for x in _closed_form(monic)), monic)
+    merged = [x for x in candidates if _is_root(monic, x)]
+    if 0 < len(candidates) < degree:
         # A cancellation inside the factorization can drop a close real pair
         # entirely (it cannot be polished back because it was never emitted).
-        # Divide out the roots that were found, largest first, and mine the
-        # low-degree quotient; candidates only count if they satisfy the
-        # residual bound on the original polynomial.
+        # Divide out the candidates, largest first, and mine the low-degree
+        # quotient for seeds; like every candidate, these count only if they
+        # satisfy the residual bound on the original polynomial.
         quotient = monic
-        for r in sorted(merged, key=abs, reverse=True):
+        for r in sorted(candidates, key=abs, reverse=True):
             quotient = _deflate(quotient, r)
         if len(quotient) >= 2:
-            extra = []
-            for x in _closed_form(quotient):
-                x = _polish(monic, x)
-                residual = abs(_eval_with_derivative(monic, x)[0])
-                if math.isfinite(x) and residual <= 1e-12 * _magnitude(monic, x):
-                    extra.append(x)
+            extra = _polished_roots(monic, _closed_form(quotient))
             if extra:
                 merged = _cluster(merged + extra, monic)
+    if not merged and degree % 2 == 1:
+        # A real polynomial of odd degree has a real root.  The closed form
+        # can lose it when powers of tiny or huge coefficients under- or
+        # overflow; the companion-matrix eigenvalues do not.
+        merged = _cluster(_polished_roots(monic, np.roots(monic).real.tolist()), monic)
     return np.array(merged)

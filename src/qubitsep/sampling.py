@@ -3,16 +3,24 @@
 Each sample stream is fully determined by (seed, index) through a counter
 keyed PCG64 generator, so batches are reproducible bit for bit and can be
 sharded arbitrarily.  States are produced by rejection against the dense
-eigenvalue solver; parameter draws are pre-scaled to [-0.9, 0.9] to keep
-acceptance workable.
+eigenvalue solver.  To keep acceptance workable, the correlation entries and
+linear terms of the first five families lie within [-0.9, 0.9]
+(symmetric-three's linear terms have magnitudes in [0.05, 0.9]);
+product-mixture is a convex mixture of pure product states and is not scaled.
 
-Candidates are drawn and PSD-checked in blocks of 1, 2, 4, ... up to 256: one
-stacked assembly and one stacked eigensolve per block, and the first
-candidate that passes is the sample.  A block takes exactly the draws that
-one-at-a-time sampling would take for its candidates, in the same order, and
-each stacked result equals the per-matrix one bit for bit, so the accepted
-candidate is the same.  Draws past it are thrown away; they cannot shift any
-other sample, because every (seed, index) has its own generator.
+Candidates are drawn and PSD-checked in blocks of 1, 2, 4, ... up to 256, and
+the first candidate that passes is the sample.  A block takes exactly the
+draws that one-at-a-time sampling would take for its candidates, in the same
+order: uniform-only families in one call, symmetric-three decoded from one
+call for raw PCG64 output (this reads and writes PCG64's spare 32-bit half in
+the bit generator's state), the rest one candidate at a time.  A cheap test
+on the diagonal and the 2x2 principal minors of each candidate (Cauchy
+interlacing) discards those that are provably below the accept threshold;
+the others get one stacked assembly and one stacked eigensolve, and each
+stacked result equals the per-matrix one bit for bit.  So the accepted
+candidate is the same as a candidate-at-a-time loop's.  Draws past it are
+thrown away; they cannot shift any other sample, because every (seed, index)
+has its own generator.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .boost import BETA_LIMIT
 from .errors import InvalidParameterError, SamplingExhaustedError
 from .hs import (
     DIAG_TOL,
+    PAULI_KRON,
     HSParams,
     coefficient_grid,
     require_hermitian,
@@ -117,14 +126,99 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    # Generator.uniform's arithmetic on standard doubles u in [0, 1)
+    return low + (high - low) * u
+
+
+def _symmetric_three_raw(bitgen, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of n symmetric-three candidates, decoded from raw PCG64 output.
+
+    Candidate by candidate, the generator would give uniform(size 3) twice,
+    i.e. six doubles, each (raw >> 11) * 2**-53 of one 64-bit output, then
+    integers(0, 2, 3).  Each of those three is the top bit of a 32-bit half
+    (Lemire's bounded method on range 2 never rejects).  The halves come
+    from PCG64's spare-half buffer: an empty buffer takes a fresh 64-bit
+    output, hands out its low half and keeps the high one (`has_uint32`,
+    `uinteger` in the bit generator's state) for the next 32-bit draw.
+    Returns the doubles (n, 6) and the sign bits (n, 3), and leaves the
+    generator in the state the candidate-at-a-time calls would.
+    """
+    before = bitgen.state
+    spare = before["has_uint32"]
+    c = np.arange(n)
+    # 64-bit outputs that the sign draws have taken before candidate c, and
+    # the position of sign output m in the block: candidate (2m + spare) // 3
+    # fetches it after its six doubles
+    taken = (3 * c - spare + 1) // 2
+    m = np.arange((3 * n - spare + 1) // 2)
+    sign_pos = 6 * ((2 * m + spare) // 3 + 1) + m
+    raw = bitgen.random_raw(6 * n + m.size)
+    u = (raw[(6 * c + taken)[:, None] + np.arange(6)] >> 11) * 2.0**-53
+    sign_raw = raw[sign_pos]
+    halves = np.empty(spare + 2 * m.size, dtype=np.uint64)
+    halves[:spare] = before["uinteger"]
+    halves[spare::2] = sign_raw & 0xFFFFFFFF
+    halves[spare + 1 :: 2] = sign_raw >> 32
+    state = bitgen.state
+    state["has_uint32"] = halves.size - 3 * n
+    # a consumed spare stays in `uinteger`, so either way it holds the last high half
+    state["uinteger"] = int(halves[-1])
+    bitgen.state = state
+    return u, (halves[: 3 * n] >> 31).reshape(n, 3)
+
+
+# Real map from a flattened coefficient grid to the diagonal, then the real
+# and the imaginary parts of the upper off-diagonal entries, of 4 rho
+_ROW, _COL = np.triu_indices(4, 1)
+_MINOR_MAP = np.concatenate(
+    [
+        PAULI_KRON[..., range(4), range(4)].real.reshape(16, 4),
+        PAULI_KRON[..., _ROW, _COL].real.reshape(16, 6),
+        PAULI_KRON[..., _ROW, _COL].imag.reshape(16, 6),
+    ],
+    axis=1,
+)
+_PREFILTER_MARGIN = 1e-9
+
+
+def _proven_indefinite(grids: np.ndarray) -> np.ndarray:
+    """Mask of the candidates whose lambda_min is surely below -_PSD_ACCEPT_TOL.
+
+    Proof.  Let C = max |c_mn| over the block (C >= 1, as c_00 = 1) and
+    D = 4 rho.  Each entry of D sums four terms of modulus <= C, so
+    |D_ij| <= 4C.  For a 2x2 principal block S of D, Cauchy interlacing
+    gives lambda_min(D) <= lambda_min(S) <= min(D_ii, D_jj), and when
+    det S < 0, lambda_min(S) = det S / lambda_max(S) with
+    0 < lambda_max(S) <= 8C (its largest row sum).  So D_ii < -m C gives
+    lambda_min(rho) < -m C / 4, and det S < -m C^2 gives
+    lambda_min(rho) < -m C / 32 <= -3.1e-11 for m = 1e-9.  Rounding moves
+    the computed D_ii by less than 1e-14 C, the minors by less than
+    1e-13 C^2 and the eigvalsh result by about 1e-14 C, all far inside that
+    room, so every candidate marked here is one that eigvalsh would reject
+    at -1e-12.
+
+    Raises InvalidParameterError on a non-finite grid anywhere in the block.
+    """
+    scale = float(np.abs(grids).max())
+    if not np.isfinite(scale):
+        raise InvalidParameterError("coefficient grids must be finite")
+    x = grids.reshape(len(grids), 16) @ _MINOR_MAP
+    diag = x[:, :4]
+    minors = diag[:, _ROW] * diag[:, _COL] - x[:, 4:10] ** 2 - x[:, 10:] ** 2
+    margin = _PREFILTER_MARGIN * scale
+    return (diag.min(axis=1) < -margin) | (minors.min(axis=1) < -margin * scale)
+
+
 def _draw_block(family: str, axis: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """Coefficient grids (n, 4, 4) of the next n candidates (see coefficient_grid).
 
     Families drawn from uniforms alone take the block in one call, which
-    yields the same numbers as n calls in a row.  The others keep one set of
-    calls per candidate, in the original order: their integers, dirichlet and
-    normal calls cannot be merged across candidates without changing the
-    stream.
+    yields the same numbers as n calls in a row; symmetric-three decodes the
+    same numbers from raw generator output.  The others keep one set of
+    calls per candidate, in the original order: symmetric-two's integers(3)
+    can reject and redraw, and dirichlet and normal calls cannot be merged
+    across candidates without changing the stream.
     """
     a = np.zeros((n, 3))
     b = np.zeros((n, 3))
@@ -146,10 +240,9 @@ def _draw_block(family: str, axis: int, rng: np.random.Generator, n: int) -> np.
             a[c, _AXES != quiet] = vals
         b = a
     elif family == "symmetric-three":
-        for c in range(n):
-            t[c, _AXES, _AXES] = rng.uniform(-0.9, 0.9, 3)
-            a[c] = rng.uniform(0.05, 0.9, 3) * _SIGNS[rng.integers(0, 2, 3)]
-        b = a
+        u, signs = _symmetric_three_raw(rng.bit_generator, n)
+        t[:, _AXES, _AXES] = _uniform(u[:, :3], -0.9, 0.9)
+        a = b = _uniform(u[:, 3:], 0.05, 0.9) * _SIGNS[signs]
     elif family == "full-symmetric":
         u = rng.uniform(-0.9, 0.9, (n, 12))
         a = b = u[:, :3]
@@ -183,10 +276,12 @@ def random_state(
     while checked < max_attempts:
         n = min(size, max_attempts - checked)
         grids = _draw_block(spec.family, spec.axis, rng, n)
-        rho = require_hermitian(rho_from_grid(grids), stacked=True)
-        accepted = np.flatnonzero(np.linalg.eigvalsh(rho)[:, 0] >= -_PSD_ACCEPT_TOL)
-        if accepted.size:
-            return HSParams.from_grid(grids[accepted[0]].copy())
+        survivors = np.flatnonzero(~_proven_indefinite(grids))
+        if survivors.size:
+            rho = require_hermitian(rho_from_grid(grids[survivors]), stacked=True)
+            psd = np.linalg.eigvalsh(rho)[:, 0] >= -_PSD_ACCEPT_TOL
+            if psd.any():
+                return HSParams.from_grid(grids[survivors[psd.argmax()]].copy())
         checked += n
         size = min(2 * size, _MAX_BLOCK)
     raise SamplingExhaustedError(

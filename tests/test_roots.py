@@ -62,6 +62,25 @@ def test_tiny_depressed_cubic():
     assert abs(out[0]) <= 1e-124
 
 
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        # x^3 + 1e-250 (x^2 - x + 1): the only real root is -(1e-250)^(1/3);
+        # the closed form used to return -2.5e8 and -4.5e-8 instead
+        ([1.0, 1e-250, -1e-250, 1e-250], -(1e-250 ** (1.0 / 3.0))),
+        # one real root near 1.73e9 and a complex pair near +-4.11i; the
+        # closed form used to add -9.04 and 22.1, far off any root
+        ([-1.5e-3, 2.6e6, 5.7e-8, 4.4e7], 2.6e6 / 1.5e-3),
+    ],
+)
+def test_only_roots_are_returned(coeffs, expected):
+    out = real_roots(coeffs)
+    assert out.shape == (1,)
+    assert abs(out[0] - expected) <= 1e-9 * abs(expected)
+    monic = np.array(coeffs) / coeffs[0]
+    assert abs(np.polyval(monic, out[0])) <= 1e-12 * _poly_magnitude(monic, out[0])
+
+
 def test_biquadratic():
     assert np.allclose(real_roots([1, 0, -5, 0, 4]), [-2, -1, 1, 2], atol=1e-10)
 

@@ -20,8 +20,9 @@ from qubitsep import (
     rho_from_hs,
     tdiag_via_local_rotations,
 )
-from qubitsep.hs import rho_from_grid
-from qubitsep.sampling import FAMILIES, _draw_block
+from qubitsep.hs import coefficient_grid, rho_from_grid
+from qubitsep import sampling
+from qubitsep.sampling import FAMILIES, _draw_block, _proven_indefinite
 
 
 def test_determinism_per_sample():
@@ -261,3 +262,75 @@ def test_cross_validate_outputs_pinned():
                 rec = cross_validate(random_state(spec, index))
                 digest.update(_cross_validate_hex(rec).encode())
         assert digest.hexdigest() == expected, (family, axis)
+
+
+def _symmetric_three_loop(rng, n):
+    # the candidate-at-a-time draws that the raw-bit decoder must reproduce
+    axes = np.arange(3)
+    a = np.zeros((n, 3))
+    t = np.zeros((n, 3, 3))
+    for c in range(n):
+        t[c, axes, axes] = rng.uniform(-0.9, 0.9, 3)
+        a[c] = rng.uniform(0.05, 0.9, 3) * np.array([-1.0, 1.0])[rng.integers(0, 2, 3)]
+    return coefficient_grid(a, a, t)
+
+
+@pytest.mark.parametrize("spare", [False, True])
+def test_symmetric_three_decoder_matches_loop(spare):
+    sizes = [2**k for k in range(9)] + [37]
+    for seed in range(20):
+        loop = np.random.default_rng(seed)
+        decoded = np.random.default_rng(seed)
+        if spare:
+            # one 32-bit draw leaves PCG64's spare half full
+            loop.integers(0, 2)
+            decoded.integers(0, 2)
+        assert decoded.bit_generator.state["has_uint32"] == spare
+        for n in sizes:
+            expected = _symmetric_three_loop(loop, n)
+            got = _draw_block("symmetric-three", 1, decoded, n)
+            assert got.tobytes() == expected.tobytes(), (seed, n)
+            assert decoded.bit_generator.state == loop.bit_generator.state, (seed, n)
+
+
+def test_prefilter_never_discards_an_accepted_candidate():
+    # 400 blocks of 256 per family.  Observed catch rates among the rejected
+    # candidates (seed 2024): mds 100%, full-symmetric 97.3%,
+    # symmetric-three 94.7%, symmetric-two 85.3%, single-pair 70.1%;
+    # product-mixture has no rejects.
+    catch_rate = {}
+    for family in FAMILIES:
+        rng = np.random.default_rng(2024)
+        rejected = caught = 0
+        for _ in range(400):
+            grids = _draw_block(family, 1, rng, 256)
+            accepted = np.linalg.eigvalsh(rho_from_grid(grids))[:, 0] >= -1e-12
+            discarded = _proven_indefinite(grids)
+            assert not (discarded & accepted).any(), family
+            rejected += int((~accepted).sum())
+            caught += int(discarded.sum())
+        catch_rate[family] = caught / max(rejected, 1)
+        # candidates moved to lambda_min in [-3e-12, 3e-12]: scaling every
+        # coefficient but c_00 by s maps lambda to (1 - s) / 4 + s * lambda
+        lam = np.linalg.eigvalsh(rho_from_grid(grids))[:, 0]
+        target = np.linspace(-3e-12, 3e-12, grids.shape[0])
+        near = grids * ((0.25 - target) / (0.25 - lam))[:, None, None]
+        near[:, 0, 0] = 1.0
+        assert not _proven_indefinite(near).any(), family
+    assert catch_rate["full-symmetric"] > 0.95
+    assert catch_rate["mds"] == 1.0
+
+
+def test_random_state_rejects_non_finite_draws(monkeypatch):
+    # block 1 is one non-PSD candidate (t = I); block 2 starts with the
+    # maximally mixed state and ends with a NaN, which must still raise
+    def draw(family, axis, rng, n):
+        t = np.broadcast_to(np.eye(3) if n == 1 else np.zeros((3, 3)), (n, 3, 3))
+        grids = coefficient_grid(np.zeros((n, 3)), np.zeros((n, 3)), t)
+        if n > 1:
+            grids[-1, 1, 1] = np.nan
+        return grids
+
+    monkeypatch.setattr(sampling, "_draw_block", draw)
+    with pytest.raises(InvalidParameterError):
+        random_state(SampleSpec(family="mds", count=1, seed=0), 0)
