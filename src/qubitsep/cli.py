@@ -20,7 +20,7 @@ import numpy as np
 
 from .boost import BETA_LIMIT
 from .errors import QubitSepError
-from .hs import PSD_TOL, HSParams, eigenvalues_hermitian, rho_from_hs
+from .hs import PSD_TOL, ZERO_TOL, HSParams, eigenvalues_hermitian, rho_from_hs
 from .normal_form import (
     GENERIC,
     NO_PHYSICAL_BOOST,
@@ -28,14 +28,14 @@ from .normal_form import (
     NON_GENERIC_B,
     NON_GENERIC_C,
     NON_GENERIC_D,
-    ZERO_TOL,
+    classify,
     separability_verdict,
     solve_normal_form,
 )
 from .pt import (
     SEPARABLE,
     VERDICT_TOL,
-    necessity_check,
+    mds_criterion,
     partial_transpose_matrix,
     ppt_verdict,
 )
@@ -164,7 +164,7 @@ def _cmd_analyze(args) -> int:
             "maximally disordered subsystems: sum|t_i| <= 1 is necessary "
             f"and sufficient (sum = {float(np.abs(tdiag).sum()):.6g})"
         )
-    elif not necessity_check(work):
+    elif not mds_criterion(tdiag):
         notes.append(
             "necessary screen failed: sum|t_i| > 1 already implies entangled"
         )
@@ -204,7 +204,7 @@ def _cmd_classify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     work, _ = reduce_to_diagonal(params)
-    classification = solve_normal_form(work).classification
+    classification = classify(work)
     label = _KIND_LABELS[classification.kind]
     if classification.detail:
         print(f"{label}: {classification.detail}")

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import ContractViolationError, InvalidParameterError, UnsupportedFormError
 
 HERMITICITY_TOL = 1e-12
-DIAG_TOL = 1e-12
+# an entry at or below this counts as zero: off-diagonal t, a - b, linear terms
+ZERO_TOL = 1e-12
 PSD_TOL = 1e-10
 
 SIGMA = np.array(
@@ -37,6 +38,8 @@ SIGMA = np.array(
 
 # PAULI_KRON[mu, nu] = sigma_mu (qubit A) x sigma_nu (qubit B)
 PAULI_KRON = np.array([[np.kron(SIGMA[m], SIGMA[n]) for n in range(4)] for m in range(4)])
+
+_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 
 
 def _as_real_vector(x, name: str) -> np.ndarray:
@@ -87,17 +90,16 @@ class HSParams:
     def zero(cls) -> "HSParams":
         return cls(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
 
-    def is_t_diagonal(self, tol: float = DIAG_TOL) -> bool:
-        off = self.t - np.diag(np.diag(self.t))
-        return float(np.abs(off).max()) <= tol
+    def is_t_diagonal(self, tol: float = ZERO_TOL) -> bool:
+        return float(np.abs(self.t[_OFF_DIAGONAL]).max()) <= tol
 
-    def t_diagonal(self, tol: float = DIAG_TOL) -> np.ndarray:
+    def t_diagonal(self, tol: float = ZERO_TOL) -> np.ndarray:
         """The diagonal of t; raises if off-diagonal entries are present."""
         if not self.is_t_diagonal(tol):
             raise UnsupportedFormError("correlation matrix is not diagonal")
         return np.diag(self.t).copy()
 
-    def is_symmetric(self, tol: float = DIAG_TOL) -> bool:
+    def is_symmetric(self, tol: float = ZERO_TOL) -> bool:
         """True when the two qubits carry identical linear terms (a == b)."""
         return float(np.abs(self.a - self.b).max()) <= tol
 
@@ -249,7 +251,7 @@ def tdiag_via_symmetric_rotation(params: HSParams):
     diagonal entries are the eigenvalues of t (signs preserved).
     """
     t = params.t
-    if float(np.abs(t - t.T).max()) > DIAG_TOL:
+    if float(np.abs(t - t.T).max()) > ZERO_TOL:
         raise UnsupportedFormError("shared-rotation reduction needs a symmetric t")
     w, v = np.linalg.eigh(0.5 * (t + t.T))
     if np.linalg.det(v) < 0:

@@ -7,8 +7,8 @@ Sigma = diag(s0, s1, s2, s3); separability is then exactly
 the supported families:
 
   * one linear pair (a_k, b_k) on a single axis  -> quadratic,
-  * symmetric states (a == b) with two pairs     -> cubic,
-  * symmetric states with three pairs            -> quartic,
+  * symmetric states (a == b), the paper's case b): one symmetric boost,
+    from a cubic for two pairs and a quartic for three,
 
 classifies the structurally non-generic states for which the required boost
 degenerates to light speed, and certifies every solve by re-applying the
@@ -32,7 +32,7 @@ from .errors import (
     SolverInconsistencyError,
     UnsupportedDegeneracyError,
 )
-from .hs import HSParams
+from .hs import ZERO_TOL, HSParams
 from .pt import ENTANGLED, SEPARABLE, VERDICT_TOL, Verdict
 from .rmatrix import RMatrix, r_from_hs
 from .roots import real_roots
@@ -46,8 +46,9 @@ NO_PHYSICAL_BOOST = "no-physical-boost"
 
 OFFDIAG_TOL = 1e-9
 _STRUCTURAL_TOL = 1e-9
-ZERO_TOL = 1e-12  # a linear-term entry at or below this counts as zero
 _PAIR_RESIDUAL_TOL = 1e-12
+# the pair quadratic is degenerate when |c2| <= this * max(|c1|, 1)
+_QUADRATIC_LEAD_TOL = 1e-15
 _FUNDAMENTAL_TOL = 1e-10
 # a velocity denominator at or below this (relative to 1, or to |a_1| when
 # larger) counts as zero: the velocity would diverge
@@ -130,7 +131,7 @@ def solve_pair_general(
         return 0.0, 0.0
     c2 = b1 - a1 * t1
     c1 = a1 * a1 - b1 * b1 + t1 * t1 - 1.0
-    if abs(c2) <= 1e-15 * max(abs(c1), 1.0):
+    if abs(c2) <= _QUADRATIC_LEAD_TOL * max(abs(c1), 1.0):
         # Quadratic degenerates; beta_a = 0 with beta_b = a1 solves both
         # conditions exactly (and is the branch continuous with beta -> 0
         # when the system is underdetermined).
@@ -499,14 +500,12 @@ def _is_unit_axis_vector(v, tol: float) -> bool:
     return abs(s[2] - 1.0) <= tol and s[1] <= tol
 
 
-def _match_non_generic(params: HSParams, tol: float = _STRUCTURAL_TOL):
+def _match_non_generic(a, b, tdiag, tol: float = _STRUCTURAL_TOL):
     """Structural match of the four normalized light-speed cases, or None.
 
-    Detection runs before any solver so these states never surface as opaque
-    boost-limit failures.
+    Takes the linear vectors and the diagonal of t.  Detection runs before
+    any solver so these states never surface as opaque boost-limit failures.
     """
-    a, b = params.a, params.b
-    tdiag = np.diag(params.t)
     if float(np.abs(tdiag).max()) <= tol:
         if float(np.abs(b).max()) <= tol and _is_unit_axis_vector(a, tol):
             return Classification(
@@ -551,13 +550,6 @@ def _match_non_generic(params: HSParams, tol: float = _STRUCTURAL_TOL):
     return None
 
 
-def _permuted(params: HSParams, order) -> HSParams:
-    idx = np.asarray(order)
-    return HSParams.diagonal(
-        params.a[idx], params.b[idx], np.diag(params.t)[idx]
-    )
-
-
 def _no_boost_report(classification: Classification) -> SolveReport:
     return SolveReport(
         classification=classification,
@@ -581,11 +573,10 @@ def solve_normal_form(
     certificate failures propagate, since they indicate a numerical bug
     rather than a non-generic state.
     """
-    tdiag = params.t_diagonal()
-    structural = _match_non_generic(params)
+    a, b, tdiag = params.a, params.b, params.t_diagonal()
+    structural = _match_non_generic(a, b, tdiag)
     if structural is not None:
         return _no_boost_report(structural)
-    a, b = params.a, params.b
     active = (np.abs(a) > ZERO_TOL) | (np.abs(b) > ZERO_TOL)
     n_active = int(active.sum())
     r = r_from_hs(params)
@@ -603,7 +594,7 @@ def solve_normal_form(
                 r, (beta_a, beta_b), k + 1, poly, beta_limit=beta_limit
             )
             return report
-        if not params.is_symmetric(ZERO_TOL):
+        if not params.is_symmetric():
             return _no_boost_report(
                 Classification(
                     NO_PHYSICAL_BOOST,
@@ -611,29 +602,21 @@ def solve_normal_form(
                     "axis carries linear terms and the state is not symmetric",
                 )
             )
-        # put the largest |a_i| on the first axis: every reduced coefficient
-        # divides by a_1, so this ordering keeps the polynomial best behaved
+        # Case b): a symmetric boost, its velocity from one polynomial in
+        # beta_1.  Active axes go first, the largest |a_i| leading: every
+        # reduced coefficient divides by a_1, so this keeps the polynomial
+        # best behaved.  An inactive axis may still carry a nonzero |a_i|.
+        order = sorted(range(3), key=lambda i: (not active[i], -abs(a[i])))
+        wa, wt = a[order], tdiag[order]
         if n_active == 2:
-            first, second = sorted(
-                (int(i) for i in np.flatnonzero(active)), key=lambda i: -abs(a[i])
-            )
-            order = (first, second, 3 - first - second)
-            work = _permuted(params, order)
-            wt = np.diag(work.t)
-            b1, b2 = solve_symmetric_cubic(work.a[0], work.a[1], wt, beta_limit)
-            poly = abs(
-                float(np.polyval(_cubic_coefficients(work.a[0], work.a[1], wt), b1))
-            )
-            beta = np.zeros(3)
-            beta[np.asarray(order)] = (b1, b2, 0.0)
+            betas = (*solve_symmetric_cubic(wa[0], wa[1], wt, beta_limit), 0.0)
+            coeffs = _cubic_coefficients(wa[0], wa[1], wt)
         else:
-            order = tuple(int(i) for i in np.argsort(-np.abs(a), kind="stable"))
-            work = _permuted(params, order)
-            wt = np.diag(work.t)
-            b1, b2, b3 = solve_symmetric_quartic(work.a, wt, beta_limit)
-            poly = abs(float(np.polyval(_quartic_coefficients(work.a, wt), b1)))
-            beta = np.zeros(3)
-            beta[np.asarray(order)] = (b1, b2, b3)
+            betas = solve_symmetric_quartic(wa, wt, beta_limit)
+            coeffs = _quartic_coefficients(wa, wt)
+        beta = np.zeros(3)
+        beta[order] = betas
+        poly = abs(float(np.polyval(coeffs, betas[0])))
         _, report = eliminate_and_diagonalize(
             r, beta, polynomial_residual=poly, beta_limit=beta_limit
         )

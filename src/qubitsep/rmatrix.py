@@ -1,9 +1,12 @@
 """The real 4x4 coefficient matrix R of a two-qubit state.
 
 Row 0 carries (1, a), column 0 carries (1, b), and the lower-right 3x3
-block is the correlation matrix t.  This is the layout the boost algebra
-acts on: the left factor carries the qubit-A velocity, the right factor the
-qubit-B one.  Hermiticity of rho is equivalent to R being real.
+block is t untransposed (rows on qubit A, columns on qubit B).  So R is
+hs.coefficient_grid with its border swapped, and the grid's transpose only
+for symmetric t.  R is not covariant under local filters A (x) B: a filter
+on qubit A is exactly a left factor on the grid, but no left or right factor
+on R reproduces it (ROADMAP, "Covariant R").  Hermiticity of rho is
+equivalent to R being real.
 
 R is stored normalized with R[0, 0] = 1; any overall factor picked up at
 construction or under two-sided transformations is recorded in `scale`, so
@@ -17,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTransformationError, InvalidParameterError
-from .hs import PAULI_KRON, HSParams, require_hermitian
+from .hs import HERMITICITY_TOL, PAULI_KRON, HSParams, require_hermitian
 
 _NORM_TOL = 1e-12
-_IMAG_TOL = 1e-12
+_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +89,7 @@ def r_from_rho(rho) -> RMatrix:
     m = require_hermitian(rho)
     c = np.einsum("ij,mnji->mn", m, PAULI_KRON)
     imag = float(np.abs(c.imag).max())
-    if imag >= _IMAG_TOL:
+    if imag >= HERMITICITY_TOL:
         raise InvalidParameterError(f"imaginary residue {imag:.3g} in R entries")
     c = c.real
     r = c.copy()
@@ -103,5 +106,5 @@ def rho_from_r(r: RMatrix) -> np.ndarray:
     return np.einsum("mn,mnij->ij", c, PAULI_KRON) / 4.0
 
 
-def is_symmetric_r(r: RMatrix, tol: float = 1e-12) -> bool:
+def is_symmetric_r(r: RMatrix, tol: float = _SYMMETRY_TOL) -> bool:
     return float(np.abs(r.entries - r.entries.T).max()) < tol

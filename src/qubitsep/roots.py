@@ -16,6 +16,7 @@ ended on, instead of spending the remaining steps bouncing.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import InvalidParameterError
 
 _LEAD_TOL = 1e-14
 _CLUSTER_TOL = 1e-8
+_ROOT_RESIDUAL_TOL = 1e-12
 _MAX_POLISH_STEPS = 40
 
 
@@ -152,14 +154,17 @@ def _deflate(coeffs, root: float) -> list[float]:
 
 
 def _is_root(monic, x: float) -> bool:
-    # the residual bound |p(x)| <= 1e-12 * sum |c_k| |x|^k, both by Horner
+    # |p(x)| <= _ROOT_RESIDUAL_TOL * sum |c_k| |x|^k, both by Horner; subnormal
+    # arithmetic cannot meet a relative bound, so it is at least the smallest
+    # normal double (x^2 + 4x + 2e-313 keeps its root near -5.6e-314)
     p = 0.0
     m = 0.0
     ax = abs(x)
     for c in monic:
         p = p * x + c
         m = m * ax + abs(c)
-    return math.isfinite(x) and abs(p) <= 1e-12 * m
+    bound = max(_ROOT_RESIDUAL_TOL * m, sys.float_info.min)
+    return math.isfinite(x) and abs(p) <= bound
 
 
 def _polished_roots(monic, seeds) -> list[float]:
@@ -189,8 +194,9 @@ def real_roots(coefficients) -> np.ndarray:
     are Newton-polished on the full polynomial and near-coincident roots
     (within 1e-8) are merged, so multiple roots appear once.  Every value
     returned satisfies |p(x)| <= 1e-12 * sum |c_k| |x|^k on the monic
-    polynomial.  An empty array is a valid result; for odd degree it is
-    returned only if the companion-matrix eigenvalues give no root either.
+    polynomial (or |p(x)| is below the smallest normal double).  An empty
+    array is a valid result; for odd degree it is returned only if the
+    companion-matrix eigenvalues give no root either.
     """
     c = np.asarray(coefficients, dtype=float).ravel()
     if c.size == 0:

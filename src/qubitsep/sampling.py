@@ -32,8 +32,8 @@ import numpy as np
 from .boost import BETA_LIMIT
 from .errors import InvalidParameterError, SamplingExhaustedError
 from .hs import (
-    DIAG_TOL,
     PAULI_KRON,
+    ZERO_TOL,
     HSParams,
     coefficient_grid,
     require_hermitian,
@@ -86,6 +86,8 @@ class SampleSpec:
             )
         if self.count < 1:
             raise InvalidParameterError("count must be >= 1")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if self.axis not in (1, 2, 3):
             raise InvalidParameterError("axis must be 1, 2 or 3")
 
@@ -270,6 +272,8 @@ def random_state(
     Checks at most the first `max_attempts` candidates of the stream; the
     last block is cut short so that no later candidate is considered.
     """
+    if index < 0:
+        raise InvalidParameterError(f"index must be >= 0, got {index}")
     rng = np.random.default_rng((spec.seed, index))
     checked = 0
     size = 1
@@ -300,7 +304,7 @@ def reduce_to_diagonal(params: HSParams) -> tuple[HSParams, str | None]:
     """
     if params.is_t_diagonal():
         return params, None
-    if params.is_symmetric() and float(np.abs(params.t - params.t.T).max()) <= DIAG_TOL:
+    if params.is_symmetric() and float(np.abs(params.t - params.t.T).max()) <= ZERO_TOL:
         work, _ = tdiag_via_symmetric_rotation(params)
         return work, (
             "correlation matrix diagonalized by one shared local rotation "

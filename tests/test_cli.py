@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -277,3 +278,109 @@ def test_sample_usage_errors(capsys):
         capsys, "sample", "--family", "bogus", "--count", "1", "--seed", "1"
     )
     assert code == 2
+
+
+def test_sample_negative_seed_is_a_usage_error(capsys):
+    # exit 1 would mean "disagreement"; a bad seed is a usage error
+    code, out, err = run(
+        capsys, "sample", "--family", "mds", "--count", "1", "--seed", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "seed" in err and "-1" in err
+
+
+# The states of test_cli_outputs_pinned: the five reference states, the
+# structural cases a), c) and d), one state per branch edge of the normal-form
+# solve (a non-symmetric multi-pair state, exact ties that the cubic and
+# quartic reductions reject, an inactive axis whose |a_i| is not the
+# smallest), one symmetric and one non-symmetric full t, and a non-state.
+GOLDEN_STATES = {
+    "pair64": {"a": [0, 0.64, 0], "b": [0, 0.64, 0], "t_diag": [0.3, 0.3, 0.3]},
+    "one-sided": {"a": [0.2, 0, 0], "b": [0, 0, 0], "t_diag": [0.3, 0.3, 0.3]},
+    "cubic": {"a": [0.1, 0.15, 0], "b": [0.1, 0.15, 0], "t_diag": [0.3, -0.2, 0.4]},
+    "quartic": {
+        "a": [0.1, 0.15, 0.2],
+        "b": [0.1, 0.15, 0.2],
+        "t_diag": [0.3, -0.2, 0.2],
+    },
+    "werner": {"a": [0, 0, 0], "b": [0, 0, 0], "t_diag": [-0.5, -0.5, -0.5]},
+    "case-a": {"a": [1, 0, 0], "b": [0, 0, 0], "t_diag": [0, 0, 0]},
+    "case-c": {"a": [0.5, 0, 0], "b": [0.5, 0, 0], "t_diag": [0, 0.4, 0.4]},
+    "case-d": {"a": [1, 0, 0], "b": [1, 0, 0], "t_diag": [1, 0, 0]},
+    "non-symmetric-multi-pair": {
+        "a": [0.2, 0.1, 0],
+        "b": [0.1, 0.2, 0],
+        "t_diag": [0.3, 0.1, 0.2],
+    },
+    "cubic-t2-equals-t1": {
+        "a": [0.2, 0.1, 0],
+        "b": [0.2, 0.1, 0],
+        "t_diag": [0.3, 0.3, 0.1],
+    },
+    "quartic-tie": {
+        "a": [0.1, 0.15, 0.2],
+        "b": [0.1, 0.15, 0.2],
+        "t_diag": [0.3, -0.2, -0.2],
+    },
+    "inactive-axis-order": {
+        "a": [0.3, 5e-13, 0.2],
+        "b": [0.3, 5e-13, 0.2],
+        "t_diag": [0.1, -0.2, 0.3],
+    },
+    "t-full-symmetric": {
+        "a": [0.2, 0.1, 0],
+        "b": [0.2, 0.1, 0],
+        "t_full": [0.3, 0.1, 0, 0.1, -0.2, 0.05, 0, 0.05, 0.1],
+    },
+    "t-full-product": {
+        "a": [0.6, 0, 0],
+        "b": [0, 0.6, 0],
+        "t_full": [0, 0.36, 0, 0, 0, 0, 0, 0, 0],
+    },
+    "non-psd": {"a": [0, 0, 0], "b": [0, 0, 0], "t_diag": [1, 1, 1]},
+}
+
+GOLDEN_COMMANDS = (
+    ("analyze",),
+    ("analyze", "--format", "text"),
+    ("analyze", "--beta-limit", "0.5"),
+    ("analyze", "--tol-verdict", "1e-6"),
+    ("classify",),
+)
+
+# sha256 over the exit code and stdout of every GOLDEN_COMMANDS run on the
+# state, in order, with the state file's directory stripped.  Any change to
+# a report, a label, a detail string or an exit code shows here.
+PINNED_CLI_OUTPUTS = {
+    "pair64": "767678e236c7c9b4a6a409f80e2b2376bdf3ed4075b1888c666803346a9301b5",
+    "one-sided": "616f57db9ec026e764b1d9c1b95b0b2722fcb22c96882446263ae0b42a721074",
+    "cubic": "738746018dad316095ea00e3b7a1f5f8a7e12d14dd67c987eda6bc0a98201393",
+    "quartic": "1c56a0d15cc13bebc0d1b07de25ddfa7fac1bfc61af2cbde822bb209641c74bc",
+    "werner": "091406044569aa586c1e31e7a2c6d447440fc17c3ad8ae885a9749c5eaa33935",
+    "case-a": "ca331174140e4054d8745bd7d918fe09bd950e087cd00d68059152086259f3a4",
+    "case-c": "88edbf0f7fee757093a139c92330a1440cb81cfc4c8231766acb7cac5289bb92",
+    "case-d": "b76d7cd557df1cace0ff75766027bcc0ed0a848ed42d0f06383cbe5e4230ccb6",
+    "non-symmetric-multi-pair": "34bed36b25704611d541a3ce6062bf396dc7577008a2c5ca141f47fdf70fcb22",
+    "cubic-t2-equals-t1": "9a65a5ab49a0d794afa51243fcc906eb2804a019a6e306fa05d11e911d6783a6",
+    "quartic-tie": "2f36bb75962e259bebba25fe2b422f31bc498cfe639d948a06e01f415909dbee",
+    "inactive-axis-order": "60fa44feafcdbf652eada1e85b43ba16963d350380c77c31de85d4e9a6d3af78",
+    "t-full-symmetric": "ab928b743cc893bbb05fd1843758086e671776d7eb69e66d0e3251e5f5fc3580",
+    "t-full-product": "a497913aad96e29b2af8b09bee3e6ae4abe3094721d0c05996aba47d32ca87fa",
+    "non-psd": "b0af491ce3180a90105317c4e7fe4916f755125460ed7b703253144838dd9200",
+}
+
+
+def cli_outputs_digest(tmp_path, capsys, name) -> str:
+    path = write_state(tmp_path, GOLDEN_STATES[name], name=f"{name}.json")
+    digest = hashlib.sha256()
+    for command, *options in GOLDEN_COMMANDS:
+        code, out, _ = run(capsys, command, path, *options)
+        digest.update(f"{code}\n{out.replace(str(tmp_path), '')}".encode())
+    return digest.hexdigest()
+
+
+def test_cli_outputs_pinned(tmp_path, capsys):
+    assert set(GOLDEN_STATES) == set(PINNED_CLI_OUTPUTS)
+    for name, expected in PINNED_CLI_OUTPUTS.items():
+        assert cli_outputs_digest(tmp_path, capsys, name) == expected, name

@@ -81,6 +81,15 @@ def test_only_roots_are_returned(coeffs, expected):
     assert abs(np.polyval(monic, out[0])) <= 1e-12 * _poly_magnitude(monic, out[0])
 
 
+def test_subnormal_root_is_kept():
+    # x^2 + 4x + 2.2e-313: the root near -5.6e-314 is subnormal, and so is any
+    # relative residual bound at it; the companion-matrix solver finds it too
+    out = real_roots([1.0, 4.0, 2.2250738585e-313])
+    assert out.shape == (2,)
+    assert out[0] == -4.0
+    assert -1e-313 < out[1] < 0.0
+
+
 def test_biquadratic():
     assert np.allclose(real_roots([1, 0, -5, 0, 4]), [-2, -1, 1, 2], atol=1e-10)
 

@@ -169,6 +169,14 @@ def test_invalid_specs():
         SampleSpec(family="mds", count=0, seed=0)
 
 
+def test_negative_seed_and_index_rejected():
+    # numpy's SeedSequence would raise a bare ValueError on either
+    with pytest.raises(InvalidParameterError, match="seed"):
+        SampleSpec(family="mds", count=1, seed=-1)
+    with pytest.raises(InvalidParameterError, match="index"):
+        random_state(SampleSpec(family="mds", count=1, seed=0), -1)
+
+
 def test_sampling_exhausted():
     spec = SampleSpec(family="symmetric-three", count=1, seed=0)
     # find an index whose first draw is rejected, then cap attempts at one
