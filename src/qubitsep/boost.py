@@ -67,8 +67,10 @@ def boost_general(beta, beta_limit: float = BETA_LIMIT) -> np.ndarray:
 def apply_two_sided(r: RMatrix, left, right) -> RMatrix:
     """Return left @ R @ right^T, renormalized with the raw corner recorded.
 
-    The right factor is transposed internally so callers always pass plain
-    boost matrices regardless of which side they act on.
+    The left factor acts on qubit B and the right factor on qubit A, since
+    R's rows index qubit B and its columns qubit A (see rmatrix).  The right
+    factor is transposed internally so callers always pass plain boost
+    matrices regardless of which side they act on.
     """
     lm = np.asarray(left, dtype=float)
     rm = np.asarray(right, dtype=float)

@@ -93,15 +93,15 @@ class HSParams:
     def is_t_diagonal(self, tol: float = ZERO_TOL) -> bool:
         return float(np.abs(self.t[_OFF_DIAGONAL]).max()) <= tol
 
-    def t_diagonal(self, tol: float = ZERO_TOL) -> np.ndarray:
+    def t_diagonal(self) -> np.ndarray:
         """The diagonal of t; raises if off-diagonal entries are present."""
-        if not self.is_t_diagonal(tol):
+        if not self.is_t_diagonal():
             raise UnsupportedFormError("correlation matrix is not diagonal")
         return np.diag(self.t).copy()
 
-    def is_symmetric(self, tol: float = ZERO_TOL) -> bool:
+    def is_symmetric(self) -> bool:
         """True when the two qubits carry identical linear terms (a == b)."""
-        return float(np.abs(self.a - self.b).max()) <= tol
+        return float(np.abs(self.a - self.b).max()) <= ZERO_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +121,7 @@ class Spectrum:
         return self.four_lambda / 4.0
 
 
-def require_hermitian(
-    matrix, tol: float = HERMITICITY_TOL, stacked: bool = False
-) -> np.ndarray:
+def require_hermitian(matrix, stacked: bool = False) -> np.ndarray:
     """Check a 4x4 Hermitian matrix, or with `stacked` an (n, 4, 4) stack of them."""
     m = np.asarray(matrix, dtype=complex)
     if m.shape[-2:] != (4, 4) or m.ndim != 2 + stacked:
@@ -132,7 +130,7 @@ def require_hermitian(
         )
     if not np.isfinite(m).all():
         raise InvalidParameterError("matrix entries must be finite")
-    if float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) >= tol:
+    if float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) >= HERMITICITY_TOL:
         raise ContractViolationError("matrix is not Hermitian within tolerance")
     return m
 
@@ -141,8 +139,8 @@ def coefficient_grid(a, b, t) -> np.ndarray:
     """Coefficients against sigma_m (qubit A) x sigma_n (qubit B) as a 4x4 grid.
 
     a sits on the A side (column 0), b on the B side (row 0), t rows on A and
-    columns on B.  Leading axes of a (..., 3), b (..., 3) and t (..., 3, 3)
-    give a stack of grids.
+    columns on B; R (see rmatrix) is this grid transposed.  Leading axes of
+    a (..., 3), b (..., 3) and t (..., 3, 3) give a stack of grids.
     """
     a = np.asarray(a, dtype=float)
     c = np.empty(a.shape[:-1] + (4, 4))
@@ -161,6 +159,15 @@ def rho_from_grid(c) -> np.ndarray:
     return np.einsum("...mn,mnij->...ij", c, PAULI_KRON) / 4.0
 
 
+def grid_from_rho(rho) -> np.ndarray:
+    """The complex trace grid Tr[rho sigma_m x sigma_n] of a Hermitian 4x4 matrix.
+
+    The inverse of rho_from_grid; for a Hermitian input the imaginary part is
+    rounding residue only.
+    """
+    return np.einsum("ij,mnji->mn", require_hermitian(rho), PAULI_KRON)
+
+
 def rho_from_hs(params: HSParams) -> np.ndarray:
     """Assemble the 4x4 matrix (1/4)[I x I + a.sigma x I + I x b.sigma + t..].
 
@@ -177,8 +184,7 @@ def hs_from_rho(rho) -> HSParams:
     t_lm = Tr[rho sigma_l x sigma_m]; round-trips with rho_from_hs to well
     below 1e-12.
     """
-    m = require_hermitian(rho)
-    return HSParams.from_grid(np.einsum("ij,mnji->mn", m, PAULI_KRON).real)
+    return HSParams.from_grid(grid_from_rho(rho).real)
 
 
 def eigenvalues_hermitian(matrix) -> Spectrum:

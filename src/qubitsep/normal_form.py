@@ -53,6 +53,8 @@ _FUNDAMENTAL_TOL = 1e-10
 # a velocity denominator at or below this (relative to 1, or to |a_1| when
 # larger) counts as zero: the velocity would diverge
 _DENOM_TOL = 1e-12
+# Newton steps of _identity_polish on each candidate root
+_POLISH_STEPS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +125,12 @@ def solve_pair_general(
     beta_b then follows from the first condition directly,
     beta_b = (a1 - beta_a t1) / (1 - b1 beta_a), which stays well defined even
     where the textbook ratio form has a vanishing denominator.
+
+    beta_a is named for the term it eliminates, a1, not for the qubit it
+    acts on: eliminate_and_diagonalize applies boost_x(beta_a) as the left
+    factor of R, which acts on qubit B, and boost_x(beta_b) as the right
+    factor, which acts on qubit A (see rmatrix).  On rho, boost_x(beta, k) is
+    the filter F = cosh(eta/2) I - sinh(eta/2) sigma_k, eta = atanh(beta).
     """
     for name, val in (("a1", a1), ("b1", b1), ("t1", t1)):
         if not math.isfinite(val):
@@ -296,7 +304,7 @@ def _fundamental_residual(a, tdiag, betas) -> float:
     return abs((a[0] - beta1 * tdiag[0]) / beta1 - (1.0 - float(np.dot(a, betas))))
 
 
-def _identity_polish(a, tdiag, beta1: float, steps: int = 8) -> float:
+def _identity_polish(a, tdiag, beta1: float) -> float:
     """Newton-refine a candidate root on the unreduced elimination identity.
 
     The polynomial reduction divides by the spreads t_j - t_1, so its roots
@@ -340,7 +348,7 @@ def _identity_polish(a, tdiag, beta1: float, steps: int = 8) -> float:
         return beta1
     f_best = abs(f_best)
     x = beta1
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         f, fp = value(x)
         if f is None or fp == 0.0 or not (math.isfinite(f) and math.isfinite(fp)):
             break
@@ -443,9 +451,11 @@ def eliminate_and_diagonalize(
     """Apply solved boosts to R, certify the elimination, read off Sigma.
 
     With `axis` set, `betas` is the pair (beta_a, beta_b) of boosts in the
-    (0, axis) plane acting on the two sides; with `axis=None` it is one
-    velocity 3-vector whose symmetric boost acts on both sides.  Every boost
-    is checked against `beta_limit`.  The corner of the raw result is s0; the
+    (0, axis) plane: boost_x(beta_a) is the left factor and acts on qubit B,
+    boost_x(beta_b) is the right factor and acts on qubit A (see rmatrix and
+    solve_pair_general).  With `axis=None` it is one velocity 3-vector whose
+    symmetric boost acts on both sides.  Every boost is checked against
+    `beta_limit`.  The corner of the raw result is s0; the
     residual symmetric 3x3 block is diagonalized by a rotation and its
     eigenvalues are ordered by descending magnitude for reproducibility.
     """
@@ -500,12 +510,13 @@ def _is_unit_axis_vector(v, tol: float) -> bool:
     return abs(s[2] - 1.0) <= tol and s[1] <= tol
 
 
-def _match_non_generic(a, b, tdiag, tol: float = _STRUCTURAL_TOL):
+def _match_non_generic(a, b, tdiag):
     """Structural match of the four normalized light-speed cases, or None.
 
     Takes the linear vectors and the diagonal of t.  Detection runs before
     any solver so these states never surface as opaque boost-limit failures.
     """
+    tol = _STRUCTURAL_TOL
     if float(np.abs(tdiag).max()) <= tol:
         if float(np.abs(b).max()) <= tol and _is_unit_axis_vector(a, tol):
             return Classification(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qubitsep import HSParams
+from qubitsep.hs import SIGMA
 
 
 @pytest.fixture
@@ -42,3 +43,8 @@ def random_params(rng: np.random.Generator, scale: float = 1.0) -> HSParams:
         rng.uniform(-scale, scale, 3),
         rng.uniform(-scale, scale, (3, 3)),
     )
+
+
+def lorentz_of_filter(f: np.ndarray) -> np.ndarray:
+    """Lambda(F)_mn = (1/2) Tr[sigma_m F sigma_n F^dagger] of a 2x2 filter F."""
+    return 0.5 * np.einsum("mij,jk,nkl,li->mn", SIGMA, f, SIGMA, f.conj().T).real

@@ -9,14 +9,18 @@ from qubitsep import (
     InvalidStateError,
     NoPhysicalBoostError,
     RelabelAxesError,
+    SampleSpec,
     SigmaForm,
     UnsupportedDegeneracyError,
     UnsupportedFormError,
     boost_general,
+    boost_x,
     classify,
     eliminate_and_diagonalize,
     peres_horodecki,
     r_from_hs,
+    r_from_rho,
+    random_state,
     rho_from_hs,
     separability_verdict,
     sigma_pair_b1zero,
@@ -36,6 +40,9 @@ from qubitsep.normal_form import (
     NON_GENERIC_D,
     _identity_polish,
 )
+from qubitsep.hs import SIGMA
+
+from conftest import lorentz_of_filter
 
 # frozen from exact-root evaluation (verified against 30-digit arithmetic)
 BETA_SYM_064 = 0.8381591141937414
@@ -106,6 +113,42 @@ def test_solve_pair_general_elimination_certificate():
         e1 = -bb + b1 * ba * bb + a1 - ba * t1
         e2 = -ba + a1 * ba * bb + b1 - bb * t1
         assert max(abs(e1), abs(e2)) < 1e-12
+
+
+def _boost_filter(beta, axis):
+    """The SL(2,C) filter cosh(eta/2) I - sinh(eta/2) sigma_axis, eta = atanh(beta)."""
+    eta = np.arctanh(beta)
+    return np.cosh(eta / 2) * np.eye(2) - np.sinh(eta / 2) * SIGMA[axis]
+
+
+def test_boost_filter_is_boost_x():
+    for axis in (1, 2, 3):
+        for beta in (-0.9, -0.3, 0.2, 0.7):
+            lam = lorentz_of_filter(_boost_filter(beta, axis))
+            assert np.abs(lam - boost_x(beta, axis)).max() < 1e-14
+
+
+def test_pair_betas_act_on_the_named_sides():
+    # beta_a's filter goes on qubit B and beta_b's on qubit A; the opposite
+    # assignment leaves linear terms whenever a_k != b_k
+    linear = {"named": 0.0, "swapped": 0.0}
+    for axis in (1, 2, 3):
+        spec = SampleSpec("single-pair", 50, 5, axis)
+        for index in range(50):
+            p = random_state(spec, index)
+            k = axis - 1
+            beta_a, beta_b = solve_pair_general(p.a[k], p.b[k], p.t[k, k])
+            rho = rho_from_hs(p)
+            for name, (f_a, f_b) in (
+                ("named", (_boost_filter(beta_b, axis), _boost_filter(beta_a, axis))),
+                ("swapped", (_boost_filter(beta_a, axis), _boost_filter(beta_b, axis))),
+            ):
+                f = np.kron(f_a, f_b)
+                e = r_from_rho(f @ rho @ f.conj().T).entries
+                residue = max(np.abs(e[0, 1:]).max(), np.abs(e[1:, 0]).max())
+                linear[name] = max(linear[name], residue)
+    assert linear["named"] < 1e-13
+    assert linear["swapped"] > 0.5
 
 
 def test_solve_pair_symmetric_values():

@@ -16,7 +16,9 @@ from qubitsep import (
     rho_from_r,
 )
 
-from conftest import random_params
+from qubitsep.hs import coefficient_grid
+
+from conftest import lorentz_of_filter, random_params
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 vec3 = arrays(np.float64, (3,), elements=unit)
@@ -71,6 +73,34 @@ def test_r_composition_identity(a, b, t):
     direct = r_from_hs(p).entries
     via_rho = r_from_rho(rho_from_hs(p)).entries
     assert np.abs(direct - via_rho).max() < 1e-12
+
+
+def test_r_is_the_transposed_coefficient_grid():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        p = random_params(rng)
+        assert np.array_equal(r_from_hs(p).entries, coefficient_grid(p.a, p.b, p.t).T)
+
+
+def _random_sl2c(rng):
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return m / np.sqrt(np.linalg.det(m))
+
+
+def test_r_covariant_under_local_filters():
+    # F_A (x) F_B sends R to Lambda(F_B) R Lambda(F_A)^T, up to the scale
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        f_a, f_b = _random_sl2c(rng), _random_sl2c(rng)
+        f = np.kron(f_a, f_b)
+        filtered = f @ rho @ f.conj().T
+        got = r_from_rho(filtered / np.trace(filtered).real).entries
+        want = lorentz_of_filter(f_b) @ r_from_rho(rho).entries @ lorentz_of_filter(f_a).T
+        want /= want[0, 0]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_triple_round_trip_bulk():
