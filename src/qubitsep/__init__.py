@@ -64,6 +64,7 @@ from .pt import (
     partial_transpose_matrix,
     peres_horodecki,
     ptu,
+    spectra,
 )
 from .rmatrix import RMatrix, is_symmetric_r, r_from_hs, r_from_rho, rho_from_r
 from .roots import real_roots

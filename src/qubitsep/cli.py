@@ -1,5 +1,6 @@
 """Command-line front end: analyze / classify single states, run sample batches.
 
+analyze formats the record of sampling.cross_validate and runs no analysis itself.
 State files are single JSON documents with keys "a", "b" and exactly one of
 "t_diag" (3 values) or "t_full" (9 values, row-major), plus an optional
 "normalize" flag.  Floats are emitted with shortest round-trip precision so
@@ -14,50 +15,33 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
 from .boost import BETA_LIMIT
-from .errors import QubitSepError
-from .hs import PSD_TOL, ZERO_TOL, HSParams, eigenvalues_hermitian, rho_from_hs
-from .normal_form import (
-    GENERIC,
-    NO_PHYSICAL_BOOST,
-    NON_GENERIC_A,
-    NON_GENERIC_B,
-    NON_GENERIC_C,
-    NON_GENERIC_D,
-    classify,
-    separability_verdict,
-    solve_normal_form,
-)
-from .pt import (
-    SEPARABLE,
-    VERDICT_TOL,
-    mds_criterion,
-    partial_transpose_matrix,
-    ppt_verdict,
-)
-from .sampling import FAMILIES, SampleSpec, batch_stats, reduce_to_diagonal
+from .errors import InvalidStateError, QubitSepError
+from .hs import PSD_TOL, ZERO_TOL, HSParams
+from .normal_form import classify
+from .pt import SEPARABLE, VERDICT_TOL, mds_criterion
+from .sampling import FAMILIES, SampleSpec, batch_stats, cross_validate, reduce_to_diagonal
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
+from .hs import eigenvalues_hermitian, rho_from_hs  # noqa: F401
 from .hs import tdiag_via_local_rotations, tdiag_via_symmetric_rotation  # noqa: F401
-from .pt import peres_horodecki  # noqa: F401
+from .normal_form import separability_verdict, solve_normal_form  # noqa: F401
+from .pt import partial_transpose_matrix, peres_horodecki  # noqa: F401
 
 EXIT_SEPARABLE = 0
 EXIT_ENTANGLED = 1
 EXIT_ERROR = 2
 EXIT_NON_GENERIC = 3
 
-_KIND_LABELS = {
-    GENERIC: "Generic",
-    NON_GENERIC_A: "NonGenericA",
-    NON_GENERIC_B: "NonGenericB",
-    NON_GENERIC_C: "NonGenericC",
-    NON_GENERIC_D: "NonGenericD",
-    NO_PHYSICAL_BOOST: "NoPhysicalBoost",
-}
+
+def _kind_label(kind: str) -> str:
+    """A classification kind in CamelCase: "non-generic-a" -> "NonGenericA"."""
+    return "".join(word.capitalize() for word in kind.split("-"))
 
 
 class StateFileError(QubitSepError):
@@ -115,10 +99,6 @@ def _floats(values) -> list[float]:
     return [float(x) for x in np.asarray(values).ravel()]
 
 
-def _verdict_dict(verdict) -> dict:
-    return dataclasses.asdict(verdict)
-
-
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2))
@@ -128,36 +108,30 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        params, _ = load_state_file(args.state_file)
-    except StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    rho = rho_from_hs(params)
-    spectrum = eigenvalues_hermitian(rho)
-    psd = float(spectrum.values[0]) >= -args.tol_psd
+    params, _ = load_state_file(args.state_file)
     report: dict = {
         "input": {
             "a": _floats(params.a),
             "b": _floats(params.b),
             "t": [_floats(row) for row in params.t],
         },
-        "psd": psd,
-        "eigenvalues_4l": _floats(spectrum.four_lambda),
     }
-    if not psd:
-        report["error"] = "input is not positive semidefinite; not a state"
+    try:
+        rec = cross_validate(params, args.tol_verdict, args.beta_limit, args.tol_psd)
+    except InvalidStateError as exc:
+        four_lambda = exc.spectrum.four_lambda
+        report.update(psd=False, eigenvalues_4l=_floats(four_lambda), error=str(exc))
         _emit(report, args.format)
         print("error: input is not a valid state", file=sys.stderr)
         return EXIT_ERROR
-
-    pt_spectrum = eigenvalues_hermitian(partial_transpose_matrix(rho, "A"))
-    ppt = ppt_verdict(pt_spectrum, args.tol_verdict)
-    report["pt_eigenvalues_4l"] = _floats(pt_spectrum.four_lambda)
-    report["ppt_verdict"] = _verdict_dict(ppt)
-
-    work, note = reduce_to_diagonal(params)
-    notes = [] if note is None else [note]
+    report.update(
+        psd=True,
+        eigenvalues_4l=_floats(rec.spectrum.four_lambda),
+        pt_eigenvalues_4l=_floats(rec.pt_spectrum.four_lambda),
+        ppt_verdict=dataclasses.asdict(rec.ppt),
+    )
+    notes = [] if rec.note is None else [rec.note]
+    work = rec.reduced
     tdiag = work.t_diagonal()
     if float(np.abs(work.a).max()) <= ZERO_TOL and float(np.abs(work.b).max()) <= ZERO_TOL:
         notes.append(
@@ -165,47 +139,39 @@ def _cmd_analyze(args) -> int:
             f"and sufficient (sum = {float(np.abs(tdiag).sum()):.6g})"
         )
     elif not mds_criterion(tdiag):
-        notes.append(
-            "necessary screen failed: sum|t_i| > 1 already implies entangled"
-        )
-    solve = solve_normal_form(work, beta_limit=args.beta_limit)
+        notes.append("necessary screen failed: sum|t_i| > 1 already implies entangled")
+    solve = rec.report
     report["classification"] = {
-        "kind": _KIND_LABELS[solve.classification.kind],
+        "kind": _kind_label(solve.classification.kind),
         "detail": solve.classification.detail,
     }
     if solve.classification.is_generic:
-        lorentz = separability_verdict(solve.sigma, tol=args.tol_verdict)
         report["betas"] = _floats(solve.betas)
         report["boost_kind"] = solve.boost_kind
         if solve.axis is not None:
             report["boost_axis"] = solve.axis
-        report["sigma"] = {
-            "s0": solve.sigma.s0,
-            "s": _floats(solve.sigma.s),
-        }
-        report["tprime"] = _floats(solve.sigma.tprime)
-        report["lorentz_sum"] = solve.sigma.tprime_sum
-        report["lorentz_verdict"] = _verdict_dict(lorentz)
-        report["residuals"] = {
-            "polynomial": solve.polynomial_residual,
-            "offdiag": solve.offdiag_residual,
-        }
+        report.update(
+            sigma={"s0": solve.sigma.s0, "s": _floats(solve.sigma.s)},
+            tprime=_floats(solve.sigma.tprime),
+            lorentz_sum=solve.sigma.tprime_sum,
+            lorentz_verdict=dataclasses.asdict(rec.lorentz),
+            residuals={
+                "polynomial": solve.polynomial_residual,
+                "offdiag": solve.offdiag_residual,
+            },
+        )
     report["criteria_notes"] = notes
     _emit(report, args.format)
     if not solve.classification.is_generic:
         return EXIT_NON_GENERIC
-    return EXIT_SEPARABLE if ppt.kind == SEPARABLE else EXIT_ENTANGLED
+    return EXIT_SEPARABLE if rec.ppt.kind == SEPARABLE else EXIT_ENTANGLED
 
 
 def _cmd_classify(args) -> int:
-    try:
-        params, _ = load_state_file(args.state_file)
-    except StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    params, _ = load_state_file(args.state_file)
     work, _ = reduce_to_diagonal(params)
     classification = classify(work)
-    label = _KIND_LABELS[classification.kind]
+    label = _kind_label(classification.kind)
     if classification.detail:
         print(f"{label}: {classification.detail}")
     else:
@@ -214,16 +180,27 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    try:
-        spec = SampleSpec(
-            family=args.family, count=args.count, seed=args.seed, axis=args.axis
-        )
-    except QubitSepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    spec = SampleSpec(family=args.family, count=args.count, seed=args.seed, axis=args.axis)
     report = batch_stats(spec)
     _emit(dataclasses.asdict(report), args.format)
     return 0 if report.disagree_count == 0 else 1
+
+
+def _number_below(limit: float):
+    """argparse type: a float in [0, limit); nan and infinities are usage errors."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not 0.0 <= value < limit:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a finite number in [0, {limit:g})"
+            )
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,12 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="full analysis of one state file")
     p_analyze.add_argument("state_file")
-    p_analyze.add_argument("--tol-psd", type=float, default=PSD_TOL, dest="tol_psd")
+    tolerance = _number_below(math.inf)
+    p_analyze.add_argument("--tol-psd", type=tolerance, default=PSD_TOL, dest="tol_psd")
     p_analyze.add_argument(
-        "--tol-verdict", type=float, default=VERDICT_TOL, dest="tol_verdict"
+        "--tol-verdict", type=tolerance, default=VERDICT_TOL, dest="tol_verdict"
     )
     p_analyze.add_argument(
-        "--beta-limit", type=float, default=BETA_LIMIT, dest="beta_limit"
+        "--beta-limit", type=_number_below(1.0), default=BETA_LIMIT, dest="beta_limit"
     )
     p_analyze.add_argument("--format", choices=("json", "text"), default="json")
     p_analyze.set_defaults(func=_cmd_analyze)

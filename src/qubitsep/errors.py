@@ -18,7 +18,11 @@ class UnsupportedFormError(QubitSepError):
 
 
 class InvalidStateError(QubitSepError):
-    """The input is not a valid quantum state for the requested operation."""
+    """The input is not a valid quantum state; `spectrum` holds the one that showed it."""
+
+    def __init__(self, message: str, spectrum=None):
+        super().__init__(message)
+        self.spectrum = spectrum
 
 
 class NoPhysicalBoostError(QubitSepError):

@@ -364,16 +364,30 @@ def _identity_polish(a, tdiag, beta1: float) -> float:
     return best
 
 
-def _select_symmetric_root(a, tdiag, coeffs, beta_limit: float) -> np.ndarray:
-    """Scan real roots by increasing magnitude; keep the first physical one.
+def _symmetric_betas(a, tdiag, beta_limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Case b): one symmetric boost's velocity 3-vector, and the coefficients
+    of the polynomial in beta_1 it solves: the cubic if a[2] == 0, else the quartic.
 
-    Physical means: coupled velocities well defined, total beta^2 below the
-    light-speed limit, and the fundamental consistency identity satisfied.
-    The smallest root is the branch continuous with beta -> 0 as the linear
-    terms vanish.
+    The first physical real root by increasing magnitude is kept: coupled
+    velocities well defined, beta^2 below the light-speed limit, fundamental
+    identity satisfied.  The smallest root is the branch continuous with
+    beta -> 0 as the linear terms vanish.
     """
-    roots = real_roots(coeffs)
-    for beta1 in sorted(roots, key=abs):
+    if a[2] == 0.0:
+        if a[0] == 0.0:
+            raise RelabelAxesError("a1 vanishes while a2 does not; relabel axes first")
+        if tdiag[1] == tdiag[0]:
+            raise UnsupportedDegeneracyError(
+                "t2 equals t1 exactly; the cubic reduction is ill-posed"
+            )
+        coeffs = _cubic_coefficients(a[0], a[1], tdiag)
+    else:
+        if tdiag[0] == tdiag[1] or tdiag[0] == tdiag[2] or tdiag[1] == tdiag[2]:
+            raise UnsupportedDegeneracyError(
+                "exactly equal correlation values; the quartic reduction is ill-posed"
+            )
+        coeffs = _quartic_coefficients(a, tdiag)
+    for beta1 in sorted(real_roots(coeffs), key=abs):
         if beta1 == 0.0:
             continue
         refined = _identity_polish(a, tdiag, float(beta1))
@@ -384,7 +398,7 @@ def _select_symmetric_root(a, tdiag, coeffs, beta_limit: float) -> np.ndarray:
             continue
         if _fundamental_residual(a, tdiag, betas) > _FUNDAMENTAL_TOL:
             continue
-        return betas
+        return betas, coeffs
     raise NoPhysicalBoostError(
         "no real root gives a boost with beta^2 < 1 satisfying the "
         "consistency identity"
@@ -401,20 +415,13 @@ def solve_symmetric_cubic(
     t = t2 - t1 and T = 1 + t1.  Requires a1 != 0 (relabel axes otherwise)
     and t2 != t1 exactly.
     """
-    t = np.asarray(tdiag, dtype=float).reshape(3)
     if not (math.isfinite(a1) and math.isfinite(a2)):
         raise InvalidParameterError("a1 and a2 must be finite")
     if a1 == 0.0 and a2 == 0.0:
         return 0.0, 0.0
-    if a1 == 0.0:
-        raise RelabelAxesError("a1 vanishes while a2 does not; relabel axes first")
-    if t[1] == t[0]:
-        raise UnsupportedDegeneracyError(
-            "t2 equals t1 exactly; the cubic reduction is ill-posed"
-        )
-    a = np.array([a1, a2, 0.0])
-    coeffs = _cubic_coefficients(a1, a2, t)
-    betas = _select_symmetric_root(a, t, coeffs, beta_limit)
+    betas, _ = _symmetric_betas(
+        np.array([a1, a2, 0.0]), np.asarray(tdiag, dtype=float).reshape(3), beta_limit
+    )
     return float(betas[0]), float(betas[1])
 
 
@@ -427,17 +434,11 @@ def solve_symmetric_quartic(a, tdiag, beta_limit: float = BETA_LIMIT):
     rather than perturbed.
     """
     av = np.asarray(a, dtype=float).reshape(3)
-    t = np.asarray(tdiag, dtype=float).reshape(3)
     if not np.isfinite(av).all():
         raise InvalidParameterError("a must be finite")
     if np.any(av == 0.0):
         raise RelabelAxesError("the quartic path needs all three pairs active")
-    if t[0] == t[1] or t[0] == t[2] or t[1] == t[2]:
-        raise UnsupportedDegeneracyError(
-            "exactly equal correlation values; the quartic reduction is ill-posed"
-        )
-    coeffs = _quartic_coefficients(av, t)
-    betas = _select_symmetric_root(av, t, coeffs, beta_limit)
+    betas, _ = _symmetric_betas(av, np.asarray(tdiag, dtype=float).reshape(3), beta_limit)
     return float(betas[0]), float(betas[1]), float(betas[2])
 
 
@@ -617,14 +618,10 @@ def solve_normal_form(
         # beta_1.  Active axes go first, the largest |a_i| leading: every
         # reduced coefficient divides by a_1, so this keeps the polynomial
         # best behaved.  An inactive axis may still carry a nonzero |a_i|.
+        # With two active axes the third, set to zero, selects the cubic.
         order = sorted(range(3), key=lambda i: (not active[i], -abs(a[i])))
-        wa, wt = a[order], tdiag[order]
-        if n_active == 2:
-            betas = (*solve_symmetric_cubic(wa[0], wa[1], wt, beta_limit), 0.0)
-            coeffs = _cubic_coefficients(wa[0], wa[1], wt)
-        else:
-            betas = solve_symmetric_quartic(wa, wt, beta_limit)
-            coeffs = _quartic_coefficients(wa, wt)
+        wa = np.where(active[order], a[order], 0.0)
+        betas, coeffs = _symmetric_betas(wa, tdiag[order], beta_limit)
         beta = np.zeros(3)
         beta[order] = betas
         poly = abs(float(np.polyval(coeffs, betas[0])))

@@ -92,20 +92,31 @@ def ptu(params: HSParams, qubit: str = "A") -> HSParams:
     return HSParams.diagonal(params.a, -params.b, -tdiag)
 
 
+def spectra(rho, qubit: str = "A") -> tuple[Spectrum, Spectrum]:
+    """Spectra of rho and of its partial transpose, from one stacked eigensolve.
+
+    Each is bit for bit what eigenvalues_hermitian gives for its matrix alone.
+    """
+    m = require_hermitian(rho)
+    lam = np.linalg.eigvalsh(np.stack((m, partial_transpose_matrix(m, qubit))))
+    return Spectrum(4.0 * lam[0]), Spectrum(4.0 * lam[1])
+
+
+def require_state(spectrum: Spectrum, tol: float) -> None:
+    """Raise InvalidStateError, carrying `spectrum`, if an eigenvalue is below -tol."""
+    if float(spectrum.values[0]) < -tol:
+        raise InvalidStateError("input is not positive semidefinite; not a state", spectrum)
+
+
 def peres_horodecki(rho, tol: float = VERDICT_TOL, qubit: str = "A") -> Verdict:
     """Exact separability test: entangled iff the partial transpose dips below -tol.
 
     Raises InvalidStateError for inputs that are not positive semidefinite;
-    a verdict on a non-state would mask upstream bugs.  The input is validated
-    once (the partial transpose of a finite Hermitian matrix is one too) and
-    both spectra come from one stacked eigensolve, each bit for bit what
-    eigenvalues_hermitian gives for its matrix alone.
+    a verdict on a non-state would mask upstream bugs.
     """
-    m = require_hermitian(rho)
-    lam = np.linalg.eigvalsh(np.stack((m, partial_transpose_matrix(m, qubit))))
-    if float(lam[0, 0]) < -tol:
-        raise InvalidStateError("input is not positive semidefinite; not a state")
-    return ppt_verdict(Spectrum(4.0 * lam[1]), tol)
+    spectrum, pt_spectrum = spectra(rho, qubit)
+    require_state(spectrum, tol)
+    return ppt_verdict(pt_spectrum, tol)
 
 
 def ppt_verdict(pt_spectrum: Spectrum, tol: float = VERDICT_TOL) -> Verdict:

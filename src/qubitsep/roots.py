@@ -186,26 +186,8 @@ def _cluster(values, monic) -> list[float]:
     return merged
 
 
-def real_roots(coefficients) -> np.ndarray:
-    """All real roots of a real polynomial of degree <= 4, sorted ascending.
-
-    Coefficients are ordered highest power first.  Leading coefficients that
-    are negligible against the largest coefficient reduce the degree.  Roots
-    are Newton-polished on the full polynomial and near-coincident roots
-    (within 1e-8) are merged, so multiple roots appear once.  Every value
-    returned satisfies |p(x)| <= 1e-12 * sum |c_k| |x|^k on the monic
-    polynomial (or |p(x)| is below the smallest normal double).  An empty
-    array is a valid result; for odd degree it is returned only if the
-    companion-matrix eigenvalues give no root either.
-    """
-    c = np.asarray(coefficients, dtype=float).ravel()
-    if c.size == 0:
-        raise InvalidParameterError("empty coefficient list")
-    if not np.isfinite(c).all():
-        raise InvalidParameterError("coefficients must be finite")
-    scale = float(np.abs(c).max())
-    if scale == 0.0:
-        raise InvalidParameterError("zero polynomial has no defined root set")
+def _reduced_roots(c: np.ndarray, scale: float) -> list[float]:
+    # real roots of c without its leading coefficients below _LEAD_TOL * scale
     start = 0
     while start < c.size - 1 and abs(c[start]) < _LEAD_TOL * scale:
         start += 1
@@ -214,7 +196,7 @@ def real_roots(coefficients) -> np.ndarray:
     if degree > 4:
         raise InvalidParameterError("only degrees up to four are supported")
     if degree == 0:
-        return np.empty(0)
+        return []
     monic = (c / c[0]).tolist()
     candidates = _cluster((_polish(monic, x) for x in _closed_form(monic)), monic)
     merged = [x for x in candidates if _is_root(monic, x)]
@@ -236,4 +218,34 @@ def real_roots(coefficients) -> np.ndarray:
         # can lose it when powers of tiny or huge coefficients under- or
         # overflow; the companion-matrix eigenvalues do not.
         merged = _cluster(_polished_roots(monic, np.roots(monic).real.tolist()), monic)
+    return merged
+
+
+def real_roots(coefficients) -> np.ndarray:
+    """All real roots of a real polynomial of degree <= 4, sorted ascending.
+
+    Coefficients are ordered highest power first.  Leading coefficients that
+    are negligible against the largest coefficient reduce the degree; the
+    large roots this drops are the reciprocals of the roots of the reversed
+    polynomial outside [-1e-8, 1e-8] (those inside stand for roots at
+    infinity).  Roots are Newton-polished and near-coincident roots (within
+    1e-8) are merged, so multiple roots appear once.  Every value returned
+    satisfies |p(x)| <= 1e-12 * sum |c_k| |x|^k on the polynomial it was
+    found for, reduced or full (or |p(x)| is below the smallest normal
+    double).  An empty array is a valid result; for odd degree it is
+    returned only if the companion-matrix eigenvalues give no root either.
+    """
+    c = np.asarray(coefficients, dtype=float).ravel()
+    if c.size == 0:
+        raise InvalidParameterError("empty coefficient list")
+    if not np.isfinite(c).all():
+        raise InvalidParameterError("coefficients must be finite")
+    scale = float(np.abs(c).max())
+    if scale == 0.0:
+        raise InvalidParameterError("zero polynomial has no defined root set")
+    merged = _reduced_roots(c, scale)
+    if abs(c[0]) < _LEAD_TOL * scale and c.size <= 5:
+        full = c[np.flatnonzero(c)[0] :] / scale
+        seeds = [1.0 / y for y in _reduced_roots(full[::-1], 1.0) if abs(y) > _CLUSTER_TOL]
+        merged = _cluster(merged + _polished_roots(full.tolist(), seeds), full.tolist())
     return np.array(merged)

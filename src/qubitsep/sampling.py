@@ -33,8 +33,10 @@ from .boost import BETA_LIMIT
 from .errors import InvalidParameterError, SamplingExhaustedError
 from .hs import (
     PAULI_KRON,
+    PSD_TOL,
     ZERO_TOL,
     HSParams,
+    Spectrum,
     coefficient_grid,
     require_hermitian,
     rho_from_grid,
@@ -48,10 +50,11 @@ from .normal_form import (
     separability_verdict,
     solve_normal_form,
 )
-from .pt import VERDICT_TOL, Verdict, peres_horodecki
+from .pt import VERDICT_TOL, Verdict, ppt_verdict, require_state, spectra
 
-# Not called here; perfbench/tracing.py wraps this name on this module.
+# Not called here; perfbench/tracing.py wraps these names on this module.
 from .hs import eigenvalues_hermitian  # noqa: F401
+from .pt import peres_horodecki  # noqa: F401
 
 RNG_ALGORITHM = "pcg64"
 
@@ -94,7 +97,8 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class CrossValidation:
-    """Verdicts of both pipelines on one state, plus solve diagnostics."""
+    """Verdicts of both pipelines on one state, the spectra of rho and of its partial
+    transpose, and `reduced`, the diagonal-t form solved (`note` names the rotation)."""
 
     ppt: Verdict
     classification: Classification
@@ -102,6 +106,10 @@ class CrossValidation:
     report: SolveReport
     boundary: bool
     agree: bool | None
+    spectrum: Spectrum
+    pt_spectrum: Spectrum
+    reduced: HSParams
+    note: str | None
 
 
 @dataclass(frozen=True)
@@ -318,15 +326,18 @@ def cross_validate(
     params: HSParams,
     tol: float = VERDICT_TOL,
     beta_limit: float = BETA_LIMIT,
+    tol_psd: float = PSD_TOL,
 ) -> CrossValidation:
     """Run the exact partial-transpose test and the boost pipeline side by side.
 
-    Samples whose partial-transpose witness sits within 1e-8 of zero are
-    bucketed as boundary and excluded from disagreement accounting; both
-    criteria are exact only in exact arithmetic.
+    An eigenvalue below -tol_psd raises InvalidStateError, spectrum attached.
+    `tol` decides both verdicts; a PPT witness within 1e-8 of zero is boundary,
+    not a disagreement (both criteria are exact only in exact arithmetic).
     """
-    ppt = peres_horodecki(rho_from_hs(params), tol=tol)
-    work, _ = reduce_to_diagonal(params)
+    spectrum, pt_spectrum = spectra(rho_from_hs(params))
+    require_state(spectrum, tol_psd)
+    ppt = ppt_verdict(pt_spectrum, tol)
+    work, note = reduce_to_diagonal(params)
     report = solve_normal_form(work, beta_limit=beta_limit)
     boundary = abs(ppt.witness) < _BOUNDARY_TOL
     lorentz = None
@@ -342,6 +353,10 @@ def cross_validate(
         report=report,
         boundary=boundary,
         agree=agree,
+        spectrum=spectrum,
+        pt_spectrum=pt_spectrum,
+        reduced=work,
+        note=note,
     )
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qubitsep import cross_validate
+from qubitsep import FAMILIES, SampleSpec, cross_validate, random_state
 from qubitsep.cli import load_state_file, main
 
 
@@ -196,17 +196,98 @@ def test_analyze_full_t_input(tmp_path, capsys):
     assert doc["boost_kind"] == "symmetric"
     assert all(beta != 0.0 for beta in doc["betas"])
 
-    # analyze and cross_validate share one reduction and solve, bit for bit
-    for path in (product, symmetric):
+    # one sample per family, written with t turned full by one shared random
+    # rotation on both qubits (symmetric samples stay symmetric)
+    rng = np.random.default_rng(13)
+    sampled = []
+    for family in FAMILIES:
+        p = random_state(SampleSpec(family, 1, 5), 0)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        rot = q * np.sign(np.linalg.det(q))
+        doc = {
+            "a": list(rot @ p.a),
+            "b": list(rot @ p.b),
+            "t_full": [float(x) for x in (rot @ p.t @ rot.T).ravel()],
+        }
+        sampled.append(write_state(tmp_path, doc, name=f"{family}.json"))
+
+    # analyze formats the cross_validate record, bit for bit
+    for path in (product, symmetric, *sampled):
         _, out, _ = run(capsys, "analyze", path)
         doc = json.loads(out)
         rec = cross_validate(load_state_file(path)[0])
         assert doc["ppt_verdict"]["witness"] == rec.ppt.witness
+        assert doc["pt_eigenvalues_4l"] == list(rec.pt_spectrum.four_lambda)
+        assert doc["classification"]["detail"] == rec.classification.detail
+        if not rec.classification.is_generic:
+            assert "betas" not in doc
+            continue
         assert doc["betas"] == list(rec.report.betas)
         assert doc["sigma"] == {
             "s0": rec.report.sigma.s0,
             "s": list(rec.report.sigma.s),
         }
+
+
+def test_analyze_runs_one_stacked_eigensolve(tmp_path, capsys, monkeypatch):
+    # the spectra of rho and of its partial transpose come from one call;
+    # the only other eigvalsh call is the 3x3 block of the normal form
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        shapes.append(np.shape(m))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    path = write_state(
+        tmp_path,
+        {
+            "a": [0.2, 0.1, 0],
+            "b": [0.2, 0.1, 0],
+            "t_full": [0.3, 0.1, 0, 0.1, -0.2, 0.05, 0, 0.05, 0.1],
+        },
+    )
+    code, _, _ = run(capsys, "analyze", path)
+    assert code == 0
+    assert [s for s in shapes if s[-2:] == (4, 4)] == [(2, 4, 4)]
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--tol-verdict", "-1"),
+        ("--tol-verdict", "nan"),
+        ("--tol-verdict", "inf"),
+        ("--tol-psd", "-1e-10"),
+        ("--tol-psd", "nan"),
+        ("--tol-psd", "inf"),
+        ("--beta-limit", "1.5"),
+        ("--beta-limit", "1"),
+        ("--beta-limit", "-0.1"),
+        ("--beta-limit", "nan"),
+        ("--beta-limit", "one"),
+    ],
+)
+def test_analyze_rejects_bad_numeric_options(tmp_path, capsys, option, value):
+    # used to print a report: "--tol-verdict -1" an entangled verdict at
+    # witness +0.5, "--beta-limit 1.5" a NoPhysicalBoost label (exit 3)
+    path = write_state(tmp_path, {"a": [0.2, 0, 0], "b": [0, 0, 0], "t_diag": [0.3, 0.3, 0.3]})
+    # "--option=value", since argparse reads "-1e-10" as an option name
+    code, out, err = run(capsys, "analyze", path, f"{option}={value}")
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}: {value!r} is not a finite number in [0, " in err
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--tol-verdict", "0"), ("--tol-psd", "0"), ("--beta-limit", "0")]
+)
+def test_analyze_accepts_zero_options(tmp_path, capsys, option, value):
+    path = write_state(tmp_path, {"a": [0.2, 0, 0], "b": [0, 0, 0], "t_diag": [0.3, 0.3, 0.3]})
+    code, out, _ = run(capsys, "analyze", path, option, value)
+    assert code == 0
+    assert json.loads(out)["ppt_verdict"]["kind"] == "separable"
 
 
 def test_analyze_json_round_trip(pair64_file, capsys):

@@ -22,6 +22,7 @@ from qubitsep import (
     ptu,
     random_state,
     rho_from_hs,
+    spectra,
 )
 
 from conftest import random_params
@@ -153,6 +154,27 @@ def test_peres_horodecki_stacked_solve_matches_single(qubit):
             lam_min = float(eigenvalues_hermitian(rho).values[0])
             with pytest.raises(InvalidStateError):
                 peres_horodecki(rho - (lam_min + 1e-6) * np.eye(4), qubit=qubit)
+
+
+@pytest.mark.parametrize("qubit", ["A", "B"])
+def test_spectra_match_single_solves(qubit):
+    for family in ("single-pair", "full-symmetric", "product-mixture"):
+        spec = SampleSpec(family=family, count=1, seed=6)
+        for index in range(5):
+            rho = rho_from_hs(random_state(spec, index))
+            spectrum, pt_spectrum = spectra(rho, qubit)
+            expected = eigenvalues_hermitian(rho).four_lambda
+            expected_pt = eigenvalues_hermitian(partial_transpose_matrix(rho, qubit)).four_lambda
+            assert spectrum.four_lambda.tobytes() == expected.tobytes()
+            assert pt_spectrum.four_lambda.tobytes() == expected_pt.tobytes()
+
+
+def test_non_state_error_carries_spectrum():
+    rho = rho_from_hs(HSParams.diagonal([0, 0, 0], [0, 0, 0], [1, 1, 1]))
+    with pytest.raises(InvalidStateError) as info:
+        peres_horodecki(rho)
+    assert info.value.spectrum.four_lambda.tobytes() == spectra(rho)[0].four_lambda.tobytes()
+    assert float(info.value.spectrum.four_lambda[0]) == pytest.approx(-2.0)
 
 
 def test_mds_criterion():

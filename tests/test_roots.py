@@ -103,6 +103,25 @@ def test_leading_zero_reduction():
     assert np.allclose(real_roots([1e-20, 1.0, -1.0]), [1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        # 1e-7 x^3 - 1e8: the leading term is below 1e-14 of the constant, so
+        # the degree drops to 0, yet x = 1e5 is a root
+        ([1e-7, 0.0, 0.0, -1e8], 1e5),
+        # the degree drops to 2 with no real root; the cubic has one near 4.7192e4
+        ([-3.38e-7, 1.10e-5, 5.27e-8, 3.55e7], 4.7192e4),
+    ],
+)
+def test_large_root_survives_degree_reduction(coeffs, expected):
+    out = real_roots(coeffs)
+    assert out.shape == (1,)
+    assert abs(out[0] - expected) <= 1e-4 * expected
+    assert abs(np.polyval(coeffs, out[0])) <= 1e-12 * _poly_magnitude(coeffs, out[0])
+    oracle = [r.real for r in np.roots(coeffs) if abs(r.imag) < 1e-9 * abs(r)]
+    assert np.allclose(out, oracle, rtol=1e-9)
+
+
 def test_invalid_inputs():
     with pytest.raises(InvalidParameterError):
         real_roots([])

@@ -9,6 +9,7 @@ from qubitsep import (
     SEPARABLE,
     HSParams,
     InvalidParameterError,
+    InvalidStateError,
     SampleSpec,
     SamplingExhaustedError,
     batch_stats,
@@ -18,6 +19,7 @@ from qubitsep import (
     peres_horodecki,
     random_state,
     rho_from_hs,
+    spectra,
     tdiag_via_local_rotations,
 )
 from qubitsep.hs import coefficient_grid, rho_from_grid
@@ -121,6 +123,33 @@ def test_cross_validate_reduces_full_t():
     p = HSParams(0.6 * u, 0.6 * v, 0.6 * np.outer(u, v))
     rec = cross_validate(p)
     assert rec.ppt.kind == SEPARABLE
+    # the record keeps what was solved and how it was reached
+    assert rec.note == "correlation matrix diagonalized by local rotations"
+    assert rec.reduced.is_t_diagonal()
+    assert np.allclose(np.abs(np.diag(rec.reduced.t)), np.linalg.svd(p.t, compute_uv=False))
+    spectrum, pt_spectrum = spectra(rho_from_hs(p))
+    assert rec.spectrum.four_lambda.tobytes() == spectrum.four_lambda.tobytes()
+    assert rec.pt_spectrum.four_lambda.tobytes() == pt_spectrum.four_lambda.tobytes()
+    assert rec.ppt.witness == float(pt_spectrum.four_lambda[0])
+
+
+def test_cross_validate_diagonal_input_is_solved_as_given(pair64):
+    rec = cross_validate(pair64)
+    assert rec.reduced is pair64
+    assert rec.note is None
+
+
+def test_cross_validate_tol_psd_decides_validity():
+    # 4 lambda_min is about -3e-8: a state at tol_psd 1e-6, not at the default
+    t = 1 / 3 + 1e-8
+    p = HSParams.diagonal([0, 0, 0], [0, 0, 0], [t, t, t])
+    with pytest.raises(InvalidStateError) as info:
+        cross_validate(p)
+    expected = spectra(rho_from_hs(p))[0].four_lambda
+    assert info.value.spectrum.four_lambda.tobytes() == expected.tobytes()
+    rec = cross_validate(p, tol_psd=1e-6)
+    assert rec.ppt.kind == SEPARABLE
+    assert float(rec.spectrum.values[0]) < 0.0
 
 
 def test_batch_stats_counts():
@@ -133,6 +162,21 @@ def test_batch_stats_counts():
     assert report.max_offdiag_residual < 1e-8
     # no boost is needed in this family, so elimination is exact
     assert report.generic_count == 200
+
+
+def test_batch_stats_counts_non_generic_samples():
+    # product-mixture samples are often outside the supported boost families;
+    # the counters must match the records, whatever the non-generic share
+    spec = SampleSpec(family="product-mixture", count=20, seed=1)
+    report = batch_stats(spec)
+    records = [cross_validate(random_state(spec, index)) for index in range(spec.count)]
+    generic = [rec for rec in records if rec.classification.is_generic]
+    assert report.total == spec.count
+    assert report.nongeneric_count == spec.count - len(generic)
+    assert report.generic_count == len(generic)
+    assert report.agree_count + report.disagree_count == report.generic_count
+    assert report.boundary_count == sum(rec.agree is None for rec in generic)
+    assert report.disagree_count == 0
 
 
 def test_mds_normal_form_sum_is_plain_correlation_sum():
