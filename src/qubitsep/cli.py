@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from .boost import BETA_LIMIT
 from .errors import InvalidStateError, QubitSepError
 from .hs import PSD_TOL, ZERO_TOL, HSParams
 from .normal_form import classify
-from .pt import SEPARABLE, VERDICT_TOL, mds_criterion
+from .pt import SEPARABLE, VERDICT_TOL, Verdict, mds_criterion
 from .sampling import FAMILIES, SampleSpec, batch_stats, cross_validate, reduce_to_diagonal
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
@@ -96,7 +97,16 @@ def load_state_file(path: str) -> tuple[HSParams, bool]:
 
 
 def _floats(values) -> list[float]:
-    return [float(x) for x in np.asarray(values).ravel()]
+    return np.asarray(values, dtype=float).ravel().tolist()
+
+
+def _verdict(verdict: Verdict) -> dict:
+    return {
+        "kind": verdict.kind,
+        "witness": verdict.witness,
+        "criterion": verdict.criterion,
+        "boundary": verdict.boundary,
+    }
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -113,7 +123,7 @@ def _cmd_analyze(args) -> int:
         "input": {
             "a": _floats(params.a),
             "b": _floats(params.b),
-            "t": [_floats(row) for row in params.t],
+            "t": params.t.tolist(),
         },
     }
     try:
@@ -128,11 +138,12 @@ def _cmd_analyze(args) -> int:
         psd=True,
         eigenvalues_4l=_floats(rec.spectrum.four_lambda),
         pt_eigenvalues_4l=_floats(rec.pt_spectrum.four_lambda),
-        ppt_verdict=dataclasses.asdict(rec.ppt),
+        ppt_verdict=_verdict(rec.ppt),
     )
     notes = [] if rec.note is None else [rec.note]
     work = rec.reduced
-    tdiag = work.t_diagonal()
+    # solve_normal_form has already checked that the reduced t is diagonal
+    tdiag = np.diag(work.t)
     if float(np.abs(work.a).max()) <= ZERO_TOL and float(np.abs(work.b).max()) <= ZERO_TOL:
         notes.append(
             "maximally disordered subsystems: sum|t_i| <= 1 is necessary "
@@ -154,7 +165,7 @@ def _cmd_analyze(args) -> int:
             sigma={"s0": solve.sigma.s0, "s": _floats(solve.sigma.s)},
             tprime=_floats(solve.sigma.tprime),
             lorentz_sum=solve.sigma.tprime_sum,
-            lorentz_verdict=dataclasses.asdict(rec.lorentz),
+            lorentz_verdict=_verdict(rec.lorentz),
             residuals={
                 "polynomial": solve.polynomial_residual,
                 "offdiag": solve.offdiag_residual,
@@ -203,7 +214,13 @@ def _number_below(limit: float):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qubitsep parser, built on first use and shared by every main() call.
+
+    Parsing leaves the parser unchanged, so one object serves all requests of
+    a process; callers must not add arguments to it.
+    """
     parser = argparse.ArgumentParser(
         prog="qubitsep",
         description=(

@@ -106,12 +106,16 @@ class HSParams:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Four real eigenvalues, ascending, stored in 4*lambda units."""
+    """Four real eigenvalues, ascending, stored in 4*lambda units.
+
+    The producer passes the values already in ascending order (eigvalsh
+    returns them so) and in a fresh array, which is frozen here.
+    """
 
     four_lambda: np.ndarray
 
     def __post_init__(self):
-        v = np.sort(np.asarray(self.four_lambda, dtype=float).reshape(4))
+        v = np.asarray(self.four_lambda, dtype=float).reshape(4)
         v.setflags(write=False)
         object.__setattr__(self, "four_lambda", v)
 
@@ -213,7 +217,7 @@ def eigenvalues_closed_form_pair(axis: int, a: float, b: float, tdiag) -> Spectr
     four = np.array(
         [1 + t[k] - r_sum, 1 + t[k] + r_sum, 1 - t[k] - r_dif, 1 - t[k] + r_dif]
     )
-    return Spectrum(four)
+    return Spectrum(np.sort(four))
 
 
 def is_positive_semidefinite(matrix, tol: float = PSD_TOL) -> bool:

@@ -18,7 +18,7 @@ boost and checking that the eliminated entries actually vanished.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -574,6 +574,40 @@ def _no_boost_report(classification: Classification) -> SolveReport:
     )
 
 
+def _tied_axes(tdiag, active) -> list[int]:
+    """Active axes whose t value exactly equals that of another active axis.
+
+    Three axes hold at most one such group, listed in ascending order.
+    """
+    axes = [i for i in range(3) if active[i]]
+    return [i for i in axes if any(tdiag[i] == tdiag[j] for j in axes if j != i)]
+
+
+def _rotate_tie(params: HSParams, group: list[int]) -> HSParams:
+    """One shared proper rotation in the span of `group` that moves a's
+    components there onto axis group[0].
+
+    t is a multiple of the identity on that span, so it is unchanged, and the
+    rotated state is locally unitarily equivalent to `params`.
+    """
+    rot = np.eye(3)
+    g0 = group[0]
+    for g in group[1:]:
+        v = rot @ params.a
+        h = math.hypot(v[g0], v[g])
+        step = np.eye(3)
+        step[g0, g0] = step[g, g] = v[g0] / h
+        step[g0, g] = v[g] / h
+        step[g, g0] = -v[g] / h
+        rot = step @ rot
+    return HSParams(rot @ params.a, rot @ params.b, params.t)
+
+
+def _with_note(classification: Classification, note: str) -> Classification:
+    detail = f"{classification.detail}; {note}" if classification.detail else note
+    return Classification(classification.kind, detail)
+
+
 def solve_normal_form(
     params: HSParams,
     beta_limit: float = BETA_LIMIT,
@@ -583,13 +617,49 @@ def solve_normal_form(
     Dispatches on the pattern of active linear terms.  Solver failures that
     mean "no physical boost exists" are folded into the classification;
     certificate failures propagate, since they indicate a numerical bug
-    rather than a non-generic state.
+    rather than a non-generic state.  A symmetric state whose active axes tie
+    exactly (t_i == t_j) is first rotated in the tied plane, which leaves t
+    alone and puts the linear terms there on one axis; the report then refers
+    to the rotated state and its classification detail says so.
     """
     a, b, tdiag = params.a, params.b, params.t_diagonal()
     structural = _match_non_generic(a, b, tdiag)
     if structural is not None:
         return _no_boost_report(structural)
     active = (np.abs(a) > ZERO_TOL) | (np.abs(b) > ZERO_TOL)
+    if int(active.sum()) < 2:
+        return _solve_active(params, tdiag, active, beta_limit)
+    if not params.is_symmetric():
+        return _no_boost_report(
+            Classification(
+                NO_PHYSICAL_BOOST,
+                "outside the supported boost families: more than one "
+                "axis carries linear terms and the state is not symmetric",
+            )
+        )
+    group = _tied_axes(tdiag, active)
+    if not group:
+        return _solve_active(params, tdiag, active, beta_limit)
+    rotated = _rotate_tie(params, group)
+    # the other axes of the group carry only rounding residue now
+    active[group[1:]] = False
+    g0 = group[0]
+    note = (
+        f"t ties exactly on axes {', '.join(str(i + 1) for i in group)}; "
+        f"one shared rotation there moved the linear terms onto axis {g0 + 1} "
+        f"(a = b = {rotated.a[g0]:.6g}); the report refers to the rotated state"
+    )
+    structural = _match_non_generic(rotated.a, rotated.b, tdiag)
+    if structural is not None:
+        return _no_boost_report(_with_note(structural, note))
+    report = _solve_active(rotated, tdiag, active, beta_limit)
+    return replace(report, classification=_with_note(report.classification, note))
+
+
+def _solve_active(params: HSParams, tdiag, active, beta_limit: float) -> SolveReport:
+    """The boost solve for a non-structural state whose active axes are
+    `active`: none, one linear pair, or the symmetric case b)."""
+    a, b = params.a, params.b
     n_active = int(active.sum())
     r = r_from_hs(params)
     try:
@@ -606,14 +676,6 @@ def solve_normal_form(
                 r, (beta_a, beta_b), k + 1, poly, beta_limit=beta_limit
             )
             return report
-        if not params.is_symmetric():
-            return _no_boost_report(
-                Classification(
-                    NO_PHYSICAL_BOOST,
-                    "outside the supported boost families: more than one "
-                    "axis carries linear terms and the state is not symmetric",
-                )
-            )
         # Case b): a symmetric boost, its velocity from one polynomial in
         # beta_1.  Active axes go first, the largest |a_i| leading: every
         # reduced coefficient divides by a_1, so this keeps the polynomial

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qubitsep import FAMILIES, SampleSpec, cross_validate, random_state
-from qubitsep.cli import load_state_file, main
+from qubitsep.cli import build_parser, load_state_file, main
 
 
 def write_state(tmp_path, doc, name="state.json"):
@@ -296,6 +296,18 @@ def test_analyze_json_round_trip(pair64_file, capsys):
     assert json.loads(json.dumps(doc)) == doc
 
 
+def test_one_parser_serves_repeated_calls(pair64_file, capsys):
+    assert build_parser() is build_parser()
+    fresh = run(capsys, "analyze", pair64_file)
+    assert run(capsys, "analyze", pair64_file, "--tol-verdict", "0.5", "--format", "text")[0] == 0
+    code, out, err = run(capsys, "analyze", pair64_file, "--beta-limit", "1")
+    assert (code, out) == (2, "") and "--beta-limit" in err
+    assert run(capsys, "analyze", pair64_file) == fresh
+    assert run(capsys, "classify", pair64_file) == (0, "Generic\n", "")
+    code, out, _ = run(capsys, "sample", "--family", "mds", "--count", "3", "--seed", "0")
+    assert code == 0 and json.loads(out)["total"] == 3
+
+
 def test_analyze_text_format_same_values(pair64_file, capsys):
     _, out_json, _ = run(capsys, "analyze", pair64_file, "--format", "json")
     _, out_text, _ = run(capsys, "analyze", pair64_file, "--format", "text")
@@ -373,8 +385,8 @@ def test_sample_negative_seed_is_a_usage_error(capsys):
 
 # The states of test_cli_outputs_pinned: the five reference states, the
 # structural cases a), c) and d), one state per branch edge of the normal-form
-# solve (a non-symmetric multi-pair state, exact ties that the cubic and
-# quartic reductions reject, an inactive axis whose |a_i| is not the
+# solve (a non-symmetric multi-pair state, exact ties that solve after a
+# rotation in the tied plane, an inactive axis whose |a_i| is not the
 # smallest), one symmetric and one non-symmetric full t, and a non-state.
 GOLDEN_STATES = {
     "pair64": {"a": [0, 0.64, 0], "b": [0, 0.64, 0], "t_diag": [0.3, 0.3, 0.3]},
@@ -443,8 +455,8 @@ PINNED_CLI_OUTPUTS = {
     "case-c": "88edbf0f7fee757093a139c92330a1440cb81cfc4c8231766acb7cac5289bb92",
     "case-d": "b76d7cd557df1cace0ff75766027bcc0ed0a848ed42d0f06383cbe5e4230ccb6",
     "non-symmetric-multi-pair": "34bed36b25704611d541a3ce6062bf396dc7577008a2c5ca141f47fdf70fcb22",
-    "cubic-t2-equals-t1": "9a65a5ab49a0d794afa51243fcc906eb2804a019a6e306fa05d11e911d6783a6",
-    "quartic-tie": "2f36bb75962e259bebba25fe2b422f31bc498cfe639d948a06e01f415909dbee",
+    "cubic-t2-equals-t1": "18ad0e136f1f5ff770a84381a1308e83962b90699c4acc4cf285ac1add979597",
+    "quartic-tie": "56cb8596f355852fb09a3f34dedff94804cae7be11b6499614ef41ddea34dcfb",
     "inactive-axis-order": "60fa44feafcdbf652eada1e85b43ba16963d350380c77c31de85d4e9a6d3af78",
     "t-full-symmetric": "ab928b743cc893bbb05fd1843758086e671776d7eb69e66d0e3251e5f5fc3580",
     "t-full-product": "a497913aad96e29b2af8b09bee3e6ae4abe3094721d0c05996aba47d32ca87fa",

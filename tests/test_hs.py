@@ -18,6 +18,7 @@ from qubitsep import (
     tdiag_via_symmetric_rotation,
 )
 from qubitsep.hs import SIGMA
+from qubitsep.pt import partial_transpose_matrix, spectra
 
 from conftest import random_params
 
@@ -158,6 +159,35 @@ def test_spectrum_sum_equals_trace():
         h = (x + x.conj().T) / 2
         spec = eigenvalues_hermitian(h)
         assert abs(spec.four_lambda.sum() / 4 - np.trace(h).real) < 1e-10
+
+
+def _is_ascending_copy_of(spectrum, raw) -> bool:
+    """The spectrum is read-only and equals np.sort(raw) bit for bit."""
+    values = spectrum.four_lambda
+    return not values.flags.writeable and values.tobytes() == np.sort(raw).tobytes()
+
+
+def test_every_spectrum_producer_yields_sorted_values():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        params = random_params(rng, scale=rng.choice([0.3, 1.0, 5.0]))
+        rho = rho_from_hs(params)
+        raw = 4.0 * np.linalg.eigvalsh(rho)
+        assert _is_ascending_copy_of(eigenvalues_hermitian(rho), raw)
+        for qubit in ("A", "B"):
+            pt_rho = partial_transpose_matrix(rho, qubit)
+            spectrum, pt_spectrum = spectra(rho, qubit)
+            assert _is_ascending_copy_of(spectrum, raw)
+            assert _is_ascending_copy_of(pt_spectrum, 4.0 * np.linalg.eigvalsh(pt_rho))
+        axis = int(rng.integers(1, 4))
+        a, b = rng.uniform(-1, 1, 2)
+        t = rng.uniform(-1, 1, 3)
+        k = axis - 1
+        i, j = (k + 1) % 3, (k + 2) % 3
+        r_sum = float(np.hypot(a + b, t[i] - t[j]))
+        r_dif = float(np.hypot(a - b, t[i] + t[j]))
+        closed = [1 + t[k] - r_sum, 1 + t[k] + r_sum, 1 - t[k] - r_dif, 1 - t[k] + r_dif]
+        assert _is_ascending_copy_of(eigenvalues_closed_form_pair(axis, a, b, t), np.array(closed))
 
 
 def test_is_positive_semidefinite(pair64):

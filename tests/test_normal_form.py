@@ -491,3 +491,63 @@ def test_driver_verdicts_agree_with_ppt_on_references(
         lorentz = separability_verdict(report.sigma)
         ppt = peres_horodecki(rho_from_hs(p))
         assert lorentz.kind == ppt.kind
+
+
+@pytest.mark.parametrize(
+    "a, tdiag, merged",
+    [
+        ([0.2, 0.1, 0.0], [0.3, 0.3, 0.1], [np.hypot(0.2, 0.1), 0.0, 0.0]),
+        ([0.1, 0.15, 0.2], [0.3, -0.2, -0.2], [0.1, 0.25, 0.0]),
+    ],
+)
+def test_exact_tie_solves_as_the_rotated_state(a, tdiag, merged):
+    tied = solve_normal_form(HSParams.diagonal(a, a, tdiag))
+    rotated = solve_normal_form(HSParams.diagonal(merged, merged, tdiag))
+    assert tied.classification.kind == GENERIC
+    assert "ties exactly" in tied.classification.detail
+    assert rotated.classification.detail == ""
+    assert tied.boost_kind == rotated.boost_kind
+    assert np.allclose(tied.betas, rotated.betas, atol=1e-12)
+    assert tied.sigma.tprime_sum == pytest.approx(rotated.sigma.tprime_sum, abs=1e-12)
+
+
+def test_exact_tie_rotated_onto_a_structural_form():
+    # a = b = (0.3, 0.4, 0) with t = 0 is case c) turned about the z axis
+    cls = classify(HSParams.diagonal([0.3, 0.4, 0], [0.3, 0.4, 0], [0, 0, 0]))
+    assert cls.kind == NON_GENERIC_C
+    assert "ties exactly on axes 1, 2" in cls.detail
+
+
+def test_exact_ties_agree_with_ppt():
+    """Symmetric states whose active axes tie exactly, in every tie pattern."""
+    rng = np.random.default_rng(31)
+    # (active axes, index map that copies one drawn t value onto another axis)
+    patterns = (
+        ((0, 1), [0, 0, 1]),
+        ((0, 2), [0, 1, 0]),
+        ((0, 1, 2), [0, 0, 1]),
+        ((0, 1, 2), [0, 1, 1]),
+        ((0, 1, 2), [0, 0, 0]),
+    )
+    generic = 0
+    checked = 0
+    while checked < 400:
+        axes, ties = patterns[checked % len(patterns)]
+        a = np.zeros(3)
+        a[list(axes)] = rng.uniform(0.05, 0.6, len(axes)) * rng.choice([-1, 1], len(axes))
+        tdiag = rng.uniform(-0.9, 0.9, 3)[ties]
+        p = HSParams.diagonal(a, a, tdiag)
+        rho = rho_from_hs(p)
+        if np.linalg.eigvalsh(rho)[0] < 1e-6:
+            continue
+        checked += 1
+        report = solve_normal_form(p)
+        assert "ties exactly" in report.classification.detail
+        if report.classification.kind != GENERIC:
+            continue
+        generic += 1
+        assert report.offdiag_residual < 1e-9
+        ppt = peres_horodecki(rho)
+        if abs(ppt.witness) > 1e-8:
+            assert separability_verdict(report.sigma).kind == ppt.kind
+    assert generic >= 0.9 * checked
