@@ -8,23 +8,33 @@ linear terms of the first five families lie within [-0.9, 0.9]
 (symmetric-three's linear terms have magnitudes in [0.05, 0.9]);
 product-mixture is a convex mixture of pure product states and is not scaled.
 
-Candidates are drawn and PSD-checked in blocks of 1, 2, 4, ... up to 256, and
-the first candidate that passes is the sample.  A block takes exactly the
-draws that one-at-a-time sampling would take for its candidates, in the same
-order: uniform-only families in one call, symmetric-three decoded from one
-call for raw PCG64 output (this reads and writes PCG64's spare 32-bit half in
-the bit generator's state), the rest one candidate at a time.  A cheap test
-on the diagonal and the 2x2 principal minors of each candidate (Cauchy
+Candidates are drawn and PSD-checked in blocks, and the first candidate that
+passes is the sample.  A family's first block is near its expected number of
+candidates per accepted state (_FIRST_BLOCK: mds 2, single-pair 8,
+symmetric-two 16, symmetric-three 64, full-symmetric 256, product-mixture 1),
+and each later block doubles, up to 256.  A block takes exactly the draws
+that one-at-a-time sampling would take for its candidates, in the same
+order: uniform-only families in one call, symmetric-two and symmetric-three
+decoded from one call for raw PCG64 output (this reads and writes PCG64's
+spare 32-bit half in the bit generator's state; symmetric-two falls back to
+per-candidate calls when integers(3) would reject a half), product-mixture
+one candidate at a time.  Indices are sampled together in windows of 32: in
+each round every pending index of the window draws its next block from its
+own generator, and the blocks are checked as one stack.  A cheap test on
+the diagonal and the 2x2 principal minors of each candidate (Cauchy
 interlacing) discards those that are provably below the accept threshold;
-the others get one stacked assembly and one stacked eigensolve, and each
-stacked result equals the per-matrix one bit for bit.  So the accepted
-candidate is the same as a candidate-at-a-time loop's.  Draws past it are
-thrown away; they cannot shift any other sample, because every (seed, index)
-has its own generator.
+it reads each candidate alone, so its result does not depend on the rest of
+the stack.  The others get one stacked assembly and one stacked eigensolve,
+and each stacked result equals the per-matrix one bit for bit.  So the
+accepted candidate is the same as a candidate-at-a-time loop's, whatever the
+block sizes and whichever indices share a round.  Draws past it are thrown
+away; they cannot shift any other sample, because every (seed, index) has
+its own generator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +80,18 @@ FAMILIES = (
 _PSD_ACCEPT_TOL = 1e-12
 _MAX_ATTEMPTS = 10_000
 _MAX_BLOCK = 256
+# First block of each family: the power of two nearest 1/p, where p is the
+# share of candidates accepted (4096 candidates at seed 5).  Block sizes
+# change only the speed, never which candidate is accepted.
+_FIRST_BLOCK = {
+    "mds": 2,
+    "single-pair": 8,
+    "symmetric-two": 16,
+    "symmetric-three": 64,
+    "full-symmetric": 256,
+    "product-mixture": 1,
+}
+_WINDOW = 32  # indices sampled together, so a round's stack stays bounded
 _BOUNDARY_TOL = 1e-8
 
 
@@ -141,41 +163,59 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u
 
 
-def _symmetric_three_raw(bitgen, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of n symmetric-three candidates, decoded from raw PCG64 output.
+def _decode_raw(bitgen, n: int, doubles: int, halves: int, choices: int):
+    """The draws of n candidates, decoded from raw PCG64 output.
 
-    Candidate by candidate, the generator would give uniform(size 3) twice,
-    i.e. six doubles, each (raw >> 11) * 2**-53 of one 64-bit output, then
-    integers(0, 2, 3).  Each of those three is the top bit of a 32-bit half
-    (Lemire's bounded method on range 2 never rejects).  The halves come
+    Candidate by candidate, the generator would give `doubles` standard
+    doubles, each (raw >> 11) * 2**-53 of one 64-bit output, then `halves`
+    calls integers(choices).  Each of those is Lemire's bounded method on a
+    32-bit half h: the value is (h * choices) >> 32, and the half is rejected
+    and redrawn when (h * choices) mod 2**32 < (2**32 - choices) % choices
+    (never for choices 2; for choices 3 only when h == 0).  The halves come
     from PCG64's spare-half buffer: an empty buffer takes a fresh 64-bit
     output, hands out its low half and keeps the high one (`has_uint32`,
     `uinteger` in the bit generator's state) for the next 32-bit draw.
-    Returns the doubles (n, 6) and the sign bits (n, 3), and leaves the
-    generator in the state the candidate-at-a-time calls would.
+    Returns the doubles (n, doubles) and the values (n, halves), and leaves
+    the generator in the state the candidate-at-a-time calls would.  Returns
+    None, with the generator state restored, when a half would be rejected.
     """
     before = bitgen.state
     spare = before["has_uint32"]
     c = np.arange(n)
-    # 64-bit outputs that the sign draws have taken before candidate c, and
-    # the position of sign output m in the block: candidate (2m + spare) // 3
-    # fetches it after its six doubles
-    taken = (3 * c - spare + 1) // 2
-    m = np.arange((3 * n - spare + 1) // 2)
-    sign_pos = 6 * ((2 * m + spare) // 3 + 1) + m
-    raw = bitgen.random_raw(6 * n + m.size)
-    u = (raw[(6 * c + taken)[:, None] + np.arange(6)] >> 11) * 2.0**-53
-    sign_raw = raw[sign_pos]
-    halves = np.empty(spare + 2 * m.size, dtype=np.uint64)
-    halves[:spare] = before["uinteger"]
-    halves[spare::2] = sign_raw & 0xFFFFFFFF
-    halves[spare + 1 :: 2] = sign_raw >> 32
+    # 64-bit outputs that the halves have taken before candidate c, and the
+    # position of half output m in the block: candidate (2m + spare) // halves
+    # fetches it after its doubles
+    taken = (halves * c - spare + 1) // 2
+    m = np.arange((halves * n - spare + 1) // 2)
+    half_pos = doubles * ((2 * m + spare) // halves + 1) + m
+    raw = bitgen.random_raw(doubles * n + m.size)
+    u = (raw[(doubles * c + taken)[:, None] + np.arange(doubles)] >> 11) * 2.0**-53
+    half_raw = raw[half_pos]
+    buffer = np.empty(spare + 2 * m.size, dtype=np.uint64)
+    buffer[:spare] = before["uinteger"]
+    buffer[spare::2] = half_raw & 0xFFFFFFFF
+    buffer[spare + 1 :: 2] = half_raw >> 32
+    product = buffer[: halves * n] * np.uint64(choices)
+    if ((product & 0xFFFFFFFF) < (2**32 - choices) % choices).any():
+        bitgen.state = before
+        return None
     state = bitgen.state
-    state["has_uint32"] = halves.size - 3 * n
+    state["has_uint32"] = buffer.size - halves * n
     # a consumed spare stays in `uinteger`, so either way it holds the last high half
-    state["uinteger"] = int(halves[-1])
+    state["uinteger"] = int(buffer[-1])
     bitgen.state = state
-    return u, (halves[: 3 * n] >> 31).reshape(n, 3)
+    return u, (product >> 32).reshape(n, halves)
+
+
+def _symmetric_two_calls(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the candidate-at-a-time draws; random(5) takes the doubles of uniform(size 3)
+    # and uniform(size 2), and integers(3) redraws a rejected half
+    u = np.empty((n, 5))
+    quiet = np.empty((n, 1), dtype=np.int64)
+    for c in range(n):
+        u[c] = rng.random(5)
+        quiet[c] = rng.integers(3)
+    return u, quiet
 
 
 # Real map from a flattened coefficient grid to the diagonal, then the real
@@ -195,23 +235,24 @@ _PREFILTER_MARGIN = 1e-9
 def _proven_indefinite(grids: np.ndarray) -> np.ndarray:
     """Mask of the candidates whose lambda_min is surely below -_PSD_ACCEPT_TOL.
 
-    Proof.  Let C = max |c_mn| over the block (C >= 1, as c_00 = 1) and
-    D = 4 rho.  Each entry of D sums four terms of modulus <= C, so
-    |D_ij| <= 4C.  For a 2x2 principal block S of D, Cauchy interlacing
-    gives lambda_min(D) <= lambda_min(S) <= min(D_ii, D_jj), and when
-    det S < 0, lambda_min(S) = det S / lambda_max(S) with
+    Proof.  For one candidate let C = max |c_mn| over its own grid (C >= 1,
+    as c_00 = 1) and D = 4 rho.  Each entry of D sums four terms of modulus
+    <= C, so |D_ij| <= 4C.  For a 2x2 principal block S of D, Cauchy
+    interlacing gives lambda_min(D) <= lambda_min(S) <= min(D_ii, D_jj), and
+    when det S < 0, lambda_min(S) = det S / lambda_max(S) with
     0 < lambda_max(S) <= 8C (its largest row sum).  So D_ii < -m C gives
     lambda_min(rho) < -m C / 4, and det S < -m C^2 gives
     lambda_min(rho) < -m C / 32 <= -3.1e-11 for m = 1e-9.  Rounding moves
     the computed D_ii by less than 1e-14 C, the minors by less than
     1e-13 C^2 and the eigvalsh result by about 1e-14 C, all far inside that
     room, so every candidate marked here is one that eigvalsh would reject
-    at -1e-12.
+    at -1e-12.  Each candidate's mark depends on its own grid alone, so the
+    mask of a stack is the concatenation of the masks of its parts.
 
-    Raises InvalidParameterError on a non-finite grid anywhere in the block.
+    Raises InvalidParameterError on a non-finite grid anywhere in the stack.
     """
-    scale = float(np.abs(grids).max())
-    if not np.isfinite(scale):
+    scale = np.abs(grids).max(axis=(1, 2))
+    if not np.isfinite(scale).all():
         raise InvalidParameterError("coefficient grids must be finite")
     x = grids.reshape(len(grids), 16) @ _MINOR_MAP
     diag = x[:, :4]
@@ -224,11 +265,13 @@ def _draw_block(family: str, axis: int, rng: np.random.Generator, n: int) -> np.
     """Coefficient grids (n, 4, 4) of the next n candidates (see coefficient_grid).
 
     Families drawn from uniforms alone take the block in one call, which
-    yields the same numbers as n calls in a row; symmetric-three decodes the
-    same numbers from raw generator output.  The others keep one set of
-    calls per candidate, in the original order: symmetric-two's integers(3)
-    can reject and redraw, and dirichlet and normal calls cannot be merged
-    across candidates without changing the stream.
+    yields the same numbers as n calls in a row; symmetric-two and
+    symmetric-three decode the same numbers from raw generator output, and
+    symmetric-two falls back to its per-candidate calls on the rare block
+    where integers(3) would reject a half and redraw.  product-mixture keeps
+    one set of calls per candidate, in the original order: its dirichlet and
+    normal calls cannot be merged across candidates without changing the
+    stream.
     """
     a = np.zeros((n, 3))
     b = np.zeros((n, 3))
@@ -243,14 +286,14 @@ def _draw_block(family: str, axis: int, rng: np.random.Generator, n: int) -> np.
         a[:, k] = u[:, 3]
         b[:, k] = u[:, 4]
     elif family == "symmetric-two":
-        for c in range(n):
-            t[c, _AXES, _AXES] = rng.uniform(-0.9, 0.9, 3)
-            vals = rng.uniform(-0.9, 0.9, 2)
-            quiet = int(rng.integers(3))
-            a[c, _AXES != quiet] = vals
+        u, quiet = _decode_raw(rng.bit_generator, n, 5, 1, 3) or _symmetric_two_calls(rng, n)
+        u = _uniform(u, -0.9, 0.9)
+        t[:, _AXES, _AXES] = u[:, :3]
+        # row by row, the two axes other than the quiet one, in order
+        a[_AXES != quiet] = u[:, 3:].ravel()
         b = a
     elif family == "symmetric-three":
-        u, signs = _symmetric_three_raw(rng.bit_generator, n)
+        u, signs = _decode_raw(rng.bit_generator, n, 6, 3, 2)
         t[:, _AXES, _AXES] = _uniform(u[:, :3], -0.9, 0.9)
         a = b = _uniform(u[:, 3:], 0.05, 0.9) * _SIGNS[signs]
     elif family == "full-symmetric":
@@ -272,6 +315,53 @@ def _draw_block(family: str, axis: int, rng: np.random.Generator, n: int) -> np.
     return coefficient_grid(a, b, t)
 
 
+def _sample(spec: SampleSpec, indices: range, max_attempts: int) -> Iterator[HSParams]:
+    """The samples of `indices`, in order, drawn in stacked rounds.
+
+    The indices go in windows of _WINDOW.  In a round, every pending index of
+    the window draws its next block from its own generator; the blocks share
+    one prefilter, one assembly and one eigensolve, and each index takes its
+    first accepted candidate in stream order.  Block sizes start at the
+    family's _FIRST_BLOCK and double up to _MAX_BLOCK; an index's last block
+    is cut short at `max_attempts` candidates.  Samples are yielded window by
+    window, so memory does not grow with the number of indices.
+    """
+    for start in range(0, len(indices), _WINDOW):
+        window = indices[start : start + _WINDOW]
+        rngs = [np.random.default_rng((spec.seed, index)) for index in window]
+        found: list[HSParams | None] = [None] * len(window)
+        pending = list(range(len(window)))
+        checked = 0  # candidates each pending index has checked
+        size = _FIRST_BLOCK[spec.family]
+        while pending and checked < max_attempts:
+            n = min(size, max_attempts - checked)
+            grids = np.concatenate(
+                [_draw_block(spec.family, spec.axis, rngs[k], n) for k in pending]
+            )
+            accepted = np.zeros(len(grids), dtype=bool)
+            survivors = np.flatnonzero(~_proven_indefinite(grids))
+            if survivors.size:
+                rho = require_hermitian(rho_from_grid(grids[survivors]), stacked=True)
+                accepted[survivors] = np.linalg.eigvalsh(rho)[:, 0] >= -_PSD_ACCEPT_TOL
+            hits = accepted.reshape(len(pending), n)
+            first = hits.argmax(axis=1)
+            still = []
+            for j, k in enumerate(pending):
+                if hits[j, first[j]]:
+                    found[k] = HSParams.from_grid(grids[j * n + first[j]].copy())
+                else:
+                    still.append(k)
+            pending = still
+            checked += n
+            size = min(2 * size, _MAX_BLOCK)
+        if pending:
+            raise SamplingExhaustedError(
+                f"no valid state after {max_attempts} attempts "
+                f"(family={spec.family}, seed={spec.seed}, index={window[pending[0]]})"
+            )
+        yield from found
+
+
 def random_state(
     spec: SampleSpec, index: int, max_attempts: int = _MAX_ATTEMPTS
 ) -> HSParams:
@@ -282,24 +372,7 @@ def random_state(
     """
     if index < 0:
         raise InvalidParameterError(f"index must be >= 0, got {index}")
-    rng = np.random.default_rng((spec.seed, index))
-    checked = 0
-    size = 1
-    while checked < max_attempts:
-        n = min(size, max_attempts - checked)
-        grids = _draw_block(spec.family, spec.axis, rng, n)
-        survivors = np.flatnonzero(~_proven_indefinite(grids))
-        if survivors.size:
-            rho = require_hermitian(rho_from_grid(grids[survivors]), stacked=True)
-            psd = np.linalg.eigvalsh(rho)[:, 0] >= -_PSD_ACCEPT_TOL
-            if psd.any():
-                return HSParams.from_grid(grids[survivors[psd.argmax()]].copy())
-        checked += n
-        size = min(2 * size, _MAX_BLOCK)
-    raise SamplingExhaustedError(
-        f"no valid state after {max_attempts} attempts "
-        f"(family={spec.family}, seed={spec.seed}, index={index})"
-    )
+    return next(_sample(spec, range(index, index + 1), max_attempts))
 
 
 def reduce_to_diagonal(params: HSParams) -> tuple[HSParams, str | None]:
@@ -368,8 +441,7 @@ def batch_stats(spec: SampleSpec) -> AgreementReport:
     disagree = 0
     boundary = 0
     residuals: list[float] = []
-    for index in range(spec.count):
-        params = random_state(spec, index)
+    for params in _sample(spec, range(spec.count), _MAX_ATTEMPTS):
         rec = cross_validate(params)
         if rec.classification.is_generic:
             generic += 1

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,15 @@ from qubitsep import (
 )
 from qubitsep.hs import coefficient_grid, rho_from_grid
 from qubitsep import sampling
-from qubitsep.sampling import FAMILIES, _draw_block, _proven_indefinite
+from qubitsep.sampling import (
+    _FIRST_BLOCK,
+    _WINDOW,
+    FAMILIES,
+    _decode_raw,
+    _draw_block,
+    _proven_indefinite,
+    _sample,
+)
 
 
 def test_determinism_per_sample():
@@ -343,6 +352,110 @@ def test_symmetric_three_decoder_matches_loop(spare):
             got = _draw_block("symmetric-three", 1, decoded, n)
             assert got.tobytes() == expected.tobytes(), (seed, n)
             assert decoded.bit_generator.state == loop.bit_generator.state, (seed, n)
+
+
+def _symmetric_two_loop(rng, n):
+    # the candidate-at-a-time draws that the raw-bit decoder must reproduce
+    axes = np.arange(3)
+    a = np.zeros((n, 3))
+    t = np.zeros((n, 3, 3))
+    for c in range(n):
+        t[c, axes, axes] = rng.uniform(-0.9, 0.9, 3)
+        vals = rng.uniform(-0.9, 0.9, 2)
+        a[c, axes != int(rng.integers(3))] = vals
+    return coefficient_grid(a, a, t)
+
+
+@pytest.mark.parametrize("spare", [False, True])
+def test_symmetric_two_decoder_matches_loop(spare):
+    for seed in range(40):
+        loop = np.random.default_rng(seed)
+        decoded = np.random.default_rng(seed)
+        if spare:
+            # one 32-bit draw leaves PCG64's spare half full
+            loop.integers(0, 2)
+            decoded.integers(0, 2)
+        assert decoded.bit_generator.state["has_uint32"] == spare
+        for n in (1, 2, 3, 7, 64):
+            expected = _symmetric_two_loop(loop, n)
+            got = _draw_block("symmetric-two", 1, decoded, n)
+            assert got.tobytes() == expected.tobytes(), (seed, n)
+            assert decoded.bit_generator.state == loop.bit_generator.state, (seed, n)
+
+
+def test_symmetric_two_decoder_falls_back_on_a_rejected_half():
+    # a spare half of 0 is the one 32-bit value integers(3) rejects and redraws
+    for seed in range(10):
+        for n in (1, 2, 3, 7, 64):
+            loop = np.random.default_rng(seed)
+            decoded = np.random.default_rng(seed)
+            for rng in (loop, decoded):
+                state = rng.bit_generator.state
+                state["has_uint32"], state["uinteger"] = 1, 0
+                rng.bit_generator.state = state
+            before = decoded.bit_generator.state
+            assert _decode_raw(decoded.bit_generator, n, 5, 1, 3) is None
+            assert decoded.bit_generator.state == before
+            expected = _symmetric_two_loop(loop, n)
+            got = _draw_block("symmetric-two", 1, decoded, n)
+            assert got.tobytes() == expected.tobytes(), (seed, n)
+            assert decoded.bit_generator.state == loop.bit_generator.state, (seed, n)
+
+
+def test_prefilter_mask_is_per_candidate():
+    # t = diag(0, 0, -1 - eps) puts -eps on the diagonal of 4 rho: caught for
+    # eps above about 1e-9 alone, but not next to non-states whose coefficients
+    # reach 100 if the margin were scaled by the largest coefficient of the stack
+    eps = np.logspace(-12, -6, 100)
+    t = np.zeros((100, 3, 3))
+    t[:, 2, 2] = -1.0 - eps
+    edge = coefficient_grid(np.zeros((100, 3)), np.zeros((100, 3)), t)
+    large = 100.0 * _draw_block("full-symmetric", 1, np.random.default_rng(31), 8)
+    large[:, 0, 0] = 1.0
+    blocks = [edge[:50], large, edge[50:]]
+    per_block = np.concatenate([_proven_indefinite(block) for block in blocks])
+    caught = np.concatenate([per_block[:50], per_block[58:]])
+    assert 0 < caught.sum() < 100
+    assert np.array_equal(_proven_indefinite(np.concatenate(blocks)), per_block)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batch_matches_single_draws(family):
+    # count spans one full window and part of a second
+    for seed in range(60):
+        spec = SampleSpec(family, _WINDOW + 1, seed)
+        batch = list(_sample(spec, range(spec.count), sampling._MAX_ATTEMPTS))
+        assert len(batch) == spec.count
+        for index, params in enumerate(batch):
+            single = random_state(spec, index)
+            assert _state_bits(params) == _state_bits(single), (seed, index)
+
+
+def test_first_blocks_match_acceptance():
+    # the first block is the power of two nearest the expected number of
+    # candidates per accepted state; a factor of 2 either way is allowed
+    assert set(_FIRST_BLOCK) == set(FAMILIES)
+    for family in FAMILIES:
+        grids = _draw_block(family, 1, np.random.default_rng(5), 4096)
+        accept = np.mean(np.linalg.eigvalsh(rho_from_grid(grids))[:, 0] >= -1e-12)
+        assert accept > 0, family
+        assert 0.5 <= _FIRST_BLOCK[family] * accept <= 2.0, (family, accept)
+
+
+def test_batch_exhaustion_names_the_first_exhausted_index():
+    # seed 0: symmetric-three index 4 rejects its first 6 candidates (see
+    # test_random_state_exact_attempt_bound), so a batch capped at 6 fails
+    spec = SampleSpec(family="symmetric-three", count=8, seed=0)
+    exhausted = []
+    for index in range(spec.count):
+        try:
+            random_state(spec, index, max_attempts=6)
+        except SamplingExhaustedError:
+            exhausted.append(index)
+    assert 4 in exhausted
+    message = f"family=symmetric-three, seed=0, index={exhausted[0]})"
+    with pytest.raises(SamplingExhaustedError, match=re.escape(message)):
+        list(_sample(spec, range(spec.count), 6))
 
 
 def test_prefilter_never_discards_an_accepted_candidate():
