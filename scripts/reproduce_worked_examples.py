@@ -15,8 +15,7 @@ from qubitsep import (
     rho_from_hs,
     solve_pair_general,
     solve_pair_symmetric,
-    solve_symmetric_cubic,
-    solve_symmetric_quartic,
+    solve_symmetric,
 )
 
 np.set_printoptions(precision=6, suppress=True)
@@ -58,14 +57,14 @@ def main() -> None:
         "symmetric two-pair state (cubic reduction)",
         HSParams.diagonal([0.1, 0.15, 0], [0.1, 0.15, 0], [0.3, -0.2, 0.4]),
     )
-    b1, b2 = solve_symmetric_cubic(0.1, 0.15, [0.3, -0.2, 0.4])
+    (b1, b2, _), _ = solve_symmetric([0.1, 0.15, 0.0], [0.3, -0.2, 0.4])
     print(f"cubic solve: beta_1 = {b1:.7f}, beta_2 = {b2:.7f}")
 
     show(
         "symmetric three-pair state (quartic reduction)",
         HSParams.diagonal([0.1, 0.15, 0.2], [0.1, 0.15, 0.2], [0.3, -0.2, 0.2]),
     )
-    q1, q2, q3 = solve_symmetric_quartic([0.1, 0.15, 0.2], [0.3, -0.2, 0.2])
+    (q1, q2, q3), _ = solve_symmetric([0.1, 0.15, 0.2], [0.3, -0.2, 0.2])
     print(f"quartic solve: beta = ({q1:.7f}, {q2:.7f}, {q3:.7f})")
 
     show(

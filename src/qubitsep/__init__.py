@@ -21,10 +21,8 @@ from .errors import (
     InvalidStateError,
     NoPhysicalBoostError,
     QubitSepError,
-    RelabelAxesError,
     SamplingExhaustedError,
     SolverInconsistencyError,
-    UnsupportedDegeneracyError,
     UnsupportedFormError,
 )
 from .hs import (
@@ -50,8 +48,7 @@ from .normal_form import (
     solve_normal_form,
     solve_pair_general,
     solve_pair_symmetric,
-    solve_symmetric_cubic,
-    solve_symmetric_quartic,
+    solve_symmetric,
 )
 from .pt import (
     ENTANGLED,

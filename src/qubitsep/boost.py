@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import BoostLimitError, DegenerateTransformationError, InvalidParameterError
+from .errors import BoostLimitError, InvalidParameterError
 from .rmatrix import RMatrix
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -78,9 +78,5 @@ def apply_two_sided(r: RMatrix, left, right) -> RMatrix:
         raise InvalidParameterError("boost factors must be 4x4")
     if not (np.isfinite(lm).all() and np.isfinite(rm).all()):
         raise InvalidParameterError("boost factors must be finite")
-    raw = lm @ r.raw @ rm.T
-    if raw[0, 0] <= 0.0:
-        raise DegenerateTransformationError(
-            f"transformed corner entry {raw[0, 0]:.6g} is not positive"
-        )
-    return RMatrix(raw)
+    # RMatrix raises DegenerateTransformationError on a corner <= 0
+    return RMatrix(lm @ r.raw @ rm.T)

@@ -66,8 +66,8 @@ def _parse_reals(doc, key: str, length: int) -> list[float]:
     return out
 
 
-def load_state_file(path: str) -> tuple[HSParams, bool]:
-    """Parse a state file into HSParams plus its normalize flag."""
+def load_state_file(path: str) -> HSParams:
+    """Parse a state file into HSParams; the normalize flag is validated only."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -88,12 +88,11 @@ def load_state_file(path: str) -> tuple[HSParams, bool]:
     else:
         t = np.array(_parse_reals(doc, "t_full", 9)).reshape(3, 3)
         params = HSParams(a, b, t)
-    normalize = doc.get("normalize", False)
-    if not isinstance(normalize, bool):
-        raise StateFileError("field 'normalize' must be a boolean")
     # Pauli-parameterized input always has unit trace; the flag is accepted
     # for interface stability and has no numeric effect.
-    return params, normalize
+    if not isinstance(doc.get("normalize", False), bool):
+        raise StateFileError("field 'normalize' must be a boolean")
+    return params
 
 
 def _floats(values) -> list[float]:
@@ -118,7 +117,7 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    params, _ = load_state_file(args.state_file)
+    params = load_state_file(args.state_file)
     report: dict = {
         "input": {
             "a": _floats(params.a),
@@ -179,7 +178,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    params, _ = load_state_file(args.state_file)
+    params = load_state_file(args.state_file)
     work, _ = reduce_to_diagonal(params)
     classification = classify(work)
     label = _kind_label(classification.kind)

@@ -37,14 +37,6 @@ class BoostLimitError(NoPhysicalBoostError):
     """A required boost parameter reaches the light-speed limit |beta| -> 1."""
 
 
-class UnsupportedDegeneracyError(QubitSepError):
-    """Exactly coincident correlation coefficients make the solver ill-posed."""
-
-
-class RelabelAxesError(QubitSepError):
-    """The leading linear coefficient vanishes; permute axes before solving."""
-
-
 class SolverInconsistencyError(QubitSepError):
     """A solved boost failed its own elimination certificate."""
 

@@ -25,12 +25,11 @@ import numpy as np
 from .boost import BETA_LIMIT, apply_two_sided, boost_general, boost_x
 from .errors import (
     BoostLimitError,
+    ContractViolationError,
     InvalidParameterError,
     InvalidStateError,
     NoPhysicalBoostError,
-    RelabelAxesError,
     SolverInconsistencyError,
-    UnsupportedDegeneracyError,
 )
 from .hs import ZERO_TOL, HSParams
 from .pt import ENTANGLED, SEPARABLE, VERDICT_TOL, Verdict
@@ -127,10 +126,11 @@ def solve_pair_general(
     where the textbook ratio form has a vanishing denominator.
 
     beta_a is named for the term it eliminates, a1, not for the qubit it
-    acts on: eliminate_and_diagonalize applies boost_x(beta_a) as the left
-    factor of R, which acts on qubit B, and boost_x(beta_b) as the right
-    factor, which acts on qubit A (see rmatrix).  On rho, boost_x(beta, k) is
-    the filter F = cosh(eta/2) I - sinh(eta/2) sigma_k, eta = atanh(beta).
+    acts on: solve_normal_form passes boost_x(beta_a) to
+    eliminate_and_diagonalize as the left factor of R, which acts on qubit B,
+    and boost_x(beta_b) as the right factor, which acts on qubit A (see
+    rmatrix).  On rho, boost_x(beta, k) is the filter
+    F = cosh(eta/2) I - sinh(eta/2) sigma_k, eta = atanh(beta).
     """
     for name, val in (("a1", a1), ("b1", b1), ("t1", t1)):
         if not math.isfinite(val):
@@ -364,110 +364,75 @@ def _identity_polish(a, tdiag, beta1: float) -> float:
     return best
 
 
-def _symmetric_betas(a, tdiag, beta_limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """Case b): one symmetric boost's velocity 3-vector, and the coefficients
-    of the polynomial in beta_1 it solves: the cubic if a[2] == 0, else the quartic.
+def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarray, float]:
+    """Case b): the velocity 3-vector of the one symmetric boost that removes
+    the linear terms a = b, and the residual |p(beta_1)| of the polynomial it
+    solves.
 
-    The first physical real root by increasing magnitude is kept: coupled
-    velocities well defined, beta^2 below the light-speed limit, fundamental
-    identity satisfied.  The smallest root is the branch continuous with
-    beta -> 0 as the linear terms vanish.
+    Axes with a_i != 0 are solved, the largest |a_i| leading as axis 1: every
+    reduced coefficient divides by a_1, so this keeps the polynomial best
+    behaved.  The fundamental identity becomes a polynomial in beta_1: the
+    quadratic a_1 beta^2 - (1 + t_1) beta + a_1 for one nonzero component,
+    the cubic (built from t = t2 - t1, T = 1 + t1) for two and the quartic
+    (t, t' = t3 - t1, T) for three; a zero vector gives zero velocities.  Of
+    its real roots by increasing magnitude the first physical one is kept:
+    coupled velocities well defined, beta^2 below the light-speed limit,
+    fundamental identity satisfied.  The smallest root is the branch
+    continuous with beta -> 0 as the linear terms vanish.  The velocities come
+    back in the caller's axis order.
+
+    Precondition: the t values of the nonzero axes are pairwise distinct.  An
+    exact tie makes the reduction ill-posed and raises ContractViolationError;
+    solve_normal_form rotates ties away first.
     """
-    if a[2] == 0.0:
-        if a[0] == 0.0:
-            raise RelabelAxesError("a1 vanishes while a2 does not; relabel axes first")
-        if tdiag[1] == tdiag[0]:
-            raise UnsupportedDegeneracyError(
-                "t2 equals t1 exactly; the cubic reduction is ill-posed"
-            )
-        coeffs = _cubic_coefficients(a[0], a[1], tdiag)
+    av = np.asarray(a, dtype=float).reshape(3)
+    tv = np.asarray(tdiag, dtype=float).reshape(3)
+    if not (np.isfinite(av).all() and np.isfinite(tv).all()):
+        raise InvalidParameterError("a and tdiag must be finite")
+    n = int(np.count_nonzero(av))
+    if n == 0:
+        return np.zeros(3), 0.0
+    order = sorted(range(3), key=lambda i: (av[i] == 0.0, -abs(av[i])))
+    wa, wt = av[order], tv[order]
+    if len(set(wt[:n].tolist())) < n:
+        raise ContractViolationError("t ties exactly on two nonzero axes")
+    if n == 1:
+        coeffs = np.array([1.0, -(1.0 + wt[0]) / wa[0], 1.0])
+    elif n == 2:
+        coeffs = _cubic_coefficients(wa[0], wa[1], wt)
     else:
-        if tdiag[0] == tdiag[1] or tdiag[0] == tdiag[2] or tdiag[1] == tdiag[2]:
-            raise UnsupportedDegeneracyError(
-                "exactly equal correlation values; the quartic reduction is ill-posed"
-            )
-        coeffs = _quartic_coefficients(a, tdiag)
+        coeffs = _quartic_coefficients(wa, wt)
     for beta1 in sorted(real_roots(coeffs), key=abs):
         if beta1 == 0.0:
             continue
-        refined = _identity_polish(a, tdiag, float(beta1))
-        betas = _coupled_betas(a, tdiag, refined)
+        refined = _identity_polish(wa, wt, float(beta1))
+        betas = _coupled_betas(wa, wt, refined)
         if betas is None:
             continue
         if float(betas @ betas) >= 1.0 - beta_limit:
             continue
-        if _fundamental_residual(a, tdiag, betas) > _FUNDAMENTAL_TOL:
+        if _fundamental_residual(wa, wt, betas) > _FUNDAMENTAL_TOL:
             continue
-        return betas, coeffs
+        out = np.zeros(3)
+        out[order] = betas
+        return out, abs(float(np.polyval(coeffs, betas[0])))
     raise NoPhysicalBoostError(
         "no real root gives a boost with beta^2 < 1 satisfying the "
         "consistency identity"
     )
 
 
-def solve_symmetric_cubic(
-    a1: float, a2: float, tdiag, beta_limit: float = BETA_LIMIT
-) -> tuple[float, float]:
-    """Velocities (beta1, beta2) for a symmetric state with a3 = 0.
+def eliminate_and_diagonalize(r: RMatrix, left, right) -> tuple[SigmaForm, float]:
+    """Apply two Lorentz factors to R, certify the elimination, read off Sigma.
 
-    Eliminating beta2 through the coupling relation turns the fundamental
-    identity into a cubic in beta1 with coefficients built from
-    t = t2 - t1 and T = 1 + t1.  Requires a1 != 0 (relabel axes otherwise)
-    and t2 != t1 exactly.
+    `left` acts on qubit B and `right` on qubit A (left @ R @ right^T, see
+    rmatrix).  The certificate: the boosted linear terms and the asymmetry of
+    the boosted spatial block must both stay below OFFDIAG_TOL, else
+    SolverInconsistencyError.  The corner of the result is s0; the symmetric
+    3x3 block is diagonalized by a rotation and its eigenvalues are ordered
+    by descending magnitude for reproducibility.  Returns Sigma and the
+    largest boosted linear term.
     """
-    if not (math.isfinite(a1) and math.isfinite(a2)):
-        raise InvalidParameterError("a1 and a2 must be finite")
-    if a1 == 0.0 and a2 == 0.0:
-        return 0.0, 0.0
-    betas, _ = _symmetric_betas(
-        np.array([a1, a2, 0.0]), np.asarray(tdiag, dtype=float).reshape(3), beta_limit
-    )
-    return float(betas[0]), float(betas[1])
-
-
-def solve_symmetric_quartic(a, tdiag, beta_limit: float = BETA_LIMIT):
-    """Velocities (beta1, beta2, beta3) for a symmetric state, all pairs active.
-
-    The fundamental identity becomes a quartic in beta1 with coefficients
-    built from t = t2 - t1, t' = t3 - t1 and T = 1 + t1.  Requires every a_i
-    nonzero and pairwise distinct correlation values; exact ties are rejected
-    rather than perturbed.
-    """
-    av = np.asarray(a, dtype=float).reshape(3)
-    if not np.isfinite(av).all():
-        raise InvalidParameterError("a must be finite")
-    if np.any(av == 0.0):
-        raise RelabelAxesError("the quartic path needs all three pairs active")
-    betas, _ = _symmetric_betas(av, np.asarray(tdiag, dtype=float).reshape(3), beta_limit)
-    return float(betas[0]), float(betas[1]), float(betas[2])
-
-
-def eliminate_and_diagonalize(
-    r: RMatrix,
-    betas,
-    axis: int | None = None,
-    polynomial_residual: float = 0.0,
-    beta_limit: float = BETA_LIMIT,
-) -> tuple[SigmaForm, SolveReport]:
-    """Apply solved boosts to R, certify the elimination, read off Sigma.
-
-    With `axis` set, `betas` is the pair (beta_a, beta_b) of boosts in the
-    (0, axis) plane: boost_x(beta_a) is the left factor and acts on qubit B,
-    boost_x(beta_b) is the right factor and acts on qubit A (see rmatrix and
-    solve_pair_general).  With `axis=None` it is one velocity 3-vector whose
-    symmetric boost acts on both sides.  Every boost is checked against
-    `beta_limit`.  The corner of the raw result is s0; the
-    residual symmetric 3x3 block is diagonalized by a rotation and its
-    eigenvalues are ordered by descending magnitude for reproducibility.
-    """
-    if axis is None:
-        left = right = boost_general(betas, beta_limit)
-        boost_kind = "symmetric"
-    else:
-        beta_a, beta_b = betas
-        left = boost_x(beta_a, axis, beta_limit)
-        right = boost_x(beta_b, axis, beta_limit)
-        boost_kind = "pair"
     raw = apply_two_sided(r, left, right).raw
     offdiag = float(max(np.abs(raw[0, 1:]).max(), np.abs(raw[1:, 0]).max()))
     if offdiag >= OFFDIAG_TOL:
@@ -480,17 +445,7 @@ def eliminate_and_diagonalize(
         raise SolverInconsistencyError("transformed spatial block is not symmetric")
     eig = np.linalg.eigvalsh(sym)
     order = np.argsort(-np.abs(eig), kind="stable")
-    sigma = SigmaForm(float(raw[0, 0]), eig[order])
-    report = SolveReport(
-        classification=Classification(GENERIC),
-        boost_kind=boost_kind,
-        betas=tuple(float(x) for x in np.ravel(betas)),
-        axis=axis,
-        polynomial_residual=float(polynomial_residual),
-        offdiag_residual=offdiag,
-        sigma=sigma,
-    )
-    return sigma, report
+    return SigmaForm(float(raw[0, 0]), eig[order]), offdiag
 
 
 def separability_verdict(sigma: SigmaForm, tol: float = VERDICT_TOL) -> Verdict:
@@ -658,45 +613,35 @@ def solve_normal_form(
 
 def _solve_active(params: HSParams, tdiag, active, beta_limit: float) -> SolveReport:
     """The boost solve for a non-structural state whose active axes are
-    `active`: none, one linear pair, or the symmetric case b)."""
+    `active`: one linear pair, else one symmetric boost, the paper's case b)
+    (zero velocity when no axis is active)."""
     a, b = params.a, params.b
-    n_active = int(active.sum())
     r = r_from_hs(params)
     try:
-        if n_active == 0:
-            _, report = eliminate_and_diagonalize(
-                r, np.zeros(3), beta_limit=beta_limit
-            )
-            return report
-        if n_active == 1:
+        if int(active.sum()) == 1:
             k = int(np.flatnonzero(active)[0])
-            beta_a, beta_b = solve_pair_general(a[k], b[k], tdiag[k], beta_limit)
-            poly = _pair_residual(a[k], b[k], tdiag[k], beta_a, beta_b)
-            _, report = eliminate_and_diagonalize(
-                r, (beta_a, beta_b), k + 1, poly, beta_limit=beta_limit
-            )
-            return report
-        # Case b): a symmetric boost, its velocity from one polynomial in
-        # beta_1.  Active axes go first, the largest |a_i| leading: every
-        # reduced coefficient divides by a_1, so this keeps the polynomial
-        # best behaved.  An inactive axis may still carry a nonzero |a_i|.
-        # With two active axes the third, set to zero, selects the cubic.
-        order = sorted(range(3), key=lambda i: (not active[i], -abs(a[i])))
-        wa = np.where(active[order], a[order], 0.0)
-        betas, coeffs = _symmetric_betas(wa, tdiag[order], beta_limit)
-        beta = np.zeros(3)
-        beta[order] = betas
-        poly = abs(float(np.polyval(coeffs, betas[0])))
-        _, report = eliminate_and_diagonalize(
-            r, beta, polynomial_residual=poly, beta_limit=beta_limit
-        )
-        return report
+            betas = solve_pair_general(a[k], b[k], tdiag[k], beta_limit)
+            poly = _pair_residual(a[k], b[k], tdiag[k], *betas)
+            left = boost_x(betas[0], k + 1, beta_limit)
+            right = boost_x(betas[1], k + 1, beta_limit)
+            boost_kind, axis = "pair", k + 1
+        else:
+            # an inactive axis may still carry a nonzero |a_i|
+            betas, poly = solve_symmetric(np.where(active, a, 0.0), tdiag, beta_limit)
+            left = right = boost_general(betas, beta_limit)
+            boost_kind, axis = "symmetric", None
+        sigma, offdiag = eliminate_and_diagonalize(r, left, right)
     except NoPhysicalBoostError as exc:
         return _no_boost_report(Classification(NO_PHYSICAL_BOOST, str(exc)))
-    except (UnsupportedDegeneracyError, RelabelAxesError) as exc:
-        return _no_boost_report(
-            Classification(NO_PHYSICAL_BOOST, f"solver not applicable: {exc}")
-        )
+    return SolveReport(
+        classification=Classification(GENERIC),
+        boost_kind=boost_kind,
+        betas=tuple(float(x) for x in betas),
+        axis=axis,
+        polynomial_residual=float(poly),
+        offdiag_residual=offdiag,
+        sigma=sigma,
+    )
 
 
 def classify(params: HSParams, beta_limit: float = BETA_LIMIT) -> Classification:

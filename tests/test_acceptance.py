@@ -41,8 +41,7 @@ from qubitsep import (
     solve_normal_form,
     solve_pair_general,
     solve_pair_symmetric,
-    solve_symmetric_cubic,
-    solve_symmetric_quartic,
+    solve_symmetric,
     tdiag_via_local_rotations,
 )
 from qubitsep.normal_form import (
@@ -125,7 +124,9 @@ def test_criterion_4_one_sided_pair():
         sig = sigma_pair_b1zero(0.2, [0.3, 0.3, 0.3])
         # brute-force substitution oracle: boost R on both sides, renormalize
         p = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0.3, 0.3, 0.3])
-        oracle_sig, _ = eliminate_and_diagonalize(r_from_hs(p), (beta_a, beta_b), axis=1)
+        oracle_sig, _ = eliminate_and_diagonalize(
+            r_from_hs(p), boost_x(beta_a), boost_x(beta_b)
+        )
         assert abs(sig.tprime_sum - oracle_sig.tprime_sum) < 1e-4
         assert abs(sig.tprime_sum - 0.92756) < 1e-4
         lorentz = separability_verdict(sig)
@@ -146,7 +147,7 @@ def test_criterion_5_cubic_example():
         tdiag = np.array([0.3, -0.2, 0.4])
         coeffs = _cubic_coefficients(0.1, 0.15, tdiag)
         assert np.abs(coeffs - np.array([1.0, -13.65, 3.6, -0.2])).max() < 1e-12
-        b1, b2 = solve_symmetric_cubic(0.1, 0.15, tdiag)
+        (b1, b2, _), _ = solve_symmetric([0.1, 0.15, 0.0], tdiag)
         assert abs(b1 - 0.0792) < 5e-5
         assert abs(b2 - 0.1967) < 5e-5
         p = HSParams.diagonal([0.1, 0.15, 0], [0.1, 0.15, 0], tdiag)
@@ -161,8 +162,8 @@ def test_criterion_5_cubic_example():
             ]
         )
         assert np.abs(q_raw - q_expected).max() < 5e-4
-        sig, report = eliminate_and_diagonalize(r_from_hs(p), [b1, b2, 0.0])
-        assert report.offdiag_residual < 1e-9
+        sig, offdiag = eliminate_and_diagonalize(r_from_hs(p), boost, boost)
+        assert offdiag < 1e-9
         ratios = np.array([0.303945, -0.238396, 0.415552])
         order = np.argsort(-np.abs(ratios), kind="stable")
         assert np.abs(sig.tprime - ratios[order]).max() < 1e-3
@@ -178,14 +179,14 @@ def test_criterion_6_quartic_example():
     def body():
         tdiag = np.array([0.3, -0.2, 0.2])
         a = np.array([0.1, 0.15, 0.2])
-        b1, b2, b3 = solve_symmetric_quartic(a, tdiag)
+        (b1, b2, b3), _ = solve_symmetric(a, tdiag)
         assert abs(b1 - 0.0816) < 2e-3
         assert abs(b2 - 0.2068) < 2e-3
         assert abs(b3 - 0.1777) < 2e-3
         p = HSParams.diagonal(a, a, tdiag)
         boost = boost_general([b1, b2, b3])
-        sig, report = eliminate_and_diagonalize(r_from_hs(p), [b1, b2, b3])
-        assert report.offdiag_residual < 1e-9
+        sig, offdiag = eliminate_and_diagonalize(r_from_hs(p), boost, boost)
+        assert offdiag < 1e-9
         q_raw = boost @ r_from_hs(p).raw @ boost.T
         q_expected = np.array(
             [

@@ -215,7 +215,7 @@ def test_analyze_full_t_input(tmp_path, capsys):
     for path in (product, symmetric, *sampled):
         _, out, _ = run(capsys, "analyze", path)
         doc = json.loads(out)
-        rec = cross_validate(load_state_file(path)[0])
+        rec = cross_validate(load_state_file(path))
         assert doc["ppt_verdict"]["witness"] == rec.ppt.witness
         assert doc["pt_eigenvalues_4l"] == list(rec.pt_spectrum.four_lambda)
         assert doc["classification"]["detail"] == rec.classification.detail

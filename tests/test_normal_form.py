@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,14 @@ from qubitsep import (
     ENTANGLED,
     SEPARABLE,
     BoostLimitError,
+    ContractViolationError,
     HSParams,
+    InvalidParameterError,
     InvalidStateError,
     NoPhysicalBoostError,
-    RelabelAxesError,
     SampleSpec,
     SigmaForm,
-    UnsupportedDegeneracyError,
+    SolverInconsistencyError,
     UnsupportedFormError,
     boost_general,
     boost_x,
@@ -28,8 +31,7 @@ from qubitsep import (
     solve_normal_form,
     solve_pair_general,
     solve_pair_symmetric,
-    solve_symmetric_cubic,
-    solve_symmetric_quartic,
+    solve_symmetric,
 )
 from qubitsep.normal_form import (
     GENERIC,
@@ -220,11 +222,11 @@ def test_sigma_pair_b1zero_matches_brute_force_substitution():
     # independent route: apply the axis boosts to R and renormalize
     ba, bb = solve_pair_general(0.2, 0.0, 0.3)
     p = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0.3, 0.3, 0.3])
-    sig, report = eliminate_and_diagonalize(r_from_hs(p), (ba, bb), axis=1)
+    sig, offdiag = eliminate_and_diagonalize(r_from_hs(p), boost_x(ba), boost_x(bb))
     closed = sigma_pair_b1zero(0.2, [0.3, 0.3, 0.3])
     assert abs(sig.tprime_sum - closed.tprime_sum) < 1e-12
     assert abs(sig.s0 - closed.s0) < 1e-12
-    assert report.offdiag_residual < 1e-12
+    assert offdiag < 1e-12
 
 
 def test_sigma_pair_b1zero_trivial_cases():
@@ -246,7 +248,8 @@ def test_cubic_coefficients_and_betas(cubic_state):
 
     coeffs = _cubic_coefficients(0.1, 0.15, np.array([0.3, -0.2, 0.4]))
     assert np.abs(coeffs - np.array([1.0, -13.65, 3.6, -0.2])).max() < 1e-12
-    b1, b2 = solve_symmetric_cubic(0.1, 0.15, [0.3, -0.2, 0.4])
+    (b1, b2, b3), _ = solve_symmetric([0.1, 0.15, 0.0], [0.3, -0.2, 0.4])
+    assert b3 == 0.0
     assert abs(b1 - BETA1_CUBIC) < 1e-12
     assert abs(b2 - BETA2_CUBIC) < 1e-12
     assert abs(b1 - 0.0792) < 5e-5
@@ -255,11 +258,20 @@ def test_cubic_coefficients_and_betas(cubic_state):
 
 
 def test_cubic_trivial_and_errors():
-    assert solve_symmetric_cubic(0.0, 0.0, [0.3, -0.2, 0.4]) == (0.0, 0.0)
-    with pytest.raises(RelabelAxesError):
-        solve_symmetric_cubic(0.0, 0.15, [0.3, -0.2, 0.4])
-    with pytest.raises(UnsupportedDegeneracyError):
-        solve_symmetric_cubic(0.1, 0.15, [0.3, 0.3, 0.4])
+    betas, residual = solve_symmetric(np.zeros(3), [0.3, -0.2, 0.4])
+    assert betas.tolist() == [0.0, 0.0, 0.0] and residual == 0.0
+    # a vanishing first component is relabelled, not rejected
+    betas, residual = solve_symmetric([0.0, 0.15, 0.1], [0.3, -0.2, 0.4])
+    assert betas[0] == 0.0 and betas[1] != 0.0 and betas[2] != 0.0
+    assert residual < 1e-12
+    lhs = (0.15 - betas[1] * -0.2) / betas[1]
+    assert abs(lhs - (1.0 - 0.15 * betas[1] - 0.1 * betas[2])) < 1e-10
+    # an exact tie on two nonzero axes is a precondition violation
+    with pytest.raises(ContractViolationError):
+        solve_symmetric([0.1, 0.15, 0.0], [0.3, 0.3, 0.4])
+    # a tie with a zero axis is not
+    betas, _ = solve_symmetric([0.1, 0.15, 0.0], [0.3, -0.2, 0.3])
+    assert betas[2] == 0.0 and betas[0] != 0.0
 
 
 def test_cubic_ratio_identity():
@@ -271,7 +283,7 @@ def test_cubic_ratio_identity():
         if abs(a1) < 1e-3 or abs(tdiag[1] - tdiag[0]) < 1e-3:
             continue
         try:
-            b1, b2 = solve_symmetric_cubic(a1, a2, tdiag)
+            (b1, b2, _), _ = solve_symmetric([a1, a2, 0.0], tdiag)
         except NoPhysicalBoostError:
             continue
         if abs(b1) < 1e-12 or abs(b2) < 1e-12:
@@ -290,7 +302,7 @@ def test_quartic_coefficients_and_betas(quartic_state):
         np.array([0.1, 0.15, 0.2]), np.array([0.3, -0.2, 0.2])
     )
     assert np.abs(coeffs - np.array([1.0, -18.65, 18.05, -3.8, 0.2])).max() < 1e-12
-    betas = solve_symmetric_quartic([0.1, 0.15, 0.2], [0.3, -0.2, 0.2])
+    betas, _ = solve_symmetric([0.1, 0.15, 0.2], [0.3, -0.2, 0.2])
     for got, frozen, printed in zip(betas, BETAS_QUARTIC, (0.0816, 0.2068, 0.1777)):
         assert abs(got - frozen) < 1e-12
         assert abs(got - printed) < 2e-3
@@ -300,7 +312,7 @@ def test_quartic_coefficients_and_betas(quartic_state):
 def test_quartic_fundamental_identity():
     a = np.array([0.1, 0.15, 0.2])
     t = np.array([0.3, -0.2, 0.2])
-    betas = np.array(solve_symmetric_quartic(a, t))
+    betas, _ = solve_symmetric(a, t)
     lhs = (a[0] - betas[0] * t[0]) / betas[0]
     rhs = 1.0 - float(a @ betas)
     assert abs(lhs - rhs) < 1e-10
@@ -308,7 +320,7 @@ def test_quartic_fundamental_identity():
 
 def test_quartic_continuity_to_zero():
     for eps in (1e-2, 1e-3, 1e-4):
-        betas = solve_symmetric_quartic([eps, eps, eps], [0.3, -0.2, 0.2])
+        betas, _ = solve_symmetric([eps, eps, eps], [0.3, -0.2, 0.2])
         assert np.abs(betas).max() < 5 * eps
 
 
@@ -322,23 +334,75 @@ def test_identity_polish_underflowing_derivative_keeps_seed():
 
 
 def test_quartic_errors():
-    with pytest.raises(RelabelAxesError):
-        solve_symmetric_quartic([0.1, 0.0, 0.2], [0.3, -0.2, 0.2])
-    with pytest.raises(UnsupportedDegeneracyError):
-        solve_symmetric_quartic([0.1, 0.15, 0.2], [0.3, -0.2, -0.2])
+    for tdiag in ([0.3, -0.2, -0.2], [0.3, 0.3, 0.2], [0.2, -0.2, 0.2]):
+        with pytest.raises(ContractViolationError):
+            solve_symmetric([0.1, 0.15, 0.2], tdiag)
+    with pytest.raises(InvalidParameterError):
+        solve_symmetric([0.1, np.nan, 0.2], [0.3, -0.2, 0.2])
+    with pytest.raises(InvalidParameterError):
+        solve_symmetric([0.1, 0.15, 0.2], [0.3, -0.2, np.inf])
+
+
+def test_symmetric_solve_is_permutation_covariant():
+    # the solver orders the axes itself, so relabelling the input relabels
+    # the output bit for bit whenever the |a_i| are distinct
+    rng = np.random.default_rng(83)
+    solved = 0
+    for trial in range(300):
+        a = rng.uniform(-0.5, 0.5, 3)
+        if trial % 3 == 0:
+            a[rng.integers(3)] = 0.0
+        t = rng.uniform(-0.9, 0.9, 3)
+        try:
+            betas, residual = solve_symmetric(a, t)
+        except NoPhysicalBoostError:
+            continue
+        solved += 1
+        for perm in map(list, itertools.permutations(range(3))):
+            got, got_residual = solve_symmetric(a[perm], t[perm])
+            assert got.tobytes() == betas[perm].tobytes()
+            assert got_residual == residual
+    assert solved > 100
+
+
+def test_single_component_solves_as_the_symmetric_pair():
+    for axis in range(3):
+        a = np.zeros(3)
+        a[axis] = 0.64
+        betas, residual = solve_symmetric(a, [0.3, 0.3, 0.3])
+        assert abs(betas[axis] - BETA_SYM_064) < 1e-12
+        assert np.delete(betas, axis).tolist() == [0.0, 0.0]
+        assert residual < 1e-12
 
 
 def test_eliminate_identity_case():
     p = HSParams.diagonal([0, 0, 0], [0, 0, 0], [0.2, -0.5, 0.3])
-    sig, report = eliminate_and_diagonalize(r_from_hs(p), np.zeros(3))
+    sig, offdiag = eliminate_and_diagonalize(r_from_hs(p), np.eye(4), np.eye(4))
     assert sig.s0 == 1.0
     assert np.allclose(sig.s, [-0.5, 0.3, 0.2], atol=1e-15)  # descending |s|
-    assert report.offdiag_residual == 0.0
+    assert offdiag == 0.0
+
+
+def test_certificate_rejects_linear_terms_left_in_place(cubic_state):
+    with pytest.raises(SolverInconsistencyError, match="linear terms"):
+        eliminate_and_diagonalize(r_from_hs(cubic_state), np.eye(4), np.eye(4))
+
+
+def test_certificate_rejects_an_asymmetric_spatial_block():
+    # a rotation on one side only keeps the zero linear terms but turns the
+    # distinct diagonal correlations into an asymmetric block
+    p = HSParams.diagonal([0, 0, 0], [0, 0, 0], [0.2, -0.5, 0.3])
+    c, s = np.cos(0.3), np.sin(0.3)
+    rotation = np.eye(4)
+    rotation[1:3, 1:3] = [[c, -s], [s, c]]
+    with pytest.raises(SolverInconsistencyError, match="not symmetric"):
+        eliminate_and_diagonalize(r_from_hs(p), np.eye(4), rotation)
 
 
 def test_eliminate_reference_cubic(cubic_state):
-    b1, b2 = solve_symmetric_cubic(0.1, 0.15, [0.3, -0.2, 0.4])
-    sig, report = eliminate_and_diagonalize(r_from_hs(cubic_state), [b1, b2, 0.0])
+    (b1, b2, _), _ = solve_symmetric([0.1, 0.15, 0.0], [0.3, -0.2, 0.4])
+    boost = boost_general([b1, b2, 0.0])
+    sig, offdiag = eliminate_and_diagonalize(r_from_hs(cubic_state), boost, boost)
     q_expected = np.array(
         [
             [0.96257, 0, 0, 0],
@@ -347,10 +411,9 @@ def test_eliminate_reference_cubic(cubic_state):
             [0, 0, 0, 0.4],
         ]
     )
-    boost = boost_general([b1, b2, 0.0])
     q_raw = boost @ r_from_hs(cubic_state).raw @ boost.T
     assert np.abs(q_raw - q_expected).max() < 5e-4
-    assert report.offdiag_residual < 1e-12
+    assert offdiag < 1e-12
     assert abs(sig.s0 - 0.96257) < 5e-5
     expected_ratios = np.array([0.415552, 0.303945, -0.238396])  # descending |s|
     assert np.abs(sig.tprime - expected_ratios).max() < 1e-3
@@ -358,7 +421,7 @@ def test_eliminate_reference_cubic(cubic_state):
 
 
 def test_eliminate_reference_quartic(quartic_state):
-    betas = solve_symmetric_quartic([0.1, 0.15, 0.2], [0.3, -0.2, 0.2])
+    betas, _ = solve_symmetric([0.1, 0.15, 0.2], [0.3, -0.2, 0.2])
     boost = boost_general(betas)
     q_expected = np.array(
         [
@@ -370,8 +433,8 @@ def test_eliminate_reference_quartic(quartic_state):
     )
     q_raw = boost @ r_from_hs(quartic_state).raw @ boost.T
     assert np.abs(q_raw - q_expected).max() < 5e-3
-    sig, report = eliminate_and_diagonalize(r_from_hs(quartic_state), betas)
-    assert report.offdiag_residual < 1e-9
+    sig, offdiag = eliminate_and_diagonalize(r_from_hs(quartic_state), boost, boost)
+    assert offdiag < 1e-9
     assert abs(sig.s0 - 0.9257) < 5e-3
     assert np.abs(sig.s - np.array([0.2943, -0.2344, 0.1653])).max() < 5e-3
     assert sig.tprime_sum < 1.0

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import types
 
 import numpy as np
 import pytest
@@ -198,6 +199,32 @@ def test_mds_normal_form_sum_is_plain_correlation_sum():
         assert abs(
             rec.report.sigma.tprime_sum - np.abs(np.diag(p.t)).sum()
         ) < 1e-12
+
+
+def test_batch_stats_counts_every_outcome(monkeypatch):
+    # one record per outcome: generic agree, boundary, disagree, non-generic
+    def record(generic, agree, residual):
+        return types.SimpleNamespace(
+            classification=types.SimpleNamespace(is_generic=generic),
+            report=types.SimpleNamespace(offdiag_residual=residual),
+            agree=agree,
+        )
+
+    records = iter(
+        [
+            record(True, True, 2e-13),
+            record(True, None, 4e-13),
+            record(True, False, 9e-13),
+            record(False, None, float("nan")),
+        ]
+    )
+    monkeypatch.setattr(sampling, "cross_validate", lambda params: next(records))
+    report = batch_stats(SampleSpec(family="mds", count=4, seed=0))
+    assert (report.total, report.generic_count, report.nongeneric_count) == (4, 3, 1)
+    # a boundary sample counts as agreement and as boundary
+    assert (report.agree_count, report.disagree_count, report.boundary_count) == (2, 1, 1)
+    assert report.mean_offdiag_residual == float(np.mean([2e-13, 4e-13, 9e-13]))
+    assert report.max_offdiag_residual == 9e-13
 
 
 def test_batch_stats_single_sample():
