@@ -11,8 +11,6 @@ import numpy as np
 from qubitsep import (
     HSParams,
     cross_validate,
-    eigenvalues_hermitian,
-    rho_from_hs,
     solve_pair_general,
     solve_pair_symmetric,
     solve_symmetric,
@@ -24,9 +22,8 @@ np.set_printoptions(precision=6, suppress=True)
 def show(title: str, params: HSParams) -> None:
     print(f"\n=== {title} ===")
     print(f"a = {params.a}  b = {params.b}  t = {np.diag(params.t)}")
-    spectrum = eigenvalues_hermitian(rho_from_hs(params))
-    print(f"4*lambda          : {spectrum.four_lambda}")
     rec = cross_validate(params)
+    print(f"4*lambda          : {rec.spectrum.four_lambda}")
     print(f"ppt verdict       : {rec.ppt.kind}  (witness {rec.ppt.witness:+.6f})")
     print(f"classification    : {rec.classification.kind}")
     if rec.classification.is_generic:

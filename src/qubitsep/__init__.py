@@ -16,7 +16,6 @@ from .boost import (
 from .errors import (
     BoostLimitError,
     ContractViolationError,
-    DegenerateTransformationError,
     InvalidParameterError,
     InvalidStateError,
     NoPhysicalBoostError,
@@ -63,7 +62,7 @@ from .pt import (
     ptu,
     spectra,
 )
-from .rmatrix import RMatrix, is_symmetric_r, r_from_hs, r_from_rho, rho_from_r
+from .rmatrix import is_symmetric_r, r_from_hs, r_from_rho, rho_from_r
 from .roots import real_roots
 from .sampling import (
     FAMILIES,

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import BoostLimitError, InvalidParameterError
-from .rmatrix import RMatrix
+from .rmatrix import _as_r
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -49,9 +49,9 @@ def boost_general(beta, beta_limit: float = BETA_LIMIT) -> np.ndarray:
     if not np.isfinite(v).all():
         raise InvalidParameterError("beta must be finite")
     beta_sq = float(v @ v)
-    if beta_sq >= 1.0 - beta_limit:
+    if beta_sq >= (1.0 - beta_limit) ** 2:
         raise BoostLimitError(
-            f"beta^2 = {beta_sq:.12g} reaches the light-speed limit",
+            f"|beta| = {math.sqrt(beta_sq):.12g} reaches the light-speed limit",
             beta=math.sqrt(beta_sq),
         )
     g = _gamma(beta_sq)
@@ -64,19 +64,12 @@ def boost_general(beta, beta_limit: float = BETA_LIMIT) -> np.ndarray:
     return m
 
 
-def apply_two_sided(r: RMatrix, left, right) -> RMatrix:
-    """Return left @ R @ right^T, renormalized with the raw corner recorded.
+def apply_two_sided(r, left, right) -> np.ndarray:
+    """Return left @ R @ right^T.
 
     The left factor acts on qubit B and the right factor on qubit A, since
     R's rows index qubit B and its columns qubit A (see rmatrix).  The right
     factor is transposed internally so callers always pass plain boost
     matrices regardless of which side they act on.
     """
-    lm = np.asarray(left, dtype=float)
-    rm = np.asarray(right, dtype=float)
-    if lm.shape != (4, 4) or rm.shape != (4, 4):
-        raise InvalidParameterError("boost factors must be 4x4")
-    if not (np.isfinite(lm).all() and np.isfinite(rm).all()):
-        raise InvalidParameterError("boost factors must be finite")
-    # RMatrix raises DegenerateTransformationError on a corner <= 0
-    return RMatrix(lm @ r.raw @ rm.T)
+    return _as_r(left, "boost factor") @ _as_r(r) @ _as_r(right, "boost factor").T

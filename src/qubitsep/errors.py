@@ -41,9 +41,5 @@ class SolverInconsistencyError(QubitSepError):
     """A solved boost failed its own elimination certificate."""
 
 
-class DegenerateTransformationError(QubitSepError):
-    """A two-sided transformation produced a non-positive leading entry."""
-
-
 class SamplingExhaustedError(QubitSepError):
     """Rejection sampling failed to produce a valid state within the attempt bound."""

@@ -43,7 +43,7 @@ _OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 
 
 def _as_real_vector(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(3)
+    v = np.array(x, dtype=float).reshape(3)
     if not np.isfinite(v).all():
         raise InvalidParameterError(f"{name} must be a finite real 3-vector")
     return v
@@ -55,7 +55,7 @@ class HSParams:
 
     Only finiteness is enforced; the parameters need not describe a positive
     matrix, since partial-transpose images and mid-transformation values are
-    carried by the same type.
+    carried by the same type.  The arrays are frozen copies of the inputs.
     """
 
     a: np.ndarray
@@ -65,7 +65,7 @@ class HSParams:
     def __post_init__(self):
         a = _as_real_vector(self.a, "a")
         b = _as_real_vector(self.b, "b")
-        t = np.asarray(self.t, dtype=float)
+        t = np.array(self.t, dtype=float)
         if t.shape != (3, 3):
             raise InvalidParameterError("t must be a real 3x3 matrix")
         if not np.isfinite(t).all():

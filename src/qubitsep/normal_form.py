@@ -33,7 +33,7 @@ from .errors import (
 )
 from .hs import ZERO_TOL, HSParams
 from .pt import ENTANGLED, SEPARABLE, VERDICT_TOL, Verdict
-from .rmatrix import RMatrix, r_from_hs
+from .rmatrix import r_from_hs
 from .roots import real_roots
 
 GENERIC = "generic"
@@ -376,7 +376,7 @@ def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarra
     the cubic (built from t = t2 - t1, T = 1 + t1) for two and the quartic
     (t, t' = t3 - t1, T) for three; a zero vector gives zero velocities.  Of
     its real roots by increasing magnitude the first physical one is kept:
-    coupled velocities well defined, beta^2 below the light-speed limit,
+    coupled velocities well defined, |beta| below the light-speed limit,
     fundamental identity satisfied.  The smallest root is the branch
     continuous with beta -> 0 as the linear terms vanish.  The velocities come
     back in the caller's axis order.
@@ -409,7 +409,7 @@ def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarra
         betas = _coupled_betas(wa, wt, refined)
         if betas is None:
             continue
-        if float(betas @ betas) >= 1.0 - beta_limit:
+        if float(betas @ betas) >= (1.0 - beta_limit) ** 2:
             continue
         if _fundamental_residual(wa, wt, betas) > _FUNDAMENTAL_TOL:
             continue
@@ -422,30 +422,30 @@ def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarra
     )
 
 
-def eliminate_and_diagonalize(r: RMatrix, left, right) -> tuple[SigmaForm, float]:
+def eliminate_and_diagonalize(r, left, right) -> tuple[SigmaForm, float]:
     """Apply two Lorentz factors to R, certify the elimination, read off Sigma.
 
     `left` acts on qubit B and `right` on qubit A (left @ R @ right^T, see
     rmatrix).  The certificate: the boosted linear terms and the asymmetry of
     the boosted spatial block must both stay below OFFDIAG_TOL, else
-    SolverInconsistencyError.  The corner of the result is s0; the symmetric
-    3x3 block is diagonalized by a rotation and its eigenvalues are ordered
-    by descending magnitude for reproducibility.  Returns Sigma and the
-    largest boosted linear term.
+    SolverInconsistencyError, and the corner s0 must be positive (SigmaForm).
+    The symmetric 3x3 block is diagonalized by a rotation and its eigenvalues
+    are ordered by descending magnitude for reproducibility.  Returns Sigma and
+    the largest boosted linear term.
     """
-    raw = apply_two_sided(r, left, right).raw
-    offdiag = float(max(np.abs(raw[0, 1:]).max(), np.abs(raw[1:, 0]).max()))
+    q = apply_two_sided(r, left, right)
+    offdiag = float(max(np.abs(q[0, 1:]).max(), np.abs(q[1:, 0]).max()))
     if offdiag >= OFFDIAG_TOL:
         raise SolverInconsistencyError(
             f"linear terms not eliminated: residual {offdiag:.3g}"
         )
-    block = raw[1:, 1:]
+    block = q[1:, 1:]
     sym = 0.5 * (block + block.T)
     if float(np.abs(block - block.T).max()) >= OFFDIAG_TOL:
         raise SolverInconsistencyError("transformed spatial block is not symmetric")
     eig = np.linalg.eigvalsh(sym)
     order = np.argsort(-np.abs(eig), kind="stable")
-    return SigmaForm(float(raw[0, 0]), eig[order]), offdiag
+    return SigmaForm(float(q[0, 0]), eig[order]), offdiag
 
 
 def separability_verdict(sigma: SigmaForm, tol: float = VERDICT_TOL) -> Verdict:
@@ -616,7 +616,6 @@ def _solve_active(params: HSParams, tdiag, active, beta_limit: float) -> SolveRe
     `active`: one linear pair, else one symmetric boost, the paper's case b)
     (zero velocity when no axis is active)."""
     a, b = params.a, params.b
-    r = r_from_hs(params)
     try:
         if int(active.sum()) == 1:
             k = int(np.flatnonzero(active)[0])
@@ -630,7 +629,7 @@ def _solve_active(params: HSParams, tdiag, active, beta_limit: float) -> SolveRe
             betas, poly = solve_symmetric(np.where(active, a, 0.0), tdiag, beta_limit)
             left = right = boost_general(betas, beta_limit)
             boost_kind, axis = "symmetric", None
-        sigma, offdiag = eliminate_and_diagonalize(r, left, right)
+        sigma, offdiag = eliminate_and_diagonalize(r_from_hs(params), left, right)
     except NoPhysicalBoostError as exc:
         return _no_boost_report(Classification(NO_PHYSICAL_BOOST, str(exc)))
     return SolveReport(

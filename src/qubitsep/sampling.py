@@ -348,7 +348,7 @@ def _sample(spec: SampleSpec, indices: range, max_attempts: int) -> Iterator[HSP
             still = []
             for j, k in enumerate(pending):
                 if hits[j, first[j]]:
-                    found[k] = HSParams.from_grid(grids[j * n + first[j]].copy())
+                    found[k] = HSParams.from_grid(grids[j * n + first[j]])
                 else:
                     still.append(k)
             pending = still

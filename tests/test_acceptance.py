@@ -152,7 +152,7 @@ def test_criterion_5_cubic_example():
         assert abs(b2 - 0.1967) < 5e-5
         p = HSParams.diagonal([0.1, 0.15, 0], [0.1, 0.15, 0], tdiag)
         boost = boost_general([b1, b2, 0.0])
-        q_raw = boost @ r_from_hs(p).raw @ boost.T
+        q = boost @ r_from_hs(p) @ boost.T
         q_expected = np.array(
             [
                 [0.96257, 0, 0, 0],
@@ -161,7 +161,7 @@ def test_criterion_5_cubic_example():
                 [0, 0, 0, 0.4],
             ]
         )
-        assert np.abs(q_raw - q_expected).max() < 5e-4
+        assert np.abs(q - q_expected).max() < 5e-4
         sig, offdiag = eliminate_and_diagonalize(r_from_hs(p), boost, boost)
         assert offdiag < 1e-9
         ratios = np.array([0.303945, -0.238396, 0.415552])
@@ -187,7 +187,7 @@ def test_criterion_6_quartic_example():
         boost = boost_general([b1, b2, b3])
         sig, offdiag = eliminate_and_diagonalize(r_from_hs(p), boost, boost)
         assert offdiag < 1e-9
-        q_raw = boost @ r_from_hs(p).raw @ boost.T
+        q = boost @ r_from_hs(p) @ boost.T
         q_expected = np.array(
             [
                 [0.92527, 0, 0, 0],
@@ -196,7 +196,7 @@ def test_criterion_6_quartic_example():
                 [0, -0.01713, -0.03401, 0.16432],
             ]
         )
-        assert np.abs(q_raw - q_expected).max() < 5e-3
+        assert np.abs(q - q_expected).max() < 5e-3
         assert abs(sig.s0 - 0.9257) < 5e-3
         assert np.abs(sig.s - np.array([0.2943, -0.2344, 0.1653])).max() < 5e-3
         assert np.abs(sig.s).sum() / sig.s0 < 1.0
@@ -319,7 +319,7 @@ def test_criterion_8_property_suite():
             assert np.abs(q.t - p.t).max() < 1e-12
             back = rho_from_r(r_from_rho(rho))
             assert np.abs(back - rho).max() < 1e-12
-            assert np.abs(r_from_hs(p).entries - r_from_rho(rho).entries).max() < 1e-12
+            assert np.abs(r_from_hs(p) - r_from_rho(rho)).max() < 1e-12
 
         # (iv) product mixtures satisfy the necessary correlation-sum bound
         spec = SampleSpec(family="product-mixture", count=1, seed=204)

@@ -6,13 +6,12 @@ from hypothesis.extra.numpy import arrays
 
 from qubitsep import (
     BoostLimitError,
-    DegenerateTransformationError,
     ETA,
-    HSParams,
-    RMatrix,
+    InvalidParameterError,
     apply_two_sided,
     boost_general,
     boost_x,
+    eliminate_and_diagonalize,
     r_from_hs,
 )
 
@@ -123,23 +122,56 @@ def test_boost_general_limit():
         boost_general([0.8, 0.6, 0.01])
 
 
+@pytest.mark.parametrize("limit", [1e-9, 0.1, 0.5])
+def test_boost_general_light_speed_rule_matches_boost_x(limit):
+    edge = 1.0 - limit
+    directions = [(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.6, 0.0, 0.8), (1.0, -2.0, 2.0)]
+    for u in directions:
+        u = np.array(u) / np.linalg.norm(u)
+        for rel in (-1e-2, -1e-6, -1e-9, 1e-9, 1e-6, 1e-2):
+            v = edge * (1.0 + rel) * u
+            speed = float(np.sqrt(v @ v))
+            try:
+                boost_x(speed, 1, limit)
+                axis_raises = False
+            except BoostLimitError:
+                axis_raises = True
+            try:
+                boost_general(v, limit)
+                general_raises = False
+            except BoostLimitError:
+                general_raises = True
+            assert general_raises == axis_raises == (rel > 0), (limit, u, rel)
+    with pytest.raises(BoostLimitError):
+        boost_general([edge, 0.0, 0.0], limit)
+
+
 def test_apply_two_sided_identity(pair64):
     r = r_from_hs(pair64)
-    q = apply_two_sided(r, np.eye(4), np.eye(4))
-    assert np.abs(q.entries - r.entries).max() < 1e-15
-    assert q.scale == r.scale
+    assert np.array_equal(apply_two_sided(r, np.eye(4), np.eye(4)), r)
 
 
-def test_apply_two_sided_records_scale(cubic_state):
+def test_apply_two_sided_is_the_plain_product(cubic_state):
     r = r_from_hs(cubic_state)
     m = boost_general([0.0792032561208348, 0.1967021301502871, 0.0])
     q = apply_two_sided(r, m, m)
-    assert abs(q.scale - 0.96257) < 5e-5
-    assert abs(q.entries[0, 0] - 1.0) < 1e-15
+    assert np.array_equal(q, m @ r @ m.T)
+    assert abs(q[0, 0] - 0.96257) < 5e-5
 
 
-def test_apply_two_sided_degenerate_corner():
-    r = RMatrix(np.array([[1, 0.999, 0, 0], [0.999, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0.0]]))
-    m = boost_x(0.999, 1)
-    with pytest.raises(DegenerateTransformationError):
-        apply_two_sided(r, m, m)
+@pytest.mark.parametrize("side", [0, 1, 2])
+def test_apply_two_sided_rejects_malformed_input(pair64, side):
+    args = [r_from_hs(pair64), np.eye(4), np.eye(4)]
+    for bad in (np.eye(3), np.full((4, 4), np.inf)):
+        args[side] = bad
+        with pytest.raises(InvalidParameterError):
+            apply_two_sided(*args)
+
+
+def test_certificate_rejects_nonpositive_boosted_corner():
+    # a boost whose image of R is diagonal with a negative corner
+    m = boost_x(0.3, 1)
+    inverse = boost_x(-0.3, 1)
+    r = inverse @ np.diag([-0.5, 0.2, 0.1, 0.1]) @ inverse.T
+    with pytest.raises(InvalidParameterError, match="s0"):
+        eliminate_and_diagonalize(r, m, m)

@@ -143,6 +143,21 @@ def test_analyze_beta_limit(tmp_path, capsys):
     assert doc["ppt_verdict"]["kind"] == "separable"
 
 
+def test_analyze_beta_limit_bounds_the_symmetric_boost(tmp_path, capsys):
+    # each component of the symmetric velocity stays below 0.5, its length does not
+    a = [0.24, -0.45, 0]
+    path = write_state(tmp_path, {"a": a, "b": a, "t_diag": [-0.14, 0.3, -0.08]})
+    code, out, _ = run(capsys, "analyze", path)
+    doc = json.loads(out)
+    assert doc["classification"]["kind"] == "Generic"
+    assert np.all(np.abs(doc["betas"]) < 0.5)
+    assert 0.5 <= np.linalg.norm(doc["betas"]) < 0.707
+
+    code, out, _ = run(capsys, "analyze", path, "--beta-limit", "0.5")
+    assert code == 3
+    assert json.loads(out)["classification"]["kind"] == "NoPhysicalBoost"
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     path = write_state(tmp_path, {"a": [0, 0], "b": [0, 0, 0], "t_diag": [0, 0, 0]})
     code, _, err = run(capsys, "analyze", path)
@@ -446,7 +461,7 @@ GOLDEN_COMMANDS = (
 # state, in order, with the state file's directory stripped.  Any change to
 # a report, a label, a detail string or an exit code shows here.
 PINNED_CLI_OUTPUTS = {
-    "pair64": "767678e236c7c9b4a6a409f80e2b2376bdf3ed4075b1888c666803346a9301b5",
+    "pair64": "af52b99360d0524f500d6ad4a4c545488d96fd5cc2dc9f45ef69a721d5d51ff9",
     "one-sided": "616f57db9ec026e764b1d9c1b95b0b2722fcb22c96882446263ae0b42a721074",
     "cubic": "738746018dad316095ea00e3b7a1f5f8a7e12d14dd67c987eda6bc0a98201393",
     "quartic": "1c56a0d15cc13bebc0d1b07de25ddfa7fac1bfc61af2cbde822bb209641c74bc",
@@ -457,7 +472,7 @@ PINNED_CLI_OUTPUTS = {
     "non-symmetric-multi-pair": "34bed36b25704611d541a3ce6062bf396dc7577008a2c5ca141f47fdf70fcb22",
     "cubic-t2-equals-t1": "18ad0e136f1f5ff770a84381a1308e83962b90699c4acc4cf285ac1add979597",
     "quartic-tie": "56cb8596f355852fb09a3f34dedff94804cae7be11b6499614ef41ddea34dcfb",
-    "inactive-axis-order": "60fa44feafcdbf652eada1e85b43ba16963d350380c77c31de85d4e9a6d3af78",
+    "inactive-axis-order": "8db904cb9dcd353e683c04e37afe1ada0a38b37122d73e756b6e318162b499f1",
     "t-full-symmetric": "ab928b743cc893bbb05fd1843758086e671776d7eb69e66d0e3251e5f5fc3580",
     "t-full-product": "a497913aad96e29b2af8b09bee3e6ae4abe3094721d0c05996aba47d32ca87fa",
     "non-psd": "b0af491ce3180a90105317c4e7fe4916f755125460ed7b703253144838dd9200",

@@ -287,3 +287,14 @@ def test_invalid_inputs():
         HSParams(np.zeros(3), np.zeros(3), np.ones((3, 3))).t_diagonal()
     with pytest.raises(ContractViolationError):
         hs_from_rho(np.arange(16, dtype=complex).reshape(4, 4))
+
+
+def test_params_own_their_arrays():
+    a = np.array([0.1, 0.2, 0.3])
+    t = np.zeros((3, 3))
+    p = HSParams(a, a.copy(), t)
+    t[0, 0] = 0.5  # the caller's array stays writable
+    a[0] = 0.9  # and edits to it do not reach the params
+    assert p.a[0] == 0.1 and p.t[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        p.a[0] = 0.0

@@ -146,7 +146,7 @@ def test_pair_betas_act_on_the_named_sides():
                 ("swapped", (_boost_filter(beta_a, axis), _boost_filter(beta_b, axis))),
             ):
                 f = np.kron(f_a, f_b)
-                e = r_from_rho(f @ rho @ f.conj().T).entries
+                e = r_from_rho(f @ rho @ f.conj().T)
                 residue = max(np.abs(e[0, 1:]).max(), np.abs(e[1:, 0]).max())
                 linear[name] = max(linear[name], residue)
     assert linear["named"] < 1e-13
@@ -411,8 +411,8 @@ def test_eliminate_reference_cubic(cubic_state):
             [0, 0, 0, 0.4],
         ]
     )
-    q_raw = boost @ r_from_hs(cubic_state).raw @ boost.T
-    assert np.abs(q_raw - q_expected).max() < 5e-4
+    q = boost @ r_from_hs(cubic_state) @ boost.T
+    assert np.abs(q - q_expected).max() < 5e-4
     assert offdiag < 1e-12
     assert abs(sig.s0 - 0.96257) < 5e-5
     expected_ratios = np.array([0.415552, 0.303945, -0.238396])  # descending |s|
@@ -431,8 +431,8 @@ def test_eliminate_reference_quartic(quartic_state):
             [0, -0.01713, -0.03401, 0.16432],
         ]
     )
-    q_raw = boost @ r_from_hs(quartic_state).raw @ boost.T
-    assert np.abs(q_raw - q_expected).max() < 5e-3
+    q = boost @ r_from_hs(quartic_state) @ boost.T
+    assert np.abs(q - q_expected).max() < 5e-3
     sig, offdiag = eliminate_and_diagonalize(r_from_hs(quartic_state), boost, boost)
     assert offdiag < 1e-9
     assert abs(sig.s0 - 0.9257) < 5e-3

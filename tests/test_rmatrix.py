@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qubitsep import (
-    DegenerateTransformationError,
     HSParams,
-    RMatrix,
+    InvalidParameterError,
     eigenvalues_hermitian,
     is_symmetric_r,
     r_from_hs,
@@ -44,34 +43,32 @@ R_323 = np.array(
 
 
 def test_r_from_hs_trivial():
-    r = r_from_hs(HSParams.zero())
-    assert np.array_equal(r.entries, np.diag([1.0, 0, 0, 0]))
-    assert r.scale == 1.0
+    assert np.array_equal(r_from_hs(HSParams.zero()), np.diag([1.0, 0, 0, 0]))
 
 
 def test_r_from_hs_reference_matrices(cubic_state, quartic_state):
-    assert np.array_equal(r_from_hs(cubic_state).entries, R_319)
-    assert np.array_equal(r_from_hs(quartic_state).entries, R_323)
+    assert np.array_equal(r_from_hs(cubic_state), R_319)
+    assert np.array_equal(r_from_hs(quartic_state), R_323)
 
 
 def test_r_from_rho_identity():
     r = r_from_rho(np.eye(4) / 4)
-    assert np.abs(r.entries - np.diag([1.0, 0, 0, 0])).max() < 1e-14
+    assert np.abs(r - np.diag([1.0, 0, 0, 0])).max() < 1e-14
 
 
 def test_r_from_rho_reference(pair64):
     r = r_from_rho(rho_from_hs(pair64))
-    assert abs(r.entries[0, 2] - 0.64) < 1e-12
-    assert abs(r.entries[2, 0] - 0.64) < 1e-12
-    assert np.allclose(np.diag(r.entries)[1:], [0.3, 0.3, 0.3], atol=1e-12)
+    assert abs(r[0, 2] - 0.64) < 1e-12
+    assert abs(r[2, 0] - 0.64) < 1e-12
+    assert np.allclose(np.diag(r)[1:], [0.3, 0.3, 0.3], atol=1e-12)
 
 
 @given(vec3, vec3, mat33)
 @settings(deadline=None)
 def test_r_composition_identity(a, b, t):
     p = HSParams(a, b, t)
-    direct = r_from_hs(p).entries
-    via_rho = r_from_rho(rho_from_hs(p)).entries
+    direct = r_from_hs(p)
+    via_rho = r_from_rho(rho_from_hs(p))
     assert np.abs(direct - via_rho).max() < 1e-12
 
 
@@ -79,7 +76,7 @@ def test_r_is_the_transposed_coefficient_grid():
     rng = np.random.default_rng(29)
     for _ in range(200):
         p = random_params(rng)
-        assert np.array_equal(r_from_hs(p).entries, coefficient_grid(p.a, p.b, p.t).T)
+        assert np.array_equal(r_from_hs(p), coefficient_grid(p.a, p.b, p.t).T)
 
 
 def _random_sl2c(rng):
@@ -88,7 +85,7 @@ def _random_sl2c(rng):
 
 
 def test_r_covariant_under_local_filters():
-    # F_A (x) F_B sends R to Lambda(F_B) R Lambda(F_A)^T, up to the scale
+    # F_A (x) F_B sends R to exactly Lambda(F_B) R Lambda(F_A)^T
     rng = np.random.default_rng(31)
     for _ in range(200):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -96,10 +93,8 @@ def test_r_covariant_under_local_filters():
         rho /= np.trace(rho).real
         f_a, f_b = _random_sl2c(rng), _random_sl2c(rng)
         f = np.kron(f_a, f_b)
-        filtered = f @ rho @ f.conj().T
-        got = r_from_rho(filtered / np.trace(filtered).real).entries
-        want = lorentz_of_filter(f_b) @ r_from_rho(rho).entries @ lorentz_of_filter(f_a).T
-        want /= want[0, 0]
+        got = r_from_rho(f @ rho @ f.conj().T)
+        want = lorentz_of_filter(f_b) @ r_from_rho(rho) @ lorentz_of_filter(f_a).T
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -124,30 +119,28 @@ def test_realness_residue_bulk():
 
 
 def test_rho_from_r_trivial():
-    assert np.abs(rho_from_r(RMatrix(np.diag([1.0, 0, 0, 0]))) - np.eye(4) / 4).max() < 1e-15
+    assert np.abs(rho_from_r(np.diag([1.0, 0, 0, 0])) - np.eye(4) / 4).max() < 1e-15
+
+
+def test_rho_from_r_keeps_the_trace():
+    assert np.abs(rho_from_r(2.0 * R_319) - 2.0 * rho_from_r(R_319)).max() < 1e-15
 
 
 def test_rho_from_r_reference_is_a_state():
-    rho = rho_from_r(RMatrix(R_319))
+    rho = rho_from_r(R_319)
     assert eigenvalues_hermitian(rho).values[0] >= -1e-12
 
 
 def test_is_symmetric():
-    assert is_symmetric_r(RMatrix(R_319))
-    assert is_symmetric_r(RMatrix(np.diag([1.0, 0.3, -0.2, 0.5])))
+    assert is_symmetric_r(R_319)
+    assert is_symmetric_r(np.diag([1.0, 0.3, -0.2, 0.5]))
     p = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0, 0, 0])
     assert not is_symmetric_r(r_from_hs(p))
 
 
-def test_construction_normalizes_and_records_scale():
-    r = RMatrix(2.0 * R_319)
-    assert abs(r.scale - 2.0) < 1e-15
-    assert np.abs(r.entries - R_319).max() < 1e-15
-    assert np.abs(r.raw - 2.0 * R_319).max() < 1e-15
-
-
-def test_construction_rejects_nonpositive_corner():
-    bad = R_319.copy()
-    bad[0, 0] = -1.0
-    with pytest.raises(DegenerateTransformationError):
-        RMatrix(bad)
+def test_malformed_r_rejected():
+    for bad in (np.eye(3), R_319[:, :3], np.where(R_319 == 0.4, np.nan, R_319)):
+        with pytest.raises(InvalidParameterError):
+            rho_from_r(bad)
+        with pytest.raises(InvalidParameterError):
+            is_symmetric_r(bad)

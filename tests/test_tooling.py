@@ -1,10 +1,12 @@
-"""The benchmark's tracer wraps qubitsep functions by (module, name)."""
+"""The benchmark's tracer and the README's examples name qubitsep's real API."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_traced_names_resolve():
@@ -17,3 +19,10 @@ def test_traced_names_resolve():
         if not hasattr(importlib.import_module(f"qubitsep.{module}"), name)
     ]
     assert missing == []
+
+
+def test_readme_entry_points_import():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
