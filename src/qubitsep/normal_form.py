@@ -8,7 +8,9 @@ the supported families:
 
   * one linear pair (a_k, b_k) on a single axis  -> quadratic,
   * symmetric states (a == b), the paper's case b): one symmetric boost,
-    from a cubic for two pairs and a quartic for three,
+    from the secular equation of a rank-one-modified diagonal matrix, whose
+    cleared form is the Moebius image of the paper's cubic (two pairs) or
+    quartic (three pairs); axes whose t values tie share one pole,
 
 classifies the structurally non-generic states for which the required boost
 degenerates to light speed, and certifies every solve by re-applying the
@@ -18,14 +20,13 @@ boost and checking that the eliminated entries actually vanished.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boost import BETA_LIMIT, apply_two_sided, boost_general, boost_x
 from .errors import (
     BoostLimitError,
-    ContractViolationError,
     InvalidParameterError,
     InvalidStateError,
     NoPhysicalBoostError,
@@ -48,11 +49,12 @@ _STRUCTURAL_TOL = 1e-9
 _PAIR_RESIDUAL_TOL = 1e-12
 # the pair quadratic is degenerate when |c2| <= this * max(|c1|, 1)
 _QUADRATIC_LEAD_TOL = 1e-15
+# a root of the symmetric solve is physical only if |g(mu)| is at most this
 _FUNDAMENTAL_TOL = 1e-10
-# a velocity denominator at or below this (relative to 1, or to |a_1| when
-# larger) counts as zero: the velocity would diverge
+# a velocity denominator (1 - b1 beta_a for the pair, mu + t_j for the
+# symmetric boost) at or below this counts as zero: the velocity would diverge
 _DENOM_TOL = 1e-12
-# Newton steps of _identity_polish on each candidate root
+# Newton steps of _secular_polish on each root of P
 _POLISH_STEPS = 8
 
 
@@ -283,143 +285,103 @@ def _quartic_coefficients(a, tdiag) -> np.ndarray:
     )
 
 
-def _coupled_betas(a, tdiag, beta1: float):
-    """beta_j = a_j beta_1 / (a_1 + beta_1 (t_j - t_1)) for j = 2, 3."""
-    a1 = a[0]
-    betas = [beta1]
-    for j in (1, 2):
-        if a[j] == 0.0:
-            betas.append(0.0)
-            continue
-        den = a1 + beta1 * (tdiag[j] - tdiag[0])
-        if abs(den) <= _DENOM_TOL * max(1.0, abs(a1)):
-            return None
-        betas.append(a[j] * beta1 / den)
-    return np.array(betas)
+def _times_linear(c: list[float], v: float) -> list[float]:
+    """Coefficients of c(mu) (mu + v), highest power first."""
+    return [x + v * y for x, y in zip([*c, 0.0], [0.0, *c])]
 
 
-def _fundamental_residual(a, tdiag, betas) -> float:
-    # (a1 - beta1 t1)/beta1 = 1 - a.beta must hold for a consistent solve.
-    beta1 = betas[0]
-    return abs((a[0] - beta1 * tdiag[0]) / beta1 - (1.0 - float(np.dot(a, betas))))
+def _secular_coefficients(values, weights) -> list[float]:
+    """P(mu) = (mu - 1) prod_v (mu + v) + sum_v w_v prod_{u != v} (mu + u),
+    highest power first: the secular function g times its denominators."""
+    p, q = [1.0, -1.0], [1.0]
+    for v, w in zip(values, weights):
+        p = _times_linear(p, v)
+        for i, c in enumerate(q):
+            p[i + 2] += w * c
+        q = _times_linear(q, v)
+    return p
 
 
-def _identity_polish(a, tdiag, beta1: float) -> float:
-    """Newton-refine a candidate root on the unreduced elimination identity.
+def _secular_polish(values, weights, mu: float) -> float:
+    """Newton steps on g(mu) = mu - 1 + sum_v w_v / (mu + v) from a root of P.
 
-    The polynomial reduction divides by the spreads t_j - t_1, so its roots
-    lose accuracy when correlation values nearly coincide or a_1 is small.
-    The rational identity
-
-        f(b) = a1/b - t1 - 1 + a1 b + a2^2 b/d2 + a3^2 b/d3,
-        d_j = a1 + b (t_j - t1),
-
-    stays well conditioned there; a few Newton steps on it recover the root
-    to machine precision.  The arithmetic runs on Python floats, the same
-    IEEE operations as on numpy scalars.
+    g keeps each pole separate, so it stays well conditioned where P's
+    coefficients lose accuracy (near ties).  The iteration stops at a pole or
+    where a square leaves the float range, keeping the iterate reached.
     """
-    a1, a2, a3 = map(float, a)
-    t1, t2, t3 = map(float, tdiag)
-    dt2 = t2 - t1
-    dt3 = t3 - t1
-
-    def value(x):
-        d2 = a1 + x * dt2
-        d3 = a1 + x * dt3
-        if x == 0.0 or d2 == 0.0 or d3 == 0.0:
-            return None, None
-        f = a1 / x - t1 - 1.0 + a1 * x + a2 * a2 * x / d2 + a3 * a3 * x / d3
-        try:
-            fp = (
-                -a1 / (x * x)
-                + a1
-                + a2 * a2 * a1 / (d2 * d2)
-                + a3 * a3 * a1 / (d3 * d3)
-            )
-        except ZeroDivisionError:
-            # a square underflowed to 0; numpy scalars would give fp = inf or
-            # nan, which stops the iteration the same way
-            return f, math.nan
-        return f, fp
-
-    best = beta1
-    f_best, _ = value(beta1)
-    if f_best is None:
-        return beta1
-    f_best = abs(f_best)
-    x = beta1
     for _ in range(_POLISH_STEPS):
-        f, fp = value(x)
-        if f is None or fp == 0.0 or not (math.isfinite(f) and math.isfinite(fp)):
+        g, dg = mu - 1.0, 1.0
+        try:
+            for v, w in zip(values, weights):
+                g += w / (mu + v)
+                dg -= w / (mu + v) ** 2
+            step = g / dg
+        except (ZeroDivisionError, OverflowError):
             break
-        if abs(f) < f_best:
-            best, f_best = x, abs(f)
-        step = f / fp
-        if not math.isfinite(step) or x - step == x:
+        if not math.isfinite(step) or mu - step == mu:
             break
-        x -= step
-    f_last, _ = value(x)
-    if f_last is not None and math.isfinite(f_last) and abs(f_last) < f_best:
-        best = x
-    return best
+        mu -= step
+    return mu
 
 
 def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarray, float]:
     """Case b): the velocity 3-vector of the one symmetric boost that removes
-    the linear terms a = b, and the residual |p(beta_1)| of the polynomial it
+    the linear terms a = b, and the residual |P(mu)| of the polynomial it
     solves.
 
-    Axes with a_i != 0 are solved, the largest |a_i| leading as axis 1: every
-    reduced coefficient divides by a_1, so this keeps the polynomial best
-    behaved.  The fundamental identity becomes a polynomial in beta_1: the
-    quadratic a_1 beta^2 - (1 + t_1) beta + a_1 for one nonzero component,
-    the cubic (built from t = t2 - t1, T = 1 + t1) for two and the quartic
-    (t, t' = t3 - t1, T) for three; a zero vector gives zero velocities.  Of
-    its real roots by increasing magnitude the first physical one is kept:
-    coupled velocities well defined, |beta| below the light-speed limit,
-    fundamental identity satisfied.  The smallest root is the branch
-    continuous with beta -> 0 as the linear terms vanish.  The velocities come
-    back in the caller's axis order.
+    With mu = a_1/beta_1 - t_1 the coupled velocities are
+    beta_j = a_j / (mu + t_j), and the fundamental identity
+    (a_1 - beta_1 t_1)/beta_1 = 1 - a.beta becomes the secular equation
 
-    Precondition: the t values of the nonzero axes are pairwise distinct.  An
-    exact tie makes the reduction ill-posed and raises ContractViolationError;
-    solve_normal_form rotates ties away first.
+        g(mu) = mu - 1 + sum_j a_j^2 / (mu + t_j) = 0
+
+    of a rank-one-modified diagonal matrix (Golub 1973).  Axes with equal t
+    share one pole of weight w_v = sum of their a_j^2, so exact ties merge;
+    zero a_j drop out.  Clearing the denominators gives the monic polynomial
+    P of degree 2, 3 or 4 (one, two or three distinct poles), the Moebius
+    image of the paper's quadratic, cubic or quartic in beta_1; a zero vector
+    gives zero velocities.  Each real root of P gets a few Newton steps on g,
+    and of the physical ones, with every |mu + t_j| > _DENOM_TOL,
+    |g(mu)| <= _FUNDAMENTAL_TOL and |beta| < 1 - beta_limit, the one with the
+    smallest |beta| is kept: the branch continuous with beta -> 0 as the
+    linear terms vanish.  The velocities are in the caller's axes.
     """
     av = np.asarray(a, dtype=float).reshape(3)
     tv = np.asarray(tdiag, dtype=float).reshape(3)
     if not (np.isfinite(av).all() and np.isfinite(tv).all()):
         raise InvalidParameterError("a and tdiag must be finite")
-    n = int(np.count_nonzero(av))
-    if n == 0:
+    a, tdiag = av.tolist(), tv.tolist()
+    pole_weights: dict[float, float] = {}
+    for aj, tj in zip(a, tdiag):
+        if aj != 0.0:
+            pole_weights[tj] = pole_weights.get(tj, 0.0) + aj * aj
+    if not pole_weights:
         return np.zeros(3), 0.0
-    order = sorted(range(3), key=lambda i: (av[i] == 0.0, -abs(av[i])))
-    wa, wt = av[order], tv[order]
-    if len(set(wt[:n].tolist())) < n:
-        raise ContractViolationError("t ties exactly on two nonzero axes")
-    if n == 1:
-        coeffs = np.array([1.0, -(1.0 + wt[0]) / wa[0], 1.0])
-    elif n == 2:
-        coeffs = _cubic_coefficients(wa[0], wa[1], wt)
-    else:
-        coeffs = _quartic_coefficients(wa, wt)
-    for beta1 in sorted(real_roots(coeffs), key=abs):
-        if beta1 == 0.0:
+    values = sorted(pole_weights)
+    weights = [pole_weights[v] for v in values]
+    coeffs = _secular_coefficients(values, weights)
+    best, best_sq = None, (1.0 - beta_limit) ** 2
+    for root in real_roots(coeffs).tolist():
+        mu = _secular_polish(values, weights, root)
+        dens = [mu + v for v in values]
+        if min(map(abs, dens)) <= _DENOM_TOL:
             continue
-        refined = _identity_polish(wa, wt, float(beta1))
-        betas = _coupled_betas(wa, wt, refined)
-        if betas is None:
+        if abs(mu - 1.0 + sum(w / d for w, d in zip(weights, dens))) > _FUNDAMENTAL_TOL:
             continue
-        if float(betas @ betas) >= (1.0 - beta_limit) ** 2:
-            continue
-        if _fundamental_residual(wa, wt, betas) > _FUNDAMENTAL_TOL:
-            continue
-        out = np.zeros(3)
-        out[order] = betas
-        return out, abs(float(np.polyval(coeffs, betas[0])))
-    raise NoPhysicalBoostError(
-        "no real root gives a boost with beta^2 < 1 satisfying the "
-        "consistency identity"
-    )
+        betas = np.array([aj / (mu + tj) if aj != 0.0 else 0.0 for aj, tj in zip(a, tdiag)])
+        beta_sq = float(betas @ betas)
+        if beta_sq < best_sq:
+            best, best_sq = (betas, mu), beta_sq
+    if best is None:
+        raise NoPhysicalBoostError(
+            "no real root gives a boost with |beta| < 1 - beta_limit "
+            f"= {1.0 - beta_limit:.12g} satisfying the fundamental identity"
+        )
+    betas, mu = best
+    residual = 0.0
+    for c in coeffs:
+        residual = residual * mu + c
+    return betas, abs(residual)
 
 
 def eliminate_and_diagonalize(r, left, right) -> tuple[SigmaForm, float]:
@@ -466,6 +428,14 @@ def _is_unit_axis_vector(v, tol: float) -> bool:
     return abs(s[2] - 1.0) <= tol and s[1] <= tol
 
 
+_CASE_C = Classification(
+    NON_GENERIC_C,
+    "symmetric half-strength pair with vanishing axis correlation (boundary "
+    "|2a| = |1 + t1|); the label fixes no verdict, the exact test decides "
+    "(see ppt_verdict)",
+)
+
+
 def _match_non_generic(a, b, tdiag):
     """Structural match of the four normalized light-speed cases, or None.
 
@@ -487,6 +457,9 @@ def _match_non_generic(a, b, tdiag):
                 "boost for A degenerates to light speed; known verdict: separable",
             )
     if float(np.abs(a - b).max()) <= tol:
+        # with t = 0 every direction is an axis of case c)
+        if float(np.abs(tdiag).max()) <= tol and abs(math.hypot(*a) - 0.5) <= tol:
+            return _CASE_C
         for k in range(3):
             i, j = (k + 1) % 3, (k + 2) % 3
             if abs(a[i]) > tol or abs(a[j]) > tol or abs(a[k]) <= tol:
@@ -496,12 +469,7 @@ def _match_non_generic(a, b, tdiag):
                 and abs(tdiag[k]) <= tol
                 and abs(tdiag[i] - tdiag[j]) <= tol
             ):
-                return Classification(
-                    NON_GENERIC_C,
-                    "symmetric half-strength pair with vanishing axis "
-                    "correlation (boundary |2a| = |1 + t1|); the label fixes no "
-                    "verdict, the exact test decides (see ppt_verdict)",
-                )
+                return _CASE_C
             if (
                 abs(abs(a[k]) - 1.0) <= tol
                 and abs(tdiag[k] - 1.0) <= tol
@@ -529,62 +497,26 @@ def _no_boost_report(classification: Classification) -> SolveReport:
     )
 
 
-def _tied_axes(tdiag, active) -> list[int]:
-    """Active axes whose t value exactly equals that of another active axis.
-
-    Three axes hold at most one such group, listed in ascending order.
-    """
-    axes = [i for i in range(3) if active[i]]
-    return [i for i in axes if any(tdiag[i] == tdiag[j] for j in axes if j != i)]
-
-
-def _rotate_tie(params: HSParams, group: list[int]) -> HSParams:
-    """One shared proper rotation in the span of `group` that moves a's
-    components there onto axis group[0].
-
-    t is a multiple of the identity on that span, so it is unchanged, and the
-    rotated state is locally unitarily equivalent to `params`.
-    """
-    rot = np.eye(3)
-    g0 = group[0]
-    for g in group[1:]:
-        v = rot @ params.a
-        h = math.hypot(v[g0], v[g])
-        step = np.eye(3)
-        step[g0, g0] = step[g, g] = v[g0] / h
-        step[g0, g] = v[g] / h
-        step[g, g0] = -v[g] / h
-        rot = step @ rot
-    return HSParams(rot @ params.a, rot @ params.b, params.t)
-
-
-def _with_note(classification: Classification, note: str) -> Classification:
-    detail = f"{classification.detail}; {note}" if classification.detail else note
-    return Classification(classification.kind, detail)
-
-
 def solve_normal_form(
     params: HSParams,
     beta_limit: float = BETA_LIMIT,
 ) -> SolveReport:
     """Full pipeline for diagonal-t parameters: classify, solve, certify.
 
-    Dispatches on the pattern of active linear terms.  Solver failures that
-    mean "no physical boost exists" are folded into the classification;
-    certificate failures propagate, since they indicate a numerical bug
-    rather than a non-generic state.  A symmetric state whose active axes tie
-    exactly (t_i == t_j) is first rotated in the tied plane, which leaves t
-    alone and puts the linear terms there on one axis; the report then refers
-    to the rotated state and its classification detail says so.
+    Dispatches on the pattern of active linear terms: none or one active axis
+    is the zero boost or one linear pair, several are the symmetric boost of
+    case b) (ties in t included, see solve_symmetric) or, for a non-symmetric
+    state, outside the supported families.  Solver failures that mean "no
+    physical boost exists" are folded into the classification; certificate
+    failures propagate, since they indicate a numerical bug rather than a
+    non-generic state.
     """
     a, b, tdiag = params.a, params.b, params.t_diagonal()
     structural = _match_non_generic(a, b, tdiag)
     if structural is not None:
         return _no_boost_report(structural)
     active = (np.abs(a) > ZERO_TOL) | (np.abs(b) > ZERO_TOL)
-    if int(active.sum()) < 2:
-        return _solve_active(params, tdiag, active, beta_limit)
-    if not params.is_symmetric():
+    if int(active.sum()) >= 2 and not params.is_symmetric():
         return _no_boost_report(
             Classification(
                 NO_PHYSICAL_BOOST,
@@ -592,30 +524,6 @@ def solve_normal_form(
                 "axis carries linear terms and the state is not symmetric",
             )
         )
-    group = _tied_axes(tdiag, active)
-    if not group:
-        return _solve_active(params, tdiag, active, beta_limit)
-    rotated = _rotate_tie(params, group)
-    # the other axes of the group carry only rounding residue now
-    active[group[1:]] = False
-    g0 = group[0]
-    note = (
-        f"t ties exactly on axes {', '.join(str(i + 1) for i in group)}; "
-        f"one shared rotation there moved the linear terms onto axis {g0 + 1} "
-        f"(a = b = {rotated.a[g0]:.6g}); the report refers to the rotated state"
-    )
-    structural = _match_non_generic(rotated.a, rotated.b, tdiag)
-    if structural is not None:
-        return _no_boost_report(_with_note(structural, note))
-    report = _solve_active(rotated, tdiag, active, beta_limit)
-    return replace(report, classification=_with_note(report.classification, note))
-
-
-def _solve_active(params: HSParams, tdiag, active, beta_limit: float) -> SolveReport:
-    """The boost solve for a non-structural state whose active axes are
-    `active`: one linear pair, else one symmetric boost, the paper's case b)
-    (zero velocity when no axis is active)."""
-    a, b = params.a, params.b
     try:
         if int(active.sum()) == 1:
             k = int(np.flatnonzero(active)[0])

@@ -400,8 +400,8 @@ def test_sample_negative_seed_is_a_usage_error(capsys):
 
 # The states of test_cli_outputs_pinned: the five reference states, the
 # structural cases a), c) and d), one state per branch edge of the normal-form
-# solve (a non-symmetric multi-pair state, exact ties that solve after a
-# rotation in the tied plane, an inactive axis whose |a_i| is not the
+# solve (a non-symmetric multi-pair state, exact ties, whose tied axes share
+# one pole of the secular equation, an inactive axis whose |a_i| is not the
 # smallest), one symmetric and one non-symmetric full t, and a non-state.
 GOLDEN_STATES = {
     "pair64": {"a": [0, 0.64, 0], "b": [0, 0.64, 0], "t_diag": [0.3, 0.3, 0.3]},
@@ -463,17 +463,17 @@ GOLDEN_COMMANDS = (
 PINNED_CLI_OUTPUTS = {
     "pair64": "af52b99360d0524f500d6ad4a4c545488d96fd5cc2dc9f45ef69a721d5d51ff9",
     "one-sided": "616f57db9ec026e764b1d9c1b95b0b2722fcb22c96882446263ae0b42a721074",
-    "cubic": "738746018dad316095ea00e3b7a1f5f8a7e12d14dd67c987eda6bc0a98201393",
-    "quartic": "1c56a0d15cc13bebc0d1b07de25ddfa7fac1bfc61af2cbde822bb209641c74bc",
+    "cubic": "aea6a605c68b026ebf1268a8f3ef30ec663d8ef59a9f7d78f4dd424eb4acd4bd",
+    "quartic": "e4f58263d90d6bb22779ba6404da73dbafc63c96202b9617e69150c7ee0f5fc9",
     "werner": "091406044569aa586c1e31e7a2c6d447440fc17c3ad8ae885a9749c5eaa33935",
     "case-a": "ca331174140e4054d8745bd7d918fe09bd950e087cd00d68059152086259f3a4",
     "case-c": "88edbf0f7fee757093a139c92330a1440cb81cfc4c8231766acb7cac5289bb92",
     "case-d": "b76d7cd557df1cace0ff75766027bcc0ed0a848ed42d0f06383cbe5e4230ccb6",
     "non-symmetric-multi-pair": "34bed36b25704611d541a3ce6062bf396dc7577008a2c5ca141f47fdf70fcb22",
-    "cubic-t2-equals-t1": "18ad0e136f1f5ff770a84381a1308e83962b90699c4acc4cf285ac1add979597",
-    "quartic-tie": "56cb8596f355852fb09a3f34dedff94804cae7be11b6499614ef41ddea34dcfb",
-    "inactive-axis-order": "8db904cb9dcd353e683c04e37afe1ada0a38b37122d73e756b6e318162b499f1",
-    "t-full-symmetric": "ab928b743cc893bbb05fd1843758086e671776d7eb69e66d0e3251e5f5fc3580",
+    "cubic-t2-equals-t1": "7be77bae1de3749ac9d804a7baabc1ab9ec2a6a9288e5b2f21d302a54cb1ba40",
+    "quartic-tie": "68651f328bb853c368e031411876e173c7fe23109c939a2ac40ea12e4c461550",
+    "inactive-axis-order": "11b081a077d7cfbae475450e172cb4fc5e74a54b8d51e117175ce81cc4ee34de",
+    "t-full-symmetric": "893aa2fa5a5b57fa168d162b46f742aab26bf4a095ef4804d44e65242006d4ca",
     "t-full-product": "a497913aad96e29b2af8b09bee3e6ae4abe3094721d0c05996aba47d32ca87fa",
     "non-psd": "b0af491ce3180a90105317c4e7fe4916f755125460ed7b703253144838dd9200",
 }

@@ -7,7 +7,7 @@ from qubitsep import (
     ENTANGLED,
     SEPARABLE,
     BoostLimitError,
-    ContractViolationError,
+    Classification,
     HSParams,
     InvalidParameterError,
     InvalidStateError,
@@ -40,7 +40,9 @@ from qubitsep.normal_form import (
     NON_GENERIC_B,
     NON_GENERIC_C,
     NON_GENERIC_D,
-    _identity_polish,
+    _cubic_coefficients,
+    _quartic_coefficients,
+    _secular_polish,
 )
 from qubitsep.hs import SIGMA
 
@@ -244,8 +246,6 @@ def test_sigma_pair_b1zero_reality_violation():
 
 
 def test_cubic_coefficients_and_betas(cubic_state):
-    from qubitsep.normal_form import _cubic_coefficients
-
     coeffs = _cubic_coefficients(0.1, 0.15, np.array([0.3, -0.2, 0.4]))
     assert np.abs(coeffs - np.array([1.0, -13.65, 3.6, -0.2])).max() < 1e-12
     (b1, b2, b3), _ = solve_symmetric([0.1, 0.15, 0.0], [0.3, -0.2, 0.4])
@@ -266,10 +266,9 @@ def test_cubic_trivial_and_errors():
     assert residual < 1e-12
     lhs = (0.15 - betas[1] * -0.2) / betas[1]
     assert abs(lhs - (1.0 - 0.15 * betas[1] - 0.1 * betas[2])) < 1e-10
-    # an exact tie on two nonzero axes is a precondition violation
-    with pytest.raises(ContractViolationError):
-        solve_symmetric([0.1, 0.15, 0.0], [0.3, 0.3, 0.4])
-    # a tie with a zero axis is not
+    # an exact tie on two nonzero axes solves like the merged state
+    _assert_solves_as_merged([0.1, 0.15, 0.0], [0.3, 0.3, 0.4])
+    # a tie with a zero axis is no tie at all
     betas, _ = solve_symmetric([0.1, 0.15, 0.0], [0.3, -0.2, 0.3])
     assert betas[2] == 0.0 and betas[0] != 0.0
 
@@ -296,8 +295,6 @@ def test_cubic_ratio_identity():
 
 
 def test_quartic_coefficients_and_betas(quartic_state):
-    from qubitsep.normal_form import _quartic_coefficients
-
     coeffs = _quartic_coefficients(
         np.array([0.1, 0.15, 0.2]), np.array([0.3, -0.2, 0.2])
     )
@@ -324,19 +321,35 @@ def test_quartic_continuity_to_zero():
         assert np.abs(betas).max() < 5 * eps
 
 
-def test_identity_polish_underflowing_derivative_keeps_seed():
-    # beta1**2 underflows to 0, so the derivative is not finite: the polish
-    # must stop and keep the seed, not raise
-    a = np.array([0.1, 0.15, 0.2])
-    t = np.array([0.3, -0.2, 0.2])
-    for seed in (1e-170, -1e-300):
-        assert _identity_polish(a, t, seed) == seed
+def test_secular_polish_keeps_a_seed_it_cannot_step_from():
+    # the poles and weights of the quartic reference state; on a pole g is
+    # undefined, and past 1e154 the square in g' leaves the float range: the
+    # polish must stop and keep the seed, not raise
+    values, weights = [-0.2, 0.2, 0.3], [0.15**2, 0.2**2, 0.1**2]
+    for seed in (0.2, -0.2, -0.3, 1e200, -1e170):
+        assert _secular_polish(values, weights, seed) == seed
+
+
+def _assert_solves_as_merged(a, tdiag):
+    """An exact tie solves like the state with the tied components merged
+    onto the first tied axis (a rotation in the tied plane, which leaves t
+    alone): every velocity is a_j / (mu + t_j) with the merged state's mu."""
+    a, tdiag = np.asarray(a, dtype=float), np.asarray(tdiag, dtype=float)
+    first = [int(np.flatnonzero(tdiag == tdiag[i])[0]) for i in range(3)]
+    merged = np.zeros(3)
+    for i in range(3):
+        merged[first[i]] = np.hypot(merged[first[i]], a[i])
+    betas, residual = solve_symmetric(a, tdiag)
+    want, _ = solve_symmetric(merged, tdiag)
+    assert residual < 1e-12
+    ratio = [want[f] / merged[f] if merged[f] != 0.0 else 0.0 for f in first]
+    assert np.allclose(betas, a * ratio, rtol=0.0, atol=1e-12)
+    assert np.linalg.norm(betas) == pytest.approx(np.linalg.norm(want), abs=1e-12)
 
 
 def test_quartic_errors():
-    for tdiag in ([0.3, -0.2, -0.2], [0.3, 0.3, 0.2], [0.2, -0.2, 0.2]):
-        with pytest.raises(ContractViolationError):
-            solve_symmetric([0.1, 0.15, 0.2], tdiag)
+    for tdiag in ([0.3, -0.2, -0.2], [0.3, 0.3, 0.2], [0.2, -0.2, 0.2], [0.1, 0.1, 0.1]):
+        _assert_solves_as_merged([0.1, 0.15, 0.2], tdiag)
     with pytest.raises(InvalidParameterError):
         solve_symmetric([0.1, np.nan, 0.2], [0.3, -0.2, 0.2])
     with pytest.raises(InvalidParameterError):
@@ -344,8 +357,8 @@ def test_quartic_errors():
 
 
 def test_symmetric_solve_is_permutation_covariant():
-    # the solver orders the axes itself, so relabelling the input relabels
-    # the output bit for bit whenever the |a_i| are distinct
+    # the solver sorts the poles t_j itself, so relabelling the input
+    # relabels the output bit for bit whenever the t_j are distinct
     rng = np.random.default_rng(83)
     solved = 0
     for trial in range(300):
@@ -564,21 +577,36 @@ def test_driver_verdicts_agree_with_ppt_on_references(
     ],
 )
 def test_exact_tie_solves_as_the_rotated_state(a, tdiag, merged):
+    # the tied state solves in its own frame; the rotation in the tied plane
+    # that merges its linear terms onto one axis must not change the boost's
+    # speed or the normal form
     tied = solve_normal_form(HSParams.diagonal(a, a, tdiag))
     rotated = solve_normal_form(HSParams.diagonal(merged, merged, tdiag))
-    assert tied.classification.kind == GENERIC
-    assert "ties exactly" in tied.classification.detail
-    assert rotated.classification.detail == ""
-    assert tied.boost_kind == rotated.boost_kind
-    assert np.allclose(tied.betas, rotated.betas, atol=1e-12)
+    assert tied.classification == Classification(GENERIC)
+    assert rotated.classification == Classification(GENERIC)
+    assert tied.boost_kind == "symmetric"
+    betas = np.asarray(tied.betas)
+    if rotated.boost_kind == "pair":
+        # the velocities of the two sides on one axis
+        assert rotated.betas[0] == pytest.approx(rotated.betas[1], abs=1e-12)
+        speed = abs(rotated.betas[0])
+    else:
+        speed = float(np.linalg.norm(rotated.betas))
+    assert np.linalg.norm(betas) == pytest.approx(speed, abs=1e-12)
     assert tied.sigma.tprime_sum == pytest.approx(rotated.sigma.tprime_sum, abs=1e-12)
+    # beta is parallel to a across the tie group (axis 2 is in it in both
+    # states): one ratio beta_j / a_j
+    group = [i for i in range(3) if a[i] != 0.0 and tdiag[i] == tdiag[1]]
+    assert len(group) >= 2
+    ratios = betas[group] / np.asarray(a)[group]
+    assert np.allclose(ratios, ratios[0], rtol=1e-12, atol=0.0)
 
 
 def test_exact_tie_rotated_onto_a_structural_form():
     # a = b = (0.3, 0.4, 0) with t = 0 is case c) turned about the z axis
     cls = classify(HSParams.diagonal([0.3, 0.4, 0], [0.3, 0.4, 0], [0, 0, 0]))
     assert cls.kind == NON_GENERIC_C
-    assert "ties exactly on axes 1, 2" in cls.detail
+    assert cls == classify(HSParams.diagonal([0.5, 0, 0], [0.5, 0, 0], [0, 0, 0]))
 
 
 def test_exact_ties_agree_with_ppt():
@@ -605,7 +633,6 @@ def test_exact_ties_agree_with_ppt():
             continue
         checked += 1
         report = solve_normal_form(p)
-        assert "ties exactly" in report.classification.detail
         if report.classification.kind != GENERIC:
             continue
         generic += 1
@@ -614,3 +641,63 @@ def test_exact_ties_agree_with_ppt():
         if abs(ppt.witness) > 1e-8:
             assert separability_verdict(report.sigma).kind == ppt.kind
     assert generic >= 0.9 * checked
+
+
+@pytest.mark.parametrize(
+    "a, tdiag_of",
+    [
+        ([0.1, 0.15, 0.2], lambda eps: [0.3, -0.2, -0.2 + eps]),
+        ([0.2, 0.1, 0.05], lambda eps: [0.3 + eps, 0.3, 0.3 - eps]),
+    ],
+)
+def test_near_ties_solve_like_the_exact_tie(a, tdiag_of):
+    # the reduced cubic and quartic divide by the spreads t_j - t_1; the
+    # secular equation does not, so a near tie is as generic as the tie
+    tprime_sums = []
+    for eps in (0.0, 1e-15, 1e-13, 1e-11, 1e-9, 1e-7):
+        p = HSParams.diagonal(a, a, tdiag_of(eps))
+        report = solve_normal_form(p)
+        assert report.classification == Classification(GENERIC), eps
+        assert report.polynomial_residual <= 1e-12, eps
+        ppt = peres_horodecki(rho_from_hs(p))
+        assert separability_verdict(report.sigma).kind == ppt.kind, eps
+        tprime_sums.append(report.sigma.tprime_sum)
+    assert np.abs(np.array(tprime_sums) - tprime_sums[0]).max() <= 1e-6
+
+
+def test_symmetric_failure_names_the_light_speed_rule():
+    # the one physical root has |beta| = 0.629: past 1 - beta_limit = 0.5,
+    # below the default limit
+    p = HSParams.diagonal([0.24, -0.45, 0], [0.24, -0.45, 0], [-0.14, 0.3, -0.08])
+    cls = classify(p, beta_limit=0.5)
+    assert cls.kind == NO_PHYSICAL_BOOST
+    assert "|beta| < 1 - beta_limit = 0.5" in cls.detail
+    report = solve_normal_form(p)
+    assert report.classification.kind == GENERIC
+    assert np.linalg.norm(report.betas) == pytest.approx(0.629, abs=5e-4)
+
+
+def test_symmetric_beta1_is_a_root_of_the_papers_polynomial():
+    # the secular form is a change of variable, mu = a_1/beta_1 - t_1: beta_1
+    # must solve the paper's cubic (two pairs) or quartic (three pairs)
+    rng = np.random.default_rng(97)
+    checked = {2: 0, 3: 0}
+    while min(checked.values()) < 100:
+        n = 2 + int(rng.integers(2))
+        a = np.zeros(3)
+        a[:n] = rng.uniform(0.05, 0.6, n) * rng.choice([-1.0, 1.0], n)
+        tdiag = rng.uniform(-0.9, 0.9, 3)
+        if min(abs(tdiag[j] - tdiag[i]) for i in range(n) for j in range(i + 1, n)) < 1e-3:
+            continue
+        try:
+            betas, _ = solve_symmetric(a, tdiag)
+        except NoPhysicalBoostError:
+            continue
+        if n == 2:
+            coeffs = _cubic_coefficients(a[0], a[1], tdiag)
+        else:
+            coeffs = _quartic_coefficients(a, tdiag)
+        b1 = betas[0]
+        scale = float(np.abs(coeffs) @ np.abs(b1) ** np.arange(len(coeffs) - 1, -1, -1))
+        assert abs(np.polyval(coeffs, b1)) <= 1e-10 * scale
+        checked[n] += 1

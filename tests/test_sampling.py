@@ -328,16 +328,18 @@ def _cross_validate_hex(rec) -> str:
 # the PPT witness, betas, polynomial and off-diagonal residuals and sigma.
 # Pinned before the root polish and the PPT eigensolve were sped up, and
 # re-pinned when sigma came to be read off the unnormalized boosted R (s and
-# the off-diagonal residual moved by rounding only); any change to a solve, a
-# residual or the PPT witness shows here bit for bit.
+# the off-diagonal residual moved by rounding only), and the symmetric
+# families when case b) came to be solved as one secular equation (velocities
+# and sigma moved by rounding only); any change to a solve, a residual or the
+# PPT witness shows here bit for bit.
 PINNED_CROSS_VALIDATE = {
     ("mds", 1): "5d3f6798ef676d92bb01423631d0550c9b9fd2c4323917a811315f663cdede3f",
     ("single-pair", 1): "839d605967bbd36c0d2d74f5886b46703dc9eeb32757be933353b0e4b3ddcbd6",
     ("single-pair", 2): "c3d09ca87c7a39e657835429b7442396c1a4e46d568a79904ed807faf9f9b199",
     ("single-pair", 3): "383520608283a5eae87e2e198bbb1ec674cd22ca29efdf2a4cc47ad6b6b505f6",
-    ("symmetric-two", 1): "2ac9b0723d6cd8a347c95c0c0181da4101bea1b84ea3c0dc49fab99baa8ac816",
-    ("symmetric-three", 1): "d30f798f08f0d82485e9947fb049eaf6fdb70f52ff82b855db9eda586ec6b975",
-    ("full-symmetric", 1): "363ab85586544adc7667a64a8ea6fa2f4c918b7ded12836b4e8f8f5222950495",
+    ("symmetric-two", 1): "0ccf791eafd1a33e94aee5857d8b35176063d384bf5ee47fe5d48b98e7aefb5f",
+    ("symmetric-three", 1): "8ef5a15357594bba66411e84e8c6e75b406cb4c59c2fc75e22afe5ccbb6aa159",
+    ("full-symmetric", 1): "7dcbbc7adfc286f27cbcbc46169b05806fc3e15e0b4c0eb28be0c2a215812fe1",
     ("product-mixture", 1): "9d58e1dbf4ecb9bceb2e344d01e19f49b10af80a6f7864ed3334634f7870b5a1",
 }
 
