@@ -55,8 +55,8 @@ def test_reference_quartic():
 
 
 def test_tiny_depressed_cubic():
-    # x^3 - 1e-250 x: the trigonometric branch's denominator p*m underflows to
-    # zero; the three roots 0, +-1e-125 merge into one
+    # x^3 - 1e-250 x: p underflows between the roots 0 and +-1e-125, so they
+    # merge into one
     out = real_roots([1.0, 0.0, -1e-250, 0.0])
     assert out.shape == (1,)
     assert abs(out[0]) <= 1e-124
@@ -71,6 +71,14 @@ def test_tiny_depressed_cubic():
         # one real root near 1.73e9 and a complex pair near +-4.11i; the
         # closed form used to add -9.04 and 22.1, far off any root
         ([-1.5e-3, 2.6e6, 5.7e-8, 4.4e7], 2.6e6 / 1.5e-3),
+        # one real root near 1.2882e-61 and a complex pair; the closed form
+        # used to add -2.3e131, 6.3e115 and 1.07e131, where p overflows and
+        # the residual test compared inf with inf
+        (
+            [3118.5412045928883, -7.641424864809092e-276, -3.533678953957831e-296,
+             -6.6664842711469105e-180],
+            (6.6664842711469105e-180 / 3118.5412045928883) ** (1.0 / 3.0),
+        ),
     ],
 )
 def test_only_roots_are_returned(coeffs, expected):
@@ -79,6 +87,13 @@ def test_only_roots_are_returned(coeffs, expected):
     assert abs(out[0] - expected) <= 1e-9 * abs(expected)
     monic = np.array(coeffs) / coeffs[0]
     assert abs(np.polyval(monic, out[0])) <= 1e-12 * _poly_magnitude(monic, out[0])
+
+
+def test_overflowing_residual_is_not_a_root():
+    # at -2.3e131 both p and the magnitude sum overflow to inf; inf <= inf
+    # must not pass for a root
+    monic = [1.0, -2.45e-279, -1.13e-299, -2.14e-183]
+    assert not roots._is_root(monic, -2.3e131)
 
 
 def test_subnormal_root_is_kept():
@@ -100,16 +115,18 @@ def test_quartic_without_real_roots():
 
 def test_leading_zero_reduction():
     assert np.allclose(real_roots([0, 1.0, -1.0]), [1.0], atol=1e-14)
-    assert np.allclose(real_roots([1e-20, 1.0, -1.0]), [1.0], atol=1e-12)
+    # a tiny leading coefficient is kept: both roots, -1e20 and 1, come back
+    assert np.allclose(real_roots([1e-20, 1.0, -1.0]), [-1e20, 1.0], rtol=1e-12)
 
 
 @pytest.mark.parametrize(
     "coeffs, expected",
     [
-        # 1e-7 x^3 - 1e8: the leading term is below 1e-14 of the constant, so
-        # the degree drops to 0, yet x = 1e5 is a root
+        # 1e-7 x^3 - 1e8: the leading term is 1e-15 of the constant, yet
+        # x = 1e5 is a root
         ([1e-7, 0.0, 0.0, -1e8], 1e5),
-        # the degree drops to 2 with no real root; the cubic has one near 4.7192e4
+        # without its leading term the cubic has no real root; it has one
+        # near 4.7192e4
         ([-3.38e-7, 1.10e-5, 5.27e-8, 3.55e7], 4.7192e4),
     ],
 )
@@ -131,25 +148,43 @@ def test_invalid_inputs():
         real_roots([1, 2, 3, 4, 5, 6])
     with pytest.raises(InvalidParameterError):
         real_roots([np.nan, 1.0])
+    # dividing by the leading coefficient overflows
+    with pytest.raises(InvalidParameterError):
+        real_roots([1e-300, 1e10, 1.0])
 
 
-@given(st.lists(coeff, min_size=3, max_size=5))
+def _resolved(coeffs, x):
+    # p(x) is well beyond the residual bound: x is not numerically a root
+    return abs(np.polyval(coeffs, x)) > 10 * roots._ROOT_RESIDUAL_TOL * _poly_magnitude(coeffs, x)
+
+
+@given(
+    st.lists(coeff, max_size=4),
+    st.lists(st.tuples(coeff, st.floats(min_value=5e-4, max_value=10.0)), max_size=2),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.booleans(),
+)
 @settings(deadline=None, max_examples=300)
-def test_matches_companion_matrix_solver(coeffs):
-    # independent oracle: numpy's companion-matrix eigenvalues
-    assume(abs(coeffs[0]) > 0.1)
-    oracle = np.roots(coeffs)
-    # skip ill-conditioned clusters where root identity is ambiguous
-    if oracle.size > 1:
-        gaps = [
-            abs(x - y) for i, x in enumerate(oracle) for y in oracle[i + 1 :]
-        ]
-        assume(min(gaps) > 1e-3)
-    real_oracle = sorted(r.real for r in oracle if abs(r.imag) < 1e-9)
+def test_returns_exactly_the_real_roots(reals, pairs, lead, negate):
+    # a polynomial built from known roots: the real ones, and complex pairs
+    # x +- iy; no two roots closer than 1e-3
+    assume(2 <= len(reals) + 2 * len(pairs) <= 4)
+    every = reals + [complex(x, s * y) for x, y in pairs for s in (1, -1)]
+    assume(all(abs(u - v) >= 1e-3 for i, u in enumerate(every) for v in every[i + 1 :]))
+    coeffs = (-lead if negate else lead) * np.poly(every).real
+    expected = sorted(reals)
+    # neighbouring real roots are told apart, and no pair's real part passes
+    # for a root
+    assume(all(_resolved(coeffs, 0.5 * (u + v)) for u, v in zip(expected, expected[1:])))
+    assume(all(_resolved(coeffs, x) for x, _ in pairs))
     mine = real_roots(coeffs)
-    assert len(mine) == len(real_oracle)
-    for ours, theirs in zip(mine, real_oracle):
-        assert abs(ours - theirs) < 1e-6 * (1.0 + abs(theirs))
+    assert len(mine) == len(expected)
+    derivative = np.polyder(coeffs)
+    for ours, exact in zip(mine, expected):
+        # first-order error of a root whose residual meets the bound, with
+        # room for the rounding of the coefficients
+        slack = 4 * roots._ROOT_RESIDUAL_TOL * _poly_magnitude(coeffs, exact)
+        assert abs(ours - exact) <= slack / abs(np.polyval(derivative, exact)) + 1e-300
 
 
 def test_residual_postcondition_random():
@@ -183,14 +218,15 @@ def _reference_polish(coeffs, x, steps):
 
 
 def test_polish_two_cycle_exit_matches_full_loop(monkeypatch):
-    # seeds from the closed form of random quartics whose plain Newton loop
-    # never stops early: it bounces between two neighbouring floats
+    # seeds from the companion eigenvalues of random quartics whose plain
+    # Newton loop never stops early: it bounces between two neighbouring floats
     rng = np.random.default_rng(0)
     bouncing = []
     while len(bouncing) < 20:
         c = rng.uniform(-1.0, 1.0, 5)
         monic = (c / c[0]).tolist()
-        for x0 in roots._closed_form(monic):
+        eig = np.roots(monic)
+        for x0 in eig.real[eig.imag == 0].tolist():
             _, taken = _reference_polish(monic, x0, roots._MAX_POLISH_STEPS)
             if taken == roots._MAX_POLISH_STEPS:
                 bouncing.append((monic, x0))

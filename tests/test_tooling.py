@@ -1,5 +1,7 @@
-"""The benchmark's tracer and the README's examples name qubitsep's real API."""
+"""The benchmark's tracer and the README's examples and tolerance table name
+qubitsep's real API."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -26,3 +28,24 @@ def test_readme_entry_points_import():
     section = readme.split("## Library entry points", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_tolerance_table_matches_the_code():
+    # every row names a constant of the stated module with the stated value,
+    # and every module-level *_TOL, *_MARGIN and BETA_LIMIT has a row
+    section = (ROOT / "README.md").read_text().split("## Tolerances", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| `(\w+)` \|", section, re.M)
+    wrong = [
+        (name, value, module)
+        for name, value, module in rows
+        if getattr(importlib.import_module(f"qubitsep.{module}"), name, None) != float(value)
+    ]
+    assert wrong == []
+    defined = set()
+    for path in (ROOT / "src" / "qubitsep").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"\w+_(TOL|MARGIN)|BETA_LIMIT", target.id):
+                    defined.add((target.id, path.stem))
+    assert defined == {(name, module) for name, _, module in rows}
