@@ -5,6 +5,9 @@ det L = 1.  Two forms are used: a boost confined to the (0, axis) plane,
 and the general symmetric boost built from a velocity 3-vector beta with
 gamma = (1 - beta^2)^(-1/2) and spatial block I + X beta beta^T,
 X = (gamma - 1)/beta^2.
+
+The public functions validate their inputs; normal_form's solve path applies
+the unchecked product _two_sided to the boosts and R it built itself.
 """
 
 from __future__ import annotations
@@ -56,12 +59,13 @@ def boost_general(beta, beta_limit: float = BETA_LIMIT) -> np.ndarray:
         )
     g = _gamma(beta_sq)
     x = g * g / (g + 1.0)
-    m = np.empty((4, 4))
-    m[0, 0] = g
-    m[0, 1:] = -g * v
-    m[1:, 0] = -g * v
-    m[1:, 1:] = np.eye(3) + x * np.outer(v, v)
-    return m
+    # the spatial block is eye(3) + x * outer(v, v), entry by entry on floats
+    vs = v.tolist()
+    w = [-g * vi for vi in vs]
+    rows = [[g, *w]]
+    for i, vi in enumerate(vs):
+        rows.append([w[i], *(float(i == j) + x * (vi * vj) for j, vj in enumerate(vs))])
+    return np.array(rows)
 
 
 def apply_two_sided(r, left, right) -> np.ndarray:
@@ -70,6 +74,12 @@ def apply_two_sided(r, left, right) -> np.ndarray:
     The left factor acts on qubit B and the right factor on qubit A, since
     R's rows index qubit B and its columns qubit A (see rmatrix).  The right
     factor is transposed internally so callers always pass plain boost
-    matrices regardless of which side they act on.
+    matrices regardless of which side they act on.  All three must be finite
+    real 4x4 matrices (InvalidParameterError).
     """
-    return _as_r(left, "boost factor") @ _as_r(r) @ _as_r(right, "boost factor").T
+    return _two_sided(_as_r(r), _as_r(left, "boost factor"), _as_r(right, "boost factor"))
+
+
+def _two_sided(r: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    # apply_two_sided without the input checks, for arrays the caller built
+    return left @ r @ right.T

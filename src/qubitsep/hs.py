@@ -39,8 +39,6 @@ SIGMA = np.array(
 # PAULI_KRON[mu, nu] = sigma_mu (qubit A) x sigma_nu (qubit B)
 PAULI_KRON = np.array([[np.kron(SIGMA[m], SIGMA[n]) for n in range(4)] for m in range(4)])
 
-_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
-
 
 def _as_real_vector(x, name: str) -> np.ndarray:
     v = np.array(x, dtype=float).reshape(3)
@@ -91,13 +89,14 @@ class HSParams:
         return cls(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
 
     def is_t_diagonal(self, tol: float = ZERO_TOL) -> bool:
-        return float(np.abs(self.t[_OFF_DIAGONAL]).max()) <= tol
+        (_, t12, t13), (t21, _, t23), (t31, t32, _) = self.t.tolist()
+        return max(abs(t12), abs(t13), abs(t21), abs(t23), abs(t31), abs(t32)) <= tol
 
     def t_diagonal(self) -> np.ndarray:
         """The diagonal of t; raises if off-diagonal entries are present."""
         if not self.is_t_diagonal():
             raise UnsupportedFormError("correlation matrix is not diagonal")
-        return np.diag(self.t).copy()
+        return self.t.diagonal().copy()
 
     def is_symmetric(self) -> bool:
         """True when the two qubits carry identical linear terms (a == b)."""

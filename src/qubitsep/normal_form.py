@@ -15,6 +15,10 @@ the supported families:
 classifies the structurally non-generic states for which the required boost
 degenerates to light speed, and certifies every solve by re-applying the
 boost and checking that the eliminated entries actually vanished.
+
+Inputs are validated once, by the public functions.  solve_normal_form then
+classifies and solves on Python floats and certifies the boosted R it built
+itself with the rules of eliminate_and_diagonalize, without re-checking it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BETA_LIMIT, apply_two_sided, boost_general, boost_x
+from .boost import BETA_LIMIT, _two_sided, apply_two_sided, boost_general, boost_x
 from .errors import (
     BoostLimitError,
     InvalidParameterError,
@@ -254,37 +258,6 @@ def sigma_pair_b1zero(a1: float, tdiag, beta_limit: float = BETA_LIMIT) -> Sigma
     return SigmaForm(s0, np.array([s1, t2, t3]))
 
 
-def _cubic_coefficients(a1: float, a2: float, tdiag) -> np.ndarray:
-    t1, t2, _ = np.asarray(tdiag, dtype=float).reshape(3)
-    t = t2 - t1
-    big_t = 1.0 + t1
-    return np.array(
-        [
-            1.0,
-            ((a1 * a1 + a2 * a2) / t - big_t) / a1,
-            1.0 - big_t / t,
-            a1 / t,
-        ]
-    )
-
-
-def _quartic_coefficients(a, tdiag) -> np.ndarray:
-    a1, a2, a3 = a
-    t1, t2, t3 = tdiag
-    t = t2 - t1
-    tp = t3 - t1
-    big_t = 1.0 + t1
-    return np.array(
-        [
-            1.0,
-            a1 / t + a1 / tp - big_t / a1 + a2 * a2 / (a1 * t) + a3 * a3 / (a1 * tp),
-            1.0 + (a1 * a1 + a2 * a2 + a3 * a3) / (t * tp) - big_t / tp - big_t / t,
-            a1 / tp + a1 / t - a1 * big_t / (t * tp),
-            a1 * a1 / (t * tp),
-        ]
-    )
-
-
 def _times_linear(c: list[float], v: float) -> list[float]:
     """Coefficients of c(mu) (mu + v), highest power first."""
     return [x + v * y for x, y in zip([*c, 0.0], [0.0, *c])]
@@ -350,7 +323,11 @@ def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarra
     tv = np.asarray(tdiag, dtype=float).reshape(3)
     if not (np.isfinite(av).all() and np.isfinite(tv).all()):
         raise InvalidParameterError("a and tdiag must be finite")
-    a, tdiag = av.tolist(), tv.tolist()
+    return _solve_symmetric(av.tolist(), tv.tolist(), beta_limit)
+
+
+def _solve_symmetric(a: list[float], tdiag: list[float], beta_limit: float):
+    # solve_symmetric on checked finite floats
     pole_weights: dict[float, float] = {}
     for aj, tj in zip(a, tdiag):
         if aj != 0.0:
@@ -369,6 +346,8 @@ def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarra
         if abs(mu - 1.0 + sum(w / d for w, d in zip(weights, dens))) > _FUNDAMENTAL_TOL:
             continue
         betas = np.array([aj / (mu + tj) if aj != 0.0 else 0.0 for aj, tj in zip(a, tdiag)])
+        # numpy's dot, as in boost_general (a float sum rounds differently), so
+        # both apply the light-speed rule to the same |beta|^2
         beta_sq = float(betas @ betas)
         if beta_sq < best_sq:
             best, best_sq = (betas, mu), beta_sq
@@ -388,26 +367,33 @@ def eliminate_and_diagonalize(r, left, right) -> tuple[SigmaForm, float]:
     """Apply two Lorentz factors to R, certify the elimination, read off Sigma.
 
     `left` acts on qubit B and `right` on qubit A (left @ R @ right^T, see
-    rmatrix).  The certificate: the boosted linear terms and the asymmetry of
+    rmatrix); apply_two_sided checks that all three are finite real 4x4
+    matrices.  The certificate: the boosted linear terms and the asymmetry of
     the boosted spatial block must both stay below OFFDIAG_TOL, else
     SolverInconsistencyError, and the corner s0 must be positive (SigmaForm).
     The symmetric 3x3 block is diagonalized by a rotation and its eigenvalues
-    are ordered by descending magnitude for reproducibility.  Returns Sigma and
-    the largest boosted linear term.
+    are ordered by descending magnitude (stably, for reproducibility).
+    Returns Sigma and the largest boosted linear term.
     """
-    q = apply_two_sided(r, left, right)
-    offdiag = float(max(np.abs(q[0, 1:]).max(), np.abs(q[1:, 0]).max()))
+    return _certify(apply_two_sided(r, left, right))
+
+
+def _certify(q: np.ndarray) -> tuple[SigmaForm, float]:
+    # eliminate_and_diagonalize's certificate on the boosted R; solve_normal_form
+    # passes the product of arrays it built itself, so it skips the input checks
+    (s0, *row), *rest = q.tolist()
+    offdiag = max(map(abs, row + [x[0] for x in rest]))
     if offdiag >= OFFDIAG_TOL:
         raise SolverInconsistencyError(
             f"linear terms not eliminated: residual {offdiag:.3g}"
         )
-    block = q[1:, 1:]
-    sym = 0.5 * (block + block.T)
-    if float(np.abs(block - block.T).max()) >= OFFDIAG_TOL:
+    block = [x[1:] for x in rest]
+    pairs = [(block[i][j], block[j][i]) for i in range(3) for j in range(3)]
+    if max(abs(x - y) for x, y in pairs) >= OFFDIAG_TOL:
         raise SolverInconsistencyError("transformed spatial block is not symmetric")
-    eig = np.linalg.eigvalsh(sym)
-    order = np.argsort(-np.abs(eig), kind="stable")
-    return SigmaForm(float(q[0, 0]), eig[order]), offdiag
+    sym = [[0.5 * (x + y) for x, y in pairs[i : i + 3]] for i in (0, 3, 6)]
+    eig = np.linalg.eigvalsh(sym).tolist()
+    return SigmaForm(s0, sorted(eig, key=lambda x: -abs(x))), offdiag
 
 
 def separability_verdict(sigma: SigmaForm, tol: float = VERDICT_TOL) -> Verdict:
@@ -423,8 +409,8 @@ def separability_verdict(sigma: SigmaForm, tol: float = VERDICT_TOL) -> Verdict:
     )
 
 
-def _is_unit_axis_vector(v, tol: float) -> bool:
-    s = np.sort(np.abs(v))
+def _is_unit_axis_vector(v: list[float], tol: float) -> bool:
+    s = sorted(map(abs, v))
     return abs(s[2] - 1.0) <= tol and s[1] <= tol
 
 
@@ -436,29 +422,30 @@ _CASE_C = Classification(
 )
 
 
-def _match_non_generic(a, b, tdiag):
+def _match_non_generic(a: list[float], b: list[float], tdiag: list[float]):
     """Structural match of the four normalized light-speed cases, or None.
 
-    Takes the linear vectors and the diagonal of t.  Detection runs before
-    any solver so these states never surface as opaque boost-limit failures.
+    Takes the linear vectors and the diagonal of t as lists of floats.
+    Detection runs before any solver so these states never surface as opaque
+    boost-limit failures.
     """
     tol = _STRUCTURAL_TOL
-    if float(np.abs(tdiag).max()) <= tol:
-        if float(np.abs(b).max()) <= tol and _is_unit_axis_vector(a, tol):
+    if max(map(abs, tdiag)) <= tol:
+        if max(map(abs, b)) <= tol and _is_unit_axis_vector(a, tol):
             return Classification(
                 NON_GENERIC_A,
                 "qubit A pure with qubit B maximally mixed; the eliminating "
                 "boost for B degenerates to light speed; known verdict: separable",
             )
-        if float(np.abs(a).max()) <= tol and _is_unit_axis_vector(b, tol):
+        if max(map(abs, a)) <= tol and _is_unit_axis_vector(b, tol):
             return Classification(
                 NON_GENERIC_B,
                 "qubit B pure with qubit A maximally mixed; the eliminating "
                 "boost for A degenerates to light speed; known verdict: separable",
             )
-    if float(np.abs(a - b).max()) <= tol:
+    if max(abs(x - y) for x, y in zip(a, b)) <= tol:
         # with t = 0 every direction is an axis of case c)
-        if float(np.abs(tdiag).max()) <= tol and abs(math.hypot(*a) - 0.5) <= tol:
+        if max(map(abs, tdiag)) <= tol and abs(math.hypot(*a) - 0.5) <= tol:
             return _CASE_C
         for k in range(3):
             i, j = (k + 1) % 3, (k + 2) % 3
@@ -511,12 +498,13 @@ def solve_normal_form(
     failures propagate, since they indicate a numerical bug rather than a
     non-generic state.
     """
-    a, b, tdiag = params.a, params.b, params.t_diagonal()
+    a, b, tdiag = params.a.tolist(), params.b.tolist(), params.t_diagonal().tolist()
     structural = _match_non_generic(a, b, tdiag)
     if structural is not None:
         return _no_boost_report(structural)
-    active = (np.abs(a) > ZERO_TOL) | (np.abs(b) > ZERO_TOL)
-    if int(active.sum()) >= 2 and not params.is_symmetric():
+    active = [abs(x) > ZERO_TOL or abs(y) > ZERO_TOL for x, y in zip(a, b)]
+    n_active = sum(active)
+    if n_active >= 2 and not params.is_symmetric():
         return _no_boost_report(
             Classification(
                 NO_PHYSICAL_BOOST,
@@ -525,8 +513,8 @@ def solve_normal_form(
             )
         )
     try:
-        if int(active.sum()) == 1:
-            k = int(np.flatnonzero(active)[0])
+        if n_active == 1:
+            k = active.index(True)
             betas = solve_pair_general(a[k], b[k], tdiag[k], beta_limit)
             poly = _pair_residual(a[k], b[k], tdiag[k], *betas)
             left = boost_x(betas[0], k + 1, beta_limit)
@@ -534,18 +522,20 @@ def solve_normal_form(
             boost_kind, axis = "pair", k + 1
         else:
             # an inactive axis may still carry a nonzero |a_i|
-            betas, poly = solve_symmetric(np.where(active, a, 0.0), tdiag, beta_limit)
-            left = right = boost_general(betas, beta_limit)
+            linear = [x if on else 0.0 for x, on in zip(a, active)]
+            velocity, poly = _solve_symmetric(linear, tdiag, beta_limit)
+            betas = velocity.tolist()
+            left = right = boost_general(velocity, beta_limit)
             boost_kind, axis = "symmetric", None
-        sigma, offdiag = eliminate_and_diagonalize(r_from_hs(params), left, right)
+        sigma, offdiag = _certify(_two_sided(r_from_hs(params), left, right))
     except NoPhysicalBoostError as exc:
         return _no_boost_report(Classification(NO_PHYSICAL_BOOST, str(exc)))
     return SolveReport(
         classification=Classification(GENERIC),
         boost_kind=boost_kind,
-        betas=tuple(float(x) for x in betas),
+        betas=tuple(betas),
         axis=axis,
-        polynomial_residual=float(poly),
+        polynomial_residual=poly,
         offdiag_residual=offdiag,
         sigma=sigma,
     )

@@ -12,10 +12,10 @@ too are one (multiple) root, reported once as their mean.
 
 Newton runs on Python floats: the coefficients are converted once, and the
 IEEE operations are the ones numpy scalars would do, only cheaper.  Near a
-root, Newton in floating point often settles into an exact two-cycle between
-neighbouring floats; the polish detects it and returns the float the full
-step budget would have ended on, instead of spending the remaining steps
-bouncing.
+root, Newton in floating point often settles into an exact cycle among
+neighbouring floats; the polish detects any repeated iterate and returns the
+float the full step budget would have ended on, instead of spending the
+remaining steps going round the cycle.
 """
 
 from __future__ import annotations
@@ -46,23 +46,22 @@ def _polish(coeffs, x: float, steps: int = _MAX_POLISH_STEPS) -> float:
     # Newton iteration from an eigenvalue seed.  Usually one or two steps
     # suffice; a small root next to large ones can start well off in relative
     # terms, so iterate to a fixed point.
-    # The step depends on x alone, so once x_new equals the iterate of two
-    # steps back the rest of the loop alternates x_new, x, x_new, ...: return
-    # the one the last step would reach, chosen by the parity of the steps left.
-    prev = math.nan
-    for i in range(steps):
+    # The step depends on x alone, so once an iterate repeats an earlier one
+    # the rest of the loop goes round that cycle: return the iterate the last
+    # step would reach, found from the cycle's start and length.
+    seen = [x]
+    for _ in range(steps):
         p, dp = _eval_with_derivative(coeffs, x)
         if p == 0.0 or dp == 0.0 or not math.isfinite(p):
             break
         step = p / dp
         if not math.isfinite(step):
             break
-        x_new = x - step
-        if x_new == x:
-            break
-        if x_new == prev:
-            return x_new if (steps - i) % 2 == 1 else x
-        prev, x = x, x_new
+        x -= step
+        if x in seen:
+            start = seen.index(x)
+            return seen[start + (steps - start) % (len(seen) - start)]
+        seen.append(x)
     return x
 
 
@@ -109,8 +108,9 @@ def real_roots(coefficients) -> np.ndarray:
     monic = [x / c[lead] for x in c[lead:]]
     if not all(map(math.isfinite, monic)):
         raise InvalidParameterError("leading coefficient too small: the monic form overflows")
-    companion = np.eye(degree, k=-1)
-    companion[0] = [-x for x in monic[1:]]
+    # ones on the subdiagonal, the negated monic coefficients on the first row
+    companion = [[-x for x in monic[1:]]]
+    companion += [[float(i == j) for j in range(degree)] for i in range(degree - 1)]
     seeds = [
         z.real
         for z in np.linalg.eigvals(companion).tolist()

@@ -50,9 +50,9 @@ from qubitsep.normal_form import (
     NON_GENERIC_B,
     NON_GENERIC_C,
     NON_GENERIC_D,
-    _cubic_coefficients,
-    _quartic_coefficients,
 )
+
+from paper_polynomials import cubic_coefficients
 
 
 _MODULE_START = time.monotonic()
@@ -145,7 +145,7 @@ def test_criterion_4_one_sided_pair():
 def test_criterion_5_cubic_example():
     def body():
         tdiag = np.array([0.3, -0.2, 0.4])
-        coeffs = _cubic_coefficients(0.1, 0.15, tdiag)
+        coeffs = cubic_coefficients(0.1, 0.15, tdiag)
         assert np.abs(coeffs - np.array([1.0, -13.65, 3.6, -0.2])).max() < 1e-12
         (b1, b2, _), _ = solve_symmetric([0.1, 0.15, 0.0], tdiag)
         assert abs(b1 - 0.0792) < 5e-5

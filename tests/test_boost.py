@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,41 @@ def test_boost_general_light_speed_rule_matches_boost_x(limit):
         boost_general([edge, 0.0, 0.0], limit)
 
 
+def _boost_general_reference(v):
+    # the spatial block as eye(3) + x * outer(v, v), in numpy
+    v = np.asarray(v, dtype=float)
+    g = 1.0 / math.sqrt(1.0 - float(v @ v))
+    x = g * g / (g + 1.0)
+    m = np.empty((4, 4))
+    m[0, 0] = g
+    m[0, 1:] = m[1:, 0] = -g * v
+    m[1:, 1:] = np.eye(3) + x * np.outer(v, v)
+    return m
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        [0.3, 0.0, 0.0],
+        [0.0, -0.6, 0.0],
+        [-0.0, 0.0, 0.45],
+        [0.0792032561208348, 0.1967021301502871, 0.0],
+        [0.2, -0.0, -0.35],
+        [0.1, -0.2, 0.3],
+    ],
+)
+def test_boost_general_matches_outer_product_form(v):
+    # bit for bit, signed zeros included
+    assert boost_general(v).tobytes() == _boost_general_reference(v).tobytes()
+
+
+def test_boost_general_matches_outer_product_form_bulk():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        v = rng.uniform(-0.57, 0.57, 3) * (rng.uniform(size=3) < 0.7)
+        assert boost_general(v).tobytes() == _boost_general_reference(v).tobytes(), v
+
+
 def test_apply_two_sided_identity(pair64):
     r = r_from_hs(pair64)
     assert np.array_equal(apply_two_sided(r, np.eye(4), np.eye(4)), r)
@@ -166,6 +203,15 @@ def test_apply_two_sided_rejects_malformed_input(pair64, side):
         args[side] = bad
         with pytest.raises(InvalidParameterError):
             apply_two_sided(*args)
+
+
+@pytest.mark.parametrize("side", [0, 1, 2])
+def test_eliminate_and_diagonalize_rejects_malformed_input(pair64, side):
+    args = [r_from_hs(pair64), np.eye(4), np.eye(4)]
+    for bad in (np.eye(3), np.ones((4, 5)), np.full((4, 4), np.inf), np.full((4, 4), np.nan)):
+        args[side] = bad
+        with pytest.raises(InvalidParameterError):
+            eliminate_and_diagonalize(*args)
 
 
 def test_certificate_rejects_nonpositive_boosted_corner():

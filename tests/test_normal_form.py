@@ -40,13 +40,12 @@ from qubitsep.normal_form import (
     NON_GENERIC_B,
     NON_GENERIC_C,
     NON_GENERIC_D,
-    _cubic_coefficients,
-    _quartic_coefficients,
     _secular_polish,
 )
 from qubitsep.hs import SIGMA
 
 from conftest import lorentz_of_filter
+from paper_polynomials import cubic_coefficients, quartic_coefficients
 
 # frozen from exact-root evaluation (verified against 30-digit arithmetic)
 BETA_SYM_064 = 0.8381591141937414
@@ -246,7 +245,7 @@ def test_sigma_pair_b1zero_reality_violation():
 
 
 def test_cubic_coefficients_and_betas(cubic_state):
-    coeffs = _cubic_coefficients(0.1, 0.15, np.array([0.3, -0.2, 0.4]))
+    coeffs = cubic_coefficients(0.1, 0.15, np.array([0.3, -0.2, 0.4]))
     assert np.abs(coeffs - np.array([1.0, -13.65, 3.6, -0.2])).max() < 1e-12
     (b1, b2, b3), _ = solve_symmetric([0.1, 0.15, 0.0], [0.3, -0.2, 0.4])
     assert b3 == 0.0
@@ -295,7 +294,7 @@ def test_cubic_ratio_identity():
 
 
 def test_quartic_coefficients_and_betas(quartic_state):
-    coeffs = _quartic_coefficients(
+    coeffs = quartic_coefficients(
         np.array([0.1, 0.15, 0.2]), np.array([0.3, -0.2, 0.2])
     )
     assert np.abs(coeffs - np.array([1.0, -18.65, 18.05, -3.8, 0.2])).max() < 1e-12
@@ -694,9 +693,9 @@ def test_symmetric_beta1_is_a_root_of_the_papers_polynomial():
         except NoPhysicalBoostError:
             continue
         if n == 2:
-            coeffs = _cubic_coefficients(a[0], a[1], tdiag)
+            coeffs = cubic_coefficients(a[0], a[1], tdiag)
         else:
-            coeffs = _quartic_coefficients(a, tdiag)
+            coeffs = quartic_coefficients(a, tdiag)
         b1 = betas[0]
         scale = float(np.abs(coeffs) @ np.abs(b1) ** np.arange(len(coeffs) - 1, -1, -1))
         assert abs(np.polyval(coeffs, b1)) <= 1e-10 * scale

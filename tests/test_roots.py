@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qubitsep import InvalidParameterError, real_roots, roots
+from qubitsep import InvalidParameterError, SampleSpec, batch_stats, real_roots, roots
 
 coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -200,7 +200,7 @@ def test_residual_postcondition_random():
 
 
 def _reference_polish(coeffs, x, steps):
-    # the plain Newton loop without the two-cycle exit; returns (x, steps taken)
+    # the plain Newton loop without the cycle exit; returns (x, steps taken)
     taken = 0
     for _ in range(steps):
         p, dp = roots._eval_with_derivative(coeffs, x)
@@ -250,3 +250,39 @@ def test_polish_two_cycle_exit_matches_full_loop(monkeypatch):
         got = roots._polish(monic, x0, steps)
         assert got.hex() == expected.hex()
         assert calls < steps
+
+
+def test_polish_cycle_exit_matches_full_loop_on_sampled_states(monkeypatch):
+    # every polish that case b) makes on 200 seed-1 samples of each symmetric
+    # family; some of them settle into cycles longer than two
+    calls = []
+    polish = roots._polish
+
+    def recording(coeffs, x, steps=roots._MAX_POLISH_STEPS):
+        calls.append((list(coeffs), x, steps))
+        return polish(coeffs, x, steps)
+
+    monkeypatch.setattr(roots, "_polish", recording)
+    for family in ("symmetric-two", "symmetric-three", "full-symmetric"):
+        batch_stats(SampleSpec(family, 200, 1))
+    monkeypatch.undo()
+    evaluations = 0
+    evaluate = roots._eval_with_derivative
+
+    def counting(coeffs, x):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate(coeffs, x)
+
+    monkeypatch.setattr(roots, "_eval_with_derivative", counting)
+    longer = 0
+    for coeffs, x0, steps in calls:
+        expected, taken = _reference_polish(coeffs, x0, steps)
+        evaluations = 0
+        assert roots._polish(coeffs, x0, steps).hex() == expected.hex()
+        if taken == steps:
+            assert evaluations < steps
+            # no two-cycle: the iterate two steps before the end differs
+            longer += _reference_polish(coeffs, x0, steps - 2)[0] != expected
+    assert len(calls) == 2200
+    assert longer > 0

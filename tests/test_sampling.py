@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import re
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,3 +533,44 @@ def test_random_state_rejects_non_finite_draws(monkeypatch):
     monkeypatch.setattr(sampling, "_draw_block", draw)
     with pytest.raises(InvalidParameterError):
         random_state(SampleSpec(family="mds", count=1, seed=0), 0)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(name: str) -> types.ModuleType:
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _field_bits(value) -> str:
+    # every field, recursively: floats as float.hex, arrays as their bytes
+    if dataclasses.is_dataclass(value):
+        fields = (getattr(value, f.name) for f in dataclasses.fields(value))
+        return "{" + ",".join(map(_field_bits, fields)) + "}"
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype}{value.shape}:{value.tobytes().hex()}"
+    if isinstance(value, tuple):
+        return "(" + ",".join(map(_field_bits, value)) + ")"
+    if isinstance(value, float):
+        return value.hex()
+    return repr(value)
+
+
+# sha256 over every CrossValidation field of cross_validate on each state of
+# perfbench/inputs.corpus(0, 1024): zero, pair, symmetric two- and three-pair,
+# structural a)-d), full symmetric t, Hilbert-Schmidt and near-boundary states.
+PINNED_CORPUS = "8e34842b0c925a183066d7f54c2579a0e1dbdadf749c09806a66a7195694cf0a"
+
+
+def test_cross_validate_corpus_pinned(monkeypatch):
+    # inputs imports oracle by its bare name; both load from the files read-only
+    monkeypatch.setitem(sys.modules, "oracle", _load_perfbench("oracle"))
+    rows, _ = _load_perfbench("inputs").corpus(0, 1024)
+    digest = hashlib.sha256()
+    for row in rows:
+        params = HSParams(row[0:3], row[3:6], np.reshape(row[6:], (3, 3)))
+        digest.update(_field_bits(cross_validate(params)).encode())
+    assert digest.hexdigest() == PINNED_CORPUS
