@@ -23,7 +23,7 @@ def show(title: str, params: HSParams) -> None:
     print(f"\n=== {title} ===")
     print(f"a = {params.a}  b = {params.b}  t = {np.diag(params.t)}")
     rec = cross_validate(params)
-    print(f"4*lambda          : {rec.spectrum.four_lambda}")
+    print(f"4*lambda          : {rec.spectrum}")
     print(f"ppt verdict       : {rec.ppt.kind}  (witness {rec.ppt.witness:+.6f})")
     print(f"classification    : {rec.classification.kind}")
     if rec.classification.is_generic:

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .hs import (
     HSParams,
-    Spectrum,
     eigenvalues_closed_form_pair,
     eigenvalues_hermitian,
     is_positive_semidefinite,
@@ -39,7 +38,6 @@ from .normal_form import (
     Classification,
     SigmaForm,
     SolveReport,
-    classify,
     eliminate_and_diagonalize,
     separability_verdict,
     sigma_pair_b1zero,

@@ -36,9 +36,7 @@ def boost_x(beta: float, axis: int = 1, beta_limit: float = BETA_LIMIT) -> np.nd
     if not math.isfinite(beta):
         raise InvalidParameterError("beta must be finite")
     if abs(beta) >= 1.0 - beta_limit:
-        raise BoostLimitError(
-            f"|beta| = {abs(beta):.12g} reaches the light-speed limit", beta=beta
-        )
+        raise BoostLimitError(f"|beta| = {abs(beta):.12g} reaches the light-speed limit")
     g = _gamma(beta * beta)
     m = np.eye(4)
     m[0, 0] = m[axis, axis] = g
@@ -54,8 +52,7 @@ def boost_general(beta, beta_limit: float = BETA_LIMIT) -> np.ndarray:
     beta_sq = float(v @ v)
     if beta_sq >= (1.0 - beta_limit) ** 2:
         raise BoostLimitError(
-            f"|beta| = {math.sqrt(beta_sq):.12g} reaches the light-speed limit",
-            beta=math.sqrt(beta_sq),
+            f"|beta| = {math.sqrt(beta_sq):.12g} reaches the light-speed limit"
         )
     g = _gamma(beta_sq)
     x = g * g / (g + 1.0)

@@ -1,13 +1,15 @@
 """Command-line front end: analyze / classify single states, run sample batches.
 
-analyze formats the record of sampling.cross_validate and runs no analysis itself.
+analyze and classify format the record of sampling.cross_validate and run no
+analysis themselves.
 State files are single JSON documents with keys "a", "b" and exactly one of
 "t_diag" (3 values) or "t_full" (9 values, row-major), plus an optional
 "normalize" flag.  Floats are emitted with shortest round-trip precision so
 reports re-parse bit for bit.
 
-Exit codes: 0 separable, 1 entangled, 2 not a state or usage error,
-3 non-generic (verdict from the partial-transpose test only).
+Exit codes of analyze: 0 separable, 1 entangled, 2 not a state or usage
+error, 3 non-generic (verdict from the partial-transpose test only).  classify
+exits 0 for every classification and 2 on a non-state or usage error.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ import numpy as np
 from .boost import BETA_LIMIT
 from .errors import InvalidStateError, QubitSepError
 from .hs import PSD_TOL, ZERO_TOL, HSParams
-from .normal_form import classify
 from .pt import SEPARABLE, VERDICT_TOL, Verdict, mds_criterion
-from .sampling import FAMILIES, SampleSpec, batch_stats, cross_validate, reduce_to_diagonal
+from .sampling import FAMILIES, SampleSpec, batch_stats, cross_validate
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .hs import eigenvalues_hermitian, rho_from_hs  # noqa: F401
@@ -128,15 +129,14 @@ def _cmd_analyze(args) -> int:
     try:
         rec = cross_validate(params, args.tol_verdict, args.beta_limit, args.tol_psd)
     except InvalidStateError as exc:
-        four_lambda = exc.spectrum.four_lambda
-        report.update(psd=False, eigenvalues_4l=_floats(four_lambda), error=str(exc))
+        report.update(psd=False, eigenvalues_4l=_floats(exc.spectrum), error=str(exc))
         _emit(report, args.format)
         print("error: input is not a valid state", file=sys.stderr)
         return EXIT_ERROR
     report.update(
         psd=True,
-        eigenvalues_4l=_floats(rec.spectrum.four_lambda),
-        pt_eigenvalues_4l=_floats(rec.pt_spectrum.four_lambda),
+        eigenvalues_4l=_floats(rec.spectrum),
+        pt_eigenvalues_4l=_floats(rec.pt_spectrum),
         ppt_verdict=_verdict(rec.ppt),
     )
     notes = [] if rec.note is None else [rec.note]
@@ -178,9 +178,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    params = load_state_file(args.state_file)
-    work, _ = reduce_to_diagonal(params)
-    classification = classify(work)
+    # a non-state raises InvalidStateError, reported by main with exit code 2
+    classification = cross_validate(load_state_file(args.state_file)).classification
     label = _kind_label(classification.kind)
     if classification.detail:
         print(f"{label}: {classification.detail}")

@@ -18,7 +18,8 @@ class UnsupportedFormError(QubitSepError):
 
 
 class InvalidStateError(QubitSepError):
-    """The input is not a valid quantum state; `spectrum` holds the one that showed it."""
+    """The input is not a valid quantum state; `spectrum` holds the one that showed it
+    (read-only, ascending, 4*lambda units)."""
 
     def __init__(self, message: str, spectrum=None):
         super().__init__(message)
@@ -27,10 +28,6 @@ class InvalidStateError(QubitSepError):
 
 class NoPhysicalBoostError(QubitSepError):
     """No boost with beta^2 < 1 solves the elimination conditions."""
-
-    def __init__(self, message: str, beta: float | None = None):
-        super().__init__(message)
-        self.beta = beta
 
 
 class BoostLimitError(NoPhysicalBoostError):

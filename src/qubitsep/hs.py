@@ -9,8 +9,9 @@ with real local vectors a, b and a real 3x3 correlation matrix t.
 
 Convention (all regression values depend on it): sigma_y = [[0, -i], [i, 0]],
 basis order |00>, |01>, |10>, |11> with qubit A the left tensor factor.
-Eigenvalues are stored in 4*lambda units internally and exposed as lambda at
-API boundaries.
+A spectrum is a read-only float array of four eigenvalues, ascending, in
+4*lambda units (the eigenvalues of 4 rho).  Comparisons against tolerances in
+lambda units divide it by 4 first, which is exact.
 """
 
 from __future__ import annotations
@@ -103,25 +104,10 @@ class HSParams:
         return float(np.abs(self.a - self.b).max()) <= ZERO_TOL
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Four real eigenvalues, ascending, stored in 4*lambda units.
-
-    The producer passes the values already in ascending order (eigvalsh
-    returns them so) and in a fresh array, which is frozen here.
-    """
-
-    four_lambda: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.four_lambda, dtype=float).reshape(4)
-        v.setflags(write=False)
-        object.__setattr__(self, "four_lambda", v)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Eigenvalues in plain lambda units."""
-        return self.four_lambda / 4.0
+def _read_only(v: np.ndarray) -> np.ndarray:
+    """Freeze a freshly computed array in place and return it."""
+    v.setflags(write=False)
+    return v
 
 
 def require_hermitian(matrix, stacked: bool = False) -> np.ndarray:
@@ -190,13 +176,13 @@ def hs_from_rho(rho) -> HSParams:
     return HSParams.from_grid(grid_from_rho(rho).real)
 
 
-def eigenvalues_hermitian(matrix) -> Spectrum:
-    """Eigenvalues of a 4x4 Hermitian matrix (ascending), via the dense solver."""
+def eigenvalues_hermitian(matrix) -> np.ndarray:
+    """Eigenvalues of a 4x4 Hermitian matrix, ascending, in 4*lambda units."""
     m = require_hermitian(matrix)
-    return Spectrum(4.0 * np.linalg.eigvalsh(m))
+    return _read_only(4.0 * np.linalg.eigvalsh(m))
 
 
-def eigenvalues_closed_form_pair(axis: int, a: float, b: float, tdiag) -> Spectrum:
+def eigenvalues_closed_form_pair(axis: int, a: float, b: float, tdiag) -> np.ndarray:
     """Closed-form spectrum for a state whose only linear pair sits on one axis.
 
     With the pair on axis 1 and t diagonal the four values of 4*lambda are
@@ -216,12 +202,12 @@ def eigenvalues_closed_form_pair(axis: int, a: float, b: float, tdiag) -> Spectr
     four = np.array(
         [1 + t[k] - r_sum, 1 + t[k] + r_sum, 1 - t[k] - r_dif, 1 - t[k] + r_dif]
     )
-    return Spectrum(np.sort(four))
+    return _read_only(np.sort(four))
 
 
 def is_positive_semidefinite(matrix, tol: float = PSD_TOL) -> bool:
     """True when the minimum eigenvalue is >= -tol."""
-    return float(eigenvalues_hermitian(matrix).values[0]) >= -tol
+    return float(eigenvalues_hermitian(matrix)[0]) / 4.0 >= -tol
 
 
 def tdiag_via_local_rotations(params: HSParams):

@@ -160,9 +160,7 @@ def solve_pair_general(
         q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else -0.5 * sq
         if q == 0.0:
             # disc == 0 with c1 == 0 would force c2 == 0; degenerate double root
-            raise BoostLimitError(
-                "double root on the unit circle", beta=math.copysign(1.0, -c1)
-            )
+            raise BoostLimitError("double root on the unit circle")
         r_big, r_small = q / c2, c2 / q
         beta_a = r_small if abs(r_small) <= abs(r_big) else r_big
         for _ in range(2):
@@ -172,17 +170,13 @@ def solve_pair_general(
                 break
             beta_a -= f / df
     if abs(beta_a) >= 1.0 - beta_limit:
-        raise BoostLimitError(
-            f"beta_a = {beta_a:.12g} reaches the light-speed limit", beta=beta_a
-        )
+        raise BoostLimitError(f"beta_a = {beta_a:.12g} reaches the light-speed limit")
     denom = 1.0 - b1 * beta_a
     if abs(denom) <= _DENOM_TOL:
         raise NoPhysicalBoostError("beta_b diverges; no physical boost")
     beta_b = (a1 - beta_a * t1) / denom
     if abs(beta_b) >= 1.0 - beta_limit:
-        raise BoostLimitError(
-            f"beta_b = {beta_b:.12g} reaches the light-speed limit", beta=beta_b
-        )
+        raise BoostLimitError(f"beta_b = {beta_b:.12g} reaches the light-speed limit")
     if _pair_residual(a1, b1, t1, beta_a, beta_b) > _PAIR_RESIDUAL_TOL:
         raise SolverInconsistencyError("pair solve failed its elimination certificate")
     return beta_a, beta_b
@@ -222,8 +216,7 @@ def solve_pair_symmetric(a: float, t1: float, beta_limit: float = BETA_LIMIT) ->
     if abs(beta) >= 1.0 - beta_limit:
         raise BoostLimitError(
             f"beta = {beta:.12g} reaches the light-speed limit "
-            "(boundary |2a| = |1 + t1|)",
-            beta=beta,
+            "(boundary |2a| = |1 + t1|)"
         )
     return beta
 
@@ -539,8 +532,3 @@ def solve_normal_form(
         offdiag_residual=offdiag,
         sigma=sigma,
     )
-
-
-def classify(params: HSParams, beta_limit: float = BETA_LIMIT) -> Classification:
-    """Generic / one of the four light-speed cases / no-physical-boost."""
-    return solve_normal_form(params, beta_limit).classification

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, InvalidParameterError, InvalidStateError
-from .hs import (
-    HSParams,
-    Spectrum,
-    eigenvalues_hermitian,
-    require_hermitian,
-)
+from .hs import PSD_TOL, HSParams, _read_only, eigenvalues_hermitian, require_hermitian
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -92,43 +87,48 @@ def ptu(params: HSParams, qubit: str = "A") -> HSParams:
     return HSParams.diagonal(params.a, -params.b, -tdiag)
 
 
-def spectra(rho, qubit: str = "A") -> tuple[Spectrum, Spectrum]:
+def spectra(rho, qubit: str = "A") -> tuple[np.ndarray, np.ndarray]:
     """Spectra of rho and of its partial transpose, from one stacked eigensolve.
 
-    Each is bit for bit what eigenvalues_hermitian gives for its matrix alone.
+    Each is bit for bit what eigenvalues_hermitian gives for its matrix alone:
+    read-only, ascending, in 4*lambda units.
     """
     m = require_hermitian(rho)
     lam = np.linalg.eigvalsh(np.stack((m, partial_transpose_matrix(m, qubit))))
-    return Spectrum(4.0 * lam[0]), Spectrum(4.0 * lam[1])
+    four = _read_only(4.0 * lam)
+    return four[0], four[1]
 
 
-def require_state(spectrum: Spectrum, tol: float) -> None:
-    """Raise InvalidStateError, carrying `spectrum`, if an eigenvalue is below -tol."""
-    if float(spectrum.values[0]) < -tol:
+def require_state(spectrum: np.ndarray, tol: float) -> None:
+    """Raise InvalidStateError, carrying `spectrum` (4*lambda units), if an
+    eigenvalue lambda is below -tol."""
+    if float(spectrum[0]) / 4.0 < -tol:
         raise InvalidStateError("input is not positive semidefinite; not a state", spectrum)
 
 
 def peres_horodecki(rho, tol: float = VERDICT_TOL, qubit: str = "A") -> Verdict:
     """Exact separability test: entangled iff the partial transpose dips below -tol.
 
-    Raises InvalidStateError for inputs that are not positive semidefinite;
-    a verdict on a non-state would mask upstream bugs.
+    Raises InvalidStateError for inputs with an eigenvalue below -PSD_TOL;
+    a verdict on a non-state would mask upstream bugs.  `tol` is the verdict
+    margin only.
     """
     spectrum, pt_spectrum = spectra(rho, qubit)
-    require_state(spectrum, tol)
+    require_state(spectrum, PSD_TOL)
     return ppt_verdict(pt_spectrum, tol)
 
 
-def ppt_verdict(pt_spectrum: Spectrum, tol: float = VERDICT_TOL) -> Verdict:
+def ppt_verdict(pt_spectrum: np.ndarray, tol: float = VERDICT_TOL) -> Verdict:
     """The Peres-Horodecki verdict read from an already computed PT spectrum.
 
     Unlike peres_horodecki this does not check that the input is a state;
     the caller has done so with its own tolerance.
     """
-    min_lam = float(pt_spectrum.values[0])
+    witness = float(pt_spectrum[0])
+    min_lam = witness / 4.0
     return Verdict(
         kind=ENTANGLED if min_lam < -tol else SEPARABLE,
-        witness=float(pt_spectrum.four_lambda[0]),
+        witness=witness,
         criterion="peres-horodecki",
         boundary=abs(min_lam) <= tol,
     )
@@ -164,12 +164,12 @@ def half_eigenvalue_criterion(rho, params: HSParams, tol: float = VERDICT_TOL) -
         raise ContractViolationError(
             "half-eigenvalue criterion needs a = 0 or b = 0"
         )
-    spec = eigenvalues_hermitian(rho)
-    max_lam = float(spec.values[-1])
+    four_max = float(eigenvalues_hermitian(rho)[-1])
+    max_lam = four_max / 4.0
     entangled = max_lam > 0.5 + tol
     return Verdict(
         kind=ENTANGLED if entangled else SEPARABLE,
-        witness=2.0 - float(spec.four_lambda[-1]),
+        witness=2.0 - four_max,
         criterion="half-eigenvalue",
         boundary=abs(max_lam - 0.5) <= tol,
     )

@@ -46,7 +46,6 @@ from .hs import (
     PSD_TOL,
     ZERO_TOL,
     HSParams,
-    Spectrum,
     coefficient_grid,
     require_hermitian,
     rho_from_grid,
@@ -120,7 +119,8 @@ class SampleSpec:
 @dataclass(frozen=True)
 class CrossValidation:
     """Verdicts of both pipelines on one state, the spectra of rho and of its partial
-    transpose, and `reduced`, the diagonal-t form solved (`note` names the rotation)."""
+    transpose (read-only, ascending, 4*lambda units), and `reduced`, the diagonal-t
+    form solved (`note` names the rotation)."""
 
     ppt: Verdict
     classification: Classification
@@ -128,8 +128,8 @@ class CrossValidation:
     report: SolveReport
     boundary: bool
     agree: bool | None
-    spectrum: Spectrum
-    pt_spectrum: Spectrum
+    spectrum: np.ndarray
+    pt_spectrum: np.ndarray
     reduced: HSParams
     note: str | None
 

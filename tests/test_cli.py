@@ -232,7 +232,7 @@ def test_analyze_full_t_input(tmp_path, capsys):
         doc = json.loads(out)
         rec = cross_validate(load_state_file(path))
         assert doc["ppt_verdict"]["witness"] == rec.ppt.witness
-        assert doc["pt_eigenvalues_4l"] == list(rec.pt_spectrum.four_lambda)
+        assert doc["pt_eigenvalues_4l"] == list(rec.pt_spectrum)
         assert doc["classification"]["detail"] == rec.classification.detail
         if not rec.classification.is_generic:
             assert "betas" not in doc
@@ -475,7 +475,7 @@ PINNED_CLI_OUTPUTS = {
     "inactive-axis-order": "11b081a077d7cfbae475450e172cb4fc5e74a54b8d51e117175ce81cc4ee34de",
     "t-full-symmetric": "893aa2fa5a5b57fa168d162b46f742aab26bf4a095ef4804d44e65242006d4ca",
     "t-full-product": "a497913aad96e29b2af8b09bee3e6ae4abe3094721d0c05996aba47d32ca87fa",
-    "non-psd": "b0af491ce3180a90105317c4e7fe4916f755125460ed7b703253144838dd9200",
+    "non-psd": "6686e59edc1b9a813828ff7fb843b2614bb26d413313fd9a6605cf53fdcc84d0",
 }
 
 
@@ -492,3 +492,15 @@ def test_cli_outputs_pinned(tmp_path, capsys):
     assert set(GOLDEN_STATES) == set(PINNED_CLI_OUTPUTS)
     for name, expected in PINNED_CLI_OUTPUTS.items():
         assert cli_outputs_digest(tmp_path, capsys, name) == expected, name
+
+
+def test_classify_prints_the_analyze_classification(tmp_path, capsys):
+    for name, doc in GOLDEN_STATES.items():
+        path = write_state(tmp_path, doc, name=f"{name}.json")
+        code, out, err = run(capsys, "classify", path)
+        if name == "non-psd":
+            assert (code, out) == (2, "") and err.startswith("error: ")
+            continue
+        reported = json.loads(run(capsys, "analyze", path)[1])["classification"]
+        label = reported["kind"] + (f": {reported['detail']}" if reported["detail"] else "")
+        assert (code, out) == (0, label + "\n"), name

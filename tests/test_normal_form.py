@@ -18,7 +18,6 @@ from qubitsep import (
     UnsupportedFormError,
     boost_general,
     boost_x,
-    classify,
     eliminate_and_diagonalize,
     peres_horodecki,
     r_from_hs,
@@ -461,39 +460,39 @@ def test_separability_verdict_examples():
 
 def test_classify_non_generic_cases():
     a_case = HSParams.diagonal([1, 0, 0], [0, 0, 0], [0, 0, 0])
-    assert classify(a_case).kind == NON_GENERIC_A
+    assert solve_normal_form(a_case).classification.kind == NON_GENERIC_A
     b_case = HSParams.diagonal([0, 0, 0], [0, 1, 0], [0, 0, 0])
-    assert classify(b_case).kind == NON_GENERIC_B
+    assert solve_normal_form(b_case).classification.kind == NON_GENERIC_B
     c_case = HSParams.diagonal([0.5, 0, 0], [0.5, 0, 0], [0, 0, 0])
-    assert classify(c_case).kind == NON_GENERIC_C
+    assert solve_normal_form(c_case).classification.kind == NON_GENERIC_C
     d_case = HSParams.diagonal([1, 0, 0], [1, 0, 0], [1, 0, 0])
-    cls = classify(d_case)
+    cls = solve_normal_form(d_case).classification
     assert cls.kind == NON_GENERIC_D
     assert "known verdict: separable" in cls.detail
 
 
 def test_classify_non_generic_axis_permutation():
     a_case = HSParams.diagonal([0, 0, -1], [0, 0, 0], [0, 0, 0])
-    assert classify(a_case).kind == NON_GENERIC_A
+    assert solve_normal_form(a_case).classification.kind == NON_GENERIC_A
     c_case = HSParams.diagonal([0, 0.5, 0], [0, 0.5, 0], [0.2, 0, 0.2])
-    assert classify(c_case).kind == NON_GENERIC_C
+    assert solve_normal_form(c_case).classification.kind == NON_GENERIC_C
 
 
 def test_classify_generic_and_boundary(pair64):
-    assert classify(pair64).kind == GENERIC
+    assert solve_normal_form(pair64).classification.kind == GENERIC
     boundary = HSParams.diagonal([0.65, 0, 0], [0.65, 0, 0], [0.3, 0.1, 0.1])
-    cls = classify(boundary)
+    cls = solve_normal_form(boundary).classification
     assert cls.kind == NO_PHYSICAL_BOOST
 
 
 def test_classify_requires_diagonal_t():
     with pytest.raises(UnsupportedFormError):
-        classify(HSParams(np.zeros(3), np.zeros(3), np.ones((3, 3))))
+        solve_normal_form(HSParams(np.zeros(3), np.zeros(3), np.ones((3, 3))))
 
 
 def test_classify_unsupported_family():
     p = HSParams.diagonal([0.2, 0, 0], [0, 0.3, 0], [0.1, 0.1, 0.1])
-    cls = classify(p)
+    cls = solve_normal_form(p).classification
     assert cls.kind == NO_PHYSICAL_BOOST
     assert "not symmetric" in cls.detail
 
@@ -553,7 +552,7 @@ def test_entangled_member_of_case_c_family():
     # equal transverse correlations on a half-strength symmetric pair stay
     # non-generic, and the exact test still supplies the (entangled) verdict
     p = HSParams.diagonal([0.5, 0, 0], [0.5, 0, 0], [0.0, 0.4, 0.4])
-    assert classify(p).kind == NON_GENERIC_C
+    assert solve_normal_form(p).classification.kind == NON_GENERIC_C
     assert peres_horodecki(rho_from_hs(p)).kind == ENTANGLED
 
 
@@ -603,9 +602,11 @@ def test_exact_tie_solves_as_the_rotated_state(a, tdiag, merged):
 
 def test_exact_tie_rotated_onto_a_structural_form():
     # a = b = (0.3, 0.4, 0) with t = 0 is case c) turned about the z axis
-    cls = classify(HSParams.diagonal([0.3, 0.4, 0], [0.3, 0.4, 0], [0, 0, 0]))
+    rotated = HSParams.diagonal([0.3, 0.4, 0], [0.3, 0.4, 0], [0, 0, 0])
+    cls = solve_normal_form(rotated).classification
     assert cls.kind == NON_GENERIC_C
-    assert cls == classify(HSParams.diagonal([0.5, 0, 0], [0.5, 0, 0], [0, 0, 0]))
+    on_axis = HSParams.diagonal([0.5, 0, 0], [0.5, 0, 0], [0, 0, 0])
+    assert cls == solve_normal_form(on_axis).classification
 
 
 def test_exact_ties_agree_with_ppt():
@@ -668,7 +669,7 @@ def test_symmetric_failure_names_the_light_speed_rule():
     # the one physical root has |beta| = 0.629: past 1 - beta_limit = 0.5,
     # below the default limit
     p = HSParams.diagonal([0.24, -0.45, 0], [0.24, -0.45, 0], [-0.14, 0.3, -0.08])
-    cls = classify(p, beta_limit=0.5)
+    cls = solve_normal_form(p, beta_limit=0.5).classification
     assert cls.kind == NO_PHYSICAL_BOOST
     assert "|beta| < 1 - beta_limit = 0.5" in cls.detail
     report = solve_normal_form(p)

