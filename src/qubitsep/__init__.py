@@ -29,7 +29,11 @@ from .hs import (
     eigenvalues_closed_form_pair,
     eigenvalues_hermitian,
     is_positive_semidefinite,
+    is_symmetric_r,
+    r_from_hs,
+    r_from_rho,
     rho_from_hs,
+    rho_from_r,
     hs_from_rho,
     tdiag_via_local_rotations,
     tdiag_via_symmetric_rotation,
@@ -60,7 +64,6 @@ from .pt import (
     ptu,
     spectra,
 )
-from .rmatrix import is_symmetric_r, r_from_hs, r_from_rho, rho_from_r
 from .roots import real_roots
 from .sampling import (
     FAMILIES,

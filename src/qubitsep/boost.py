@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import BoostLimitError, InvalidParameterError
-from .rmatrix import _as_r
+from .hs import _as_r
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -69,7 +69,7 @@ def apply_two_sided(r, left, right) -> np.ndarray:
     """Return left @ R @ right^T.
 
     The left factor acts on qubit B and the right factor on qubit A, since
-    R's rows index qubit B and its columns qubit A (see rmatrix).  The right
+    R's rows index qubit B and its columns qubit A (see hs).  The right
     factor is transposed internally so callers always pass plain boost
     matrices regardless of which side they act on.  All three must be finite
     real 4x4 matrices (InvalidParameterError).

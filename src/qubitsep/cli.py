@@ -131,7 +131,7 @@ def _cmd_analyze(args) -> int:
     except InvalidStateError as exc:
         report.update(psd=False, eigenvalues_4l=_floats(exc.spectrum), error=str(exc))
         _emit(report, args.format)
-        print("error: input is not a valid state", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     report.update(
         psd=True,

@@ -12,6 +12,16 @@ basis order |00>, |01>, |10>, |11> with qubit A the left tensor factor.
 A spectrum is a read-only float array of four eigenvalues, ascending, in
 4*lambda units (the eigenvalues of 4 rho).  Comparisons against tolerances in
 lambda units divide it by 4 first, which is exact.
+
+The 16 coefficients are held in one layout, the real 4x4 matrix
+R = [[1, a], [b, t^T]]: R[nu, mu] is the coefficient of sigma_mu (qubit A)
+x sigma_nu (qubit B), so rows index qubit B and columns qubit A, and the
+corner R[0, 0] is Tr rho.  In this layout R is covariant under local
+filters: F_A (x) F_B sends R to exactly Lambda(F_B) R Lambda(F_A)^T, with
+Lambda(F)_mn = (1/2) Tr[sigma_m F sigma_n F^dagger] a proper Lorentz
+transformation for F in SL(2, C).  A two-sided product L @ R @ M^T
+therefore applies L on qubit B and M on qubit A.  Hermiticity of rho is
+equivalent to R being real.
 """
 
 from __future__ import annotations
@@ -81,9 +91,9 @@ class HSParams:
         return cls(a, b, np.diag(_as_real_vector(tdiag, "tdiag")))
 
     @classmethod
-    def from_grid(cls, c) -> "HSParams":
-        """Read params back from a 4x4 coefficient grid (see coefficient_grid)."""
-        return cls(c[1:, 0], c[0, 1:], c[1:, 1:])
+    def from_r(cls, r) -> "HSParams":
+        """Read params back from R (see pack_r); the corner is not read."""
+        return cls(r[0, 1:], r[1:, 0], r[1:, 1:].T)
 
     @classmethod
     def zero(cls) -> "HSParams":
@@ -100,8 +110,11 @@ class HSParams:
         return self.t.diagonal().copy()
 
     def is_symmetric(self) -> bool:
-        """True when the two qubits carry identical linear terms (a == b)."""
-        return float(np.abs(self.a - self.b).max()) <= ZERO_TOL
+        """True when a == b and t == t^T, entry by entry within ZERO_TOL."""
+        (a1, a2, a3), (b1, b2, b3) = self.a.tolist(), self.b.tolist()
+        (_, t12, t13), (t21, _, t23), (t31, t32, _) = self.t.tolist()
+        linear = max(abs(a1 - b1), abs(a2 - b2), abs(a3 - b3))
+        return max(linear, abs(t12 - t21), abs(t13 - t31), abs(t23 - t32)) <= ZERO_TOL
 
 
 def _read_only(v: np.ndarray) -> np.ndarray:
@@ -124,37 +137,63 @@ def require_hermitian(matrix, stacked: bool = False) -> np.ndarray:
     return m
 
 
-def coefficient_grid(a, b, t) -> np.ndarray:
-    """Coefficients against sigma_m (qubit A) x sigma_n (qubit B) as a 4x4 grid.
+def _as_r(r, name: str = "R") -> np.ndarray:
+    m = np.asarray(r, dtype=float)
+    if m.shape != (4, 4):
+        raise InvalidParameterError(f"{name} must be a real 4x4 matrix")
+    if not np.isfinite(m).all():
+        raise InvalidParameterError(f"{name} entries must be finite")
+    return m
 
-    a sits on the A side (column 0), b on the B side (row 0), t rows on A and
-    columns on B; R (see rmatrix) is this grid transposed.  Leading axes of
-    a (..., 3), b (..., 3) and t (..., 3, 3) give a stack of grids.
-    """
+
+def pack_r(a, b, t) -> np.ndarray:
+    """R = [[1, a], [b, t^T]]; leading axes of a (..., 3), b (..., 3) and
+    t (..., 3, 3) give a stack of R matrices."""
     a = np.asarray(a, dtype=float)
-    c = np.empty(a.shape[:-1] + (4, 4))
-    c[..., 0, 0] = 1.0
-    c[..., 1:, 0] = a
-    c[..., 0, 1:] = b
-    c[..., 1:, 1:] = t
-    return c
+    r = np.empty(a.shape[:-1] + (4, 4))
+    r[..., 0, 0] = 1.0
+    r[..., 0, 1:] = a
+    r[..., 1:, 0] = b
+    r[..., 1:, 1:] = np.swapaxes(t, -1, -2)
+    return r
 
 
-def rho_from_grid(c) -> np.ndarray:
-    """(1/4) sum_mn c_mn sigma_m x sigma_n for one grid or a stack (..., 4, 4).
+def r_from_hs(params: HSParams) -> np.ndarray:
+    """Pack (a, b, t) into R; the corner is 1."""
+    return pack_r(params.a, params.b, params.t)
 
-    Each matrix of a stack is bit for bit the one a single grid gives.
+
+def _rho_from_r(r) -> np.ndarray:
+    # rho_from_r without the input check, for one R or a stack (..., 4, 4);
+    # each matrix of a stack is bit for bit the one a single R gives
+    return np.einsum("...nm,mnij->...ij", r, PAULI_KRON) / 4.0
+
+
+def rho_from_r(r) -> np.ndarray:
+    """(1/4) sum R[nu, mu] sigma_mu x sigma_nu: the matrix of trace R[0, 0].
+
+    The inverse of r_from_rho; R must be a finite real 4x4 matrix.
     """
-    return np.einsum("...mn,mnij->...ij", c, PAULI_KRON) / 4.0
+    return _rho_from_r(_as_r(r))
 
 
-def grid_from_rho(rho) -> np.ndarray:
-    """The complex trace grid Tr[rho sigma_m x sigma_n] of a Hermitian 4x4 matrix.
+def r_from_rho(rho) -> np.ndarray:
+    """Extract R from a Hermitian matrix via Pauli trace inner products.
 
-    The inverse of rho_from_grid; for a Hermitian input the imaginary part is
-    rounding residue only.
+    R[nu, mu] = Tr[rho sigma_mu x sigma_nu]; the corner is Tr rho.  A trace
+    whose imaginary part reaches HERMITICITY_TOL is rejected, since for a
+    Hermitian input it is rounding residue only.
     """
-    return np.einsum("ij,mnji->mn", require_hermitian(rho), PAULI_KRON)
+    r = np.einsum("ij,mnji->nm", require_hermitian(rho), PAULI_KRON)
+    imag = float(np.abs(r.imag).max())
+    if imag >= HERMITICITY_TOL:
+        raise InvalidParameterError(f"imaginary residue {imag:.3g} in R entries")
+    return r.real
+
+
+def is_symmetric_r(r) -> bool:
+    """HSParams.is_symmetric on R, that is R == R^T within ZERO_TOL."""
+    return HSParams.from_r(_as_r(r)).is_symmetric()
 
 
 def rho_from_hs(params: HSParams) -> np.ndarray:
@@ -163,17 +202,17 @@ def rho_from_hs(params: HSParams) -> np.ndarray:
     The result is Hermitian with unit trace; positivity is not guaranteed and
     must be queried separately.
     """
-    return rho_from_grid(coefficient_grid(params.a, params.b, params.t))
+    return _rho_from_r(r_from_hs(params))
 
 
 def hs_from_rho(rho) -> HSParams:
-    """Invert the Pauli expansion via trace inner products.
+    """Invert the Pauli expansion via trace inner products (see r_from_rho).
 
     a_i = Tr[rho sigma_i x I], b_i = Tr[rho I x sigma_i],
     t_lm = Tr[rho sigma_l x sigma_m]; round-trips with rho_from_hs to well
     below 1e-12.
     """
-    return HSParams.from_grid(grid_from_rho(rho).real)
+    return HSParams.from_r(r_from_rho(rho))
 
 
 def eigenvalues_hermitian(matrix) -> np.ndarray:

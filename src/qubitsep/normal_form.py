@@ -36,9 +36,8 @@ from .errors import (
     NoPhysicalBoostError,
     SolverInconsistencyError,
 )
-from .hs import ZERO_TOL, HSParams
+from .hs import ZERO_TOL, HSParams, r_from_hs
 from .pt import ENTANGLED, SEPARABLE, VERDICT_TOL, Verdict
-from .rmatrix import r_from_hs
 from .roots import real_roots
 
 GENERIC = "generic"
@@ -135,7 +134,7 @@ def solve_pair_general(
     acts on: solve_normal_form passes boost_x(beta_a) to
     eliminate_and_diagonalize as the left factor of R, which acts on qubit B,
     and boost_x(beta_b) as the right factor, which acts on qubit A (see
-    rmatrix).  On rho, boost_x(beta, k) is the filter
+    hs).  On rho, boost_x(beta, k) is the filter
     F = cosh(eta/2) I - sinh(eta/2) sigma_k, eta = atanh(beta).
     """
     for name, val in (("a1", a1), ("b1", b1), ("t1", t1)):
@@ -360,7 +359,7 @@ def eliminate_and_diagonalize(r, left, right) -> tuple[SigmaForm, float]:
     """Apply two Lorentz factors to R, certify the elimination, read off Sigma.
 
     `left` acts on qubit B and `right` on qubit A (left @ R @ right^T, see
-    rmatrix); apply_two_sided checks that all three are finite real 4x4
+    hs); apply_two_sided checks that all three are finite real 4x4
     matrices.  The certificate: the boosted linear terms and the asymmetry of
     the boosted spatial block must both stay below OFFDIAG_TOL, else
     SolverInconsistencyError, and the corner s0 must be positive (SigmaForm).

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, InvalidParameterError, InvalidStateError
-from .hs import PSD_TOL, HSParams, _read_only, eigenvalues_hermitian, require_hermitian
+from .hs import (
+    PSD_TOL,
+    ZERO_TOL,
+    HSParams,
+    _read_only,
+    eigenvalues_hermitian,
+    require_hermitian,
+)
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -155,11 +162,12 @@ def necessity_check(params: HSParams) -> bool:
 def half_eigenvalue_criterion(rho, params: HSParams, tol: float = VERDICT_TOL) -> Verdict:
     """Separable iff every eigenvalue is <= 1/2; valid only for one-sided linear terms.
 
-    The complement identity behind it needs a = 0 or b = 0; both nonzero is a
-    precondition violation.
+    The complement identity behind it needs a = 0 or b = 0, each decided at
+    ZERO_TOL; both nonzero is a precondition violation.  `tol` is the verdict
+    margin only.
     """
-    a_active = float(np.abs(params.a).max()) > tol
-    b_active = float(np.abs(params.b).max()) > tol
+    a_active = float(np.abs(params.a).max()) > ZERO_TOL
+    b_active = float(np.abs(params.b).max()) > ZERO_TOL
     if a_active and b_active:
         raise ContractViolationError(
             "half-eigenvalue criterion needs a = 0 or b = 0"

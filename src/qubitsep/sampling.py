@@ -42,13 +42,11 @@ import numpy as np
 from .boost import BETA_LIMIT
 from .errors import InvalidParameterError, SamplingExhaustedError
 from .hs import (
-    PAULI_KRON,
     PSD_TOL,
-    ZERO_TOL,
     HSParams,
-    coefficient_grid,
+    _rho_from_r,
+    pack_r,
     require_hermitian,
-    rho_from_grid,
     rho_from_hs,
     tdiag_via_local_rotations,
     tdiag_via_symmetric_rotation,
@@ -218,25 +216,27 @@ def _symmetric_two_calls(rng: np.random.Generator, n: int) -> tuple[np.ndarray, 
     return u, quiet
 
 
-# Real map from a flattened coefficient grid to the diagonal, then the real
-# and the imaginary parts of the upper off-diagonal entries, of 4 rho
+# Real map from a flattened R to the diagonal, then the real and the
+# imaginary parts of the upper off-diagonal entries, of 4 rho: row k is read
+# off 4 rho of the R whose flattened entry k is 1 (all entries exact)
 _ROW, _COL = np.triu_indices(4, 1)
+_UNIT_RHO = 4.0 * _rho_from_r(np.eye(16).reshape(16, 4, 4))
 _MINOR_MAP = np.concatenate(
     [
-        PAULI_KRON[..., range(4), range(4)].real.reshape(16, 4),
-        PAULI_KRON[..., _ROW, _COL].real.reshape(16, 6),
-        PAULI_KRON[..., _ROW, _COL].imag.reshape(16, 6),
+        _UNIT_RHO[:, range(4), range(4)].real,
+        _UNIT_RHO[:, _ROW, _COL].real,
+        _UNIT_RHO[:, _ROW, _COL].imag,
     ],
     axis=1,
 )
 _PREFILTER_MARGIN = 1e-9
 
 
-def _proven_indefinite(grids: np.ndarray) -> np.ndarray:
+def _proven_indefinite(rs: np.ndarray) -> np.ndarray:
     """Mask of the candidates whose lambda_min is surely below -_PSD_ACCEPT_TOL.
 
-    Proof.  For one candidate let C = max |c_mn| over its own grid (C >= 1,
-    as c_00 = 1) and D = 4 rho.  Each entry of D sums four terms of modulus
+    Proof.  For one candidate let C = max |R_mn| over its own R (C >= 1,
+    as R_00 = 1) and D = 4 rho.  Each entry of D sums four terms of modulus
     <= C, so |D_ij| <= 4C.  For a 2x2 principal block S of D, Cauchy
     interlacing gives lambda_min(D) <= lambda_min(S) <= min(D_ii, D_jj), and
     when det S < 0, lambda_min(S) = det S / lambda_max(S) with
@@ -246,15 +246,15 @@ def _proven_indefinite(grids: np.ndarray) -> np.ndarray:
     the computed D_ii by less than 1e-14 C, the minors by less than
     1e-13 C^2 and the eigvalsh result by about 1e-14 C, all far inside that
     room, so every candidate marked here is one that eigvalsh would reject
-    at -1e-12.  Each candidate's mark depends on its own grid alone, so the
+    at -1e-12.  Each candidate's mark depends on its own R alone, so the
     mask of a stack is the concatenation of the masks of its parts.
 
-    Raises InvalidParameterError on a non-finite grid anywhere in the stack.
+    Raises InvalidParameterError on a non-finite R anywhere in the stack.
     """
-    scale = np.abs(grids).max(axis=(1, 2))
+    scale = np.abs(rs).max(axis=(1, 2))
     if not np.isfinite(scale).all():
-        raise InvalidParameterError("coefficient grids must be finite")
-    x = grids.reshape(len(grids), 16) @ _MINOR_MAP
+        raise InvalidParameterError("R matrices must be finite")
+    x = rs.reshape(len(rs), 16) @ _MINOR_MAP
     diag = x[:, :4]
     minors = diag[:, _ROW] * diag[:, _COL] - x[:, 4:10] ** 2 - x[:, 10:] ** 2
     margin = _PREFILTER_MARGIN * scale
@@ -262,7 +262,7 @@ def _proven_indefinite(grids: np.ndarray) -> np.ndarray:
 
 
 def _draw_block(family: str, axis: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Coefficient grids (n, 4, 4) of the next n candidates (see coefficient_grid).
+    """The R matrices (n, 4, 4) of the next n candidates (see pack_r).
 
     Families drawn from uniforms alone take the block in one call, which
     yields the same numbers as n calls in a row; symmetric-two and
@@ -312,7 +312,7 @@ def _draw_block(family: str, axis: int, rng: np.random.Generator, n: int) -> np.
             t[c] = np.einsum("k,ki,kj->ij", weights, u, v)
     else:
         raise InvalidParameterError(f"unknown family {family!r}")
-    return coefficient_grid(a, b, t)
+    return pack_r(a, b, t)
 
 
 def _sample(spec: SampleSpec, indices: range, max_attempts: int) -> Iterator[HSParams]:
@@ -335,20 +335,20 @@ def _sample(spec: SampleSpec, indices: range, max_attempts: int) -> Iterator[HSP
         size = _FIRST_BLOCK[spec.family]
         while pending and checked < max_attempts:
             n = min(size, max_attempts - checked)
-            grids = np.concatenate(
+            rs = np.concatenate(
                 [_draw_block(spec.family, spec.axis, rngs[k], n) for k in pending]
             )
-            accepted = np.zeros(len(grids), dtype=bool)
-            survivors = np.flatnonzero(~_proven_indefinite(grids))
+            accepted = np.zeros(len(rs), dtype=bool)
+            survivors = np.flatnonzero(~_proven_indefinite(rs))
             if survivors.size:
-                rho = require_hermitian(rho_from_grid(grids[survivors]), stacked=True)
+                rho = require_hermitian(_rho_from_r(rs[survivors]), stacked=True)
                 accepted[survivors] = np.linalg.eigvalsh(rho)[:, 0] >= -_PSD_ACCEPT_TOL
             hits = accepted.reshape(len(pending), n)
             first = hits.argmax(axis=1)
             still = []
             for j, k in enumerate(pending):
                 if hits[j, first[j]]:
-                    found[k] = HSParams.from_grid(grids[j * n + first[j]])
+                    found[k] = HSParams.from_r(rs[j * n + first[j]])
                 else:
                     still.append(k)
             pending = still
@@ -385,7 +385,7 @@ def reduce_to_diagonal(params: HSParams) -> tuple[HSParams, str | None]:
     """
     if params.is_t_diagonal():
         return params, None
-    if params.is_symmetric() and float(np.abs(params.t - params.t.T).max()) <= ZERO_TOL:
+    if params.is_symmetric():
         work, _ = tdiag_via_symmetric_rotation(params)
         return work, (
             "correlation matrix diagonalized by one shared local rotation "

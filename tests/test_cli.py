@@ -504,3 +504,9 @@ def test_classify_prints_the_analyze_classification(tmp_path, capsys):
         reported = json.loads(run(capsys, "analyze", path)[1])["classification"]
         label = reported["kind"] + (f": {reported['detail']}" if reported["detail"] else "")
         assert (code, out) == (0, label + "\n"), name
+
+
+def test_non_state_error_line_is_the_same_for_both_commands(tmp_path, capsys):
+    path = write_state(tmp_path, GOLDEN_STATES["non-psd"])
+    errors = {run(capsys, command, path)[2] for command in ("analyze", "classify")}
+    assert errors == {"error: input is not positive semidefinite; not a state\n"}

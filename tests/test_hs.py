@@ -13,6 +13,7 @@ from qubitsep import (
     eigenvalues_hermitian,
     hs_from_rho,
     is_positive_semidefinite,
+    r_from_rho,
     rho_from_hs,
     tdiag_via_local_rotations,
     tdiag_via_symmetric_rotation,
@@ -286,6 +287,11 @@ def test_invalid_inputs():
         HSParams(np.zeros(3), np.zeros(3), np.ones((3, 3))).t_diagonal()
     with pytest.raises(ContractViolationError):
         hs_from_rho(np.arange(16, dtype=complex).reshape(4, 4))
+    # Hermitian within HERMITICITY_TOL, but Tr rho has imaginary part 1.6e-12
+    nearly = (0.25 + 4e-13j) * np.eye(4)
+    for convert in (r_from_rho, hs_from_rho):
+        with pytest.raises(InvalidParameterError, match="imaginary residue"):
+            convert(nearly)
 
 
 def test_params_own_their_arrays():

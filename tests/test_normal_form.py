@@ -243,6 +243,28 @@ def test_sigma_pair_b1zero_reality_violation():
         sigma_pair_b1zero(0.8, [0.7, 0.0, 0.0])
 
 
+def test_single_pair_sigma_matches_the_pair_invariants():
+    # case a) for any a_k, b_k: the pair block B = [[1, a_k], [b_k, t_k]] has
+    # the Lorentz invariants s0^2 + s_k^2 = tr(B eta B^T eta) and
+    # s0 s_k = det B, solved by s0 = (P + Q)/2, s_k = (P - Q)/2 with
+    # P = sqrt((1 + t_k)^2 - (a_k + b_k)^2), Q = sqrt((1 - t_k)^2 - (a_k - b_k)^2);
+    # the transverse values t_i, t_j are untouched
+    for axis in (1, 2, 3):
+        spec = SampleSpec("single-pair", 200, 7, axis)
+        k = axis - 1
+        for index in range(spec.count):
+            p = random_state(spec, index)
+            report = solve_normal_form(p)
+            assert report.classification.is_generic, (axis, index)
+            a, b, t = p.a[k], p.b[k], np.diag(p.t)
+            big_p = np.sqrt((1 + t[k]) ** 2 - (a + b) ** 2)
+            big_q = np.sqrt((1 - t[k]) ** 2 - (a - b) ** 2)
+            s = [(big_p - big_q) / 2, t[(k + 1) % 3], t[(k + 2) % 3]]
+            assert abs(report.sigma.s0 - (big_p + big_q) / 2) < 1e-12, (axis, index)
+            expected = sorted(s, key=lambda x: -abs(x))
+            assert np.abs(report.sigma.s - expected).max() < 1e-12, (axis, index)
+
+
 def test_cubic_coefficients_and_betas(cubic_state):
     coeffs = cubic_coefficients(0.1, 0.15, np.array([0.3, -0.2, 0.4]))
     assert np.abs(coeffs - np.array([1.0, -13.65, 3.6, -0.2])).max() < 1e-12

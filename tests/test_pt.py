@@ -238,6 +238,14 @@ def test_half_eigenvalue_precondition():
         half_eigenvalue_criterion(rho_from_hs(p), p)
 
 
+def test_half_eigenvalue_precondition_ignores_the_verdict_margin():
+    # b = 1e-7 is a linear term at ZERO_TOL whatever the verdict margin
+    p = HSParams.diagonal([0.5, 0, 0], [1e-7, 0, 0], [0, 0, 0])
+    for tol in (1e-10, 1e-6):
+        with pytest.raises(ContractViolationError):
+            half_eigenvalue_criterion(rho_from_hs(p), p, tol=tol)
+
+
 @pytest.mark.parametrize("axis", [1, 2])
 def test_half_eigenvalue_agrees_with_ppt(axis):
     # one-sided random states: the two exact criteria must coincide.

@@ -14,8 +14,7 @@ from qubitsep import (
     rho_from_hs,
     rho_from_r,
 )
-
-from qubitsep.hs import coefficient_grid
+from qubitsep.hs import ZERO_TOL
 
 from conftest import lorentz_of_filter, random_params
 
@@ -72,13 +71,6 @@ def test_r_composition_identity(a, b, t):
     assert np.abs(direct - via_rho).max() < 1e-12
 
 
-def test_r_is_the_transposed_coefficient_grid():
-    rng = np.random.default_rng(29)
-    for _ in range(200):
-        p = random_params(rng)
-        assert np.array_equal(r_from_hs(p), coefficient_grid(p.a, p.b, p.t).T)
-
-
 def _random_sl2c(rng):
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return m / np.sqrt(np.linalg.det(m))
@@ -114,7 +106,7 @@ def test_realness_residue_bulk():
 
     for _ in range(200):
         rho = rho_from_hs(random_params(rng))
-        r = np.einsum("ij,mnji->mn", rho, PAULI_KRON)
+        r = np.einsum("ij,mnji->nm", rho, PAULI_KRON)
         assert float(np.abs(r.imag).max()) < 1e-12
 
 
@@ -136,6 +128,22 @@ def test_is_symmetric():
     assert is_symmetric_r(np.diag([1.0, 0.3, -0.2, 0.5]))
     p = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0, 0, 0])
     assert not is_symmetric_r(r_from_hs(p))
+
+
+def test_one_symmetry_rule():
+    # a == b and t == t^T, each entry within ZERO_TOL inclusive, on params and on R
+    zero, t = np.zeros(3), np.diag([0.3, -0.2, 0.4])
+    off = np.zeros((3, 3))
+    off[0, 1] = 1.0
+    cases = []
+    for d in (0.0, ZERO_TOL, 2 * ZERO_TOL, 0.1):
+        cases.append((HSParams(zero, [d, 0, 0], t), d <= ZERO_TOL))
+        cases.append((HSParams([0.2, 0.1, 0], [0.2, 0.1, d], t), d <= ZERO_TOL))
+        cases.append((HSParams([0.2, 0, 0], [0.2, 0, 0], t + d * off), d <= ZERO_TOL))
+    cases.append((HSParams([0.1, 0, 0], [0, 0.1, 0], t + 0.1 * (off + off.T)), False))
+    for p, symmetric in cases:
+        assert p.is_symmetric() is symmetric
+        assert is_symmetric_r(r_from_hs(p)) is symmetric
 
 
 def test_malformed_r_rejected():

@@ -27,7 +27,7 @@ from qubitsep import (
     spectra,
     tdiag_via_local_rotations,
 )
-from qubitsep.hs import coefficient_grid, rho_from_grid
+from qubitsep.hs import _rho_from_r, pack_r
 from qubitsep import sampling
 from qubitsep.sampling import (
     _FIRST_BLOCK,
@@ -266,7 +266,7 @@ def test_sampling_exhausted():
     for index in range(200):
         rng = np.random.default_rng((spec.seed, index))
         c = _draw_block(spec.family, spec.axis, rng, 1)[0]
-        if eigenvalues_hermitian(rho_from_grid(c))[0] / 4 < -1e-12:
+        if eigenvalues_hermitian(_rho_from_r(c))[0] / 4 < -1e-12:
             with pytest.raises(SamplingExhaustedError):
                 random_state(spec, index, max_attempts=1)
             return
@@ -367,7 +367,7 @@ def _symmetric_three_loop(rng, n):
     for c in range(n):
         t[c, axes, axes] = rng.uniform(-0.9, 0.9, 3)
         a[c] = rng.uniform(0.05, 0.9, 3) * np.array([-1.0, 1.0])[rng.integers(0, 2, 3)]
-    return coefficient_grid(a, a, t)
+    return pack_r(a, a, t)
 
 
 @pytest.mark.parametrize("spare", [False, True])
@@ -397,7 +397,7 @@ def _symmetric_two_loop(rng, n):
         t[c, axes, axes] = rng.uniform(-0.9, 0.9, 3)
         vals = rng.uniform(-0.9, 0.9, 2)
         a[c, axes != int(rng.integers(3))] = vals
-    return coefficient_grid(a, a, t)
+    return pack_r(a, a, t)
 
 
 @pytest.mark.parametrize("spare", [False, True])
@@ -443,7 +443,7 @@ def test_prefilter_mask_is_per_candidate():
     eps = np.logspace(-12, -6, 100)
     t = np.zeros((100, 3, 3))
     t[:, 2, 2] = -1.0 - eps
-    edge = coefficient_grid(np.zeros((100, 3)), np.zeros((100, 3)), t)
+    edge = pack_r(np.zeros((100, 3)), np.zeros((100, 3)), t)
     large = 100.0 * _draw_block("full-symmetric", 1, np.random.default_rng(31), 8)
     large[:, 0, 0] = 1.0
     blocks = [edge[:50], large, edge[50:]]
@@ -470,8 +470,8 @@ def test_first_blocks_match_acceptance():
     # candidates per accepted state; a factor of 2 either way is allowed
     assert set(_FIRST_BLOCK) == set(FAMILIES)
     for family in FAMILIES:
-        grids = _draw_block(family, 1, np.random.default_rng(5), 4096)
-        accept = np.mean(np.linalg.eigvalsh(rho_from_grid(grids))[:, 0] >= -1e-12)
+        rs = _draw_block(family, 1, np.random.default_rng(5), 4096)
+        accept = np.mean(np.linalg.eigvalsh(_rho_from_r(rs))[:, 0] >= -1e-12)
         assert accept > 0, family
         assert 0.5 <= _FIRST_BLOCK[family] * accept <= 2.0, (family, accept)
 
@@ -502,18 +502,18 @@ def test_prefilter_never_discards_an_accepted_candidate():
         rng = np.random.default_rng(2024)
         rejected = caught = 0
         for _ in range(400):
-            grids = _draw_block(family, 1, rng, 256)
-            accepted = np.linalg.eigvalsh(rho_from_grid(grids))[:, 0] >= -1e-12
-            discarded = _proven_indefinite(grids)
+            rs = _draw_block(family, 1, rng, 256)
+            accepted = np.linalg.eigvalsh(_rho_from_r(rs))[:, 0] >= -1e-12
+            discarded = _proven_indefinite(rs)
             assert not (discarded & accepted).any(), family
             rejected += int((~accepted).sum())
             caught += int(discarded.sum())
         catch_rate[family] = caught / max(rejected, 1)
         # candidates moved to lambda_min in [-3e-12, 3e-12]: scaling every
-        # coefficient but c_00 by s maps lambda to (1 - s) / 4 + s * lambda
-        lam = np.linalg.eigvalsh(rho_from_grid(grids))[:, 0]
-        target = np.linspace(-3e-12, 3e-12, grids.shape[0])
-        near = grids * ((0.25 - target) / (0.25 - lam))[:, None, None]
+        # coefficient but R_00 by s maps lambda to (1 - s) / 4 + s * lambda
+        lam = np.linalg.eigvalsh(_rho_from_r(rs))[:, 0]
+        target = np.linspace(-3e-12, 3e-12, rs.shape[0])
+        near = rs * ((0.25 - target) / (0.25 - lam))[:, None, None]
         near[:, 0, 0] = 1.0
         assert not _proven_indefinite(near).any(), family
     assert catch_rate["full-symmetric"] > 0.95
@@ -525,10 +525,10 @@ def test_random_state_rejects_non_finite_draws(monkeypatch):
     # maximally mixed state and ends with a NaN, which must still raise
     def draw(family, axis, rng, n):
         t = np.broadcast_to(np.eye(3) if n == 1 else np.zeros((3, 3)), (n, 3, 3))
-        grids = coefficient_grid(np.zeros((n, 3)), np.zeros((n, 3)), t)
+        rs = pack_r(np.zeros((n, 3)), np.zeros((n, 3)), t)
         if n > 1:
-            grids[-1, 1, 1] = np.nan
-        return grids
+            rs[-1, 1, 1] = np.nan
+        return rs
 
     monkeypatch.setattr(sampling, "_draw_block", draw)
     with pytest.raises(InvalidParameterError):

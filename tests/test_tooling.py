@@ -11,16 +11,40 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def test_traced_names_resolve():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
     missing = [
         f"qubitsep.{module}.{name}"
-        for module, name, _ in tracing.WRAPPED
+        for module, name, _ in _load_tracing().WRAPPED
         if not hasattr(importlib.import_module(f"qubitsep.{module}"), name)
     ]
     assert missing == []
+
+
+def test_unused_imports_are_traced_names():
+    # a name a module imports and never uses must be one the tracer wraps there
+    wrapped = {(module, name) for module, name, _ in _load_tracing().WRAPPED}
+    unused = set()
+    for path in (ROOT / "src" / "qubitsep").glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused <= wrapped, sorted(unused - wrapped)
 
 
 def test_readme_entry_points_import():
