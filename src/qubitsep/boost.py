@@ -6,8 +6,8 @@ and the general symmetric boost built from a velocity 3-vector beta with
 gamma = (1 - beta^2)^(-1/2) and spatial block I + X beta beta^T,
 X = (gamma - 1)/beta^2.
 
-The public functions validate their inputs; normal_form's solve path applies
-the unchecked product _two_sided to the boosts and R it built itself.
+The public functions validate their inputs; normal_form's solve path calls the
+unchecked cores _boost_general and _two_sided on the values it built itself.
 """
 
 from __future__ import annotations
@@ -54,10 +54,14 @@ def boost_general(beta, beta_limit: float = BETA_LIMIT) -> np.ndarray:
         raise BoostLimitError(
             f"|beta| = {math.sqrt(beta_sq):.12g} reaches the light-speed limit"
         )
+    return _boost_general(v.tolist(), beta_sq)
+
+
+def _boost_general(vs: list[float], beta_sq: float) -> np.ndarray:
+    # boost_general on a checked velocity and its numpy |beta|^2 (v @ v)
     g = _gamma(beta_sq)
     x = g * g / (g + 1.0)
     # the spatial block is eye(3) + x * outer(v, v), entry by entry on floats
-    vs = v.tolist()
     w = [-g * vi for vi in vs]
     rows = [[g, *w]]
     for i, vi in enumerate(vs):

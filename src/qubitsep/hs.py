@@ -22,10 +22,15 @@ Lambda(F)_mn = (1/2) Tr[sigma_m F sigma_n F^dagger] a proper Lorentz
 transformation for F in SL(2, C).  A two-sided product L @ R @ M^T
 therefore applies L on qubit B and M on qubit A.  Hermiticity of rho is
 equivalent to R being real.
+
+A rho assembled from a real R is exactly Hermitian (mirror entries come from the
+same operations in the same order), so only its finiteness is checked; a matrix
+from outside gets both checks (require_hermitian, in pt.spectra and others).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +58,7 @@ PAULI_KRON = np.array([[np.kron(SIGMA[m], SIGMA[n]) for n in range(4)] for m in 
 
 def _as_real_vector(x, name: str) -> np.ndarray:
     v = np.array(x, dtype=float).reshape(3)
-    if not np.isfinite(v).all():
+    if not all(map(math.isfinite, v.tolist())):
         raise InvalidParameterError(f"{name} must be a finite real 3-vector")
     return v
 
@@ -77,7 +82,7 @@ class HSParams:
         t = np.array(self.t, dtype=float)
         if t.shape != (3, 3):
             raise InvalidParameterError("t must be a real 3x3 matrix")
-        if not np.isfinite(t).all():
+        if not all(map(math.isfinite, t.ravel().tolist())):
             raise InvalidParameterError("t must be finite")
         for arr in (a, b, t):
             arr.setflags(write=False)
@@ -123,16 +128,14 @@ def _read_only(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def require_hermitian(matrix, stacked: bool = False) -> np.ndarray:
-    """Check a 4x4 Hermitian matrix, or with `stacked` an (n, 4, 4) stack of them."""
+def require_hermitian(matrix) -> np.ndarray:
+    """Check a finite 4x4 Hermitian matrix."""
     m = np.asarray(matrix, dtype=complex)
-    if m.shape[-2:] != (4, 4) or m.ndim != 2 + stacked:
-        raise ContractViolationError(
-            "expected a stack of 4x4 matrices" if stacked else "expected a 4x4 matrix"
-        )
+    if m.shape != (4, 4):
+        raise ContractViolationError("expected a 4x4 matrix")
     if not np.isfinite(m).all():
         raise InvalidParameterError("matrix entries must be finite")
-    if float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) >= HERMITICITY_TOL:
+    if float(np.abs(m - m.conj().T).max()) >= HERMITICITY_TOL:
         raise ContractViolationError("matrix is not Hermitian within tolerance")
     return m
 
@@ -163,10 +166,14 @@ def r_from_hs(params: HSParams) -> np.ndarray:
     return pack_r(params.a, params.b, params.t)
 
 
-def _rho_from_r(r) -> np.ndarray:
-    # rho_from_r without the input check, for one R or a stack (..., 4, 4);
-    # each matrix of a stack is bit for bit the one a single R gives
-    return np.einsum("...nm,mnij->...ij", r, PAULI_KRON) / 4.0
+def _rho_from_r(r, out=None) -> np.ndarray:
+    # rho_from_r without the input check, for one R or a stack (..., 4, 4),
+    # into `out` if given; each matrix of a stack is bit for bit the one a
+    # single R gives.  Finite coefficients near the float limit overflow rho.
+    m = np.einsum("...nm,mnij->...ij", r, PAULI_KRON, out=out)
+    if not np.isfinite(m).all():
+        raise InvalidParameterError("matrix entries must be finite")
+    return np.divide(m, 4.0, out=m)
 
 
 def rho_from_r(r) -> np.ndarray:
@@ -249,6 +256,12 @@ def is_positive_semidefinite(matrix, tol: float = PSD_TOL) -> bool:
     return float(eigenvalues_hermitian(matrix)[0]) / 4.0 >= -tol
 
 
+def _is_reflection(q: np.ndarray) -> bool:
+    # det(q) < 0 for an orthogonal 3x3 q, by the triple product on floats: det is +-1
+    (a, b, c), (d, e, f), (g, h, i) = q.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0
+
+
 def tdiag_via_local_rotations(params: HSParams):
     """Diagonalize t by proper rotations acting independently on each qubit.
 
@@ -262,12 +275,12 @@ def tdiag_via_local_rotations(params: HSParams):
         eye = np.eye(3)
         return params, eye, eye
     u, s, vt = np.linalg.svd(params.t)
-    if np.linalg.det(u) < 0:
+    if _is_reflection(u):
         u = u.copy()
         u[:, 2] *= -1.0
         s = s.copy()
         s[2] *= -1.0
-    if np.linalg.det(vt) < 0:
+    if _is_reflection(vt):
         vt = vt.copy()
         vt[2, :] *= -1.0
         s = s.copy()
@@ -288,7 +301,7 @@ def tdiag_via_symmetric_rotation(params: HSParams):
     if float(np.abs(t - t.T).max()) > ZERO_TOL:
         raise UnsupportedFormError("shared-rotation reduction needs a symmetric t")
     w, v = np.linalg.eigh(0.5 * (t + t.T))
-    if np.linalg.det(v) < 0:
+    if _is_reflection(v):
         v = v.copy()
         v[:, 0] *= -1.0
     rot = v.T

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BETA_LIMIT, _two_sided, apply_two_sided, boost_general, boost_x
+from .boost import BETA_LIMIT, _boost_general, _two_sided, apply_two_sided, boost_x
 from .errors import (
     BoostLimitError,
     InvalidParameterError,
@@ -72,8 +72,8 @@ class SigmaForm:
         s0 = float(self.s0)
         if not (math.isfinite(s0) and s0 > 0.0):
             raise InvalidParameterError("s0 must be finite and positive")
-        v = np.asarray(self.s, dtype=float).reshape(3).copy()
-        if not np.isfinite(v).all():
+        v = np.array(self.s, dtype=float).reshape(3)
+        if not all(map(math.isfinite, v.tolist())):
             raise InvalidParameterError("s must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "s0", s0)
@@ -87,7 +87,9 @@ class SigmaForm:
     @property
     def tprime_sum(self) -> float:
         """|t'_1| + |t'_2| + |t'_3|, the quantity the verdict compares to 1."""
-        return float(np.abs(self.tprime).sum())
+        # on floats, left to right: numpy's sum of the three, bit for bit
+        s0, (x, y, z) = self.s0, self.s.tolist()
+        return abs(x / s0) + abs(y / s0) + abs(z / s0)
 
 
 @dataclass(frozen=True)
@@ -272,8 +274,10 @@ def _secular_polish(values, weights, mu: float) -> float:
 
     g keeps each pole separate, so it stays well conditioned where P's
     coefficients lose accuracy (near ties).  The iteration stops at a pole or
-    where a square leaves the float range, keeping the iterate reached.
+    where a square leaves the float range, keeping the iterate reached.  Once an
+    iterate repeats, it returns the one the full step budget ends on, as roots._polish does.
     """
+    seen = [mu]
     for _ in range(_POLISH_STEPS):
         g, dg = mu - 1.0, 1.0
         try:
@@ -283,9 +287,13 @@ def _secular_polish(values, weights, mu: float) -> float:
             step = g / dg
         except (ZeroDivisionError, OverflowError):
             break
-        if not math.isfinite(step) or mu - step == mu:
+        if not math.isfinite(step):
             break
         mu -= step
+        if mu in seen:
+            start = seen.index(mu)
+            return seen[start + (_POLISH_STEPS - start) % (len(seen) - start)]
+        seen.append(mu)
     return mu
 
 
@@ -315,17 +323,17 @@ def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarra
     tv = np.asarray(tdiag, dtype=float).reshape(3)
     if not (np.isfinite(av).all() and np.isfinite(tv).all()):
         raise InvalidParameterError("a and tdiag must be finite")
-    return _solve_symmetric(av.tolist(), tv.tolist(), beta_limit)
+    return _solve_symmetric(av.tolist(), tv.tolist(), beta_limit)[:2]
 
 
 def _solve_symmetric(a: list[float], tdiag: list[float], beta_limit: float):
-    # solve_symmetric on checked finite floats
+    # solve_symmetric on checked finite floats, plus the chosen boost's |beta|^2
     pole_weights: dict[float, float] = {}
     for aj, tj in zip(a, tdiag):
         if aj != 0.0:
             pole_weights[tj] = pole_weights.get(tj, 0.0) + aj * aj
     if not pole_weights:
-        return np.zeros(3), 0.0
+        return np.zeros(3), 0.0, 0.0
     values = sorted(pole_weights)
     weights = [pole_weights[v] for v in values]
     coeffs = _secular_coefficients(values, weights)
@@ -339,7 +347,7 @@ def _solve_symmetric(a: list[float], tdiag: list[float], beta_limit: float):
             continue
         betas = np.array([aj / (mu + tj) if aj != 0.0 else 0.0 for aj, tj in zip(a, tdiag)])
         # numpy's dot, as in boost_general (a float sum rounds differently), so
-        # both apply the light-speed rule to the same |beta|^2
+        # that _boost_general gets the |beta|^2 boost_general would compute
         beta_sq = float(betas @ betas)
         if beta_sq < best_sq:
             best, best_sq = (betas, mu), beta_sq
@@ -352,7 +360,7 @@ def _solve_symmetric(a: list[float], tdiag: list[float], beta_limit: float):
     residual = 0.0
     for c in coeffs:
         residual = residual * mu + c
-    return betas, abs(residual)
+    return betas, abs(residual), best_sq
 
 
 def eliminate_and_diagonalize(r, left, right) -> tuple[SigmaForm, float]:
@@ -515,9 +523,9 @@ def solve_normal_form(
         else:
             # an inactive axis may still carry a nonzero |a_i|
             linear = [x if on else 0.0 for x, on in zip(a, active)]
-            velocity, poly = _solve_symmetric(linear, tdiag, beta_limit)
+            velocity, poly, beta_sq = _solve_symmetric(linear, tdiag, beta_limit)
             betas = velocity.tolist()
-            left = right = boost_general(velocity, beta_limit)
+            left = right = _boost_general(betas, beta_sq)
             boost_kind, axis = "symmetric", None
         sigma, offdiag = _certify(_two_sided(r_from_hs(params), left, right))
     except NoPhysicalBoostError as exc:

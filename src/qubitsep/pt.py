@@ -19,6 +19,7 @@ from .hs import (
     ZERO_TOL,
     HSParams,
     _read_only,
+    _rho_from_r,
     eigenvalues_hermitian,
     require_hermitian,
 )
@@ -100,9 +101,22 @@ def spectra(rho, qubit: str = "A") -> tuple[np.ndarray, np.ndarray]:
     Each is bit for bit what eigenvalues_hermitian gives for its matrix alone:
     read-only, ascending, in 4*lambda units.
     """
-    m = require_hermitian(rho)
-    lam = np.linalg.eigvalsh(np.stack((m, partial_transpose_matrix(m, qubit))))
-    four = _read_only(4.0 * lam)
+    pair = np.empty((2, 4, 4), dtype=complex)
+    pair[0] = require_hermitian(rho)
+    return _spectra(pair, qubit)
+
+
+def _spectra_of_r(r) -> tuple[np.ndarray, np.ndarray]:
+    # spectra(rho_from_r(r)) for a checked R; rho, exactly Hermitian, is built in place
+    pair = np.empty((2, 4, 4), dtype=complex)
+    _rho_from_r(r, out=pair[0])
+    return _spectra(pair, "A")
+
+
+def _spectra(pair: np.ndarray, qubit: str) -> tuple[np.ndarray, np.ndarray]:
+    # the spectra of rho = pair[0] and of its partial transpose, written to pair[1]
+    pair[1] = partial_transpose_matrix(pair[0], qubit)
+    four = _read_only(4.0 * np.linalg.eigvalsh(pair))
     return four[0], four[1]
 
 

@@ -46,8 +46,7 @@ from .hs import (
     HSParams,
     _rho_from_r,
     pack_r,
-    require_hermitian,
-    rho_from_hs,
+    r_from_hs,
     tdiag_via_local_rotations,
     tdiag_via_symmetric_rotation,
 )
@@ -57,10 +56,10 @@ from .normal_form import (
     separability_verdict,
     solve_normal_form,
 )
-from .pt import VERDICT_TOL, Verdict, ppt_verdict, require_state, spectra
+from .pt import VERDICT_TOL, Verdict, _spectra_of_r, ppt_verdict, require_state
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
-from .hs import eigenvalues_hermitian  # noqa: F401
+from .hs import eigenvalues_hermitian, rho_from_hs  # noqa: F401
 from .pt import peres_horodecki  # noqa: F401
 
 RNG_ALGORITHM = "pcg64"
@@ -341,7 +340,7 @@ def _sample(spec: SampleSpec, indices: range, max_attempts: int) -> Iterator[HSP
             accepted = np.zeros(len(rs), dtype=bool)
             survivors = np.flatnonzero(~_proven_indefinite(rs))
             if survivors.size:
-                rho = require_hermitian(_rho_from_r(rs[survivors]), stacked=True)
+                rho = _rho_from_r(rs[survivors])
                 accepted[survivors] = np.linalg.eigvalsh(rho)[:, 0] >= -_PSD_ACCEPT_TOL
             hits = accepted.reshape(len(pending), n)
             first = hits.argmax(axis=1)
@@ -403,11 +402,12 @@ def cross_validate(
 ) -> CrossValidation:
     """Run the exact partial-transpose test and the boost pipeline side by side.
 
-    An eigenvalue below -tol_psd raises InvalidStateError, spectrum attached.
+    An eigenvalue below -tol_psd raises InvalidStateError, spectrum attached;
+    coefficients whose rho overflows raise InvalidParameterError.
     `tol` decides both verdicts; a PPT witness within 1e-8 of zero is boundary,
     not a disagreement (both criteria are exact only in exact arithmetic).
     """
-    spectrum, pt_spectrum = spectra(rho_from_hs(params))
+    spectrum, pt_spectrum = _spectra_of_r(r_from_hs(params))
     require_state(spectrum, tol_psd)
     ppt = ppt_verdict(pt_spectrum, tol)
     work, note = reduce_to_diagonal(params)

@@ -1,10 +1,18 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from qubitsep import FAMILIES, SampleSpec, cross_validate, random_state
+from qubitsep import (
+    FAMILIES,
+    HSParams,
+    InvalidParameterError,
+    SampleSpec,
+    cross_validate,
+    random_state,
+)
 from qubitsep.cli import build_parser, load_state_file, main
 
 
@@ -266,6 +274,56 @@ def test_analyze_runs_one_stacked_eigensolve(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "analyze", path)
     assert code == 0
     assert [s for s in shapes if s[-2:] == (4, 4)] == [(2, 4, 4)]
+
+
+def test_cross_validate_numpy_call_budget(monkeypatch):
+    # a full-t symmetric state: one assembly of rho, one stacked eigensolve of
+    # rho and its partial transpose, one shared rotation, one companion
+    # eigensolve for the secular roots and one 3x3 block in the certificate;
+    # no determinant (rotation signs come from a float triple product)
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            # the shape of the first array argument (einsum's follows the subscripts)
+            calls.append((name, np.shape(args[name == "einsum"])))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    t = [[0.3, 0.1, 0], [0.1, -0.2, 0.05], [0, 0.05, 0.1]]
+    params = HSParams([0.2, 0.1, 0], [0.2, 0.1, 0], t)
+    for name in ("eigvalsh", "eigvals", "eigh", "det", "svd", "eig"):
+        counted(np.linalg, name)
+    counted(np, "einsum")
+    rec = cross_validate(params)
+    monkeypatch.undo()
+    assert rec.report.boost_kind == "symmetric" and rec.note is not None
+    assert sorted(calls) == [
+        ("eigh", (3, 3)),
+        ("eigvals", (4, 4)),
+        ("eigvalsh", (2, 4, 4)),
+        ("eigvalsh", (3, 3)),
+        ("einsum", (4, 4)),
+    ]
+
+
+@pytest.mark.parametrize("t_key, t_len", [("t_full", 9), ("t_diag", 3)])
+def test_overflowing_state_is_an_input_error(tmp_path, capsys, t_key, t_len):
+    # finite coefficients whose rho overflows: exit 2 with the finiteness
+    # error, and no RuntimeWarning from the assembly
+    doc = {"a": [1e308] * 3, "b": [1e308] * 3, t_key: [1e308] * t_len}
+    path = write_state(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for command in ("analyze", "classify"):
+            code, _, err = run(capsys, command, path)
+            assert code == 2
+            assert err == "error: matrix entries must be finite\n"
+        with pytest.raises(InvalidParameterError, match="matrix entries must be finite"):
+            cross_validate(load_state_file(path))
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from qubitsep import (
     tdiag_via_local_rotations,
     tdiag_via_symmetric_rotation,
 )
-from qubitsep.hs import SIGMA
+from qubitsep.hs import SIGMA, _is_reflection, _rho_from_r, rho_from_r
 from qubitsep.pt import partial_transpose_matrix, spectra
 
 from conftest import random_params
@@ -303,3 +303,45 @@ def test_params_own_their_arrays():
     assert p.a[0] == 0.1 and p.t[0, 0] == 0.0
     with pytest.raises(ValueError):
         p.a[0] = 0.0
+
+
+def test_assembled_rho_is_exactly_hermitian():
+    # mirror entries come from the same operations in the same order, so an
+    # assembled rho needs no Hermiticity check; R entries span 1e-300..1e300
+    rng = np.random.default_rng(41)
+    scale = 10.0 ** rng.uniform(-300, 300, (4000, 4, 4))
+    stacks = [
+        rng.normal(size=(4000, 4, 4)) * scale,
+        rng.normal(size=(4000, 4, 4)) * 10.0 ** rng.uniform(-300, 300, (4000, 1, 1)),
+        np.where(rng.random((4000, 4, 4)) < 0.5, 0.0, rng.normal(size=(4000, 4, 4))),
+    ]
+    for rs in stacks:
+        rho = _rho_from_r(rs)
+        assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+        assert np.array_equal(rho[17], _rho_from_r(rs[17]))
+
+
+def test_overflowing_rho_is_an_input_error():
+    # finite coefficients whose rho overflows: an error, not a nan matrix
+    for r in (np.full((4, 4), 1e308), np.diag([1.0, 1.7e308, 1.7e308, 1.7e308])):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            rho_from_r(r)
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        rho_from_hs(HSParams(np.full(3, 1e308), np.full(3, 1e308), np.full((3, 3), 1e308)))
+
+
+def test_reflection_sign_matches_determinant():
+    # 10 000 orthogonal factors as the reductions meet them: svd's u and vt,
+    # eigh's eigenvectors, on general, rank-deficient and tied matrices
+    rng = np.random.default_rng(43)
+    m = rng.normal(size=(2000, 3, 3))
+    m[:400, 2] = 0.0  # rank two
+    m[400:600] = rng.normal(size=(200, 3, 1)) * rng.normal(size=(200, 1, 3))  # rank one
+    m[600:800] = np.eye(3) * rng.choice([-1.0, 0.5, 1.0], (200, 1, 3))  # ties on the diagonal
+    u, _, vt = np.linalg.svd(m)
+    _, v = np.linalg.eigh(rng.normal(size=(6000, 3, 3)) + m.repeat(3, axis=0))
+    factors = np.concatenate([u, vt, v])
+    assert len(factors) == 10000
+    det = np.linalg.det(factors)
+    assert [_is_reflection(q) for q in factors] == (det < 0).tolist()
+    assert 0 < int((det < 0).sum()) < len(factors)

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from qubitsep import (
     ENTANGLED,
+    FAMILIES,
     SEPARABLE,
     BoostLimitError,
     Classification,
@@ -32,6 +34,7 @@ from qubitsep import (
     solve_pair_symmetric,
     solve_symmetric,
 )
+from qubitsep import normal_form, sampling
 from qubitsep.normal_form import (
     GENERIC,
     NO_PHYSICAL_BOOST,
@@ -348,6 +351,64 @@ def test_secular_polish_keeps_a_seed_it_cannot_step_from():
     values, weights = [-0.2, 0.2, 0.3], [0.15**2, 0.2**2, 0.1**2]
     for seed in (0.2, -0.2, -0.3, 1e200, -1e170):
         assert _secular_polish(values, weights, seed) == seed
+
+
+def _full_secular_polish(values, weights, mu):
+    # the plain Newton loop of _secular_polish without the cycle exit;
+    # returns (mu, steps taken)
+    taken = 0
+    for _ in range(normal_form._POLISH_STEPS):
+        g, dg = mu - 1.0, 1.0
+        try:
+            for v, w in zip(values, weights):
+                g += w / (mu + v)
+                dg -= w / (mu + v) ** 2
+            step = g / dg
+        except (ZeroDivisionError, OverflowError):
+            break
+        if not math.isfinite(step) or mu - step == mu:
+            break
+        mu -= step
+        taken += 1
+    return mu, taken
+
+
+def test_secular_polish_cycle_exit_matches_full_loop(monkeypatch):
+    # every polish that case b) makes on 200 seed-1 samples of each symmetric
+    # family; some run the full step budget, going round a cycle
+    calls = []
+    polish = normal_form._secular_polish
+
+    def recording(values, weights, mu):
+        calls.append((list(values), list(weights), mu))
+        return polish(values, weights, mu)
+
+    monkeypatch.setattr(normal_form, "_secular_polish", recording)
+    for family in ("symmetric-two", "symmetric-three", "full-symmetric"):
+        sampling.batch_stats(SampleSpec(family, 200, 1))
+    monkeypatch.undo()
+    full = 0
+    for values, weights, mu in calls:
+        expected, taken = _full_secular_polish(values, weights, mu)
+        assert _secular_polish(values, weights, mu).hex() == expected.hex()
+        full += taken == normal_form._POLISH_STEPS
+    assert len(calls) == 2200
+    assert full > 0
+
+
+def test_tprime_sum_is_the_numpy_sum():
+    # the float sum of |s_i / s0| is numpy's, bit for bit, on every Sigma of
+    # 200 samples per family
+    sigmas = 0
+    for family in FAMILIES:
+        spec = SampleSpec(family, 200, 1)
+        for params in sampling._sample(spec, range(200), sampling._MAX_ATTEMPTS):
+            sigma = sampling.cross_validate(params).report.sigma
+            if sigma is not None:
+                sigmas += 1
+                expected = float(np.abs(sigma.s / sigma.s0).sum())
+                assert sigma.tprime_sum.hex() == expected.hex()
+    assert sigmas >= 1000
 
 
 def _assert_solves_as_merged(a, tdiag):

@@ -576,3 +576,16 @@ def test_cross_validate_corpus_pinned(monkeypatch):
         params = HSParams(row[0:3], row[3:6], np.reshape(row[6:], (3, 3)))
         digest.update(_field_bits(cross_validate(params)).encode())
     assert digest.hexdigest() == PINNED_CORPUS
+
+
+def test_corpus_rho_is_exactly_hermitian(monkeypatch):
+    # the assembly of cross_validate and the sampler gives mirror entries
+    # from the same operations, so only finiteness is checked
+    monkeypatch.setitem(sys.modules, "oracle", _load_perfbench("oracle"))
+    rows, _ = _load_perfbench("inputs").corpus(0, 1024)
+    rs = pack_r(rows[:, 0:3], rows[:, 3:6], rows[:, 6:].reshape(-1, 3, 3))
+    rho = _rho_from_r(rs)
+    assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+    for r, m in zip(rs, rho):
+        single = _rho_from_r(r)
+        assert np.array_equal(single, m) and np.array_equal(single, single.conj().T)
