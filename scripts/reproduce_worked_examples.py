@@ -12,7 +12,6 @@ from qubitsep import (
     HSParams,
     cross_validate,
     solve_pair_general,
-    solve_pair_symmetric,
     solve_symmetric,
 )
 
@@ -40,7 +39,7 @@ def main() -> None:
         "entangled although sum |t_i| = 0.9 <= 1",
         HSParams.diagonal([0, 0.64, 0], [0, 0.64, 0], [0.3, 0.3, 0.3]),
     )
-    beta = solve_pair_symmetric(0.64, 0.3)
+    beta, _ = solve_pair_general(0.64, 0.64, 0.3)
     print(f"symmetric pair solve: beta = {beta:.7f},  gamma^2 = {1/(1-beta**2):.6f}")
 
     show(

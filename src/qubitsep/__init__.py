@@ -26,15 +26,11 @@ from .errors import (
 )
 from .hs import (
     HSParams,
-    eigenvalues_closed_form_pair,
     eigenvalues_hermitian,
-    is_positive_semidefinite,
-    is_symmetric_r,
     r_from_hs,
     r_from_rho,
     rho_from_hs,
     rho_from_r,
-    hs_from_rho,
     tdiag_via_local_rotations,
     tdiag_via_symmetric_rotation,
 )
@@ -44,24 +40,17 @@ from .normal_form import (
     SolveReport,
     eliminate_and_diagonalize,
     separability_verdict,
-    sigma_pair_b1zero,
-    sigma_pair_symmetric,
     solve_normal_form,
     solve_pair_general,
-    solve_pair_symmetric,
     solve_symmetric,
 )
 from .pt import (
     ENTANGLED,
     SEPARABLE,
     Verdict,
-    half_eigenvalue_criterion,
     mds_criterion,
-    necessity_check,
-    partial_transpose,
     partial_transpose_matrix,
     peres_horodecki,
-    ptu,
     spectra,
 )
 from .roots import real_roots

@@ -198,11 +198,6 @@ def r_from_rho(rho) -> np.ndarray:
     return r.real
 
 
-def is_symmetric_r(r) -> bool:
-    """HSParams.is_symmetric on R, that is R == R^T within ZERO_TOL."""
-    return HSParams.from_r(_as_r(r)).is_symmetric()
-
-
 def rho_from_hs(params: HSParams) -> np.ndarray:
     """Assemble the 4x4 matrix (1/4)[I x I + a.sigma x I + I x b.sigma + t..].
 
@@ -212,48 +207,10 @@ def rho_from_hs(params: HSParams) -> np.ndarray:
     return _rho_from_r(r_from_hs(params))
 
 
-def hs_from_rho(rho) -> HSParams:
-    """Invert the Pauli expansion via trace inner products (see r_from_rho).
-
-    a_i = Tr[rho sigma_i x I], b_i = Tr[rho I x sigma_i],
-    t_lm = Tr[rho sigma_l x sigma_m]; round-trips with rho_from_hs to well
-    below 1e-12.
-    """
-    return HSParams.from_r(r_from_rho(rho))
-
-
 def eigenvalues_hermitian(matrix) -> np.ndarray:
     """Eigenvalues of a 4x4 Hermitian matrix, ascending, in 4*lambda units."""
     m = require_hermitian(matrix)
     return _read_only(4.0 * np.linalg.eigvalsh(m))
-
-
-def eigenvalues_closed_form_pair(axis: int, a: float, b: float, tdiag) -> np.ndarray:
-    """Closed-form spectrum for a state whose only linear pair sits on one axis.
-
-    With the pair on axis 1 and t diagonal the four values of 4*lambda are
-    1 + t1 -/+ sqrt((a + b)^2 + (t2 - t3)^2) and
-    1 - t1 -/+ sqrt((a - b)^2 + (t2 + t3)^2); other axes follow by cyclic
-    relabeling of the correlation entries.
-    """
-    if axis not in (1, 2, 3):
-        raise InvalidParameterError("axis must be 1, 2 or 3")
-    t = _as_real_vector(tdiag, "tdiag")
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise InvalidParameterError("a and b must be finite")
-    k = axis - 1
-    i, j = (k + 1) % 3, (k + 2) % 3
-    r_sum = float(np.hypot(a + b, t[i] - t[j]))
-    r_dif = float(np.hypot(a - b, t[i] + t[j]))
-    four = np.array(
-        [1 + t[k] - r_sum, 1 + t[k] + r_sum, 1 - t[k] - r_dif, 1 - t[k] + r_dif]
-    )
-    return _read_only(np.sort(four))
-
-
-def is_positive_semidefinite(matrix, tol: float = PSD_TOL) -> bool:
-    """True when the minimum eigenvalue is >= -tol."""
-    return float(eigenvalues_hermitian(matrix)[0]) / 4.0 >= -tol
 
 
 def _is_reflection(q: np.ndarray) -> bool:

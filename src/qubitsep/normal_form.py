@@ -32,7 +32,6 @@ from .boost import BETA_LIMIT, _boost_general, _two_sided, apply_two_sided, boos
 from .errors import (
     BoostLimitError,
     InvalidParameterError,
-    InvalidStateError,
     NoPhysicalBoostError,
     SolverInconsistencyError,
 )
@@ -50,7 +49,8 @@ NO_PHYSICAL_BOOST = "no-physical-boost"
 OFFDIAG_TOL = 1e-9
 _STRUCTURAL_TOL = 1e-9
 _PAIR_RESIDUAL_TOL = 1e-12
-# the pair quadratic is degenerate when |c2| <= this * max(|c1|, 1)
+# the pair quadratic is degenerate when |c2| <= this * max(|c1|, 1); its roots
+# are b1 and 1/b1 when |a1 - b1 t1| is at or below the same bound
 _QUADRATIC_LEAD_TOL = 1e-15
 # a root of the symmetric solve is physical only if |g(mu)| is at most this
 _FUNDAMENTAL_TOL = 1e-10
@@ -151,6 +151,12 @@ def solve_pair_general(
         # conditions exactly (and is the branch continuous with beta -> 0
         # when the system is underdetermined).
         beta_a = 0.0
+    elif abs(a1 - b1 * t1) <= _QUADRATIC_LEAD_TOL * max(abs(c1), 1.0):
+        # The mirror case: the roots are b1 and 1/b1, a near double root as
+        # |b1| -> 1 that Newton steps would blur.  Take the physical one as it
+        # stands; with a1 = b1 t1, beta_a = b1 and beta_b = 0 solve both
+        # conditions exactly.
+        beta_a = b1 if abs(b1) <= 1.0 else 1.0 / b1
     else:
         disc = c1 * c1 - 4.0 * c2 * c2
         if disc < 0.0:
@@ -187,69 +193,6 @@ def _pair_residual(a1, b1, t1, beta_a, beta_b) -> float:
     e1 = -beta_b + b1 * beta_a * beta_b + a1 - beta_a * t1
     e2 = -beta_a + a1 * beta_a * beta_b + b1 - beta_b * t1
     return max(abs(e1), abs(e2))
-
-
-def solve_pair_symmetric(a: float, t1: float, beta_limit: float = BETA_LIMIT) -> float:
-    """The shared velocity for a symmetric pair a1 = b1 = a.
-
-    beta solves a beta^2 - (1 + t1) beta + a = 0; written in the
-    cancellation-free form beta = 2a / (T + sqrt(T^2 - 4a^2)), T = 1 + t1.
-    Reality needs |1 + t1| >= |2a| (guaranteed by positivity of the state);
-    equality pushes beta to 1, which no physical boost reaches.
-    """
-    if not (math.isfinite(a) and math.isfinite(t1)):
-        raise InvalidParameterError("a and t1 must be finite")
-    if a == 0.0:
-        return 0.0
-    big_t = 1.0 + t1
-    disc = big_t * big_t - 4.0 * a * a
-    if disc < 0.0:
-        raise InvalidStateError(
-            "|1 + t1| < |2a|: no real boost; input cannot be a valid state"
-        )
-    beta = 2.0 * a / (big_t + math.copysign(math.sqrt(disc), big_t))
-    for _ in range(2):
-        f = (a * beta - big_t) * beta + a
-        df = 2.0 * a * beta - big_t
-        if df == 0.0:
-            break
-        beta -= f / df
-    if abs(beta) >= 1.0 - beta_limit:
-        raise BoostLimitError(
-            f"beta = {beta:.12g} reaches the light-speed limit "
-            "(boundary |2a| = |1 + t1|)"
-        )
-    return beta
-
-
-def sigma_pair_symmetric(a: float, tdiag, beta_limit: float = BETA_LIMIT) -> SigmaForm:
-    """Normal form for a symmetric pair on the first axis:
-
-    s0 = gamma^2 (1 - 2 a beta + beta^2 t1),
-    s1 = gamma^2 (-2 a beta + beta^2 + t1),  s2 = t2,  s3 = t3 (signed).
-    """
-    t1, t2, t3 = np.asarray(tdiag, dtype=float).reshape(3)
-    beta = solve_pair_symmetric(a, t1, beta_limit)
-    g2 = 1.0 / ((1.0 - beta) * (1.0 + beta))
-    s0 = g2 * (1.0 - 2.0 * a * beta + beta * beta * t1)
-    s1 = g2 * (-2.0 * a * beta + beta * beta + t1)
-    return SigmaForm(s0, np.array([s1, t2, t3]))
-
-
-def sigma_pair_b1zero(a1: float, tdiag, beta_limit: float = BETA_LIMIT) -> SigmaForm:
-    """Normal form for the one-sided pair b1 = 0.
-
-    With beta_b = a1 - beta_a t1 the corner collapses to s0 = gamma_a/gamma_b
-    and the axis value to s1 = gamma_b t1 / gamma_a; the transverse entries
-    are untouched.  Reality needs |1 - t1^2 - a1^2| >= |2 a1 t1|.
-    """
-    t1, t2, t3 = np.asarray(tdiag, dtype=float).reshape(3)
-    beta_a, beta_b = solve_pair_general(a1, 0.0, t1, beta_limit)
-    g_a = 1.0 / math.sqrt((1.0 - beta_a) * (1.0 + beta_a))
-    g_b = 1.0 / math.sqrt((1.0 - beta_b) * (1.0 + beta_b))
-    s0 = g_a / g_b
-    s1 = g_b * t1 / g_a
-    return SigmaForm(s0, np.array([s1, t2, t3]))
 
 
 def _times_linear(c: list[float], v: float) -> list[float]:

@@ -1,34 +1,32 @@
 """Partial transpose and the classic two-qubit separability tests.
 
 For two qubits the Peres-Horodecki test is exact: a state is separable iff
-its partial transpose has no negative eigenvalue.  In the Pauli picture the
-partial transpose of one qubit is the sign flip sigma_y -> -sigma_y on that
-qubit, and composing it with a 180-degree rotation about y gives the "PTU"
-map used by the complement identity lambda_i(PTU image) = 1/2 - lambda_i.
+its partial transpose has no negative eigenvalue.  The transposes on qubit A
+and on qubit B are transposes of each other and share their spectrum, so the
+test transposes qubit A.  In the Pauli picture that is the sign flip
+sigma_y -> -sigma_y on qubit A (tests/paper_formulas.py states it on (a, b, t)).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidParameterError, InvalidStateError
-from .hs import (
-    PSD_TOL,
-    ZERO_TOL,
-    HSParams,
-    _read_only,
-    _rho_from_r,
-    eigenvalues_hermitian,
-    require_hermitian,
-)
+from .errors import InvalidParameterError, InvalidStateError
+from .hs import PSD_TOL, _read_only, _rho_from_r, require_hermitian
+
+# Not called here; perfbench/tracing.py wraps this name on this module.
+from .hs import eigenvalues_hermitian  # noqa: F401
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
 
 VERDICT_TOL = 1e-10
 MDS_SUM_TOL = 1e-12
+# 4*lambda leaves the float range past this |lambda|
+_SPECTRUM_MAX = sys.float_info.max / 4.0
 
 
 @dataclass(frozen=True)
@@ -36,8 +34,8 @@ class Verdict:
     """Outcome of a separability test.
 
     `witness` is the signed margin of the deciding inequality: the minimum
-    partial-transpose eigenvalue in 4*lambda units for the eigenvalue tests
-    (negative when entangled), or sum|t'_i| - 1 for the normal-form test
+    partial-transpose eigenvalue in 4*lambda units for the Peres-Horodecki
+    test (negative when entangled), or sum|t'_i| - 1 for the normal-form test
     (positive when entangled).  Borderline results (|margin| below the test
     tolerance) are reported separable with the boundary flag set, since the
     separable set is closed for two qubits.
@@ -49,74 +47,41 @@ class Verdict:
     boundary: bool = False
 
 
-def _check_qubit(qubit: str) -> str:
-    if qubit not in ("A", "B"):
-        raise InvalidParameterError("qubit must be 'A' or 'B'")
-    return qubit
-
-
-def partial_transpose(params: HSParams, qubit: str = "A") -> HSParams:
-    """Partial transpose in the Pauli picture: sigma_y -> -sigma_y on one qubit.
-
-    Qubit A: a2 -> -a2 and the second row of t is negated; qubit B acts on b2
-    and the second column.  Matches the matrix-level transpose entrywise.
-    """
-    _check_qubit(qubit)
-    a = params.a.copy()
-    b = params.b.copy()
-    t = params.t.copy()
-    if qubit == "A":
-        a[1] = -a[1]
-        t[1, :] = -t[1, :]
-    else:
-        b[1] = -b[1]
-        t[:, 1] = -t[:, 1]
-    return HSParams(a, b, t)
-
-
-def partial_transpose_matrix(rho, qubit: str = "A") -> np.ndarray:
-    """Matrix-level partial transpose in the computational basis."""
-    _check_qubit(qubit)
+def partial_transpose_matrix(rho) -> np.ndarray:
+    """Matrix-level partial transpose on qubit A in the computational basis."""
     m = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    axes = (2, 1, 0, 3) if qubit == "A" else (0, 3, 2, 1)
-    return m.transpose(axes).reshape(4, 4)
+    return m.transpose(2, 1, 0, 3).reshape(4, 4)
 
 
-def ptu(params: HSParams, qubit: str = "A") -> HSParams:
-    """Partial transpose followed by a 180-degree y rotation on the same qubit.
-
-    Net effect for qubit A: a -> -a, t -> -t, b unchanged (mirror for B).
-    Requires diagonal t, the only setting in which the map is used.
-    """
-    _check_qubit(qubit)
-    tdiag = params.t_diagonal()
-    if qubit == "A":
-        return HSParams.diagonal(-params.a, params.b, -tdiag)
-    return HSParams.diagonal(params.a, -params.b, -tdiag)
-
-
-def spectra(rho, qubit: str = "A") -> tuple[np.ndarray, np.ndarray]:
+def spectra(rho) -> tuple[np.ndarray, np.ndarray]:
     """Spectra of rho and of its partial transpose, from one stacked eigensolve.
 
     Each is bit for bit what eigenvalues_hermitian gives for its matrix alone:
-    read-only, ascending, in 4*lambda units.
+    read-only, ascending, in 4*lambda units.  A spectrum past the float range
+    in those units raises InvalidParameterError.
     """
     pair = np.empty((2, 4, 4), dtype=complex)
     pair[0] = require_hermitian(rho)
-    return _spectra(pair, qubit)
+    return _spectra(pair)
 
 
 def _spectra_of_r(r) -> tuple[np.ndarray, np.ndarray]:
     # spectra(rho_from_r(r)) for a checked R; rho, exactly Hermitian, is built in place
     pair = np.empty((2, 4, 4), dtype=complex)
     _rho_from_r(r, out=pair[0])
-    return _spectra(pair, "A")
+    return _spectra(pair)
 
 
-def _spectra(pair: np.ndarray, qubit: str) -> tuple[np.ndarray, np.ndarray]:
+def _spectra(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the spectra of rho = pair[0] and of its partial transpose, written to pair[1]
-    pair[1] = partial_transpose_matrix(pair[0], qubit)
-    four = _read_only(4.0 * np.linalg.eigvalsh(pair))
+    pair[1] = partial_transpose_matrix(pair[0])
+    lam = np.linalg.eigvalsh(pair)
+    # each spectrum ascends, so its two ends bound it; a nan fails the test too
+    (lo, _, _, hi), (pt_lo, _, _, pt_hi) = lam.tolist()
+    top = _SPECTRUM_MAX
+    if not (-top <= lo <= hi <= top and -top <= pt_lo <= pt_hi <= top):
+        raise InvalidParameterError("spectrum exceeds the float range in 4*lambda units")
+    four = _read_only(4.0 * lam)
     return four[0], four[1]
 
 
@@ -127,14 +92,14 @@ def require_state(spectrum: np.ndarray, tol: float) -> None:
         raise InvalidStateError("input is not positive semidefinite; not a state", spectrum)
 
 
-def peres_horodecki(rho, tol: float = VERDICT_TOL, qubit: str = "A") -> Verdict:
+def peres_horodecki(rho, tol: float = VERDICT_TOL) -> Verdict:
     """Exact separability test: entangled iff the partial transpose dips below -tol.
 
     Raises InvalidStateError for inputs with an eigenvalue below -PSD_TOL;
     a verdict on a non-state would mask upstream bugs.  `tol` is the verdict
     margin only.
     """
-    spectrum, pt_spectrum = spectra(rho, qubit)
+    spectrum, pt_spectrum = spectra(rho)
     require_state(spectrum, PSD_TOL)
     return ppt_verdict(pt_spectrum, tol)
 
@@ -161,37 +126,3 @@ def mds_criterion(tdiag) -> bool:
     if not np.isfinite(t).all():
         raise InvalidParameterError("tdiag must be finite")
     return float(np.abs(t).sum()) <= 1.0 + MDS_SUM_TOL
-
-
-def necessity_check(params: HSParams) -> bool:
-    """Fast necessary screen: False implies entangled, True implies nothing.
-
-    Mixing a state with its double-sign-flipped image removes the linear
-    terms but keeps t, so separability forces the correlation sum condition
-    even when a, b are nonzero.
-    """
-    return mds_criterion(params.t_diagonal())
-
-
-def half_eigenvalue_criterion(rho, params: HSParams, tol: float = VERDICT_TOL) -> Verdict:
-    """Separable iff every eigenvalue is <= 1/2; valid only for one-sided linear terms.
-
-    The complement identity behind it needs a = 0 or b = 0, each decided at
-    ZERO_TOL; both nonzero is a precondition violation.  `tol` is the verdict
-    margin only.
-    """
-    a_active = float(np.abs(params.a).max()) > ZERO_TOL
-    b_active = float(np.abs(params.b).max()) > ZERO_TOL
-    if a_active and b_active:
-        raise ContractViolationError(
-            "half-eigenvalue criterion needs a = 0 or b = 0"
-        )
-    four_max = float(eigenvalues_hermitian(rho)[-1])
-    max_lam = four_max / 4.0
-    entangled = max_lam > 0.5 + tol
-    return Verdict(
-        kind=ENTANGLED if entangled else SEPARABLE,
-        witness=2.0 - four_max,
-        criterion="half-eigenvalue",
-        boundary=abs(max_lam - 0.5) <= tol,
-    )

@@ -1,0 +1,126 @@
+"""The paper's closed forms, kept as test references.
+
+The package decides every state through the exact partial-transpose test and
+the certified boost solve; these are the formulas the paper writes down for
+special families, against which the tests check the package's numbers:
+
+  * the spectrum of a state with one linear pair (criterion 1);
+  * the partial transpose on (a, b, t) and the PTU map of the complement
+    identity (criterion 2);
+  * the half-eigenvalue criterion for one-sided linear terms (criterion 4);
+  * the normal form of one linear pair, case a) (criteria 3 and 4);
+  * the case b) cubic (two symmetric pairs) and quartic (three pairs) in
+    beta_1.  The solver works on the secular equation in mu instead (see
+    normal_form.solve_symmetric).
+"""
+
+import math
+
+import numpy as np
+
+from qubitsep import (
+    ENTANGLED,
+    SEPARABLE,
+    ContractViolationError,
+    HSParams,
+    SigmaForm,
+    Verdict,
+    eigenvalues_hermitian,
+)
+from qubitsep.hs import ZERO_TOL
+from qubitsep.pt import VERDICT_TOL
+
+
+def eigenvalues_closed_form_pair(axis: int, a: float, b: float, tdiag) -> np.ndarray:
+    """Spectrum (4*lambda, ascending) of a state whose only linear pair sits on one axis.
+
+    With the pair on axis 1 and t diagonal the four values are
+    1 + t1 -/+ sqrt((a + b)^2 + (t2 - t3)^2) and
+    1 - t1 -/+ sqrt((a - b)^2 + (t2 + t3)^2); other axes follow by cyclic
+    relabeling of the correlation entries.
+    """
+    t = np.asarray(tdiag, dtype=float)
+    k = axis - 1
+    i, j = (k + 1) % 3, (k + 2) % 3
+    r_sum = float(np.hypot(a + b, t[i] - t[j]))
+    r_dif = float(np.hypot(a - b, t[i] + t[j]))
+    return np.sort([1 + t[k] - r_sum, 1 + t[k] + r_sum, 1 - t[k] - r_dif, 1 - t[k] + r_dif])
+
+
+def partial_transpose(params: HSParams) -> HSParams:
+    """Partial transpose on qubit A in the Pauli picture: sigma_y -> -sigma_y,
+    so a2 and the second row of t change sign."""
+    flip = np.array([1.0, -1.0, 1.0])
+    return HSParams(params.a * flip, params.b, params.t * flip[:, None])
+
+
+def ptu(params: HSParams) -> HSParams:
+    """Partial transpose followed by a 180-degree y rotation on qubit A:
+    a -> -a and t -> -t for a diagonal t, b unchanged."""
+    return HSParams.diagonal(-params.a, params.b, -params.t_diagonal())
+
+
+def half_eigenvalue_criterion(rho, params: HSParams, tol: float = VERDICT_TOL) -> Verdict:
+    """Separable iff every eigenvalue is <= 1/2; valid only for one-sided linear terms.
+
+    The complement identity behind it needs a = 0 or b = 0, each decided at
+    ZERO_TOL; both nonzero raises.  `tol` is the verdict margin only.
+    """
+    if float(np.abs(params.a).max()) > ZERO_TOL and float(np.abs(params.b).max()) > ZERO_TOL:
+        raise ContractViolationError("half-eigenvalue criterion needs a = 0 or b = 0")
+    four_max = float(eigenvalues_hermitian(rho)[-1])
+    max_lam = four_max / 4.0
+    return Verdict(
+        kind=ENTANGLED if max_lam > 0.5 + tol else SEPARABLE,
+        witness=2.0 - four_max,
+        criterion="half-eigenvalue",
+        boundary=abs(max_lam - 0.5) <= tol,
+    )
+
+
+def pair_sigma(a_k: float, b_k: float, tdiag, axis: int = 1) -> SigmaForm:
+    """Case a): the normal form of one linear pair (a_k, b_k) on `axis`.
+
+    The pair block B = [[1, a_k], [b_k, t_k]] has the Lorentz invariants
+    s0^2 + s_k^2 = tr(B eta B^T eta) and s0 s_k = det B, solved by
+    s0 = (P + Q)/2, s_k = (P - Q)/2 with P = sqrt((1 + t_k)^2 - (a_k + b_k)^2),
+    Q = sqrt((1 - t_k)^2 - (a_k - b_k)^2).  The transverse values are
+    untouched; s is in axis order.
+    """
+    s = [float(x) for x in tdiag]
+    k = axis - 1
+    big_p = math.sqrt((1 + s[k]) ** 2 - (a_k + b_k) ** 2)
+    big_q = math.sqrt((1 - s[k]) ** 2 - (a_k - b_k) ** 2)
+    s[k] = (big_p - big_q) / 2
+    return SigmaForm((big_p + big_q) / 2, s)
+
+
+def cubic_coefficients(a1: float, a2: float, tdiag) -> np.ndarray:
+    t1, t2, _ = np.asarray(tdiag, dtype=float).reshape(3)
+    t = t2 - t1
+    big_t = 1.0 + t1
+    return np.array(
+        [
+            1.0,
+            ((a1 * a1 + a2 * a2) / t - big_t) / a1,
+            1.0 - big_t / t,
+            a1 / t,
+        ]
+    )
+
+
+def quartic_coefficients(a, tdiag) -> np.ndarray:
+    a1, a2, a3 = a
+    t1, t2, t3 = tdiag
+    t = t2 - t1
+    tp = t3 - t1
+    big_t = 1.0 + t1
+    return np.array(
+        [
+            1.0,
+            a1 / t + a1 / tp - big_t / a1 + a2 * a2 / (a1 * t) + a3 * a3 / (a1 * tp),
+            1.0 + (a1 * a1 + a2 * a2 + a3 * a3) / (t * tp) - big_t / tp - big_t / t,
+            a1 / tp + a1 / t - a1 * big_t / (t * tp),
+            a1 * a1 / (t * tp),
+        ]
+    )

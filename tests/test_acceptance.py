@@ -20,13 +20,9 @@ from qubitsep import (
     boost_general,
     boost_x,
     cross_validate,
-    eigenvalues_closed_form_pair,
     eigenvalues_hermitian,
     eliminate_and_diagonalize,
-    half_eigenvalue_criterion,
-    hs_from_rho,
     mds_criterion,
-    partial_transpose,
     partial_transpose_matrix,
     peres_horodecki,
     r_from_hs,
@@ -35,11 +31,8 @@ from qubitsep import (
     rho_from_hs,
     rho_from_r,
     separability_verdict,
-    sigma_pair_b1zero,
-    sigma_pair_symmetric,
     solve_normal_form,
     solve_pair_general,
-    solve_pair_symmetric,
     solve_symmetric,
     tdiag_via_local_rotations,
 )
@@ -51,7 +44,13 @@ from qubitsep.normal_form import (
     NON_GENERIC_D,
 )
 
-from paper_polynomials import cubic_coefficients
+from paper_formulas import (
+    cubic_coefficients,
+    eigenvalues_closed_form_pair,
+    half_eigenvalue_criterion,
+    pair_sigma,
+    partial_transpose,
+)
 
 
 _MODULE_START = time.monotonic()
@@ -81,7 +80,7 @@ def test_criterion_1_eigenvalue_regression():
 def test_criterion_2_pt_regression():
     def body():
         p = HSParams.diagonal([0, 0.64, 0], [0, 0.64, 0], [0.3, 0.3, 0.3])
-        pt_spec = eigenvalues_hermitian(rho_from_hs(partial_transpose(p, "A")))
+        pt_spec = eigenvalues_hermitian(rho_from_hs(partial_transpose(p)))
         precise = np.array([-0.113648, 0.7, 0.7, 2.713648])
         rounded = np.array([-0.115, 0.70, 0.70, 2.715])
         assert np.abs(pt_spec - precise).max() < 1e-6
@@ -93,12 +92,12 @@ def test_criterion_2_pt_regression():
 
 def test_criterion_3_symmetric_single_pair():
     def body():
-        beta = solve_pair_symmetric(0.64, 0.3)
+        beta, _ = solve_pair_general(0.64, 0.64, 0.3)
         assert abs(beta - 0.8382) < 5e-4
         assert abs(beta - 0.83816) < 5e-4
         gamma_sq = 1.0 / (1.0 - beta * beta)
         assert abs(gamma_sq - 3.3615) < 1e-4
-        sig = sigma_pair_symmetric(0.64, [0.3, 0.3, 0.3])
+        sig = pair_sigma(0.64, 0.64, [0.3, 0.3, 0.3])
         assert abs(sig.s0 - 0.4636) < 1e-4
         assert abs(sig.tprime[1] - 0.6471) < 1e-4
         assert abs(sig.tprime[2] - 0.6471) < 1e-4
@@ -120,7 +119,7 @@ def test_criterion_4_one_sided_pair():
         c2 = 0.0 - 0.2 * 0.3
         c1 = 0.2**2 - 0.0 + 0.3**2 - 1.0
         assert abs((c2 * beta_a + c1) * beta_a + c2) < 1e-12
-        sig = sigma_pair_b1zero(0.2, [0.3, 0.3, 0.3])
+        sig = pair_sigma(0.2, 0.0, [0.3, 0.3, 0.3])
         # brute-force substitution oracle: boost R on both sides, renormalize
         p = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0.3, 0.3, 0.3])
         oracle_sig, _ = eliminate_and_diagonalize(
@@ -263,10 +262,10 @@ def test_criterion_7_case_d_entangled_via_ppt():
 def test_criterion_7_boundary_boost_limit():
     def body():
         with pytest.raises(BoostLimitError):
-            solve_pair_symmetric(0.65, 0.3)  # |2a| = |1 + t1| exactly
+            solve_pair_general(0.65, 0.65, 0.3)  # |2a| = |1 + t1| exactly
         eps = 4e-13
         a = (1 + 0.3) * (1 - eps) / 2
-        beta = solve_pair_symmetric(a, 0.3)
+        beta, _ = solve_pair_general(a, a, 0.3)
         assert beta < 1.0 and 1.0 - beta < 1e-6
 
     _report("7d", "boundary |2a| = |1+t1| raises; beta -> 1 just inside", body)
@@ -312,7 +311,7 @@ def test_criterion_8_property_suite():
                 rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (3, 3))
             )
             rho = rho_from_hs(p)
-            q = hs_from_rho(rho)
+            q = HSParams.from_r(r_from_rho(rho))
             assert np.abs(q.a - p.a).max() < 1e-12
             assert np.abs(q.b - p.b).max() < 1e-12
             assert np.abs(q.t - p.t).max() < 1e-12

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -310,19 +311,38 @@ def test_cross_validate_numpy_call_budget(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("t_key, t_len", [("t_full", 9), ("t_diag", 3)])
-def test_overflowing_state_is_an_input_error(tmp_path, capsys, t_key, t_len):
-    # finite coefficients whose rho overflows: exit 2 with the finiteness
-    # error, and no RuntimeWarning from the assembly
-    doc = {"a": [1e308] * 3, "b": [1e308] * 3, t_key: [1e308] * t_len}
+_RHO_OVERFLOW = "matrix entries must be finite"
+_SPECTRUM_OVERFLOW = "spectrum exceeds the float range in 4*lambda units"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param(
+            {"a": [1e308] * 3, "b": [1e308] * 3, "t_full": [1e308] * 9}, _RHO_OVERFLOW, id="t_full-9"
+        ),
+        pytest.param(
+            {"a": [1e308] * 3, "b": [1e308] * 3, "t_diag": [1e308] * 3}, _RHO_OVERFLOW, id="t_diag-3"
+        ),
+        # rho is finite, but its eigenvalues in 4*lambda units are not
+        pytest.param(
+            {"a": [1.2e308, 0, 0], "b": [1.2e308, 0, 0], "t_diag": [0, 0, 0]},
+            _SPECTRUM_OVERFLOW,
+            id="spectrum",
+        ),
+    ],
+)
+def test_overflowing_state_is_an_input_error(tmp_path, capsys, doc, message):
+    # finite coefficients whose rho or spectrum overflows: exit 2 with the
+    # error, nothing on stdout, and no RuntimeWarning
     path = write_state(tmp_path, doc)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for command in ("analyze", "classify"):
-            code, _, err = run(capsys, command, path)
-            assert code == 2
-            assert err == "error: matrix entries must be finite\n"
-        with pytest.raises(InvalidParameterError, match="matrix entries must be finite"):
+            code, out, err = run(capsys, command, path)
+            assert (code, out) == (2, "")
+            assert err == f"error: {message}\n"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
             cross_validate(load_state_file(path))
 
 

@@ -9,10 +9,7 @@ from qubitsep import (
     HSParams,
     InvalidParameterError,
     UnsupportedFormError,
-    eigenvalues_closed_form_pair,
     eigenvalues_hermitian,
-    hs_from_rho,
-    is_positive_semidefinite,
     r_from_rho,
     rho_from_hs,
     tdiag_via_local_rotations,
@@ -22,6 +19,7 @@ from qubitsep.hs import SIGMA, _is_reflection, _rho_from_r, rho_from_r
 from qubitsep.pt import partial_transpose_matrix, spectra
 
 from conftest import random_params
+from paper_formulas import eigenvalues_closed_form_pair
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 vec3 = arrays(np.float64, (3,), elements=unit)
@@ -60,7 +58,7 @@ def test_symmetric_state_entries(cubic_state):
 @settings(deadline=None)
 def test_round_trip_hypothesis(a, b, t):
     p = HSParams(a, b, t)
-    q = hs_from_rho(rho_from_hs(p))
+    q = HSParams.from_r(r_from_rho(rho_from_hs(p)))
     assert np.abs(q.a - p.a).max() < 1e-12
     assert np.abs(q.b - p.b).max() < 1e-12
     assert np.abs(q.t - p.t).max() < 1e-12
@@ -71,7 +69,7 @@ def test_round_trip_bulk():
     worst = 0.0
     for _ in range(1000):
         p = random_params(rng)
-        q = hs_from_rho(rho_from_hs(p))
+        q = HSParams.from_r(r_from_rho(rho_from_hs(p)))
         worst = max(
             worst,
             np.abs(q.a - p.a).max(),
@@ -174,28 +172,20 @@ def test_every_spectrum_producer_yields_sorted_values():
         rho = rho_from_hs(params)
         raw = 4.0 * np.linalg.eigvalsh(rho)
         assert _is_ascending_copy_of(eigenvalues_hermitian(rho), raw)
-        for qubit in ("A", "B"):
-            pt_rho = partial_transpose_matrix(rho, qubit)
-            spectrum, pt_spectrum = spectra(rho, qubit)
-            assert _is_ascending_copy_of(spectrum, raw)
-            assert _is_ascending_copy_of(pt_spectrum, 4.0 * np.linalg.eigvalsh(pt_rho))
-        axis = int(rng.integers(1, 4))
-        a, b = rng.uniform(-1, 1, 2)
-        t = rng.uniform(-1, 1, 3)
-        k = axis - 1
-        i, j = (k + 1) % 3, (k + 2) % 3
-        r_sum = float(np.hypot(a + b, t[i] - t[j]))
-        r_dif = float(np.hypot(a - b, t[i] + t[j]))
-        closed = [1 + t[k] - r_sum, 1 + t[k] + r_sum, 1 - t[k] - r_dif, 1 - t[k] + r_dif]
-        assert _is_ascending_copy_of(eigenvalues_closed_form_pair(axis, a, b, t), np.array(closed))
+        spectrum, pt_spectrum = spectra(rho)
+        assert _is_ascending_copy_of(spectrum, raw)
+        pt_raw = 4.0 * np.linalg.eigvalsh(partial_transpose_matrix(rho))
+        assert _is_ascending_copy_of(pt_spectrum, pt_raw)
 
 
 def test_is_positive_semidefinite(pair64):
-    assert is_positive_semidefinite(np.eye(4) / 4, tol=1e-10)
-    rho = rho_from_hs(pair64)
-    assert is_positive_semidefinite(rho, tol=1e-10)
+    def lambda_min(m):
+        return eigenvalues_hermitian(m)[0] / 4
+
+    assert lambda_min(np.eye(4) / 4) >= -1e-10
+    assert lambda_min(rho_from_hs(pair64)) >= -1e-10
     pt = HSParams.diagonal([0, -0.64, 0], [0, 0.64, 0], [0.3, -0.3, 0.3])
-    assert not is_positive_semidefinite(rho_from_hs(pt), tol=1e-10)
+    assert lambda_min(rho_from_hs(pt)) < -1e-10
 
 
 @given(vec3, vec3)
@@ -286,12 +276,10 @@ def test_invalid_inputs():
     with pytest.raises(UnsupportedFormError):
         HSParams(np.zeros(3), np.zeros(3), np.ones((3, 3))).t_diagonal()
     with pytest.raises(ContractViolationError):
-        hs_from_rho(np.arange(16, dtype=complex).reshape(4, 4))
+        r_from_rho(np.arange(16, dtype=complex).reshape(4, 4))
     # Hermitian within HERMITICITY_TOL, but Tr rho has imaginary part 1.6e-12
-    nearly = (0.25 + 4e-13j) * np.eye(4)
-    for convert in (r_from_rho, hs_from_rho):
-        with pytest.raises(InvalidParameterError, match="imaginary residue"):
-            convert(nearly)
+    with pytest.raises(InvalidParameterError, match="imaginary residue"):
+        r_from_rho((0.25 + 4e-13j) * np.eye(4))
 
 
 def test_params_own_their_arrays():

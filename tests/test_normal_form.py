@@ -12,7 +12,6 @@ from qubitsep import (
     Classification,
     HSParams,
     InvalidParameterError,
-    InvalidStateError,
     NoPhysicalBoostError,
     SampleSpec,
     SigmaForm,
@@ -27,11 +26,8 @@ from qubitsep import (
     random_state,
     rho_from_hs,
     separability_verdict,
-    sigma_pair_b1zero,
-    sigma_pair_symmetric,
     solve_normal_form,
     solve_pair_general,
-    solve_pair_symmetric,
     solve_symmetric,
 )
 from qubitsep import normal_form, sampling
@@ -47,7 +43,7 @@ from qubitsep.normal_form import (
 from qubitsep.hs import SIGMA
 
 from conftest import lorentz_of_filter
-from paper_polynomials import cubic_coefficients, quartic_coefficients
+from paper_formulas import cubic_coefficients, pair_sigma, quartic_coefficients
 
 # frozen from exact-root evaluation (verified against 30-digit arithmetic)
 BETA_SYM_064 = 0.8381591141937414
@@ -157,8 +153,10 @@ def test_pair_betas_act_on_the_named_sides():
 
 
 def test_solve_pair_symmetric_values():
-    assert solve_pair_symmetric(0.0, 0.3) == 0.0
-    beta = solve_pair_symmetric(0.64, 0.3)
+    # a symmetric pair a1 = b1 = a shares one velocity
+    assert solve_pair_general(0.0, 0.0, 0.3) == (0.0, 0.0)
+    beta, beta_b = solve_pair_general(0.64, 0.64, 0.3)
+    assert beta_b == pytest.approx(beta, abs=1e-14)
     assert abs(beta - BETA_SYM_064) < 1e-12
     g2 = 1.0 / (1.0 - beta * beta)
     assert abs(g2 - GAMMA_SQ_064) < 1e-12
@@ -169,35 +167,86 @@ def test_solve_pair_symmetric_values():
 def test_solve_pair_symmetric_boundary():
     # 2a = 1.3 = 1 + t1: the required boost hits light speed
     with pytest.raises(BoostLimitError):
-        solve_pair_symmetric(0.65, 0.3)
+        solve_pair_general(0.65, 0.65, 0.3)
 
 
 def test_solve_pair_symmetric_invalid_region():
-    with pytest.raises(InvalidStateError):
-        solve_pair_symmetric(0.9, 0.3)
+    # |2a| > |1 + t1|: no real boost, and no state either
+    with pytest.raises(NoPhysicalBoostError):
+        solve_pair_general(0.9, 0.9, 0.3)
+
+
+def _path_into_case(case, eps):
+    """A state at distance eps from the structural form of case a)-d)."""
+    x = 1.0 - eps
+    return {
+        NON_GENERIC_A: HSParams.diagonal([x, 0, 0], [0, 0, 0], [0, 0, 0]),
+        NON_GENERIC_B: HSParams.diagonal([0, 0, 0], [x, 0, 0], [0, 0, 0]),
+        NON_GENERIC_C: HSParams.diagonal([x / 2, 0, 0], [x / 2, 0, 0], [0, 0, 0]),
+        NON_GENERIC_D: HSParams.diagonal([x, 0, 0], [x, 0, 0], [x, 0, 0]),
+    }[case]
 
 
 def test_boundary_beta_approach():
     # just inside the boundary the solver succeeds with beta within 1e-6 of 1
     eps = 4e-13
     a = (1 + 0.3) * (1 - eps) / 2
-    beta = solve_pair_symmetric(a, 0.3)
+    beta, _ = solve_pair_general(a, a, 0.3)
     assert beta < 1.0
     assert 1.0 - beta < 1e-6
+    # the paper's non-generic cases are beta = 1, "not reachable physically":
+    # along a path of generic states into each, 1 - max|beta| shrinks like
+    # eps for a) and b) and like sqrt(eps) for c) and d), both verdicts agree,
+    # and the endpoint gets its label
+    powers = {NON_GENERIC_A: 1.0, NON_GENERIC_B: 1.0, NON_GENERIC_C: 0.5, NON_GENERIC_D: 0.5}
+    for case, power in powers.items():
+        gaps = []
+        for eps in np.geomspace(1e-1, 1e-8, 8):
+            rec = sampling.cross_validate(_path_into_case(case, eps))
+            assert rec.classification.kind == GENERIC, (case, eps)
+            assert rec.lorentz.kind == rec.ppt.kind, (case, eps)
+            gaps.append(1.0 - max(map(abs, rec.report.betas)))
+            assert 0.5 <= gaps[-1] / eps**power <= 2.0, (case, eps)
+        assert all(x > y for x, y in zip(gaps, gaps[1:])), case
+        assert sampling.cross_validate(_path_into_case(case, 0.0)).classification.kind == case
+
+
+def test_pair_solve_certifies_states_near_case_b():
+    # a_k = b_k t_k with |b_k| near 1: the pair quadratic's roots b_k and
+    # 1/b_k nearly coincide, and the solve must take beta_a = b_k as it stands
+    rng = np.random.default_rng(19)
+    for d in (1e-4, 1e-6, 1e-8):
+        for trial in range(60):
+            axis = trial % 3
+            b_k = (1 - d) * rng.choice([-1.0, 1.0])
+            t_k = rng.uniform(-0.9, 0.9) if trial % 2 else 0.0
+            # transverse values inside the room sqrt(2 d) that positivity leaves
+            u, v = rng.uniform(-0.4, 0.4, 2) * np.sqrt(2 * d)
+            a, b, tdiag = np.zeros(3), np.zeros(3), np.zeros(3)
+            a[axis], b[axis] = b_k * t_k, b_k
+            tdiag[[axis, (axis + 1) % 3, (axis + 2) % 3]] = [
+                t_k,
+                ((1 + t_k) * u + (1 - t_k) * v) / 2,
+                ((1 - t_k) * v - (1 + t_k) * u) / 2,
+            ]
+            rec = sampling.cross_validate(HSParams.diagonal(a, b, tdiag))
+            assert rec.classification.kind == GENERIC, (d, trial)
+            assert rec.report.betas[0] == b_k, (d, trial)
+            assert rec.agree is not False, (d, trial)
 
 
 def test_boundary_verdict_continuity():
     t1 = 0.3
     for eps in np.geomspace(1e-6, 0.1, 25):
         a = (1 + t1) * (1 - eps) / 2
-        beta = solve_pair_symmetric(a, t1)
+        beta, _ = solve_pair_general(a, a, t1)
         assert abs(beta) < 1.0 - 1e-9
         p = HSParams.diagonal([a, 0, 0], [a, 0, 0], [t1, 0.1, 0.1])
         assert solve_normal_form(p).classification.kind == GENERIC
 
 
 def test_sigma_pair_symmetric_reference():
-    sig = sigma_pair_symmetric(0.64, [0.3, 0.3, 0.3])
+    sig = pair_sigma(0.64, 0.64, [0.3, 0.3, 0.3])
     assert abs(sig.s0 - S0_SYM_064) < 1e-12
     assert abs(sig.s[0] - S1_SYM_064) < 1e-12
     assert abs(sig.s[1] - 0.3) < 1e-15 and abs(sig.s[2] - 0.3) < 1e-15
@@ -209,13 +258,13 @@ def test_sigma_pair_symmetric_reference():
 
 
 def test_sigma_pair_symmetric_trivial():
-    sig = sigma_pair_symmetric(0.0, [0.3, -0.2, 0.1])
+    sig = pair_sigma(0.0, 0.0, [0.3, -0.2, 0.1])
     assert sig.s0 == 1.0
     assert np.allclose(sig.s, [0.3, -0.2, 0.1], atol=0)
 
 
 def test_sigma_pair_b1zero_reference():
-    sig = sigma_pair_b1zero(0.2, [0.3, 0.3, 0.3])
+    sig = pair_sigma(0.2, 0.0, [0.3, 0.3, 0.3])
     assert abs(sig.tprime_sum - SUM_B1ZERO) < 1e-12
     assert abs(sig.tprime_sum - 0.92756) < 1e-4
     assert separability_verdict(sig).kind == SEPARABLE
@@ -226,16 +275,16 @@ def test_sigma_pair_b1zero_matches_brute_force_substitution():
     ba, bb = solve_pair_general(0.2, 0.0, 0.3)
     p = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0.3, 0.3, 0.3])
     sig, offdiag = eliminate_and_diagonalize(r_from_hs(p), boost_x(ba), boost_x(bb))
-    closed = sigma_pair_b1zero(0.2, [0.3, 0.3, 0.3])
+    closed = pair_sigma(0.2, 0.0, [0.3, 0.3, 0.3])
     assert abs(sig.tprime_sum - closed.tprime_sum) < 1e-12
     assert abs(sig.s0 - closed.s0) < 1e-12
     assert offdiag < 1e-12
 
 
 def test_sigma_pair_b1zero_trivial_cases():
-    sig = sigma_pair_b1zero(0.0, [0.4, 0.2, 0.1])
+    sig = pair_sigma(0.0, 0.0, [0.4, 0.2, 0.1])
     assert sig.s0 == 1.0 and np.allclose(sig.s, [0.4, 0.2, 0.1], atol=0)
-    sig = sigma_pair_b1zero(0.5, [0.0, 0.2, 0.1])
+    sig = pair_sigma(0.5, 0.0, [0.0, 0.2, 0.1])
     assert abs(sig.s0 - np.sqrt(0.75)) < 1e-12
     assert abs(sig.s[0]) < 1e-15
 
@@ -243,15 +292,12 @@ def test_sigma_pair_b1zero_trivial_cases():
 def test_sigma_pair_b1zero_reality_violation():
     # |1 - t1^2 - a1^2| < |2 a1 t1| has no real boost
     with pytest.raises(NoPhysicalBoostError):
-        sigma_pair_b1zero(0.8, [0.7, 0.0, 0.0])
+        solve_pair_general(0.8, 0.0, 0.7)
 
 
 def test_single_pair_sigma_matches_the_pair_invariants():
-    # case a) for any a_k, b_k: the pair block B = [[1, a_k], [b_k, t_k]] has
-    # the Lorentz invariants s0^2 + s_k^2 = tr(B eta B^T eta) and
-    # s0 s_k = det B, solved by s0 = (P + Q)/2, s_k = (P - Q)/2 with
-    # P = sqrt((1 + t_k)^2 - (a_k + b_k)^2), Q = sqrt((1 - t_k)^2 - (a_k - b_k)^2);
-    # the transverse values t_i, t_j are untouched
+    # case a) for any a_k, b_k: the certified solve against the paper's
+    # closed form from the pair invariants
     for axis in (1, 2, 3):
         spec = SampleSpec("single-pair", 200, 7, axis)
         k = axis - 1
@@ -259,12 +305,9 @@ def test_single_pair_sigma_matches_the_pair_invariants():
             p = random_state(spec, index)
             report = solve_normal_form(p)
             assert report.classification.is_generic, (axis, index)
-            a, b, t = p.a[k], p.b[k], np.diag(p.t)
-            big_p = np.sqrt((1 + t[k]) ** 2 - (a + b) ** 2)
-            big_q = np.sqrt((1 - t[k]) ** 2 - (a - b) ** 2)
-            s = [(big_p - big_q) / 2, t[(k + 1) % 3], t[(k + 2) % 3]]
-            assert abs(report.sigma.s0 - (big_p + big_q) / 2) < 1e-12, (axis, index)
-            expected = sorted(s, key=lambda x: -abs(x))
+            closed = pair_sigma(p.a[k], p.b[k], np.diag(p.t), axis)
+            assert abs(report.sigma.s0 - closed.s0) < 1e-12, (axis, index)
+            expected = sorted(closed.s, key=lambda x: -abs(x))
             assert np.abs(report.sigma.s - expected).max() < 1e-12, (axis, index)
 
 

@@ -13,13 +13,9 @@ from qubitsep import (
     SampleSpec,
     UnsupportedFormError,
     eigenvalues_hermitian,
-    half_eigenvalue_criterion,
     mds_criterion,
-    necessity_check,
-    partial_transpose,
     partial_transpose_matrix,
     peres_horodecki,
-    ptu,
     random_state,
     rho_from_hs,
     spectra,
@@ -28,6 +24,7 @@ from qubitsep import (
 from qubitsep.hs import PSD_TOL
 
 from conftest import random_params
+from paper_formulas import half_eigenvalue_criterion, partial_transpose, ptu
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 vec3 = arrays(np.float64, (3,), elements=unit)
@@ -36,23 +33,23 @@ mat33 = arrays(np.float64, (3, 3), elements=unit)
 
 def test_partial_transpose_trivial():
     p = HSParams.zero()
-    q = partial_transpose(p, "A")
+    q = partial_transpose(p)
     assert np.array_equal(q.a, p.a) and np.array_equal(q.t, p.t)
 
 
 def test_partial_transpose_reference(pair64):
-    q = partial_transpose(pair64, "A")
+    q = partial_transpose(pair64)
     assert np.allclose(q.a, [0, -0.64, 0], atol=0)
     assert np.allclose(q.b, [0, 0.64, 0], atol=0)
     assert np.allclose(np.diag(q.t), [0.3, -0.3, 0.3], atol=0)
 
 
-@given(vec3, vec3, mat33, st.sampled_from(["A", "B"]))
+@given(vec3, vec3, mat33)
 @settings(deadline=None)
-def test_partial_transpose_matches_matrix_level(a, b, t, qubit):
+def test_partial_transpose_matches_matrix_level(a, b, t):
     p = HSParams(a, b, t)
-    lhs = rho_from_hs(partial_transpose(p, qubit))
-    rhs = partial_transpose_matrix(rho_from_hs(p), qubit)
+    lhs = rho_from_hs(partial_transpose(p))
+    rhs = partial_transpose_matrix(rho_from_hs(p))
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -60,17 +57,16 @@ def test_partial_transpose_matrix_consistency_bulk():
     rng = np.random.default_rng(23)
     for _ in range(1000):
         p = random_params(rng)
-        qubit = "A" if rng.integers(2) else "B"
-        lhs = rho_from_hs(partial_transpose(p, qubit))
-        rhs = partial_transpose_matrix(rho_from_hs(p), qubit)
+        lhs = rho_from_hs(partial_transpose(p))
+        rhs = partial_transpose_matrix(rho_from_hs(p))
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
-@given(vec3, vec3, mat33, st.sampled_from(["A", "B"]))
+@given(vec3, vec3, mat33)
 @settings(deadline=None)
-def test_partial_transpose_is_involution(a, b, t, qubit):
+def test_partial_transpose_is_involution(a, b, t):
     p = HSParams(a, b, t)
-    q = partial_transpose(partial_transpose(p, qubit), qubit)
+    q = partial_transpose(partial_transpose(p))
     assert np.array_equal(q.a, p.a)
     assert np.array_equal(q.b, p.b)
     assert np.array_equal(q.t, p.t)
@@ -79,15 +75,16 @@ def test_partial_transpose_is_involution(a, b, t, qubit):
 @given(vec3, vec3, mat33)
 @settings(deadline=None, max_examples=50)
 def test_pt_spectra_agree_between_qubits(a, b, t):
+    # why the package transposes qubit A only
     rho = rho_from_hs(HSParams(a, b, t))
-    sa = eigenvalues_hermitian(partial_transpose_matrix(rho, "A"))
-    sb = eigenvalues_hermitian(partial_transpose_matrix(rho, "B"))
+    sa = eigenvalues_hermitian(partial_transpose_matrix(rho))
+    sb = eigenvalues_hermitian(rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))
     assert np.abs(sa - sb).max() < 1e-10
 
 
 def test_ptu_reference():
     p = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0.3, 0.3, 0.3])
-    q = ptu(p, "A")
+    q = ptu(p)
     assert np.allclose(q.a, [-0.2, 0, 0], atol=0)
     assert np.allclose(np.diag(q.t), [-0.3, -0.3, -0.3], atol=0)
     assert np.array_equal(q.b, p.b)
@@ -98,10 +95,10 @@ def test_ptu_reference():
 
 def test_ptu_trivial_and_form_check():
     p = HSParams.zero()
-    q = ptu(p, "B")
+    q = ptu(p)
     assert np.array_equal(q.t, p.t)
     with pytest.raises(UnsupportedFormError):
-        ptu(HSParams(np.zeros(3), np.zeros(3), np.ones((3, 3))), "A")
+        ptu(HSParams(np.zeros(3), np.zeros(3), np.ones((3, 3))))
 
 
 def test_ptu_eigenvalue_complement():
@@ -111,7 +108,7 @@ def test_ptu_eigenvalue_complement():
         p = random_state(spec_def, index)
         p = HSParams.diagonal(p.a, np.zeros(3), np.diag(p.t))
         lam = eigenvalues_hermitian(rho_from_hs(p)) / 4
-        lam_img = eigenvalues_hermitian(rho_from_hs(ptu(p, "A"))) / 4
+        lam_img = eigenvalues_hermitian(rho_from_hs(ptu(p))) / 4
         assert np.abs(lam_img - (0.5 - lam[::-1])).max() < 1e-10
 
 
@@ -137,36 +134,33 @@ def test_peres_horodecki_werner():
 
 def test_peres_horodecki_rejects_non_state():
     p = HSParams.diagonal([0, 0, 0], [0, 0, 0], [1.0, 1.0, 1.0])
-    for qubit in ("A", "B"):
-        with pytest.raises(InvalidStateError):
-            peres_horodecki(rho_from_hs(p), qubit=qubit)
+    with pytest.raises(InvalidStateError):
+        peres_horodecki(rho_from_hs(p))
 
 
-@pytest.mark.parametrize("qubit", ["A", "B"])
-def test_peres_horodecki_stacked_solve_matches_single(qubit):
+def test_peres_horodecki_stacked_solve_matches_single():
     # the stacked eigensolve gives each spectrum bit for bit
     for family in ("single-pair", "symmetric-three", "full-symmetric", "product-mixture"):
         spec = SampleSpec(family=family, count=1, seed=5)
         for index in range(10):
             rho = rho_from_hs(random_state(spec, index))
-            expected = eigenvalues_hermitian(partial_transpose_matrix(rho, qubit))
-            witness = peres_horodecki(rho, qubit=qubit).witness
+            expected = eigenvalues_hermitian(partial_transpose_matrix(rho))
+            witness = peres_horodecki(rho).witness
             assert witness.hex() == float(expected[0]).hex()
             # a state shifted just below PSD is still refused
             lam_min = float(eigenvalues_hermitian(rho)[0] / 4)
             with pytest.raises(InvalidStateError):
-                peres_horodecki(rho - (lam_min + 1e-6) * np.eye(4), qubit=qubit)
+                peres_horodecki(rho - (lam_min + 1e-6) * np.eye(4))
 
 
-@pytest.mark.parametrize("qubit", ["A", "B"])
-def test_spectra_match_single_solves(qubit):
+def test_spectra_match_single_solves():
     for family in ("single-pair", "full-symmetric", "product-mixture"):
         spec = SampleSpec(family=family, count=1, seed=6)
         for index in range(5):
             rho = rho_from_hs(random_state(spec, index))
-            spectrum, pt_spectrum = spectra(rho, qubit)
+            spectrum, pt_spectrum = spectra(rho)
             expected = eigenvalues_hermitian(rho)
-            expected_pt = eigenvalues_hermitian(partial_transpose_matrix(rho, qubit))
+            expected_pt = eigenvalues_hermitian(partial_transpose_matrix(rho))
             assert spectrum.tobytes() == expected.tobytes()
             assert pt_spectrum.tobytes() == expected_pt.tobytes()
 
@@ -195,15 +189,14 @@ def test_mds_criterion():
 
 
 def test_necessity_check(pair64):
-    # the screen passes for the reference state although it is entangled
-    assert necessity_check(pair64)
+    # the correlation-sum screen is necessary only: it passes for the
+    # reference state although that is entangled
+    assert mds_criterion(pair64.t_diagonal())
     assert peres_horodecki(rho_from_hs(pair64)).kind == ENTANGLED
-    assert not necessity_check(
-        HSParams.diagonal([0, 0, 0], [0, 0, 0], [0.6, 0.6, 0.0])
+    assert not mds_criterion(
+        HSParams.diagonal([0, 0, 0], [0, 0, 0], [0.6, 0.6, 0.0]).t_diagonal()
     )
-    assert necessity_check(HSParams.zero())
-    with pytest.raises(UnsupportedFormError):
-        necessity_check(HSParams(np.zeros(3), np.zeros(3), np.ones((3, 3))))
+    assert mds_criterion(HSParams.zero().t_diagonal())
 
 
 def test_half_eigenvalue_reference(one_sided02):
@@ -251,8 +244,6 @@ def test_half_eigenvalue_agrees_with_ppt(axis):
     # one-sided random states: the two exact criteria must coincide.
     # Zeroing one linear vector of a sampled state can break positivity, so
     # non-states are skipped rather than judged.
-    from qubitsep import eigenvalues_hermitian
-
     spec_def = SampleSpec(family="single-pair", count=1, seed=41, axis=axis)
     checked = 0
     for index in range(400):

@@ -8,7 +8,6 @@ from qubitsep import (
     HSParams,
     InvalidParameterError,
     eigenvalues_hermitian,
-    is_symmetric_r,
     r_from_hs,
     r_from_rho,
     rho_from_hs,
@@ -123,11 +122,16 @@ def test_rho_from_r_reference_is_a_state():
     assert eigenvalues_hermitian(rho)[0] / 4 >= -1e-12
 
 
+def _is_symmetric_r(r) -> bool:
+    return HSParams.from_r(r).is_symmetric()
+
+
 def test_is_symmetric():
-    assert is_symmetric_r(R_319)
-    assert is_symmetric_r(np.diag([1.0, 0.3, -0.2, 0.5]))
+    # R == R^T within ZERO_TOL
+    assert _is_symmetric_r(R_319)
+    assert _is_symmetric_r(np.diag([1.0, 0.3, -0.2, 0.5]))
     p = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0, 0, 0])
-    assert not is_symmetric_r(r_from_hs(p))
+    assert not _is_symmetric_r(r_from_hs(p))
 
 
 def test_one_symmetry_rule():
@@ -143,12 +147,10 @@ def test_one_symmetry_rule():
     cases.append((HSParams([0.1, 0, 0], [0, 0.1, 0], t + 0.1 * (off + off.T)), False))
     for p, symmetric in cases:
         assert p.is_symmetric() is symmetric
-        assert is_symmetric_r(r_from_hs(p)) is symmetric
+        assert _is_symmetric_r(r_from_hs(p)) is symmetric
 
 
 def test_malformed_r_rejected():
     for bad in (np.eye(3), R_319[:, :3], np.where(R_319 == 0.4, np.nan, R_319)):
         with pytest.raises(InvalidParameterError):
             rho_from_r(bad)
-        with pytest.raises(InvalidParameterError):
-            is_symmetric_r(bad)
