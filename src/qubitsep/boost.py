@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import BoostLimitError, InvalidParameterError
-from .hs import _as_r
+from .hs import _as_r, _as_real_vector
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -46,9 +46,7 @@ def boost_x(beta: float, axis: int = 1, beta_limit: float = BETA_LIMIT) -> np.nd
 
 def boost_general(beta, beta_limit: float = BETA_LIMIT) -> np.ndarray:
     """The symmetric boost for a velocity 3-vector; reduces to boost_x on an axis."""
-    v = np.asarray(beta, dtype=float).reshape(3)
-    if not np.isfinite(v).all():
-        raise InvalidParameterError("beta must be finite")
+    v = _as_real_vector(beta, "beta")
     beta_sq = float(v @ v)
     if beta_sq >= (1.0 - beta_limit) ** 2:
         raise BoostLimitError(

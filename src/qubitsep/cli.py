@@ -58,12 +58,12 @@ def _parse_reals(doc, key: str, length: int) -> list[float]:
         raise StateFileError(f"field '{key}' must be a list of {length} numbers")
     out = []
     for entry in value:
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+        # load_state_file reads every JSON number as a float
+        if not isinstance(entry, float):
             raise StateFileError(f"field '{key}' must contain only numbers")
-        x = float(entry)
-        if not np.isfinite(x):
+        if not math.isfinite(entry):
             raise StateFileError(f"field '{key}' must be finite")
-        out.append(x)
+        out.append(entry)
     return out
 
 
@@ -71,10 +71,11 @@ def load_state_file(path: str) -> HSParams:
     """Parse a state file into HSParams; the normalize flag is validated only."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            # an integer literal past the float range becomes inf, not an OverflowError
+            doc = json.load(handle, parse_int=float)
     except OSError as exc:
         raise StateFileError(f"cannot read state file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
         raise StateFileError(f"state file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFileError("state file must be a JSON object")

@@ -57,10 +57,13 @@ PAULI_KRON = np.array([[np.kron(SIGMA[m], SIGMA[n]) for n in range(4)] for m in 
 
 
 def _as_real_vector(x, name: str) -> np.ndarray:
-    v = np.array(x, dtype=float).reshape(3)
-    if not all(map(math.isfinite, v.tolist())):
-        raise InvalidParameterError(f"{name} must be a finite real 3-vector")
-    return v
+    try:
+        v = np.array(x, dtype=float).reshape(3)
+        if all(map(math.isfinite, v.tolist())):
+            return v
+    except (TypeError, ValueError):  # not numbers, or not three of them
+        pass
+    raise InvalidParameterError(f"{name} must be a finite real 3-vector")
 
 
 @dataclass(frozen=True, eq=False)

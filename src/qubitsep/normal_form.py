@@ -6,7 +6,7 @@ Sigma = diag(s0, s1, s2, s3); separability is then exactly
 |s1| + |s2| + |s3| <= s0.  This module solves for the boost velocities in
 the supported families:
 
-  * one linear pair (a_k, b_k) on a single axis  -> quadratic,
+  * one linear pair (a_k, b_k) on a single axis  -> two rapidities,
   * symmetric states (a == b), the paper's case b): one symmetric boost,
     from the secular equation of a rank-one-modified diagonal matrix, whose
     cleared form is the Moebius image of the paper's cubic (two pairs) or
@@ -35,7 +35,7 @@ from .errors import (
     NoPhysicalBoostError,
     SolverInconsistencyError,
 )
-from .hs import ZERO_TOL, HSParams, r_from_hs
+from .hs import ZERO_TOL, HSParams, _as_real_vector, r_from_hs
 from .pt import ENTANGLED, SEPARABLE, VERDICT_TOL, Verdict
 from .roots import real_roots
 
@@ -49,13 +49,10 @@ NO_PHYSICAL_BOOST = "no-physical-boost"
 OFFDIAG_TOL = 1e-9
 _STRUCTURAL_TOL = 1e-9
 _PAIR_RESIDUAL_TOL = 1e-12
-# the pair quadratic is degenerate when |c2| <= this * max(|c1|, 1); its roots
-# are b1 and 1/b1 when |a1 - b1 t1| is at or below the same bound
-_QUADRATIC_LEAD_TOL = 1e-15
 # a root of the symmetric solve is physical only if |g(mu)| is at most this
 _FUNDAMENTAL_TOL = 1e-10
-# a velocity denominator (1 - b1 beta_a for the pair, mu + t_j for the
-# symmetric boost) at or below this counts as zero: the velocity would diverge
+# a denominator at or below this counts as zero: 1 +- t1 of the pair (its rapidity
+# is then free) and mu + t_j of the symmetric boost (the velocity would diverge)
 _DENOM_TOL = 1e-12
 # Newton steps of _secular_polish on each root of P
 _POLISH_STEPS = 8
@@ -125,12 +122,18 @@ def solve_pair_general(
         -beta_b + b1 beta_a beta_b + a1 - beta_a t1 = 0
         -beta_a + a1 beta_a beta_b + b1 - beta_b t1 = 0
 
-    reduce to the quadratic
-    (b1 - a1 t1) beta_a^2 + (a1^2 - b1^2 + t1^2 - 1) beta_a + (b1 - a1 t1) = 0,
-    whose two roots multiply to 1, so exactly one of them is physical.
-    beta_b then follows from the first condition directly,
-    beta_b = (a1 - beta_a t1) / (1 - b1 beta_a), which stays well defined even
-    where the textbook ratio form has a vanishing denominator.
+    are hyperbolic rotations of the block [[1, a1], [b1, t1]]: their sum and
+    difference fix the sum and difference of the rapidities phi = atanh(beta),
+
+        tanh(phi_a + phi_b) = (a1 + b1) / (1 + t1),
+        tanh(phi_b - phi_a) = (a1 - b1) / (1 - t1).
+
+    The numbers 1 +- t1 +- (a1 +- b1) are the diagonal of 4 rho in the
+    sigma_k x sigma_k eigenbasis, so for a state no ratio exceeds 1 in modulus,
+    and 1 is light speed: above 1 NoPhysicalBoostError, at 1 BoostLimitError.
+    A denominator at most _DENOM_TOL leaves its rapidity free; it takes the
+    other one's value, so phi_a = 0.  Each velocity must stay below
+    1 - beta_limit, and the pair must pass its elimination certificate.
 
     beta_a is named for the term it eliminates, a1, not for the qubit it
     acts on: solve_normal_form passes boost_x(beta_a) to
@@ -142,51 +145,29 @@ def solve_pair_general(
     for name, val in (("a1", a1), ("b1", b1), ("t1", t1)):
         if not math.isfinite(val):
             raise InvalidParameterError(f"{name} must be finite")
-    if a1 == 0.0 and b1 == 0.0:
-        return 0.0, 0.0
-    c2 = b1 - a1 * t1
-    c1 = a1 * a1 - b1 * b1 + t1 * t1 - 1.0
-    if abs(c2) <= _QUADRATIC_LEAD_TOL * max(abs(c1), 1.0):
-        # Quadratic degenerates; beta_a = 0 with beta_b = a1 solves both
-        # conditions exactly (and is the branch continuous with beta -> 0
-        # when the system is underdetermined).
-        beta_a = 0.0
-    elif abs(a1 - b1 * t1) <= _QUADRATIC_LEAD_TOL * max(abs(c1), 1.0):
-        # The mirror case: the roots are b1 and 1/b1, a near double root as
-        # |b1| -> 1 that Newton steps would blur.  Take the physical one as it
-        # stands; with a1 = b1 t1, beta_a = b1 and beta_b = 0 solve both
-        # conditions exactly.
-        beta_a = b1 if abs(b1) <= 1.0 else 1.0 / b1
-    else:
-        disc = c1 * c1 - 4.0 * c2 * c2
-        if disc < 0.0:
-            raise NoPhysicalBoostError(
-                "no real boost solves the elimination conditions"
-            )
-        sq = math.sqrt(disc)
-        q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else -0.5 * sq
-        if q == 0.0:
-            # disc == 0 with c1 == 0 would force c2 == 0; degenerate double root
-            raise BoostLimitError("double root on the unit circle")
-        r_big, r_small = q / c2, c2 / q
-        beta_a = r_small if abs(r_small) <= abs(r_big) else r_big
-        for _ in range(2):
-            f = (c2 * beta_a + c1) * beta_a + c2
-            df = 2.0 * c2 * beta_a + c1
-            if df == 0.0:
-                break
-            beta_a -= f / df
-    if abs(beta_a) >= 1.0 - beta_limit:
-        raise BoostLimitError(f"beta_a = {beta_a:.12g} reaches the light-speed limit")
-    denom = 1.0 - b1 * beta_a
-    if abs(denom) <= _DENOM_TOL:
-        raise NoPhysicalBoostError("beta_b diverges; no physical boost")
-    beta_b = (a1 - beta_a * t1) / denom
-    if abs(beta_b) >= 1.0 - beta_limit:
-        raise BoostLimitError(f"beta_b = {beta_b:.12g} reaches the light-speed limit")
+    total = _rapidity(a1 + b1, 1.0 + t1, "(a1 + b1)/(1 + t1)")
+    diff = _rapidity(a1 - b1, 1.0 - t1, "(a1 - b1)/(1 - t1)")
+    total = diff if total is None else total
+    diff = total if diff is None else diff
+    beta_a, beta_b = math.tanh((total - diff) / 2.0), math.tanh((total + diff) / 2.0)
+    for name, beta in (("beta_a", beta_a), ("beta_b", beta_b)):
+        if abs(beta) >= 1.0 - beta_limit:
+            raise BoostLimitError(f"{name} = {beta:.12g} reaches the light-speed limit")
     if _pair_residual(a1, b1, t1, beta_a, beta_b) > _PAIR_RESIDUAL_TOL:
         raise SolverInconsistencyError("pair solve failed its elimination certificate")
     return beta_a, beta_b
+
+
+def _rapidity(num: float, den: float, name: str) -> float | None:
+    # atanh(num / den), or None where |den| <= _DENOM_TOL leaves it free
+    if abs(num) > abs(den):
+        raise NoPhysicalBoostError("no real boost solves the elimination conditions")
+    if abs(den) <= _DENOM_TOL:
+        return None
+    ratio = num / den
+    if abs(ratio) >= 1.0:
+        raise BoostLimitError(f"{name} = {ratio:.12g} reaches light speed")
+    return math.atanh(ratio)
 
 
 def _pair_residual(a1, b1, t1, beta_a, beta_b) -> float:
@@ -262,10 +243,7 @@ def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarra
     smallest |beta| is kept: the branch continuous with beta -> 0 as the
     linear terms vanish.  The velocities are in the caller's axes.
     """
-    av = np.asarray(a, dtype=float).reshape(3)
-    tv = np.asarray(tdiag, dtype=float).reshape(3)
-    if not (np.isfinite(av).all() and np.isfinite(tv).all()):
-        raise InvalidParameterError("a and tdiag must be finite")
+    av, tv = _as_real_vector(a, "a"), _as_real_vector(tdiag, "tdiag")
     return _solve_symmetric(av.tolist(), tv.tolist(), beta_limit)[:2]
 
 

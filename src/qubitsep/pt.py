@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError
-from .hs import PSD_TOL, _read_only, _rho_from_r, require_hermitian
+from .hs import PSD_TOL, _as_real_vector, _read_only, _rho_from_r, require_hermitian
 
 # Not called here; perfbench/tracing.py wraps this name on this module.
 from .hs import eigenvalues_hermitian  # noqa: F401
@@ -122,7 +122,5 @@ def ppt_verdict(pt_spectrum: np.ndarray, tol: float = VERDICT_TOL) -> Verdict:
 
 def mds_criterion(tdiag) -> bool:
     """|t1| + |t2| + |t3| <= 1, the exact test when both linear vectors vanish."""
-    t = np.asarray(tdiag, dtype=float).reshape(3)
-    if not np.isfinite(t).all():
-        raise InvalidParameterError("tdiag must be finite")
+    t = _as_real_vector(tdiag, "tdiag")
     return float(np.abs(t).sum()) <= 1.0 + MDS_SUM_TOL

@@ -402,11 +402,15 @@ def cross_validate(
 ) -> CrossValidation:
     """Run the exact partial-transpose test and the boost pipeline side by side.
 
+    tol and tol_psd must be finite and >= 0 and beta_limit in [0, 1), the ranges
+    of the analyze options (InvalidParameterError, before any solve).
     An eigenvalue below -tol_psd raises InvalidStateError, spectrum attached;
     coefficients whose rho overflows raise InvalidParameterError.
     `tol` decides both verdicts; a PPT witness within 1e-8 of zero is boundary,
     not a disagreement (both criteria are exact only in exact arithmetic).
     """
+    if not (0.0 <= tol < np.inf and 0.0 <= tol_psd < np.inf and 0.0 <= beta_limit < 1.0):
+        raise InvalidParameterError("tol and tol_psd must be finite and >= 0, beta_limit in [0, 1)")
     spectrum, pt_spectrum = _spectra_of_r(r_from_hs(params))
     require_state(spectrum, tol_psd)
     ppt = ppt_verdict(pt_spectrum, tol)

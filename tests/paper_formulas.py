@@ -8,13 +8,15 @@ special families, against which the tests check the package's numbers:
   * the partial transpose on (a, b, t) and the PTU map of the complement
     identity (criterion 2);
   * the half-eigenvalue criterion for one-sided linear terms (criterion 4);
-  * the normal form of one linear pair, case a) (criteria 3 and 4);
+  * the normal form of one linear pair, case a) (criteria 3 and 4), and its
+    two boost velocities, evaluated in 50-digit decimal arithmetic;
   * the case b) cubic (two symmetric pairs) and quartic (three pairs) in
     beta_1.  The solver works on the secular equation in mu instead (see
     normal_form.solve_symmetric).
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -93,6 +95,27 @@ def pair_sigma(a_k: float, b_k: float, tdiag, axis: int = 1) -> SigmaForm:
     big_q = math.sqrt((1 - s[k]) ** 2 - (a_k - b_k) ** 2)
     s[k] = (big_p - big_q) / 2
     return SigmaForm((big_p + big_q) / 2, s)
+
+
+def pair_velocities(a1: float, b1: float, t1: float) -> tuple[float, float]:
+    """Case a): the velocities (beta_a, beta_b) of one linear pair, in 50 digits.
+
+    The rapidities satisfy tanh(phi_a + phi_b) = (a1 + b1)/(1 + t1) and
+    tanh(phi_b - phi_a) = (a1 - b1)/(1 - t1), so with
+    P = e^{2(phi_a + phi_b)} and Q = e^{2(phi_b - phi_a)}, ratios of the
+    diagonal of 4 rho in the sigma_k x sigma_k eigenbasis, the velocities are
+    beta = (e^{2 phi} - 1)/(e^{2 phi} + 1) with e^{2 phi_a} = sqrt(P/Q) and
+    e^{2 phi_b} = sqrt(P Q).  Where 1 + t1 or 1 - t1 is zero, that rapidity
+    takes the other one's value.  The stored floats are taken as exact.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, t = Decimal(a1), Decimal(b1), Decimal(t1)
+        p = (1 + t + a + b) / (1 + t - a - b) if t != -1 else None
+        q = (1 - t + a - b) / (1 - t - a + b) if t != 1 else p
+        p = q if p is None else p
+        e_a, e_b = (p / q).sqrt(), (p * q).sqrt()
+        return float((e_a - 1) / (e_a + 1)), float((e_b - 1) / (e_b + 1))
 
 
 def cubic_coefficients(a1: float, a2: float, tdiag) -> np.ndarray:

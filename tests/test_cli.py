@@ -186,6 +186,34 @@ def test_analyze_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", missing)
     assert code == 2
 
+    # an integer past the float range, bytes that are not UTF-8, and nesting
+    # deeper than the decoder's recursion: one error line, nothing on stdout
+    malformed = {
+        "huge-integer.json": b'{"a": [1' + b"0" * 400 + b', 0, 0], "b": [0, 0, 0], "t_diag": [0, 0, 0]}',
+        "latin-1.json": '{"a": [0, 0, 0], "b": [0, 0, 0], "t_diag": [0, 0, 0], "n": "\xe9"}'.encode("latin-1"),
+        "deep.json": b"[" * 100_000 + b"]" * 100_000,
+    }
+    for name, content in malformed.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        for command in ("analyze", "classify"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (2, ""), (name, command)
+            assert re.fullmatch(r"error: [^\n]*\n", err), (name, command, err)
+
+
+def test_light_speed_pair_is_labelled(tmp_path, capsys):
+    # (a1 + b1)/(1 + t1) = 1: a valid rank-3 state on the light-speed edge of
+    # case a) gets the NoPhysicalBoost label and the exact verdict
+    path = write_state(tmp_path, {"a": [0.7, 0, 0], "b": [0.3, 0, 0], "t_diag": [0, 0, 0]})
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["classification"]["kind"] == "NoPhysicalBoost"
+    assert doc["ppt_verdict"]["kind"] == "separable"
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 0 and out.startswith("NoPhysicalBoost: ")
+
 
 def test_analyze_full_t_input(tmp_path, capsys):
     # product state written with a full correlation matrix
@@ -537,10 +565,12 @@ GOLDEN_COMMANDS = (
 
 # sha256 over the exit code and stdout of every GOLDEN_COMMANDS run on the
 # state, in order, with the state file's directory stripped.  Any change to
-# a report, a label, a detail string or an exit code shows here.
+# a report, a label, a detail string or an exit code shows here.  The three
+# single-pair states were re-pinned when the pair solve became the closed form
+# by rapidities: velocities, sigma and residuals moved by rounding only.
 PINNED_CLI_OUTPUTS = {
-    "pair64": "af52b99360d0524f500d6ad4a4c545488d96fd5cc2dc9f45ef69a721d5d51ff9",
-    "one-sided": "616f57db9ec026e764b1d9c1b95b0b2722fcb22c96882446263ae0b42a721074",
+    "pair64": "d2dfed15009df18b24abf48cc002c904a6b9e3e60f571ce77182457e84a0eb90",
+    "one-sided": "fca7719cdc54b79d47eb275b2720be7e6abda83904036ad287a20e5aa413de72",
     "cubic": "aea6a605c68b026ebf1268a8f3ef30ec663d8ef59a9f7d78f4dd424eb4acd4bd",
     "quartic": "e4f58263d90d6bb22779ba6404da73dbafc63c96202b9617e69150c7ee0f5fc9",
     "werner": "091406044569aa586c1e31e7a2c6d447440fc17c3ad8ae885a9749c5eaa33935",
@@ -552,7 +582,7 @@ PINNED_CLI_OUTPUTS = {
     "quartic-tie": "68651f328bb853c368e031411876e173c7fe23109c939a2ac40ea12e4c461550",
     "inactive-axis-order": "11b081a077d7cfbae475450e172cb4fc5e74a54b8d51e117175ce81cc4ee34de",
     "t-full-symmetric": "893aa2fa5a5b57fa168d162b46f742aab26bf4a095ef4804d44e65242006d4ca",
-    "t-full-product": "a497913aad96e29b2af8b09bee3e6ae4abe3094721d0c05996aba47d32ca87fa",
+    "t-full-product": "f9fc9060e9a9bcfc99636a680bca1681a967a0850bd2543b35646e754d584c86",
     "non-psd": "6686e59edc1b9a813828ff7fb843b2614bb26d413313fd9a6605cf53fdcc84d0",
 }
 

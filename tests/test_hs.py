@@ -9,9 +9,12 @@ from qubitsep import (
     HSParams,
     InvalidParameterError,
     UnsupportedFormError,
+    boost_general,
     eigenvalues_hermitian,
+    mds_criterion,
     r_from_rho,
     rho_from_hs,
+    solve_symmetric,
     tdiag_via_local_rotations,
     tdiag_via_symmetric_rotation,
 )
@@ -280,6 +283,21 @@ def test_invalid_inputs():
     # Hermitian within HERMITICITY_TOL, but Tr rho has imaginary part 1.6e-12
     with pytest.raises(InvalidParameterError, match="imaginary residue"):
         r_from_rho((0.25 + 4e-13j) * np.eye(4))
+    # a 3-vector of the wrong size or of non-numbers, wherever one is taken
+    for call in (
+        lambda: HSParams([0, 0], [0, 0, 0], np.zeros((3, 3))),
+        lambda: HSParams.diagonal([0, 0, 0], [0, 0, 0], [0, 0, 0, 0]),
+        lambda: HSParams(["x", 0, 0], [0, 0, 0], np.zeros((3, 3))),
+        lambda: HSParams([0, 0, 0], [[0, 0], [0]], np.zeros((3, 3))),
+        lambda: solve_symmetric([0.1, 0.1], [0.3, 0.2, 0.1]),
+        lambda: solve_symmetric([0.1, 0.1, 0.1], [0.3, 0.2, np.inf]),
+        lambda: boost_general([0.1, 0.1]),
+        lambda: boost_general(None),
+        lambda: mds_criterion([0.1, 0.1]),
+        lambda: mds_criterion([0.1, 0.1, np.nan]),
+    ):
+        with pytest.raises(InvalidParameterError, match="finite real 3-vector"):
+            call()
 
 
 def test_params_own_their_arrays():

@@ -165,6 +165,29 @@ def test_cross_validate_tol_psd_decides_validity():
     assert float(rec.spectrum[0]) < 0.0
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("tol", np.nan),
+        ("tol", -1e-10),
+        ("tol", np.inf),
+        ("tol_psd", np.nan),
+        ("tol_psd", -1.0),
+        ("beta_limit", np.nan),
+        ("beta_limit", 1.0),
+        ("beta_limit", -1e-9),
+    ],
+)
+def test_cross_validate_rejects_tolerances_the_cli_rejects(pair64, name, value):
+    # the ranges of the analyze options, checked before any solve; unchecked,
+    # a nan tol calls the entangled pair64 separable, and a nan tol_psd takes
+    # the non-state t = (1, 1, 1) for a state
+    non_state = HSParams.diagonal([0, 0, 0], [0, 0, 0], [1, 1, 1])
+    for params in (pair64, non_state):
+        with pytest.raises(InvalidParameterError, match="beta_limit in"):
+            cross_validate(params, **{name: value})
+
+
 def test_batch_stats_counts():
     spec = SampleSpec(family="mds", count=200, seed=3)
     report = batch_stats(spec)
@@ -333,13 +356,14 @@ def _cross_validate_hex(rec) -> str:
 # re-pinned when sigma came to be read off the unnormalized boosted R (s and
 # the off-diagonal residual moved by rounding only), and the symmetric
 # families when case b) came to be solved as one secular equation (velocities
-# and sigma moved by rounding only); any change to a solve, a residual or the
-# PPT witness shows here bit for bit.
+# and sigma moved by rounding only), and single-pair when the pair solve
+# became the closed form by rapidities (the same); any change to a solve, a
+# residual or the PPT witness shows here bit for bit.
 PINNED_CROSS_VALIDATE = {
     ("mds", 1): "5d3f6798ef676d92bb01423631d0550c9b9fd2c4323917a811315f663cdede3f",
-    ("single-pair", 1): "839d605967bbd36c0d2d74f5886b46703dc9eeb32757be933353b0e4b3ddcbd6",
-    ("single-pair", 2): "c3d09ca87c7a39e657835429b7442396c1a4e46d568a79904ed807faf9f9b199",
-    ("single-pair", 3): "383520608283a5eae87e2e198bbb1ec674cd22ca29efdf2a4cc47ad6b6b505f6",
+    ("single-pair", 1): "2576e4e7d04001ef6d78cd4d5382cfdc0e9d31f614a1e4b2707c01bf9e56d4cc",
+    ("single-pair", 2): "8104be28230a24cd3db99146cfd7f84732c22a3f5d7498d2c43cab9b6298c2e4",
+    ("single-pair", 3): "961a77ae06abe28c2b04f2ab3a3cbafd213d3f348ef4f15f6d8fbc93cce89275",
     ("symmetric-two", 1): "0ccf791eafd1a33e94aee5857d8b35176063d384bf5ee47fe5d48b98e7aefb5f",
     ("symmetric-three", 1): "8ef5a15357594bba66411e84e8c6e75b406cb4c59c2fc75e22afe5ccbb6aa159",
     ("full-symmetric", 1): "7dcbbc7adfc286f27cbcbc46169b05806fc3e15e0b4c0eb28be0c2a215812fe1",
@@ -563,8 +587,10 @@ def _field_bits(value) -> str:
 # perfbench/inputs.corpus(0, 1024): zero, pair, symmetric two- and three-pair,
 # structural a)-d), full symmetric t, Hilbert-Schmidt and near-boundary states.
 # Re-pinned when the spectra became plain arrays: same values, serialized
-# without the wrapper that used to hold them.
-PINNED_CORPUS = "fdae60ebbc9bfe39a1f3790c32703bdfcc891683faa3de6cd7672ad239dd832a"
+# without the wrapper that used to hold them; and when the pair solve became
+# the closed form by rapidities: pair velocities, sigma and residuals moved by
+# rounding only.
+PINNED_CORPUS = "f1c12028760791bc87fbfb48198bf1a30698e2a711c8309511611b8fbff5f312"
 
 
 def test_cross_validate_corpus_pinned(monkeypatch):
