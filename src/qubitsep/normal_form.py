@@ -37,7 +37,9 @@ from .errors import (
 )
 from .hs import ZERO_TOL, HSParams, _as_real_vector, r_from_hs
 from .pt import ENTANGLED, SEPARABLE, VERDICT_TOL, Verdict
-from .roots import real_roots
+
+# Not called here; perfbench/tracing.py wraps this name on this module.
+from .roots import real_roots  # noqa: F401
 
 GENERIC = "generic"
 NON_GENERIC_A = "non-generic-a"
@@ -54,8 +56,8 @@ _FUNDAMENTAL_TOL = 1e-10
 # a denominator at or below this counts as zero: 1 +- t1 of the pair (its rapidity
 # is then free) and mu + t_j of the symmetric boost (the velocity would diverge)
 _DENOM_TOL = 1e-12
-# Newton steps of _secular_polish on each root of P
-_POLISH_STEPS = 8
+# cap on the Newton steps of the symmetric solve; sampled states take 2 to 8
+_NEWTON_STEPS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,34 +195,6 @@ def _secular_coefficients(values, weights) -> list[float]:
     return p
 
 
-def _secular_polish(values, weights, mu: float) -> float:
-    """Newton steps on g(mu) = mu - 1 + sum_v w_v / (mu + v) from a root of P.
-
-    g keeps each pole separate, so it stays well conditioned where P's
-    coefficients lose accuracy (near ties).  The iteration stops at a pole or
-    where a square leaves the float range, keeping the iterate reached.  Once an
-    iterate repeats, it returns the one the full step budget ends on, as roots._polish does.
-    """
-    seen = [mu]
-    for _ in range(_POLISH_STEPS):
-        g, dg = mu - 1.0, 1.0
-        try:
-            for v, w in zip(values, weights):
-                g += w / (mu + v)
-                dg -= w / (mu + v) ** 2
-            step = g / dg
-        except (ZeroDivisionError, OverflowError):
-            break
-        if not math.isfinite(step):
-            break
-        mu -= step
-        if mu in seen:
-            start = seen.index(mu)
-            return seen[start + (_POLISH_STEPS - start) % (len(seen) - start)]
-        seen.append(mu)
-    return mu
-
-
 def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarray, float]:
     """Case b): the velocity 3-vector of the one symmetric boost that removes
     the linear terms a = b, and the residual |P(mu)| of the polynomial it
@@ -234,21 +208,45 @@ def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarra
 
     of a rank-one-modified diagonal matrix (Golub 1973).  Axes with equal t
     share one pole of weight w_v = sum of their a_j^2, so exact ties merge;
-    zero a_j drop out.  Clearing the denominators gives the monic polynomial
-    P of degree 2, 3 or 4 (one, two or three distinct poles), the Moebius
-    image of the paper's quadratic, cubic or quartic in beta_1; a zero vector
-    gives zero velocities.  Each real root of P gets a few Newton steps on g,
-    and of the physical ones, with every |mu + t_j| > _DENOM_TOL,
-    |g(mu)| <= _FUNDAMENTAL_TOL and |beta| < 1 - beta_limit, the one with the
-    smallest |beta| is kept: the branch continuous with beta -> 0 as the
-    linear terms vanish.  The velocities are in the caller's axes.
+    zero a_j drop out, and a zero vector gives zero velocities.  Clearing the
+    denominators gives the monic polynomial P of degree 2, 3 or 4, the Moebius
+    image of the paper's quadratic, cubic or quartic in beta_1.
+
+    A root mu is an eigenvalue of R eta with eigenvector (1, beta), and
+    g'(mu) = 1 - |beta|^2.  R eta is eta-self-adjoint, so eigenvectors of
+    distinct roots are eta-orthogonal, which two timelike vectors never are:
+    at most one root has |beta| < 1.  For a state it is s0 >= |s_i|, the
+    largest root: above every pole, where g is convex, and below 1, as
+    g > mu - 1 there.  So Newton's method on g from mu = 1 steps down onto it
+    monotonically.  A top pole at or above mu = 1, a step within _DENOM_TOL of
+    it, an iterate with g' <= 0, |g(mu)| > _FUNDAMENTAL_TOL or
+    |beta| >= 1 - beta_limit raise NoPhysicalBoostError, as does a non-state
+    whose root with |beta| < 1 lies between two poles.  The velocities are in
+    the caller's axes.
     """
     av, tv = _as_real_vector(a, "a"), _as_real_vector(tdiag, "tdiag")
     return _solve_symmetric(av.tolist(), tv.tolist(), beta_limit)[:2]
 
 
+def _secular(values, weights, mu: float) -> tuple[float, float]:
+    # g(mu) and g'(mu); w / d / d, since d * d may underflow to zero
+    g, dg = mu - 1.0, 1.0
+    for v, w in zip(values, weights):
+        d = mu + v
+        g += w / d
+        dg -= w / d / d
+    return g, dg
+
+
+def _no_root(beta_limit: float) -> NoPhysicalBoostError:
+    return NoPhysicalBoostError(
+        "no real root gives a boost with |beta| < 1 - beta_limit "
+        f"= {1.0 - beta_limit:.12g} satisfying the fundamental identity"
+    )
+
+
 def _solve_symmetric(a: list[float], tdiag: list[float], beta_limit: float):
-    # solve_symmetric on checked finite floats, plus the chosen boost's |beta|^2
+    # solve_symmetric on checked finite floats, plus the boost's |beta|^2
     pole_weights: dict[float, float] = {}
     for aj, tj in zip(a, tdiag):
         if aj != 0.0:
@@ -257,31 +255,25 @@ def _solve_symmetric(a: list[float], tdiag: list[float], beta_limit: float):
         return np.zeros(3), 0.0, 0.0
     values = sorted(pole_weights)
     weights = [pole_weights[v] for v in values]
-    coeffs = _secular_coefficients(values, weights)
-    best, best_sq = None, (1.0 - beta_limit) ** 2
-    for root in real_roots(coeffs).tolist():
-        mu = _secular_polish(values, weights, root)
-        dens = [mu + v for v in values]
-        if min(map(abs, dens)) <= _DENOM_TOL:
-            continue
-        if abs(mu - 1.0 + sum(w / d for w, d in zip(weights, dens))) > _FUNDAMENTAL_TOL:
-            continue
+    mu, steps = 1.0, 0
+    while mu + values[0] > _DENOM_TOL:
+        g, dg = _secular(values, weights, mu)
+        if g <= 0.0 or dg <= 0.0 or steps == _NEWTON_STEPS or not mu - g / dg < mu:
+            break
+        mu, steps = mu - g / dg, steps + 1
+    else:
+        raise _no_root(beta_limit)
+    if dg > 0.0 and abs(g) <= _FUNDAMENTAL_TOL:
         betas = np.array([aj / (mu + tj) if aj != 0.0 else 0.0 for aj, tj in zip(a, tdiag)])
         # numpy's dot, as in boost_general (a float sum rounds differently), so
         # that _boost_general gets the |beta|^2 boost_general would compute
         beta_sq = float(betas @ betas)
-        if beta_sq < best_sq:
-            best, best_sq = (betas, mu), beta_sq
-    if best is None:
-        raise NoPhysicalBoostError(
-            "no real root gives a boost with |beta| < 1 - beta_limit "
-            f"= {1.0 - beta_limit:.12g} satisfying the fundamental identity"
-        )
-    betas, mu = best
-    residual = 0.0
-    for c in coeffs:
-        residual = residual * mu + c
-    return betas, abs(residual), best_sq
+        if beta_sq < (1.0 - beta_limit) ** 2:
+            residual = 0.0
+            for c in _secular_coefficients(values, weights):
+                residual = residual * mu + c
+            return betas, abs(residual), beta_sq
+    raise _no_root(beta_limit)
 
 
 def eliminate_and_diagonalize(r, left, right) -> tuple[SigmaForm, float]:

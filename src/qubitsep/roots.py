@@ -1,5 +1,9 @@
 """Real roots of a real polynomial of degree at most four.
 
+No solve calls it: case b) runs Newton's method on its secular equation (see
+normal_form.solve_symmetric).  It stays for the public qubitsep.real_roots,
+the tests' root-scan oracle of case b) and perfbench/tracing.py.
+
 The roots come from one eigensolve of the monic companion matrix.  Its
 eigenvalues are the exact roots of a polynomial whose coefficients are off
 by a small multiple of machine precision (Edelman & Murakami, Math. Comp.

@@ -1,7 +1,11 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qubitsep import HSParams
+from qubitsep import HSParams, normal_form
 from qubitsep.hs import SIGMA
 
 
@@ -48,3 +52,35 @@ def random_params(rng: np.random.Generator, scale: float = 1.0) -> HSParams:
 def lorentz_of_filter(f: np.ndarray) -> np.ndarray:
     """Lambda(F)_mn = (1/2) Tr[sigma_m F sigma_n F^dagger] of a 2x2 filter F."""
     return 0.5 * np.einsum("mij,jk,nkl,li->mn", SIGMA, f, SIGMA, f.conj().T).real
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str):
+    """A module of perfbench/, loaded from its file without importing the package."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def corpus_rows(monkeypatch, seed: int, n: int) -> np.ndarray:
+    """Rows (a, b, t row-major) of perfbench's inputs.corpus(seed, n)."""
+    # inputs imports oracle by its bare name; both load from the files read-only
+    monkeypatch.setitem(sys.modules, "oracle", load_perfbench("oracle"))
+    rows, _ = load_perfbench("inputs").corpus(seed, n)
+    return rows
+
+
+def record_symmetric_solves(monkeypatch) -> list:
+    """The arguments (a, tdiag, beta_limit) of every case b) solve from now on."""
+    solves = []
+    solve = normal_form._solve_symmetric
+
+    def recording(a, tdiag, beta_limit):
+        solves.append((a, tdiag, beta_limit))
+        return solve(a, tdiag, beta_limit)
+
+    monkeypatch.setattr(normal_form, "_solve_symmetric", recording)
+    return solves

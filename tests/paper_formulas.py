@@ -12,7 +12,9 @@ special families, against which the tests check the package's numbers:
     two boost velocities, evaluated in 50-digit decimal arithmetic;
   * the case b) cubic (two symmetric pairs) and quartic (three pairs) in
     beta_1.  The solver works on the secular equation in mu instead (see
-    normal_form.solve_symmetric).
+    normal_form.solve_symmetric);
+  * the case b) velocity by scanning every real root of the cleared secular
+    polynomial and keeping the smallest physical |beta|.
 """
 
 import math
@@ -21,15 +23,19 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from qubitsep import (
+    BETA_LIMIT,
     ENTANGLED,
     SEPARABLE,
     ContractViolationError,
     HSParams,
+    NoPhysicalBoostError,
     SigmaForm,
     Verdict,
     eigenvalues_hermitian,
+    real_roots,
 )
 from qubitsep.hs import ZERO_TOL
+from qubitsep.normal_form import _DENOM_TOL, _FUNDAMENTAL_TOL, _secular_coefficients
 from qubitsep.pt import VERDICT_TOL
 
 
@@ -147,3 +153,50 @@ def quartic_coefficients(a, tdiag) -> np.ndarray:
             a1 * a1 / (t * tp),
         ]
     )
+
+
+def symmetric_velocity_oracle(a, tdiag, beta_limit: float = BETA_LIMIT):
+    """Case b) by the root scan: the velocity 3-vector.
+
+    Poles t_j with a_j != 0 merge on ties into weights w_v = sum a_j^2.  Every
+    real root of the cleared polynomial P (real_roots) gets eight Newton steps
+    on g(mu) = mu - 1 + sum_v w_v/(mu + v), stopped at a pole or where a square
+    leaves the float range.  Of the roots with every |mu + v| > _DENOM_TOL,
+    |g(mu)| <= _FUNDAMENTAL_TOL and |beta| < 1 - beta_limit, with
+    beta_j = a_j/(mu + t_j), the one with the smallest |beta| is kept; none
+    raises NoPhysicalBoostError.  No poles give zero velocities.
+    """
+    pole_weights: dict[float, float] = {}
+    for aj, tj in zip(a, tdiag):
+        if aj != 0.0:
+            pole_weights[tj] = pole_weights.get(tj, 0.0) + aj * aj
+    if not pole_weights:
+        return np.zeros(3)
+    values = sorted(pole_weights)
+    weights = [pole_weights[v] for v in values]
+    best, best_sq = None, (1.0 - beta_limit) ** 2
+    for mu in real_roots(_secular_coefficients(values, weights)).tolist():
+        for _ in range(8):
+            g, dg = mu - 1.0, 1.0
+            try:
+                for v, w in zip(values, weights):
+                    g += w / (mu + v)
+                    dg -= w / (mu + v) ** 2
+                step = g / dg
+            except (ZeroDivisionError, OverflowError):
+                break
+            if not math.isfinite(step):
+                break
+            mu -= step
+        dens = [mu + v for v in values]
+        if min(map(abs, dens)) <= _DENOM_TOL:
+            continue
+        if abs(mu - 1.0 + sum(w / d for w, d in zip(weights, dens))) > _FUNDAMENTAL_TOL:
+            continue
+        betas = np.array([aj / (mu + tj) if aj != 0.0 else 0.0 for aj, tj in zip(a, tdiag)])
+        beta_sq = float(betas @ betas)
+        if beta_sq < best_sq:
+            best, best_sq = betas, beta_sq
+    if best is None:
+        raise NoPhysicalBoostError("no real root gives a physical boost")
+    return best

@@ -215,6 +215,25 @@ def test_light_speed_pair_is_labelled(tmp_path, capsys):
     assert code == 0 and out.startswith("NoPhysicalBoost: ")
 
 
+def test_symmetric_states_without_a_physical_root_are_labelled(tmp_path, capsys):
+    # a non-state (4 lambda_min = -0.360) whose only root with |beta| < 1 lies
+    # between two poles, and linear terms whose squares leave the float range:
+    # no physical boost, exit 3, under a PSD tolerance that admits them
+    for doc, tol_psd in (
+        ({"a": [0.7, 0, -0.1], "b": [0.7, 0, -0.1], "t_diag": [0.5, 0.1, -0.8]}, "0.1"),
+        ({"a": [1e200, 1e200, 0], "b": [1e200, 1e200, 0], "t_diag": [0.1, 0.2, 0.3]}, "1e308"),
+    ):
+        path = write_state(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "analyze", path, "--tol-psd", tol_psd)
+        assert code == 3 and err == ""
+        report = json.loads(out)
+        assert report["classification"]["kind"] == "NoPhysicalBoost"
+        assert report["ppt_verdict"]["kind"] == "entangled"
+        assert "betas" not in report
+
+
 def test_analyze_full_t_input(tmp_path, capsys):
     # product state written with a full correlation matrix
     u = np.array([0.6, 0.0, 0.0])
@@ -307,9 +326,9 @@ def test_analyze_runs_one_stacked_eigensolve(tmp_path, capsys, monkeypatch):
 
 def test_cross_validate_numpy_call_budget(monkeypatch):
     # a full-t symmetric state: one assembly of rho, one stacked eigensolve of
-    # rho and its partial transpose, one shared rotation, one companion
-    # eigensolve for the secular roots and one 3x3 block in the certificate;
-    # no determinant (rotation signs come from a float triple product)
+    # rho and its partial transpose, one shared rotation and one 3x3 block in
+    # the certificate; no determinant (rotation signs come from a float triple
+    # product) and no companion eigensolve (the secular root is found by Newton)
     calls = []
 
     def counted(module, name):
@@ -332,7 +351,6 @@ def test_cross_validate_numpy_call_budget(monkeypatch):
     assert rec.report.boost_kind == "symmetric" and rec.note is not None
     assert sorted(calls) == [
         ("eigh", (3, 3)),
-        ("eigvals", (4, 4)),
         ("eigvalsh", (2, 4, 4)),
         ("eigvalsh", (3, 3)),
         ("einsum", (4, 4)),

@@ -1,5 +1,5 @@
 import itertools
-import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,16 +38,16 @@ from qubitsep.normal_form import (
     NON_GENERIC_B,
     NON_GENERIC_C,
     NON_GENERIC_D,
-    _secular_polish,
 )
 from qubitsep.hs import SIGMA
 
-from conftest import lorentz_of_filter
+from conftest import corpus_rows, lorentz_of_filter, record_symmetric_solves
 from paper_formulas import (
     cubic_coefficients,
     pair_sigma,
     pair_velocities,
     quartic_coefficients,
+    symmetric_velocity_oracle,
 )
 
 # frozen from exact-root evaluation (verified against 30-digit arithmetic)
@@ -442,56 +442,80 @@ def test_quartic_continuity_to_zero():
         assert np.abs(betas).max() < 5 * eps
 
 
-def test_secular_polish_keeps_a_seed_it_cannot_step_from():
-    # the poles and weights of the quartic reference state; on a pole g is
-    # undefined, and past 1e154 the square in g' leaves the float range: the
-    # polish must stop and keep the seed, not raise
-    values, weights = [-0.2, 0.2, 0.3], [0.15**2, 0.2**2, 0.1**2]
-    for seed in (0.2, -0.2, -0.3, 1e200, -1e170):
-        assert _secular_polish(values, weights, seed) == seed
-
-
-def _full_secular_polish(values, weights, mu):
-    # the plain Newton loop of _secular_polish without the cycle exit;
-    # returns (mu, steps taken)
-    taken = 0
-    for _ in range(normal_form._POLISH_STEPS):
-        g, dg = mu - 1.0, 1.0
-        try:
-            for v, w in zip(values, weights):
-                g += w / (mu + v)
-                dg -= w / (mu + v) ** 2
-            step = g / dg
-        except (ZeroDivisionError, OverflowError):
-            break
-        if not math.isfinite(step) or mu - step == mu:
-            break
-        mu -= step
-        taken += 1
-    return mu, taken
-
-
-def test_secular_polish_cycle_exit_matches_full_loop(monkeypatch):
-    # every polish that case b) makes on 200 seed-1 samples of each symmetric
-    # family; some run the full step budget, going round a cycle
-    calls = []
-    polish = normal_form._secular_polish
-
-    def recording(values, weights, mu):
-        calls.append((list(values), list(weights), mu))
-        return polish(values, weights, mu)
-
-    monkeypatch.setattr(normal_form, "_secular_polish", recording)
+def test_symmetric_solve_matches_the_root_scan_oracle(monkeypatch):
+    # every case b) solve on a corpus with near-boundary and full-t states and
+    # on 200 samples per symmetric family: the Newton root is the root scan's
+    # choice, and it is s0, the corner of Sigma (mu is an eigenvalue of R eta)
+    rows = corpus_rows(monkeypatch, 3, 2048)
+    states = [HSParams(r[0:3], r[3:6], np.reshape(r[6:], (3, 3))) for r in rows]
     for family in ("symmetric-two", "symmetric-three", "full-symmetric"):
-        sampling.batch_stats(SampleSpec(family, 200, 1))
-    monkeypatch.undo()
-    full = 0
-    for values, weights, mu in calls:
-        expected, taken = _full_secular_polish(values, weights, mu)
-        assert _secular_polish(values, weights, mu).hex() == expected.hex()
-        full += taken == normal_form._POLISH_STEPS
-    assert len(calls) == 2200
-    assert full > 0
+        spec = SampleSpec(family, 200, 5)
+        states += sampling._sample(spec, range(200), sampling._MAX_ATTEMPTS)
+    solves, mus = record_symmetric_solves(monkeypatch), []
+    secular = normal_form._secular
+
+    def recording_secular(values, weights, mu):
+        mus.append(mu)
+        return secular(values, weights, mu)
+
+    monkeypatch.setattr(normal_form, "_secular", recording_secular)
+    generic = 0
+    for params in states:
+        solves.clear()
+        mus.clear()
+        rec = sampling.cross_validate(params)
+        # no linear terms: the zero boost, no secular equation
+        if not solves or not any(solves[0][0]):
+            continue
+        try:
+            expected = symmetric_velocity_oracle(*solves[0])
+        except NoPhysicalBoostError:
+            assert rec.classification.kind == NO_PHYSICAL_BOOST
+            continue
+        assert rec.classification.kind == GENERIC
+        generic += 1
+        betas = np.array(rec.report.betas)
+        assert np.abs(betas - expected).max() <= 1e-14 * np.abs(expected).max()
+        # the last evaluation of g is at the root returned
+        s0 = rec.report.sigma.s0
+        assert abs(mus[-1] - s0) <= 1e-13 * s0
+    assert generic >= 1000
+
+
+def test_symmetric_solve_raises_no_arithmetic_error():
+    # finite inputs over the float range, poles at or past mu = -1 and poles
+    # a few ulps apart: a velocity or NoPhysicalBoostError, never a
+    # ZeroDivisionError, an OverflowError or a warning
+    rng = np.random.default_rng(41)
+    signs = np.array([-1.0, 1.0])
+    cases = [
+        ([1e200, 1e200, 0.0], [0.1, 0.2, 0.3]),
+        ([1.0, 1.0, 1.0], [1e300, -1e300, 0.0]),
+        ([0.3, 0.2, 0.1], [-1.0, 0.2, 0.3]),
+        ([0.3, 0.2, 0.1], [-1e200, -1.5, 0.3]),
+        ([0.3, 0.2, 0.1], [0.3, 0.3 + 1e-16, 0.3 - 1e-16]),
+        ([0.3, 0.2, 0.1], [-0.5, np.nextafter(-0.5, 0.0), 0.1]),
+    ]
+    for _ in range(2000):
+        a = 10.0 ** rng.uniform(-200, 200, 3) * signs[rng.integers(0, 2, 3)]
+        t = 10.0 ** rng.uniform(-200, 200, 3) * signs[rng.integers(0, 2, 3)]
+        cases.append((a, t))
+    for _ in range(500):
+        a = rng.uniform(-1.0, 1.0, 3)
+        cases.append((a, rng.uniform(-3.0, -1.0, 3)))
+        cases.append((a, rng.uniform(-0.9, 0.9) + 1e-16 * rng.integers(-2, 3, 3)))
+    solved = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoPhysicalBoostError):
+            solve_symmetric([1e200, 1e200, 0.0], [0.1, 0.2, 0.3])
+        for a, t in cases:
+            try:
+                solve_symmetric(a, t)
+            except (NoPhysicalBoostError, BoostLimitError):
+                continue
+            solved += 1
+    assert solved > 0
 
 
 def test_tprime_sum_is_the_numpy_sum():

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from qubitsep import InvalidParameterError, SampleSpec, batch_stats, real_roots, roots
 
+from conftest import record_symmetric_solves
+from paper_formulas import symmetric_velocity_oracle
+
 coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
@@ -253,8 +256,12 @@ def test_polish_two_cycle_exit_matches_full_loop(monkeypatch):
 
 
 def test_polish_cycle_exit_matches_full_loop_on_sampled_states(monkeypatch):
-    # every polish that case b) makes on 200 seed-1 samples of each symmetric
-    # family; some of them settle into cycles longer than two
+    # every polish of the root-scan oracle for case b) on 200 seed-1 samples of
+    # each symmetric family; some of them settle into cycles longer than two
+    solves = record_symmetric_solves(monkeypatch)
+    for family in ("symmetric-two", "symmetric-three", "full-symmetric"):
+        batch_stats(SampleSpec(family, 200, 1))
+    monkeypatch.undo()
     calls = []
     polish = roots._polish
 
@@ -263,8 +270,8 @@ def test_polish_cycle_exit_matches_full_loop_on_sampled_states(monkeypatch):
         return polish(coeffs, x, steps)
 
     monkeypatch.setattr(roots, "_polish", recording)
-    for family in ("symmetric-two", "symmetric-three", "full-symmetric"):
-        batch_stats(SampleSpec(family, 200, 1))
+    for a, tdiag, beta_limit in solves:
+        symmetric_velocity_oracle(a, tdiag, beta_limit)
     monkeypatch.undo()
     evaluations = 0
     evaluate = roots._eval_with_derivative

@@ -1,11 +1,8 @@
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import re
-import sys
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +35,8 @@ from qubitsep.sampling import (
     _proven_indefinite,
     _sample,
 )
+
+from conftest import corpus_rows
 
 
 def test_determinism_per_sample():
@@ -357,16 +356,17 @@ def _cross_validate_hex(rec) -> str:
 # the off-diagonal residual moved by rounding only), and the symmetric
 # families when case b) came to be solved as one secular equation (velocities
 # and sigma moved by rounding only), and single-pair when the pair solve
-# became the closed form by rapidities (the same); any change to a solve, a
-# residual or the PPT witness shows here bit for bit.
+# became the closed form by rapidities (the same), and the symmetric families
+# when case b) came to be solved by Newton's method from mu = 1 (the same);
+# any change to a solve, a residual or the PPT witness shows here bit for bit.
 PINNED_CROSS_VALIDATE = {
     ("mds", 1): "5d3f6798ef676d92bb01423631d0550c9b9fd2c4323917a811315f663cdede3f",
     ("single-pair", 1): "2576e4e7d04001ef6d78cd4d5382cfdc0e9d31f614a1e4b2707c01bf9e56d4cc",
     ("single-pair", 2): "8104be28230a24cd3db99146cfd7f84732c22a3f5d7498d2c43cab9b6298c2e4",
     ("single-pair", 3): "961a77ae06abe28c2b04f2ab3a3cbafd213d3f348ef4f15f6d8fbc93cce89275",
-    ("symmetric-two", 1): "0ccf791eafd1a33e94aee5857d8b35176063d384bf5ee47fe5d48b98e7aefb5f",
-    ("symmetric-three", 1): "8ef5a15357594bba66411e84e8c6e75b406cb4c59c2fc75e22afe5ccbb6aa159",
-    ("full-symmetric", 1): "7dcbbc7adfc286f27cbcbc46169b05806fc3e15e0b4c0eb28be0c2a215812fe1",
+    ("symmetric-two", 1): "5635ef212a98086bd522bfef213d59b4137358d38b562e7657ec999be0a16b06",
+    ("symmetric-three", 1): "20b30733b25507b7cc947dfba9af19513faf200ebe5d3679f231b9667ef32cd8",
+    ("full-symmetric", 1): "132352966eeacba22c3a21b5fd53cf67c9d8e24bf201bc79f7c05477da30b611",
     ("product-mixture", 1): "9d58e1dbf4ecb9bceb2e344d01e19f49b10af80a6f7864ed3334634f7870b5a1",
 }
 
@@ -559,16 +559,6 @@ def test_random_state_rejects_non_finite_draws(monkeypatch):
         random_state(SampleSpec(family="mds", count=1, seed=0), 0)
 
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load_perfbench(name: str) -> types.ModuleType:
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _field_bits(value) -> str:
     # every field, recursively: floats as float.hex, arrays as their bytes
     if dataclasses.is_dataclass(value):
@@ -589,14 +579,13 @@ def _field_bits(value) -> str:
 # Re-pinned when the spectra became plain arrays: same values, serialized
 # without the wrapper that used to hold them; and when the pair solve became
 # the closed form by rapidities: pair velocities, sigma and residuals moved by
-# rounding only.
-PINNED_CORPUS = "f1c12028760791bc87fbfb48198bf1a30698e2a711c8309511611b8fbff5f312"
+# rounding only; and when case b) came to be solved by Newton's method from
+# mu = 1: symmetric velocities, sigma and residuals moved by rounding only.
+PINNED_CORPUS = "9740fce21c910b01831c46a20856332a40f5c9e582a47ceed046b071af28d1d4"
 
 
 def test_cross_validate_corpus_pinned(monkeypatch):
-    # inputs imports oracle by its bare name; both load from the files read-only
-    monkeypatch.setitem(sys.modules, "oracle", _load_perfbench("oracle"))
-    rows, _ = _load_perfbench("inputs").corpus(0, 1024)
+    rows = corpus_rows(monkeypatch, 0, 1024)
     digest = hashlib.sha256()
     for row in rows:
         params = HSParams(row[0:3], row[3:6], np.reshape(row[6:], (3, 3)))
@@ -607,8 +596,7 @@ def test_cross_validate_corpus_pinned(monkeypatch):
 def test_corpus_rho_is_exactly_hermitian(monkeypatch):
     # the assembly of cross_validate and the sampler gives mirror entries
     # from the same operations, so only finiteness is checked
-    monkeypatch.setitem(sys.modules, "oracle", _load_perfbench("oracle"))
-    rows, _ = _load_perfbench("inputs").corpus(0, 1024)
+    rows = corpus_rows(monkeypatch, 0, 1024)
     rs = pack_r(rows[:, 0:3], rows[:, 3:6], rows[:, 6:].reshape(-1, 3, 3))
     rho = _rho_from_r(rs)
     assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
