@@ -8,13 +8,15 @@ the supported families:
 
   * one linear pair (a_k, b_k) on a single axis  -> two rapidities,
   * symmetric states (a == b), the paper's case b): one symmetric boost,
-    from the secular equation of a rank-one-modified diagonal matrix, whose
-    cleared form is the Moebius image of the paper's cubic (two pairs) or
-    quartic (three pairs); axes whose t values tie share one pole,
+    from the secular equation g(mu) = 0 of a rank-one-modified diagonal
+    matrix, which stands for the paper's cubic (two pairs) or quartic (three
+    pairs); axes whose t values tie share one pole,
 
 classifies the structurally non-generic states for which the required boost
 degenerates to light speed, and certifies every solve by re-applying the
-boost and checking that the eliminated entries actually vanished.
+boost and checking that the eliminated entries actually vanished.  Each solve
+reports the residual its own tolerance accepted: the pair conditions against
+_PAIR_RESIDUAL_TOL, |g(mu)| against _FUNDAMENTAL_TOL.
 
 Inputs are validated once, by the public functions.  solve_normal_form then
 classifies and solves on Python floats and certifies the boosted R it built
@@ -24,6 +26,7 @@ itself with the rules of eliminate_and_diagonalize, without re-checking it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +112,10 @@ class SolveReport:
     boost_kind: str  # "none" | "pair" | "symmetric"
     betas: tuple[float, ...]
     axis: int | None
+    # the residual the solve's own tolerance accepted. pair: the larger of the
+    # two elimination conditions (at most _PAIR_RESIDUAL_TOL); symmetric:
+    # |g(mu)| at the root (at most _FUNDAMENTAL_TOL; 0.0 with no linear
+    # terms); none: nan
     polynomial_residual: float
     offdiag_residual: float
     sigma: SigmaForm | None
@@ -178,27 +185,9 @@ def _pair_residual(a1, b1, t1, beta_a, beta_b) -> float:
     return max(abs(e1), abs(e2))
 
 
-def _times_linear(c: list[float], v: float) -> list[float]:
-    """Coefficients of c(mu) (mu + v), highest power first."""
-    return [x + v * y for x, y in zip([*c, 0.0], [0.0, *c])]
-
-
-def _secular_coefficients(values, weights) -> list[float]:
-    """P(mu) = (mu - 1) prod_v (mu + v) + sum_v w_v prod_{u != v} (mu + u),
-    highest power first: the secular function g times its denominators."""
-    p, q = [1.0, -1.0], [1.0]
-    for v, w in zip(values, weights):
-        p = _times_linear(p, v)
-        for i, c in enumerate(q):
-            p[i + 2] += w * c
-        q = _times_linear(q, v)
-    return p
-
-
 def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarray, float]:
     """Case b): the velocity 3-vector of the one symmetric boost that removes
-    the linear terms a = b, and the residual |P(mu)| of the polynomial it
-    solves.
+    the linear terms a = b, and the residual |g(mu)| at the accepted root.
 
     With mu = a_1/beta_1 - t_1 the coupled velocities are
     beta_j = a_j / (mu + t_j), and the fundamental identity
@@ -208,9 +197,10 @@ def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarra
 
     of a rank-one-modified diagonal matrix (Golub 1973).  Axes with equal t
     share one pole of weight w_v = sum of their a_j^2, so exact ties merge;
-    zero a_j drop out, and a zero vector gives zero velocities.  Clearing the
-    denominators gives the monic polynomial P of degree 2, 3 or 4, the Moebius
-    image of the paper's quadratic, cubic or quartic in beta_1.
+    zero a_j drop out, and a zero vector gives zero velocities (residual 0).
+    Cleared of its denominators, g is the Moebius image of the paper's
+    quadratic, cubic or quartic in beta_1 (see tests/paper_formulas.py); the
+    solve never forms that polynomial.
 
     A root mu is an eigenvalue of R eta with eigenvector (1, beta), and
     g'(mu) = 1 - |beta|^2.  R eta is eta-self-adjoint, so eigenvectors of
@@ -222,7 +212,8 @@ def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarra
     it, an iterate with g' <= 0, |g(mu)| > _FUNDAMENTAL_TOL or
     |beta| >= 1 - beta_limit raise NoPhysicalBoostError, as does a non-state
     whose root with |beta| < 1 lies between two poles.  The velocities are in
-    the caller's axes.
+    the caller's axes; the residual is the |g(mu)| just compared with
+    _FUNDAMENTAL_TOL, so it is finite and at most that.
     """
     av, tv = _as_real_vector(a, "a"), _as_real_vector(tdiag, "tdiag")
     return _solve_symmetric(av.tolist(), tv.tolist(), beta_limit)[:2]
@@ -269,10 +260,7 @@ def _solve_symmetric(a: list[float], tdiag: list[float], beta_limit: float):
         # that _boost_general gets the |beta|^2 boost_general would compute
         beta_sq = float(betas @ betas)
         if beta_sq < (1.0 - beta_limit) ** 2:
-            residual = 0.0
-            for c in _secular_coefficients(values, weights):
-                residual = residual * mu + c
-            return betas, abs(residual), beta_sq
+            return betas, abs(g), beta_sq
     raise _no_root(beta_limit)
 
 
@@ -282,27 +270,34 @@ def eliminate_and_diagonalize(r, left, right) -> tuple[SigmaForm, float]:
     `left` acts on qubit B and `right` on qubit A (left @ R @ right^T, see
     hs); apply_two_sided checks that all three are finite real 4x4
     matrices.  The certificate: the boosted linear terms and the asymmetry of
-    the boosted spatial block must both stay below OFFDIAG_TOL, else
+    the boosted spatial block must both stay below OFFDIAG_TOL, or below the
+    rounding bound of the product where that is larger, else
     SolverInconsistencyError, and the corner s0 must be positive (SigmaForm).
     The symmetric 3x3 block is diagonalized by a rotation and its eigenvalues
     are ordered by descending magnitude (stably, for reproducibility).
     Returns Sigma and the largest boosted linear term.
     """
-    return _certify(apply_two_sided(r, left, right))
+    q = apply_two_sided(r, left, right)
+    return _certify(q, math.prod(float(np.abs(m).max()) for m in (left, r, right)))
 
 
-def _certify(q: np.ndarray) -> tuple[SigmaForm, float]:
+def _certify(q: np.ndarray, scale: float) -> tuple[SigmaForm, float]:
     # eliminate_and_diagonalize's certificate on the boosted R; solve_normal_form
-    # passes the product of arrays it built itself, so it skips the input checks
+    # passes the product of arrays it built itself, so it skips the input checks.
+    # scale = max|left| max|R| max|right| bounds every entry of |left| |R| |right^T|
+    # by 16 scale, and each of the two products of inner size 4 rounds an entry by
+    # at most 4 eps times that (Higham's gamma_4), so 128 eps scale bounds the
+    # rounding (seen: 2.8 eps scale); it passes OFFDIAG_TOL only past scale 3.5e4
+    tol = max(OFFDIAG_TOL, 128 * sys.float_info.epsilon * scale)
     (s0, *row), *rest = q.tolist()
     offdiag = max(map(abs, row + [x[0] for x in rest]))
-    if offdiag >= OFFDIAG_TOL:
+    if offdiag >= tol:
         raise SolverInconsistencyError(
             f"linear terms not eliminated: residual {offdiag:.3g}"
         )
     block = [x[1:] for x in rest]
     pairs = [(block[i][j], block[j][i]) for i in range(3) for j in range(3)]
-    if max(abs(x - y) for x, y in pairs) >= OFFDIAG_TOL:
+    if max(abs(x - y) for x, y in pairs) >= tol:
         raise SolverInconsistencyError("transformed spatial block is not symmetric")
     sym = [[0.5 * (x + y) for x, y in pairs[i : i + 3]] for i in (0, 3, 6)]
     eig = np.linalg.eigvalsh(sym).tolist()
@@ -440,7 +435,9 @@ def solve_normal_form(
             betas = velocity.tolist()
             left = right = _boost_general(betas, beta_sq)
             boost_kind, axis = "symmetric", None
-        sigma, offdiag = _certify(_two_sided(r_from_hs(params), left, right))
+        # no entry of a boost exceeds its corner gamma
+        scale = float(left[0, 0] * right[0, 0]) * max(1.0, *map(abs, a + b + tdiag))
+        sigma, offdiag = _certify(_two_sided(r_from_hs(params), left, right), scale)
     except NoPhysicalBoostError as exc:
         return _no_boost_report(Classification(NO_PHYSICAL_BOOST, str(exc)))
     return SolveReport(

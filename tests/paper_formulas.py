@@ -14,7 +14,8 @@ special families, against which the tests check the package's numbers:
     beta_1.  The solver works on the secular equation in mu instead (see
     normal_form.solve_symmetric);
   * the case b) velocity by scanning every real root of the cleared secular
-    polynomial and keeping the smallest physical |beta|.
+    polynomial P, the Moebius image of that cubic and quartic in mu, and
+    keeping the smallest physical |beta|.
 """
 
 import math
@@ -35,7 +36,7 @@ from qubitsep import (
     real_roots,
 )
 from qubitsep.hs import ZERO_TOL
-from qubitsep.normal_form import _DENOM_TOL, _FUNDAMENTAL_TOL, _secular_coefficients
+from qubitsep.normal_form import _DENOM_TOL, _FUNDAMENTAL_TOL
 from qubitsep.pt import VERDICT_TOL
 
 
@@ -153,6 +154,23 @@ def quartic_coefficients(a, tdiag) -> np.ndarray:
             a1 * a1 / (t * tp),
         ]
     )
+
+
+def _times_linear(c: list[float], v: float) -> list[float]:
+    """Coefficients of c(mu) (mu + v), highest power first."""
+    return [x + v * y for x, y in zip([*c, 0.0], [0.0, *c])]
+
+
+def _secular_coefficients(values, weights) -> list[float]:
+    """P(mu) = (mu - 1) prod_v (mu + v) + sum_v w_v prod_{u != v} (mu + u),
+    highest power first: the secular function g times its denominators."""
+    p, q = [1.0, -1.0], [1.0]
+    for v, w in zip(values, weights):
+        p = _times_linear(p, v)
+        for i, c in enumerate(q):
+            p[i + 2] += w * c
+        q = _times_linear(q, v)
+    return p
 
 
 def symmetric_velocity_oracle(a, tdiag, beta_limit: float = BETA_LIMIT):

@@ -234,6 +234,40 @@ def test_symmetric_states_without_a_physical_root_are_labelled(tmp_path, capsys)
         assert "betas" not in report
 
 
+def _strict_json(text: str):
+    # json.loads, but NaN and Infinity raise instead of parsing
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_symmetric_report_past_the_float_range_is_strict_json(tmp_path, capsys):
+    # a non-state with t near the top of the float range, admitted by the PSD
+    # tolerance: the cleared secular polynomial of this state overflows, while
+    # the reported |g(mu)| is finite, so the report is strict JSON
+    a = [0.1306196534258742, 3.858025082164375e-07, -95995.8990039101]
+    path = write_state(tmp_path, {"a": a, "b": a, "t_diag": [9.046e158, 6.356e102, 6.943e173]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "analyze", path, "--tol-psd", "1e308")
+    assert (code, err) == (1, "")
+    report = _strict_json(out)
+    assert report["boost_kind"] == "symmetric"
+    assert 0.0 <= report["residuals"]["polynomial"] <= 1e-10
+
+
+def test_pair_state_near_light_speed_is_certified(tmp_path, capsys):
+    # gamma_a gamma_b is about 3.5e6 here: the boosted R rounds past 1e-9, and
+    # the certificate's rounding bound accepts it (4 lambda_min = +9.2e-15)
+    a, b, t = [0.819813367216895, 0, 0], [-0.09106559296220595, 0, 0], [0.08912103982088992, 0, 0]
+    path = write_state(tmp_path, {"a": a, "b": b, "t_diag": t})
+    code, out, err = run(capsys, "analyze", path)
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["classification"]["kind"] == "Generic"
+    assert run(capsys, "classify", path) == (0, "Generic\n", "")
+
+
 def test_analyze_full_t_input(tmp_path, capsys):
     # product state written with a full correlation matrix
     u = np.array([0.6, 0.0, 0.0])
@@ -585,21 +619,24 @@ GOLDEN_COMMANDS = (
 # state, in order, with the state file's directory stripped.  Any change to
 # a report, a label, a detail string or an exit code shows here.  The three
 # single-pair states were re-pinned when the pair solve became the closed form
-# by rapidities: velocities, sigma and residuals moved by rounding only.
+# by rapidities: velocities, sigma and residuals moved by rounding only.  The
+# six symmetric-boost states (cubic, quartic, cubic-t2-equals-t1, quartic-tie,
+# inactive-axis-order, t-full-symmetric) were re-pinned when residuals.polynomial
+# became |g(mu)| instead of |P(mu)|: no other line of their output moved.
 PINNED_CLI_OUTPUTS = {
     "pair64": "d2dfed15009df18b24abf48cc002c904a6b9e3e60f571ce77182457e84a0eb90",
     "one-sided": "fca7719cdc54b79d47eb275b2720be7e6abda83904036ad287a20e5aa413de72",
-    "cubic": "aea6a605c68b026ebf1268a8f3ef30ec663d8ef59a9f7d78f4dd424eb4acd4bd",
-    "quartic": "e4f58263d90d6bb22779ba6404da73dbafc63c96202b9617e69150c7ee0f5fc9",
+    "cubic": "be3a1734dd58c0dd3ba0da630dc0841302e7515be931d3c4806cbdc16260bb87",
+    "quartic": "20229f91b389f693c8a631a48117771a0ea225ce52e2521d44c97b33388e0d7f",
     "werner": "091406044569aa586c1e31e7a2c6d447440fc17c3ad8ae885a9749c5eaa33935",
     "case-a": "ca331174140e4054d8745bd7d918fe09bd950e087cd00d68059152086259f3a4",
     "case-c": "88edbf0f7fee757093a139c92330a1440cb81cfc4c8231766acb7cac5289bb92",
     "case-d": "b76d7cd557df1cace0ff75766027bcc0ed0a848ed42d0f06383cbe5e4230ccb6",
     "non-symmetric-multi-pair": "34bed36b25704611d541a3ce6062bf396dc7577008a2c5ca141f47fdf70fcb22",
-    "cubic-t2-equals-t1": "7be77bae1de3749ac9d804a7baabc1ab9ec2a6a9288e5b2f21d302a54cb1ba40",
-    "quartic-tie": "68651f328bb853c368e031411876e173c7fe23109c939a2ac40ea12e4c461550",
-    "inactive-axis-order": "11b081a077d7cfbae475450e172cb4fc5e74a54b8d51e117175ce81cc4ee34de",
-    "t-full-symmetric": "893aa2fa5a5b57fa168d162b46f742aab26bf4a095ef4804d44e65242006d4ca",
+    "cubic-t2-equals-t1": "b2d74f125e3d1e3966b949fc749f53f55c058453f24b2079940f29d0f89cb2e6",
+    "quartic-tie": "ae713a71d0c159442c2717b1f7c3a85a7f029a9a945e857dcbe3ecb7a1b95705",
+    "inactive-axis-order": "7314c6ac929beac7db8ad4a48309b5f6623e07020aa379c86ad376530d3ab1ce",
+    "t-full-symmetric": "73f04d24ac1c6a4d811f22b151a2d05870590d33a7afa4ee0c37ce2fc83d497d",
     "t-full-product": "f9fc9060e9a9bcfc99636a680bca1681a967a0850bd2543b35646e754d584c86",
     "non-psd": "6686e59edc1b9a813828ff7fb843b2614bb26d413313fd9a6605cf53fdcc84d0",
 }

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -38,6 +39,7 @@ from qubitsep.normal_form import (
     NON_GENERIC_B,
     NON_GENERIC_C,
     NON_GENERIC_D,
+    _FUNDAMENTAL_TOL,
 )
 from qubitsep.hs import SIGMA
 
@@ -145,16 +147,32 @@ def test_pair_velocities_match_the_decimal_oracle():
         assert _scaled_velocity_error(*block, solve_pair_general(*block)) <= 4.0, block
 
 
-def test_pair_solve_certifies_states_near_light_speed():
-    # one rapidity ratio at distance 1e-12 from +-1: the solve is certified
-    rng = np.random.default_rng(29)
-    for index in range(400):
-        a, b, tdiag = np.zeros(3), np.zeros(3), np.zeros(3)
-        k = index % 3
-        a[k], b[k], tdiag[k] = _near_light_speed_block(rng, index, 1e-12)
-        rec = sampling.cross_validate(HSParams.diagonal(a, b, tdiag))
-        assert rec.classification.kind == GENERIC, index
-        assert rec.agree is not False, index
+def test_pair_solve_certifies_states_near_light_speed(pair64):
+    # one rapidity ratio at distance d from +-1: the solve is certified.  At
+    # d = 1e-14 gamma_a gamma_b reaches about 3.5e6 and the rounding of the
+    # boosted R passes OFFDIAG_TOL, so the certificate's rounding bound decides
+    # (seeds 29 and 31 raised SolverInconsistencyError under OFFDIAG_TOL alone)
+    for seed, d in ((29, 1e-12), (29, 1e-14), (31, 1e-14)):
+        rng = np.random.default_rng(seed)
+        for index in range(400):
+            a, b, tdiag = np.zeros(3), np.zeros(3), np.zeros(3)
+            k = index % 3
+            a[k], b[k], tdiag[k] = _near_light_speed_block(rng, index, d)
+            rec = sampling.cross_validate(HSParams.diagonal(a, b, tdiag))
+            kind, detail = rec.classification.kind, rec.classification.detail
+            # at d = 1e-14 the stored ratio may round to 1 itself: light speed
+            if d < 1e-12 and kind == NO_PHYSICAL_BOOST:
+                assert detail.endswith("= 1 reaches light speed"), (seed, index, detail)
+            else:
+                assert kind == GENERIC, (seed, d, index)
+            assert rec.agree is not False, (seed, d, index)
+    # at a typical scale the bound stays OFFDIAG_TOL: a velocity 1e-8 off
+    # (relative) still fails the certificate
+    ba, bb = solve_pair_general(0.64, 0.64, 0.3)
+    r = r_from_hs(pair64)
+    assert eliminate_and_diagonalize(r, boost_x(ba, 2), boost_x(bb, 2))[1] < 1e-15
+    with pytest.raises(SolverInconsistencyError, match="linear terms"):
+        eliminate_and_diagonalize(r, boost_x(ba * (1 + 1e-8), 2), boost_x(bb, 2))
 
 
 def test_solve_pair_general_elimination_certificate():
@@ -451,18 +469,19 @@ def test_symmetric_solve_matches_the_root_scan_oracle(monkeypatch):
     for family in ("symmetric-two", "symmetric-three", "full-symmetric"):
         spec = SampleSpec(family, 200, 5)
         states += sampling._sample(spec, range(200), sampling._MAX_ATTEMPTS)
-    solves, mus = record_symmetric_solves(monkeypatch), []
+    solves, evaluations = record_symmetric_solves(monkeypatch), []
     secular = normal_form._secular
 
     def recording_secular(values, weights, mu):
-        mus.append(mu)
-        return secular(values, weights, mu)
+        g, dg = secular(values, weights, mu)
+        evaluations.append((mu, g))
+        return g, dg
 
     monkeypatch.setattr(normal_form, "_secular", recording_secular)
     generic = 0
     for params in states:
         solves.clear()
-        mus.clear()
+        evaluations.clear()
         rec = sampling.cross_validate(params)
         # no linear terms: the zero boost, no secular equation
         if not solves or not any(solves[0][0]):
@@ -476,9 +495,12 @@ def test_symmetric_solve_matches_the_root_scan_oracle(monkeypatch):
         generic += 1
         betas = np.array(rec.report.betas)
         assert np.abs(betas - expected).max() <= 1e-14 * np.abs(expected).max()
-        # the last evaluation of g is at the root returned
+        # the last evaluation of g is at the root returned, and the reported
+        # residual is |g| there, the value _FUNDAMENTAL_TOL accepted
+        mu, g = evaluations[-1]
         s0 = rec.report.sigma.s0
-        assert abs(mus[-1] - s0) <= 1e-13 * s0
+        assert abs(mu - s0) <= 1e-13 * s0
+        assert rec.report.polynomial_residual == abs(g) <= _FUNDAMENTAL_TOL
     assert generic >= 1000
 
 
@@ -511,9 +533,10 @@ def test_symmetric_solve_raises_no_arithmetic_error():
             solve_symmetric([1e200, 1e200, 0.0], [0.1, 0.2, 0.3])
         for a, t in cases:
             try:
-                solve_symmetric(a, t)
+                _, residual = solve_symmetric(a, t)
             except (NoPhysicalBoostError, BoostLimitError):
                 continue
+            assert math.isfinite(residual) and residual <= _FUNDAMENTAL_TOL, (a, t)
             solved += 1
     assert solved > 0
 

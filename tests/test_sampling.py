@@ -357,16 +357,18 @@ def _cross_validate_hex(rec) -> str:
 # families when case b) came to be solved as one secular equation (velocities
 # and sigma moved by rounding only), and single-pair when the pair solve
 # became the closed form by rapidities (the same), and the symmetric families
-# when case b) came to be solved by Newton's method from mu = 1 (the same);
+# when case b) came to be solved by Newton's method from mu = 1 (the same),
+# and the symmetric families when their polynomial residual became |g(mu)|
+# instead of |P(mu)| (no other value moved);
 # any change to a solve, a residual or the PPT witness shows here bit for bit.
 PINNED_CROSS_VALIDATE = {
     ("mds", 1): "5d3f6798ef676d92bb01423631d0550c9b9fd2c4323917a811315f663cdede3f",
     ("single-pair", 1): "2576e4e7d04001ef6d78cd4d5382cfdc0e9d31f614a1e4b2707c01bf9e56d4cc",
     ("single-pair", 2): "8104be28230a24cd3db99146cfd7f84732c22a3f5d7498d2c43cab9b6298c2e4",
     ("single-pair", 3): "961a77ae06abe28c2b04f2ab3a3cbafd213d3f348ef4f15f6d8fbc93cce89275",
-    ("symmetric-two", 1): "5635ef212a98086bd522bfef213d59b4137358d38b562e7657ec999be0a16b06",
-    ("symmetric-three", 1): "20b30733b25507b7cc947dfba9af19513faf200ebe5d3679f231b9667ef32cd8",
-    ("full-symmetric", 1): "132352966eeacba22c3a21b5fd53cf67c9d8e24bf201bc79f7c05477da30b611",
+    ("symmetric-two", 1): "af68a95314e1ffa96271eb328aeebf4ba8b86df7895d51371f8c921c02481d74",
+    ("symmetric-three", 1): "b6de363fe12e34826aba0d14ba9ec777db64b3f44cd611c7eeff403bed1c0137",
+    ("full-symmetric", 1): "291580812dedf111a18219b38736e998b69f3853628be672b3f0585afb0c0072",
     ("product-mixture", 1): "9d58e1dbf4ecb9bceb2e344d01e19f49b10af80a6f7864ed3334634f7870b5a1",
 }
 
@@ -580,8 +582,10 @@ def _field_bits(value) -> str:
 # without the wrapper that used to hold them; and when the pair solve became
 # the closed form by rapidities: pair velocities, sigma and residuals moved by
 # rounding only; and when case b) came to be solved by Newton's method from
-# mu = 1: symmetric velocities, sigma and residuals moved by rounding only.
-PINNED_CORPUS = "9740fce21c910b01831c46a20856332a40f5c9e582a47ceed046b071af28d1d4"
+# mu = 1: symmetric velocities, sigma and residuals moved by rounding only;
+# and when the symmetric polynomial residual became |g(mu)| instead of
+# |P(mu)|: with that field masked, every field is bit-identical.
+PINNED_CORPUS = "ec6eb3c40a38cc8065d0054f6f6e82e24102583e92bd2c866a0e3df33057b40d"
 
 
 def test_cross_validate_corpus_pinned(monkeypatch):
