@@ -16,12 +16,12 @@ lambda units divide it by 4 first, which is exact.
 The 16 coefficients are held in one layout, the real 4x4 matrix
 R = [[1, a], [b, t^T]]: R[nu, mu] is the coefficient of sigma_mu (qubit A)
 x sigma_nu (qubit B), so rows index qubit B and columns qubit A, and the
-corner R[0, 0] is Tr rho.  In this layout R is covariant under local
+corner R[0, 0] is Tr rho.  HSParams keeps one frozen R built from copies of
+its inputs; a, b and t are read-only views of it.  R is covariant under local
 filters: F_A (x) F_B sends R to exactly Lambda(F_B) R Lambda(F_A)^T, with
 Lambda(F)_mn = (1/2) Tr[sigma_m F sigma_n F^dagger] a proper Lorentz
-transformation for F in SL(2, C).  A two-sided product L @ R @ M^T
-therefore applies L on qubit B and M on qubit A.  Hermiticity of rho is
-equivalent to R being real.
+transformation for F in SL(2, C), so L @ R @ M^T applies L on qubit B and M
+on qubit A.  Hermiticity of rho is equivalent to R being real.
 
 A rho assembled from a real R is exactly Hermitian (mirror entries come from the
 same operations in the same order), so only its finiteness is checked; a matrix
@@ -72,7 +72,8 @@ class HSParams:
 
     Only finiteness is enforced; the parameters need not describe a positive
     matrix, since partial-transpose images and mid-transformation values are
-    carried by the same type.  The arrays are frozen copies of the inputs.
+    carried by the same type.  a, b and t are read-only views of one frozen R
+    (see pack_r) built from copies of the inputs.
     """
 
     a: np.ndarray
@@ -87,11 +88,11 @@ class HSParams:
             raise InvalidParameterError("t must be a real 3x3 matrix")
         if not all(map(math.isfinite, t.ravel().tolist())):
             raise InvalidParameterError("t must be finite")
-        for arr in (a, b, t):
-            arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "t", t)
+        r = _read_only(pack_r(a, b, t))
+        object.__setattr__(self, "_r", r)
+        object.__setattr__(self, "a", r[0, 1:])
+        object.__setattr__(self, "b", r[1:, 0])
+        object.__setattr__(self, "t", r[1:, 1:].T)
 
     @classmethod
     def diagonal(cls, a, b, tdiag) -> "HSParams":
@@ -118,11 +119,9 @@ class HSParams:
         return self.t.diagonal().copy()
 
     def is_symmetric(self) -> bool:
-        """True when a == b and t == t^T, entry by entry within ZERO_TOL."""
-        (a1, a2, a3), (b1, b2, b3) = self.a.tolist(), self.b.tolist()
-        (_, t12, t13), (t21, _, t23), (t31, t32, _) = self.t.tolist()
-        linear = max(abs(a1 - b1), abs(a2 - b2), abs(a3 - b3))
-        return max(linear, abs(t12 - t21), abs(t13 - t31), abs(t23 - t32)) <= ZERO_TOL
+        """True when R equals its transpose (a == b, t == t^T) within ZERO_TOL."""
+        r = self._r.tolist()
+        return max(abs(r[m][n] - r[n][m]) for m in range(4) for n in range(m)) <= ZERO_TOL
 
 
 def _read_only(v: np.ndarray) -> np.ndarray:
@@ -165,8 +164,8 @@ def pack_r(a, b, t) -> np.ndarray:
 
 
 def r_from_hs(params: HSParams) -> np.ndarray:
-    """Pack (a, b, t) into R; the corner is 1."""
-    return pack_r(params.a, params.b, params.t)
+    """The params' own read-only R, not a copy: copy it to write.  Corner 1."""
+    return params._r
 
 
 def _rho_from_r(r, out=None) -> np.ndarray:

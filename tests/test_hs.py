@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from qubitsep import (
     tdiag_via_local_rotations,
     tdiag_via_symmetric_rotation,
 )
-from qubitsep.hs import SIGMA, _is_reflection, _rho_from_r, rho_from_r
+from qubitsep.hs import SIGMA, ZERO_TOL, _is_reflection, _rho_from_r, rho_from_r
 from qubitsep.pt import partial_transpose_matrix, spectra
 
 from conftest import random_params
@@ -351,3 +353,53 @@ def test_reflection_sign_matches_determinant():
     det = np.linalg.det(factors)
     assert [_is_reflection(q) for q in factors] == (det < 0).tolist()
     assert 0 < int((det < 0).sum()) < len(factors)
+
+
+def _six_difference_symmetry(p: HSParams) -> bool:
+    """The symmetry rule written out: a == b and t == t^T, entry by entry within ZERO_TOL."""
+    (a1, a2, a3), (b1, b2, b3) = p.a.tolist(), p.b.tolist()
+    (_, t12, t13), (t21, _, t23), (t31, t32, _) = p.t.tolist()
+    linear = max(abs(a1 - b1), abs(a2 - b2), abs(a3 - b3))
+    return max(linear, abs(t12 - t21), abs(t13 - t31), abs(t23 - t32)) <= ZERO_TOL
+
+
+def test_symmetry_rule_matches_six_differences_on_random_params():
+    # unconstrained params, symmetric ones, and symmetric ones with one entry
+    # pair pushed apart by d
+    rng = np.random.default_rng(25)
+    decisions = []
+    for kind in rng.integers(3, size=3000):
+        p = random_params(rng)
+        if kind > 0:
+            b, t = p.a.copy(), (p.t + p.t.T) / 2
+            if kind == 2:
+                d = rng.choice([ZERO_TOL / 2, ZERO_TOL, 2 * ZERO_TOL, 1e-3])
+                i, j = rng.choice(3, 2, replace=False)
+                if rng.uniform() < 0.5:
+                    b[i] += d
+                else:
+                    t[i, j] += d
+            p = HSParams(p.a, b, t)
+        decisions.append(p.is_symmetric())
+        assert decisions[-1] is _six_difference_symmetry(p)
+    assert 0 < sum(decisions) < len(decisions)
+
+
+_AT_ZERO_TOL = [math.nextafter(ZERO_TOL, 0.0), ZERO_TOL, math.nextafter(ZERO_TOL, 1.0)]
+
+
+@pytest.mark.parametrize("d", _AT_ZERO_TOL)
+@pytest.mark.parametrize("pair", ["a1-b1", "a2-b2", "a3-b3", "t12-t21", "t13-t31", "t23-t32"])
+def test_symmetry_rule_at_zero_tol(pair, d):
+    # one unequal entry pair, its difference exactly ZERO_TOL or one ulp either side
+    a = np.array([0.1, -0.2, 0.15])
+    t = np.array([[0.3, 0.05, -0.1], [0.05, -0.2, 0.02], [-0.1, 0.02, 0.1]])
+    b = a.copy()
+    if pair[0] == "a":
+        i = int(pair[1]) - 1
+        a[i], b[i] = 0.0, d
+    else:
+        i, j = int(pair[1]) - 1, int(pair[2]) - 1
+        t[i, j], t[j, i] = d, 0.0
+    p = HSParams(a, b, t)
+    assert p.is_symmetric() is _six_difference_symmetry(p) is (d <= ZERO_TOL)

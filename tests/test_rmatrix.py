@@ -13,7 +13,9 @@ from qubitsep import (
     rho_from_hs,
     rho_from_r,
 )
+from qubitsep import hs
 from qubitsep.hs import ZERO_TOL
+from qubitsep.sampling import cross_validate
 
 from conftest import lorentz_of_filter, random_params
 
@@ -47,6 +49,55 @@ def test_r_from_hs_trivial():
 def test_r_from_hs_reference_matrices(cubic_state, quartic_state):
     assert np.array_equal(r_from_hs(cubic_state), R_319)
     assert np.array_equal(r_from_hs(quartic_state), R_323)
+
+
+def test_r_from_hs_is_the_params_own_read_only_r(cubic_state):
+    r = r_from_hs(cubic_state)
+    assert r is r_from_hs(cubic_state)
+    assert not r.flags.writeable
+    for view in (cubic_state.a, cubic_state.b, cubic_state.t):
+        assert not view.flags.writeable and np.shares_memory(view, r)
+
+
+@pytest.mark.parametrize(
+    "a, b, t, packs, kind",
+    [
+        # diagonal t: the spectra and the certificate read the params' own R
+        pytest.param([0, 0.64, 0], [0, 0.64, 0], np.diag([0.3] * 3), 0, "pair", id="diagonal-t"),
+        # full t: R is packed once, when the reduced params are built
+        pytest.param(
+            [0.2, 0.1, 0],
+            [0.2, 0.1, 0],
+            [[0.3, 0.1, 0], [0.1, -0.2, 0.05], [0, 0.05, 0.1]],
+            1,
+            "symmetric",
+            id="full-t-symmetric",
+        ),
+        pytest.param(
+            [0.2, 0.1, 0],
+            [0.1, 0, 0.1],
+            [[0.3, 0.1, 0], [0, -0.2, 0.05], [0.1, 0, 0.1]],
+            1,
+            "none",
+            id="full-t-outside-the-families",
+        ),
+    ],
+)
+def test_cross_validate_packs_r_once_per_params(monkeypatch, a, b, t, packs, kind):
+    params = HSParams(a, b, t)
+    calls = []
+    pack_r = hs.pack_r
+
+    def counted(*args):
+        calls.append(args)
+        return pack_r(*args)
+
+    monkeypatch.setattr(hs, "pack_r", counted)
+    rec = cross_validate(params)
+    monkeypatch.undo()
+    assert len(calls) == packs
+    assert rec.report.boost_kind == kind
+    assert (rec.note is None) is (packs == 0)
 
 
 def test_r_from_rho_identity():
