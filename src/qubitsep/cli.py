@@ -5,7 +5,8 @@ analysis themselves.
 State files are single JSON documents with keys "a", "b" and exactly one of
 "t_diag" (3 values) or "t_full" (9 values, row-major), plus an optional
 "normalize" flag.  Floats are emitted with shortest round-trip precision so
-reports re-parse bit for bit.
+reports re-parse bit for bit; a JSON report is exactly
+json.dumps(report, indent=2), written by _indent2.
 
 Exit codes of analyze: 0 separable, 1 entangled, 2 not a state or usage
 error, 3 non-generic (verdict from the partial-transpose test only).  classify
@@ -20,6 +21,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -110,9 +112,32 @@ def _verdict(verdict: Verdict) -> dict:
     }
 
 
+def _indent2(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2) nested behind `newline`, without json's
+    pure-Python indent encoder and the reference cycle it leaves per call."""
+    inner = newline + "  "
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)) and value:
+        items = [_indent2(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict) and value:
+        if not all(isinstance(key, str) for key in value):
+            # json coerces such keys; ensure_ascii leaves no raw newline in a string
+            return json.dumps(value, indent=2).replace("\n", newline)
+        items = [
+            encode_basestring_ascii(key) + ": " + _indent2(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value)  # nan, inf, bool, None, int, empty: json's C encoder
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(_indent2(report))
         return
     for key, value in report.items():
         print(f"{key}: {json.dumps(value)}")

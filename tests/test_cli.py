@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import math
 import re
 import warnings
 
@@ -14,6 +16,7 @@ from qubitsep import (
     cross_validate,
     random_state,
 )
+from qubitsep import cli
 from qubitsep.cli import build_parser, load_state_file, main
 
 
@@ -673,3 +676,52 @@ def test_non_state_error_line_is_the_same_for_both_commands(tmp_path, capsys):
     path = write_state(tmp_path, GOLDEN_STATES["non-psd"])
     errors = {run(capsys, command, path)[2] for command in ("analyze", "classify")}
     assert errors == {"error: input is not positive semidefinite; not a state\n"}
+
+
+JSON_EDGE_VALUES = [
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, np.float64(0.1),
+    np.float64(-math.inf), 7, -(2**70), True, False, None,
+    "caf\u00e9 \"q\"\n, ", {"\u00e9\n\"": 1.5, ", ": "\u2603"}, [], {}, [[], {}],
+    [[0.3, -0.2], [0.1, [0.05, None]]], [0.5, True, None, "s", 2, math.nan],
+    {"a": {"b": {"c": [1.5, {}], "d": ()}}}, (1.0, (2.0, "t")),
+    {1: 2.0, "x": [{2.5: True, None: [0.1]}]},
+]
+
+
+def test_json_formatter_is_json_dumps_indent_2():
+    for value in JSON_EDGE_VALUES:
+        assert cli._indent2(value) == json.dumps(value, indent=2), value
+
+
+def test_json_reports_are_json_dumps_indent_2(tmp_path, capsys, monkeypatch):
+    reports = []  # the report objects that _emit formats
+    formatter = cli._indent2
+
+    def record(value, newline="\n"):
+        if newline == "\n":
+            reports.append(value)
+        return formatter(value, newline)
+
+    monkeypatch.setattr(cli, "_indent2", record)
+    runs = [
+        ("analyze", write_state(tmp_path, doc, name=f"{name}.json"))
+        for name, doc in GOLDEN_STATES.items()
+    ]
+    runs.append(("sample", "--family", "single-pair", "--count", "20", "--seed", "3"))
+    for argv in runs:
+        _, out, _ = run(capsys, *argv)
+        assert out == json.dumps(reports[-1], indent=2) + "\n", argv
+    assert len(reports) == len(runs)
+
+
+def test_analyze_leaves_no_reference_cycles(pair64_file, capsys):
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            assert main(["analyze", pair64_file]) == 1
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    assert capsys.readouterr().out.count('"psd": true') == 5
