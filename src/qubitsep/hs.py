@@ -88,7 +88,11 @@ class HSParams:
             raise InvalidParameterError("t must be a real 3x3 matrix")
         if not all(map(math.isfinite, t.ravel().tolist())):
             raise InvalidParameterError("t must be finite")
-        r = _read_only(pack_r(a, b, t))
+        self._adopt(pack_r(a, b, t))
+
+    def _adopt(self, r: np.ndarray) -> None:
+        # freeze a fresh R with corner 1 and take a, b and t as views of it
+        r = _read_only(r)
         object.__setattr__(self, "_r", r)
         object.__setattr__(self, "a", r[0, 1:])
         object.__setattr__(self, "b", r[1:, 0])
@@ -101,8 +105,25 @@ class HSParams:
 
     @classmethod
     def from_r(cls, r) -> "HSParams":
-        """Read params back from R (see pack_r); the corner is not read."""
-        return cls(r[0, 1:], r[1:, 0], r[1:, 1:].T)
+        """Params that hold a read-only copy of R (see pack_r), its corner set to 1.
+
+        The corner is not read; the other 15 entries get the checks, and the
+        messages, of HSParams(a, b, t).
+        """
+        r = np.array(r, dtype=float)
+        if r.shape != (4, 4):
+            raise InvalidParameterError("R must be a real 4x4 matrix")
+        (_, *a), *rows = r.tolist()
+        if not all(map(math.isfinite, a)):
+            raise InvalidParameterError("a must be a finite real 3-vector")
+        if not all(math.isfinite(row[0]) for row in rows):
+            raise InvalidParameterError("b must be a finite real 3-vector")
+        if not all(map(math.isfinite, rows[0][1:] + rows[1][1:] + rows[2][1:])):
+            raise InvalidParameterError("t must be finite")
+        r[0, 0] = 1.0
+        params = cls.__new__(cls)
+        params._adopt(r)
+        return params
 
     @classmethod
     def zero(cls) -> "HSParams":

@@ -16,24 +16,28 @@ and each later block doubles, up to 256.  A block takes exactly the draws
 that one-at-a-time sampling would take for its candidates, in the same
 order: uniform-only families in one call, symmetric-two and symmetric-three
 decoded from one call for raw PCG64 output (this reads and writes PCG64's
-spare 32-bit half in the bit generator's state; symmetric-two falls back to
-per-candidate calls when integers(3) would reject a half), product-mixture
-one candidate at a time.  Indices are sampled together in windows of 32: in
-each round every pending index of the window draws its next block from its
-own generator, and the blocks are checked as one stack.  A cheap test on
+spare 32-bit half in the bit generator's state, and the positions of the
+draws in that output are computed once per block shape; symmetric-two falls
+back to per-candidate calls when integers(3) would reject a half),
+product-mixture one candidate at a time.  Indices are sampled together in
+windows of 32: each round allocates one zero R stack, every pending index of
+the window draws its next block from its own generator straight into its
+rows of that stack, and the stack is checked as a whole.  A cheap test on
 the diagonal and the 2x2 principal minors of each candidate (Cauchy
-interlacing) discards those that are provably below the accept threshold;
-it reads each candidate alone, so its result does not depend on the rest of
-the stack.  The others get one stacked assembly and one stacked eigensolve,
-and each stacked result equals the per-matrix one bit for bit.  So the
-accepted candidate is the same as a candidate-at-a-time loop's, whatever the
-block sizes and whichever indices share a round.  Draws past it are thrown
-away; they cannot shift any other sample, because every (seed, index) has
-its own generator.
+interlacing), run on the stack's columns, discards those that are provably
+below the accept threshold; it reads each candidate alone, so its result
+does not depend on the rest of the stack.  The others get one stacked
+assembly and one stacked eigensolve, and each stacked result equals the
+per-matrix one bit for bit.  So the accepted candidate is the same as a
+candidate-at-a-time loop's, whatever the block sizes and whichever indices
+share a round; its sample holds a read-only copy of its R
+(HSParams.from_r).  Draws past it are thrown away; they cannot shift any
+other sample, because every (seed, index) has its own generator.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -45,7 +49,6 @@ from .hs import (
     PSD_TOL,
     HSParams,
     _rho_from_r,
-    pack_r,
     r_from_hs,
     tdiag_via_local_rotations,
     tdiag_via_symmetric_rotation,
@@ -148,6 +151,7 @@ class AgreementReport:
 
 
 _AXES = np.arange(3)
+_DIAG = _AXES + 1  # rows and columns of R that hold the diagonal of t
 _SIGNS = np.array([-1.0, 1.0])
 
 
@@ -158,6 +162,24 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
 def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     # Generator.uniform's arithmetic on standard doubles u in [0, 1)
     return low + (high - low) * u
+
+
+@functools.lru_cache(maxsize=64)
+def _decode_layout(n: int, doubles: int, halves: int, spare: int):
+    """The raw-output layout of _decode_raw's block: the number of 64-bit
+    outputs, the (n, doubles) positions of the doubles and the positions of
+    the outputs that the halves take, as read-only index arrays."""
+    c = np.arange(n)
+    # 64-bit outputs that the halves have taken before candidate c, and the
+    # position of half output m in the block: candidate (2m + spare) // halves
+    # fetches it after its doubles
+    taken = (halves * c - spare + 1) // 2
+    m = np.arange((halves * n - spare + 1) // 2)
+    double_pos = (doubles * c + taken)[:, None] + np.arange(doubles)
+    half_pos = doubles * ((2 * m + spare) // halves + 1) + m
+    double_pos.setflags(write=False)
+    half_pos.setflags(write=False)
+    return doubles * n + m.size, double_pos, half_pos
 
 
 def _decode_raw(bitgen, n: int, doubles: int, halves: int, choices: int):
@@ -172,23 +194,20 @@ def _decode_raw(bitgen, n: int, doubles: int, halves: int, choices: int):
     from PCG64's spare-half buffer: an empty buffer takes a fresh 64-bit
     output, hands out its low half and keeps the high one (`has_uint32`,
     `uinteger` in the bit generator's state) for the next 32-bit draw.
-    Returns the doubles (n, doubles) and the values (n, halves), and leaves
-    the generator in the state the candidate-at-a-time calls would.  Returns
-    None, with the generator state restored, when a half would be rejected.
+    Where each draw sits in the block's raw output depends only on
+    (n, doubles, halves, spare), so that layout is computed once per key
+    (_decode_layout).  Returns the doubles (n, doubles) and the values
+    (n, halves), and leaves the generator in the state the
+    candidate-at-a-time calls would.  Returns None, with the generator state
+    restored, when a half would be rejected.
     """
     before = bitgen.state
     spare = before["has_uint32"]
-    c = np.arange(n)
-    # 64-bit outputs that the halves have taken before candidate c, and the
-    # position of half output m in the block: candidate (2m + spare) // halves
-    # fetches it after its doubles
-    taken = (halves * c - spare + 1) // 2
-    m = np.arange((halves * n - spare + 1) // 2)
-    half_pos = doubles * ((2 * m + spare) // halves + 1) + m
-    raw = bitgen.random_raw(doubles * n + m.size)
-    u = (raw[(doubles * c + taken)[:, None] + np.arange(doubles)] >> 11) * 2.0**-53
+    draws, double_pos, half_pos = _decode_layout(n, doubles, halves, spare)
+    raw = bitgen.random_raw(draws)
+    u = (raw[double_pos] >> 11) * 2.0**-53
     half_raw = raw[half_pos]
-    buffer = np.empty(spare + 2 * m.size, dtype=np.uint64)
+    buffer = np.empty(spare + 2 * half_pos.size, dtype=np.uint64)
     buffer[:spare] = before["uinteger"]
     buffer[spare::2] = half_raw & 0xFFFFFFFF
     buffer[spare + 1 :: 2] = half_raw >> 32
@@ -248,20 +267,40 @@ def _proven_indefinite(rs: np.ndarray) -> np.ndarray:
     at -1e-12.  Each candidate's mark depends on its own R alone, so the
     mask of a stack is the concatenation of the masks of its parts.
 
+    The work runs on columns: candidate c is column c of the (16, n) view of
+    the stack, so the map is one product and each reduction runs across rows,
+    over whole rows of n candidates at a time.
+
     Raises InvalidParameterError on a non-finite R anywhere in the stack.
     """
-    scale = np.abs(rs).max(axis=(1, 2))
+    cols = rs.reshape(len(rs), 16).T
+    scale = np.maximum.reduce(np.abs(cols))
     if not np.isfinite(scale).all():
         raise InvalidParameterError("R matrices must be finite")
-    x = rs.reshape(len(rs), 16) @ _MINOR_MAP
-    diag = x[:, :4]
-    minors = diag[:, _ROW] * diag[:, _COL] - x[:, 4:10] ** 2 - x[:, 10:] ** 2
+    y = _MINOR_MAP.T @ cols
+    diag = y[:4]
+    minors = diag[_ROW] * diag[_COL] - y[4:10] ** 2 - y[10:] ** 2
     margin = _PREFILTER_MARGIN * scale
-    return (diag.min(axis=1) < -margin) | (minors.min(axis=1) < -margin * scale)
+    return (np.minimum.reduce(diag) < -margin) | (np.minimum.reduce(minors) < -margin * scale)
 
 
-def _draw_block(family: str, axis: int, rng: np.random.Generator, n: int) -> np.ndarray:
+def _new_stack(n: int) -> np.ndarray:
+    """n zero R matrices (n, 4, 4) with corner 1, for _draw_block to fill."""
+    rs = np.zeros((n, 4, 4))
+    rs[:, 0, 0] = 1.0
+    return rs
+
+
+def _draw_block(
+    family: str, axis: int, rng: np.random.Generator, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """The R matrices (n, 4, 4) of the next n candidates (see pack_r).
+
+    They are written into `out`, which must be a zero stack with corner 1
+    (_new_stack; in _sample, a block of rows of the round's stack), or into
+    a new such stack; either way the filled stack is returned.  Each family
+    writes its draws straight into the entries of R they set; the others
+    stay 0.
 
     Families drawn from uniforms alone take the block in one call, which
     yields the same numbers as n calls in a row; symmetric-two and
@@ -272,34 +311,36 @@ def _draw_block(family: str, axis: int, rng: np.random.Generator, n: int) -> np.
     normal calls cannot be merged across candidates without changing the
     stream.
     """
-    a = np.zeros((n, 3))
-    b = np.zeros((n, 3))
-    t = np.zeros((n, 3, 3))
+    rs = _new_stack(n) if out is None else out
+    a = rs[:, 0, 1:]
+    b = rs[:, 1:, 0]
+    t_transposed = rs[:, 1:, 1:]
     if family == "mds":
-        t[:, _AXES, _AXES] = rng.uniform(-0.9, 0.9, (n, 3))
+        rs[:, _DIAG, _DIAG] = rng.uniform(-0.9, 0.9, (n, 3))
     elif family == "single-pair":
         u = rng.uniform(-0.9, 0.9, (n, 5))
         k = axis - 1
-        order = [k, (k + 1) % 3, (k + 2) % 3]
-        t[:, order, order] = u[:, :3]
+        order = [k + 1, (k + 1) % 3 + 1, (k + 2) % 3 + 1]
+        rs[:, order, order] = u[:, :3]
         a[:, k] = u[:, 3]
         b[:, k] = u[:, 4]
     elif family == "symmetric-two":
         u, quiet = _decode_raw(rng.bit_generator, n, 5, 1, 3) or _symmetric_two_calls(rng, n)
         u = _uniform(u, -0.9, 0.9)
-        t[:, _AXES, _AXES] = u[:, :3]
+        rs[:, _DIAG, _DIAG] = u[:, :3]
         # row by row, the two axes other than the quiet one, in order
-        a[_AXES != quiet] = u[:, 3:].ravel()
-        b = a
+        loud = _AXES != quiet
+        a[loud] = b[loud] = u[:, 3:].ravel()
     elif family == "symmetric-three":
         u, signs = _decode_raw(rng.bit_generator, n, 6, 3, 2)
-        t[:, _AXES, _AXES] = _uniform(u[:, :3], -0.9, 0.9)
-        a = b = _uniform(u[:, 3:], 0.05, 0.9) * _SIGNS[signs]
+        rs[:, _DIAG, _DIAG] = _uniform(u[:, :3], -0.9, 0.9)
+        a[:] = b[:] = _uniform(u[:, 3:], 0.05, 0.9) * _SIGNS[signs]
     elif family == "full-symmetric":
         u = rng.uniform(-0.9, 0.9, (n, 12))
-        a = b = u[:, :3]
+        a[:] = b[:] = u[:, :3]
         m = u[:, 3:].reshape(n, 3, 3)
-        t = 0.5 * (m + m.transpose(0, 2, 1))
+        # t = (m + m^T) / 2 is symmetric bit for bit, so it is its own transpose
+        np.multiply(m + m.transpose(0, 2, 1), 0.5, out=t_transposed)
     elif family == "product-mixture":
         for c in range(n):
             k = int(rng.integers(2, 5))
@@ -308,22 +349,23 @@ def _draw_block(family: str, axis: int, rng: np.random.Generator, n: int) -> np.
             v = _unit_rows(rng.normal(size=(k, 3)))
             a[c] = weights @ u
             b[c] = weights @ v
-            t[c] = np.einsum("k,ki,kj->ij", weights, u, v)
+            t_transposed[c] = np.einsum("k,ki,kj->ij", weights, u, v).T
     else:
         raise InvalidParameterError(f"unknown family {family!r}")
-    return pack_r(a, b, t)
+    return rs
 
 
 def _sample(spec: SampleSpec, indices: range, max_attempts: int) -> Iterator[HSParams]:
     """The samples of `indices`, in order, drawn in stacked rounds.
 
     The indices go in windows of _WINDOW.  In a round, every pending index of
-    the window draws its next block from its own generator; the blocks share
-    one prefilter, one assembly and one eigensolve, and each index takes its
-    first accepted candidate in stream order.  Block sizes start at the
-    family's _FIRST_BLOCK and double up to _MAX_BLOCK; an index's last block
-    is cut short at `max_attempts` candidates.  Samples are yielded window by
-    window, so memory does not grow with the number of indices.
+    the window draws its next block from its own generator into its rows of
+    the round's one R stack; the stack gets one prefilter, one assembly and
+    one eigensolve, and each index takes its first accepted candidate in
+    stream order.  Block sizes start at the family's _FIRST_BLOCK and double
+    up to _MAX_BLOCK; an index's last block is cut short at `max_attempts`
+    candidates.  Samples are yielded window by window, so memory does not
+    grow with the number of indices.
     """
     for start in range(0, len(indices), _WINDOW):
         window = indices[start : start + _WINDOW]
@@ -334,9 +376,9 @@ def _sample(spec: SampleSpec, indices: range, max_attempts: int) -> Iterator[HSP
         size = _FIRST_BLOCK[spec.family]
         while pending and checked < max_attempts:
             n = min(size, max_attempts - checked)
-            rs = np.concatenate(
-                [_draw_block(spec.family, spec.axis, rngs[k], n) for k in pending]
-            )
+            rs = _new_stack(len(pending) * n)
+            for j, k in enumerate(pending):
+                _draw_block(spec.family, spec.axis, rngs[k], n, rs[j * n : (j + 1) * n])
             accepted = np.zeros(len(rs), dtype=bool)
             survivors = np.flatnonzero(~_proven_indefinite(rs))
             if survivors.size:

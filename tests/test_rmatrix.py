@@ -173,6 +173,39 @@ def test_rho_from_r_reference_is_a_state():
     assert eigenvalues_hermitian(rho)[0] / 4 >= -1e-12
 
 
+def test_from_r_adopts_a_read_only_copy_with_corner_one():
+    rng = np.random.default_rng(11)
+    for r in (R_319, R_323, *rng.uniform(-1.0, 1.0, (20, 4, 4))):
+        given = r.copy()
+        given[0, 0] = np.nan  # the corner is not read
+        given[1, 2] = -0.0
+        params = HSParams.from_r(given)
+        own = r_from_hs(params)
+        built = HSParams(given[0, 1:], given[1:, 0], given[1:, 1:].T)
+        assert own.tobytes() == r_from_hs(built).tobytes()
+        assert own[0, 0] == 1.0 and np.signbit(own[1, 2])
+        assert not own.flags.writeable and not np.shares_memory(own, given)
+        for view in (params.a, params.b, params.t):
+            assert not view.flags.writeable and np.shares_memory(view, own)
+        kept = own.tobytes()
+        given[...] = 7.0
+        assert own.tobytes() == kept
+
+
+@pytest.mark.parametrize("entry", [(0, 2), (3, 0), (2, 3), (1, 1)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_from_r_rejects_non_finite_coefficients_as_hsparams_does(entry, value):
+    r = R_323.copy()
+    r[entry] = value
+    with pytest.raises(InvalidParameterError) as built:
+        HSParams(r[0, 1:], r[1:, 0], r[1:, 1:].T)
+    with pytest.raises(InvalidParameterError) as adopted:
+        HSParams.from_r(r)
+    assert str(adopted.value) == str(built.value)
+    expected = {(0, 2): "a must be", (3, 0): "b must be"}.get(entry, "t must be finite")
+    assert str(adopted.value).startswith(expected)
+
+
 def _is_symmetric_r(r) -> bool:
     return HSParams.from_r(r).is_symmetric()
 

@@ -32,11 +32,18 @@ from qubitsep.sampling import (
     FAMILIES,
     _decode_raw,
     _draw_block,
+    _new_stack,
     _proven_indefinite,
     _sample,
 )
 
 from conftest import corpus_rows
+from sampler_oracles import (
+    decode_raw_uncached,
+    draw_block_packed,
+    proven_indefinite_rows,
+    sole_marks_rows,
+)
 
 
 def test_determinism_per_sample():
@@ -443,26 +450,39 @@ def test_symmetric_two_decoder_matches_loop(spare):
             assert decoded.bit_generator.state == loop.bit_generator.state, (seed, n)
 
 
-def test_symmetric_two_decoder_falls_back_on_a_rejected_half():
+def _reject_next_half(rng: np.random.Generator) -> None:
     # a spare half of 0 is the one 32-bit value integers(3) rejects and redraws
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, 0
+    rng.bit_generator.state = state
+
+
+def test_symmetric_two_decoder_falls_back_on_a_rejected_half():
     for seed in range(10):
-        for n in (1, 2, 3, 7, 64):
+        for n in (1, 2, 3, 7, 16, 64, 256):
             loop = np.random.default_rng(seed)
             decoded = np.random.default_rng(seed)
-            for rng in (loop, decoded):
-                state = rng.bit_generator.state
-                state["has_uint32"], state["uinteger"] = 1, 0
-                rng.bit_generator.state = state
+            uncached = np.random.default_rng(seed)
+            for rng in (loop, decoded, uncached):
+                _reject_next_half(rng)
             before = decoded.bit_generator.state
             assert _decode_raw(decoded.bit_generator, n, 5, 1, 3) is None
-            assert decoded.bit_generator.state == before
+            assert decode_raw_uncached(uncached.bit_generator, n, 5, 1, 3) is None
+            assert decoded.bit_generator.state == uncached.bit_generator.state == before
             expected = _symmetric_two_loop(loop, n)
             got = _draw_block("symmetric-two", 1, decoded, n)
             assert got.tobytes() == expected.tobytes(), (seed, n)
             assert decoded.bit_generator.state == loop.bit_generator.state, (seed, n)
 
 
-def test_prefilter_mask_is_per_candidate():
+def _scaled(rs: np.ndarray, factor: float) -> np.ndarray:
+    # every coefficient but the corner R_00 = 1 times factor
+    scaled = factor * rs
+    scaled[:, 0, 0] = 1.0
+    return scaled
+
+
+def _edge_blocks() -> list[np.ndarray]:
     # t = diag(0, 0, -1 - eps) puts -eps on the diagonal of 4 rho: caught for
     # eps above about 1e-9 alone, but not next to non-states whose coefficients
     # reach 100 if the margin were scaled by the largest coefficient of the stack
@@ -470,9 +490,12 @@ def test_prefilter_mask_is_per_candidate():
     t = np.zeros((100, 3, 3))
     t[:, 2, 2] = -1.0 - eps
     edge = pack_r(np.zeros((100, 3)), np.zeros((100, 3)), t)
-    large = 100.0 * _draw_block("full-symmetric", 1, np.random.default_rng(31), 8)
-    large[:, 0, 0] = 1.0
-    blocks = [edge[:50], large, edge[50:]]
+    large = _scaled(_draw_block("full-symmetric", 1, np.random.default_rng(31), 8), 100.0)
+    return [edge[:50], large, edge[50:]]
+
+
+def test_prefilter_mask_is_per_candidate():
+    blocks = _edge_blocks()
     per_block = np.concatenate([_proven_indefinite(block) for block in blocks])
     caught = np.concatenate([per_block[:50], per_block[58:]])
     assert 0 < caught.sum() < 100
@@ -546,15 +569,103 @@ def test_prefilter_never_discards_an_accepted_candidate():
     assert catch_rate["mds"] == 1.0
 
 
+def _product_mixture_stack(rng: np.random.Generator, n: int) -> np.ndarray:
+    # n product-mixture candidates drawn all at once: the family's
+    # distribution for one number of terms k, not its stream
+    k = int(rng.integers(2, 5))
+    weights = rng.dirichlet(np.ones(k), size=n)
+    u, v = (rng.normal(size=(n, k, 3)) for _ in range(2))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
+    t = np.einsum("ck,cki,ckj->cij", weights, u, v)
+    return pack_r(np.einsum("ck,cki->ci", weights, u), np.einsum("ck,cki->ci", weights, v), t)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_prefilter_columns_match_the_row_formula(family):
+    # 204,800 candidates per family, as drawn and scaled by 100: the column
+    # layout marks exactly what the row formula marks.  product-mixture's
+    # stream draws one candidate at a time, so its candidates here come from
+    # the same distribution drawn in bulk.
+    rng = np.random.default_rng(4096)
+    marked = 0
+    for _ in range(800):
+        if family == "product-mixture":
+            rs = _product_mixture_stack(rng, 256)
+        else:
+            rs = _draw_block(family, 1, rng, 256)
+        for stack in (rs, _scaled(rs, 100.0)):
+            mask = _proven_indefinite(stack)
+            assert np.array_equal(mask, proven_indefinite_rows(stack)), family
+            marked += int(mask.sum())
+    assert marked > 0, family
+
+
+def test_prefilter_columns_match_the_row_formula_on_every_criterion():
+    # on the family draws only the (0, 3) and (1, 2) minors are ever the sole
+    # mark; on R with every entry in [-0.6, 0.6] each of the six minors is the
+    # sole mark of some candidates, so a slip in any of them shows
+    rs = np.random.default_rng(1).uniform(-0.6, 0.6, (100_000, 4, 4))
+    rs[:, 0, 0] = 1.0
+    assert sole_marks_rows(rs)[:, 1:].any(axis=0).all()
+    for stack in [rs, _scaled(rs, 100.0), *_edge_blocks(), np.concatenate(_edge_blocks())]:
+        assert np.array_equal(_proven_indefinite(stack), proven_indefinite_rows(stack))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_draw_block_fills_the_stack_as_pack_r_would(family):
+    # into a new stack and into the middle rows of a larger one: the bits that
+    # packing the block's a, b and t gives, and the same generator state
+    axes = (1, 2, 3) if family == "single-pair" else (1,)
+    starts = ("fresh", "rejected half") if family == "symmetric-two" else ("fresh",)
+    for axis in axes:
+        for seed in range(3):
+            for start in starts:
+                oracle, fresh, into = (np.random.default_rng((seed, axis)) for _ in range(3))
+                if start == "rejected half":
+                    for rng in (oracle, fresh, into):
+                        _reject_next_half(rng)
+                for n in (1, 2, 7, 64, 256):
+                    expected = draw_block_packed(family, axis, oracle, n)
+                    assert _draw_block(family, axis, fresh, n).tobytes() == expected.tobytes()
+                    stack = _new_stack(3 * n)
+                    rows = stack[n : 2 * n]
+                    assert _draw_block(family, axis, into, n, rows) is rows
+                    assert rows.tobytes() == expected.tobytes(), (axis, seed, start, n)
+                    untouched = np.concatenate([stack[:n], stack[2 * n :]])
+                    assert untouched.tobytes() == _new_stack(2 * n).tobytes()
+                    for rng in (fresh, into):
+                        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("doubles, halves, choices", [(5, 1, 3), (6, 3, 2)])
+@pytest.mark.parametrize("spare", [0, 1])
+def test_decode_layout_cache_matches_the_uncached_decoder(doubles, halves, choices, spare):
+    # every call twice over, so the second pass reads cached layouts; equal
+    # draws and equal generator state after each call (the rejected half of
+    # integers(3): test_symmetric_two_decoder_falls_back_on_a_rejected_half)
+    for seed in range(4):
+        cached, uncached = np.random.default_rng(seed), np.random.default_rng(seed)
+        if spare:
+            cached.integers(0, 2)
+            uncached.integers(0, 2)
+        for n in (1, 7, 16, 64, 256) * 2:
+            got = _decode_raw(cached.bit_generator, n, doubles, halves, choices)
+            expected = decode_raw_uncached(uncached.bit_generator, n, doubles, halves, choices)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in expected], (seed, n)
+            assert cached.bit_generator.state == uncached.bit_generator.state, (seed, n)
+
+
 def test_random_state_rejects_non_finite_draws(monkeypatch):
     # block 1 is one non-PSD candidate (t = I); block 2 starts with the
-    # maximally mixed state and ends with a NaN, which must still raise
-    def draw(family, axis, rng, n):
-        t = np.broadcast_to(np.eye(3) if n == 1 else np.zeros((3, 3)), (n, 3, 3))
-        rs = pack_r(np.zeros((n, 3)), np.zeros((n, 3)), t)
-        if n > 1:
-            rs[-1, 1, 1] = np.nan
-        return rs
+    # maximally mixed state and ends with a NaN, which must still raise.
+    # Each block is written into its rows of the round's zero stack.
+    def draw(family, axis, rng, n, out):
+        if n == 1:
+            out[:, 1:, 1:] = np.eye(3)
+        else:
+            out[-1, 1, 1] = np.nan
+        return out
 
     monkeypatch.setattr(sampling, "_draw_block", draw)
     with pytest.raises(InvalidParameterError):
