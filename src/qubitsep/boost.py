@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import BoostLimitError, InvalidParameterError
-from .hs import _as_r, _as_real_vector
+from .hs import _as_real
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -26,16 +26,17 @@ BETA_LIMIT = 1e-9
 
 
 def _gamma(beta_sq: float) -> float:
+    if not beta_sq < 1.0:  # reachable only with a beta_limit below 0
+        raise BoostLimitError("|beta| reaches light speed")
     return 1.0 / math.sqrt(1.0 - beta_sq)
 
 
 def boost_x(beta: float, axis: int = 1, beta_limit: float = BETA_LIMIT) -> np.ndarray:
     """4x4 boost with block [[g, -g b], [-g b, g]] on indices (0, axis)."""
-    if axis not in (1, 2, 3):
+    if not isinstance(axis, (int, np.integer)) or axis not in (1, 2, 3):
         raise InvalidParameterError("axis must be 1, 2 or 3")
-    if not math.isfinite(beta):
-        raise InvalidParameterError("beta must be finite")
-    if abs(beta) >= 1.0 - beta_limit:
+    beta = _as_real(beta, (), "beta")
+    if abs(beta) >= 1.0 - _as_real(beta_limit, (), "beta_limit"):
         raise BoostLimitError(f"|beta| = {abs(beta):.12g} reaches the light-speed limit")
     g = _gamma(beta * beta)
     m = np.eye(4)
@@ -46,9 +47,9 @@ def boost_x(beta: float, axis: int = 1, beta_limit: float = BETA_LIMIT) -> np.nd
 
 def boost_general(beta, beta_limit: float = BETA_LIMIT) -> np.ndarray:
     """The symmetric boost for a velocity 3-vector; reduces to boost_x on an axis."""
-    v = _as_real_vector(beta, "beta")
+    v = _as_real(beta, (3,), "beta")
     beta_sq = float(v @ v)
-    if beta_sq >= (1.0 - beta_limit) ** 2:
+    if beta_sq >= (1.0 - _as_real(beta_limit, (), "beta_limit")) ** 2:
         raise BoostLimitError(
             f"|beta| = {math.sqrt(beta_sq):.12g} reaches the light-speed limit"
         )
@@ -76,7 +77,8 @@ def apply_two_sided(r, left, right) -> np.ndarray:
     matrices regardless of which side they act on.  All three must be finite
     real 4x4 matrices (InvalidParameterError).
     """
-    return _two_sided(_as_r(r), _as_r(left, "boost factor"), _as_r(right, "boost factor"))
+    named = ((r, "R"), (left, "left"), (right, "right"))
+    return _two_sided(*(_as_real(m, (4, 4), name) for m, name in named))
 
 
 def _two_sided(r: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ class QubitSepError(Exception):
 
 
 class InvalidParameterError(QubitSepError):
-    """An input value is non-finite or structurally malformed."""
+    """An input value is non-numeric, ragged, misshapen, non-finite or out of range."""
 
 
 class ContractViolationError(QubitSepError):

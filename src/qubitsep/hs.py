@@ -56,14 +56,34 @@ SIGMA = np.array(
 PAULI_KRON = np.array([[np.kron(SIGMA[m], SIGMA[n]) for n in range(4)] for m in range(4)])
 
 
-def _as_real_vector(x, name: str) -> np.ndarray:
+# what float() and numpy's conversions raise on non-numbers, ragged input and huge ints
+_NOT_REAL = (TypeError, ValueError, OverflowError)
+
+
+def _not_real(name: str, shape: tuple) -> InvalidParameterError:
+    kind = {(): "number", (3,): "3-vector"}.get(shape) or "x".join(map(str, shape)) + " matrix"
+    return InvalidParameterError(f"{name} must be finite real {kind}")
+
+
+def _as_real(x, shape: tuple, name: str):
+    """The one gate for real input: a new float array of exactly `shape` with
+    finite entries, or a Python float for shape (); anything else raises
+    InvalidParameterError naming the input.  An array must hold real numbers
+    (no text, objects or complex values, which a float cast would lose)."""
     try:
-        v = np.array(x, dtype=float).reshape(3)
-        if all(map(math.isfinite, v.tolist())):
-            return v
-    except (TypeError, ValueError):  # not numbers, or not three of them
-        pass
-    raise InvalidParameterError(f"{name} must be a finite real 3-vector")
+        if shape == ():
+            v = float(x)
+            ok = math.isfinite(v)
+        else:
+            v = np.array(x)
+            ok = v.dtype.kind in "biuf" and v.shape == shape
+            v = v.astype(float, copy=False) if ok else v
+            ok = ok and all(map(math.isfinite, v.ravel().tolist()))
+    except _NOT_REAL:
+        ok = False
+    if not ok:
+        raise _not_real(name, shape)
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,14 +101,8 @@ class HSParams:
     t: np.ndarray
 
     def __post_init__(self):
-        a = _as_real_vector(self.a, "a")
-        b = _as_real_vector(self.b, "b")
-        t = np.array(self.t, dtype=float)
-        if t.shape != (3, 3):
-            raise InvalidParameterError("t must be a real 3x3 matrix")
-        if not all(map(math.isfinite, t.ravel().tolist())):
-            raise InvalidParameterError("t must be finite")
-        self._adopt(pack_r(a, b, t))
+        a, b = _as_real(self.a, (3,), "a"), _as_real(self.b, (3,), "b")
+        self._adopt(pack_r(a, b, _as_real(self.t, (3, 3), "t")))
 
     def _adopt(self, r: np.ndarray) -> None:
         # freeze a fresh R with corner 1 and take a, b and t as views of it
@@ -101,25 +115,24 @@ class HSParams:
     @classmethod
     def diagonal(cls, a, b, tdiag) -> "HSParams":
         """Build params with a diagonal correlation matrix."""
-        return cls(a, b, np.diag(_as_real_vector(tdiag, "tdiag")))
+        return cls(a, b, np.diag(_as_real(tdiag, (3,), "tdiag")))
 
     @classmethod
     def from_r(cls, r) -> "HSParams":
         """Params that hold a read-only copy of R (see pack_r), its corner set to 1.
 
         The corner is not read; the other 15 entries get the checks, and the
-        messages, of HSParams(a, b, t).
+        messages, of HSParams(a, b, t); a finite R costs one pass (once per sample).
         """
-        r = np.array(r, dtype=float)
-        if r.shape != (4, 4):
-            raise InvalidParameterError("R must be a real 4x4 matrix")
-        (_, *a), *rows = r.tolist()
-        if not all(map(math.isfinite, a)):
-            raise InvalidParameterError("a must be a finite real 3-vector")
-        if not all(math.isfinite(row[0]) for row in rows):
-            raise InvalidParameterError("b must be a finite real 3-vector")
-        if not all(map(math.isfinite, rows[0][1:] + rows[1][1:] + rows[2][1:])):
-            raise InvalidParameterError("t must be finite")
+        try:
+            r = np.array(r)
+        except _NOT_REAL:
+            raise _not_real("R", (4, 4)) from None
+        if r.dtype.kind not in "biuf" or r.shape != (4, 4):
+            raise _not_real("R", (4, 4))
+        r = r.astype(float, copy=False)
+        if not all(map(math.isfinite, r.ravel().tolist()[1:])):
+            cls(r[0, 1:], r[1:, 0], r[1:, 1:].T)  # raises, naming the part that is not finite
         r[0, 0] = 1.0
         params = cls.__new__(cls)
         params._adopt(r)
@@ -129,9 +142,9 @@ class HSParams:
     def zero(cls) -> "HSParams":
         return cls(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
 
-    def is_t_diagonal(self, tol: float = ZERO_TOL) -> bool:
+    def is_t_diagonal(self) -> bool:
         (_, t12, t13), (t21, _, t23), (t31, t32, _) = self.t.tolist()
-        return max(abs(t12), abs(t13), abs(t21), abs(t23), abs(t31), abs(t32)) <= tol
+        return max(abs(t12), abs(t13), abs(t21), abs(t23), abs(t31), abs(t32)) <= ZERO_TOL
 
     def t_diagonal(self) -> np.ndarray:
         """The diagonal of t; raises if off-diagonal entries are present."""
@@ -152,23 +165,18 @@ def _read_only(v: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(matrix) -> np.ndarray:
-    """Check a finite 4x4 Hermitian matrix."""
-    m = np.asarray(matrix, dtype=complex)
+    """Check a finite 4x4 Hermitian matrix: InvalidParameterError if it is not
+    finite numbers, ContractViolationError if it is not 4x4 or not Hermitian."""
+    try:
+        m = np.asarray(matrix, dtype=complex)
+    except _NOT_REAL:
+        raise InvalidParameterError("matrix entries must be numbers") from None
     if m.shape != (4, 4):
         raise ContractViolationError("expected a 4x4 matrix")
     if not np.isfinite(m).all():
         raise InvalidParameterError("matrix entries must be finite")
     if float(np.abs(m - m.conj().T).max()) >= HERMITICITY_TOL:
         raise ContractViolationError("matrix is not Hermitian within tolerance")
-    return m
-
-
-def _as_r(r, name: str = "R") -> np.ndarray:
-    m = np.asarray(r, dtype=float)
-    if m.shape != (4, 4):
-        raise InvalidParameterError(f"{name} must be a real 4x4 matrix")
-    if not np.isfinite(m).all():
-        raise InvalidParameterError(f"{name} entries must be finite")
     return m
 
 
@@ -204,7 +212,7 @@ def rho_from_r(r) -> np.ndarray:
 
     The inverse of r_from_rho; R must be a finite real 4x4 matrix.
     """
-    return _rho_from_r(_as_r(r))
+    return _rho_from_r(_as_real(r, (4, 4), "R"))
 
 
 def r_from_rho(rho) -> np.ndarray:
@@ -254,21 +262,15 @@ def tdiag_via_local_rotations(params: HSParams):
     if params.is_t_diagonal():
         eye = np.eye(3)
         return params, eye, eye
-    u, s, vt = np.linalg.svd(params.t)
+    u, s, vt = np.linalg.svd(params.t)  # new arrays, flipped in place
     if _is_reflection(u):
-        u = u.copy()
         u[:, 2] *= -1.0
-        s = s.copy()
         s[2] *= -1.0
     if _is_reflection(vt):
-        vt = vt.copy()
         vt[2, :] *= -1.0
-        s = s.copy()
         s[2] *= -1.0
-    rot_a = u.T
-    rot_b = vt
-    out = HSParams(rot_a @ params.a, rot_b @ params.b, np.diag(s))
-    return out, rot_a, rot_b
+    out = HSParams(u.T @ params.a, vt @ params.b, np.diag(s))
+    return out, u.T, vt
 
 
 def tdiag_via_symmetric_rotation(params: HSParams):
@@ -282,7 +284,6 @@ def tdiag_via_symmetric_rotation(params: HSParams):
         raise UnsupportedFormError("shared-rotation reduction needs a symmetric t")
     w, v = np.linalg.eigh(0.5 * (t + t.T))
     if _is_reflection(v):
-        v = v.copy()
         v[:, 0] *= -1.0
     rot = v.T
     out = HSParams(rot @ params.a, rot @ params.b, np.diag(w))

@@ -38,7 +38,7 @@ from .errors import (
     NoPhysicalBoostError,
     SolverInconsistencyError,
 )
-from .hs import ZERO_TOL, HSParams, _as_real_vector, r_from_hs
+from .hs import ZERO_TOL, HSParams, _as_real, _read_only, r_from_hs
 from .pt import ENTANGLED, SEPARABLE, VERDICT_TOL, Verdict
 
 # Not called here; perfbench/tracing.py wraps this name on this module.
@@ -71,15 +71,11 @@ class SigmaForm:
     s: np.ndarray
 
     def __post_init__(self):
-        s0 = float(self.s0)
-        if not (math.isfinite(s0) and s0 > 0.0):
+        s0 = _as_real(self.s0, (), "s0")
+        if not s0 > 0.0:
             raise InvalidParameterError("s0 must be finite and positive")
-        v = np.array(self.s, dtype=float).reshape(3)
-        if not all(map(math.isfinite, v.tolist())):
-            raise InvalidParameterError("s must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "s0", s0)
-        object.__setattr__(self, "s", v)
+        object.__setattr__(self, "s", _read_only(_as_real(self.s, (3,), "s")))
 
     @property
     def tprime(self) -> np.ndarray:
@@ -151,9 +147,8 @@ def solve_pair_general(
     hs).  On rho, boost_x(beta, k) is the filter
     F = cosh(eta/2) I - sinh(eta/2) sigma_k, eta = atanh(beta).
     """
-    for name, val in (("a1", a1), ("b1", b1), ("t1", t1)):
-        if not math.isfinite(val):
-            raise InvalidParameterError(f"{name} must be finite")
+    a1, b1, t1 = _as_real(a1, (), "a1"), _as_real(b1, (), "b1"), _as_real(t1, (), "t1")
+    beta_limit = _as_real(beta_limit, (), "beta_limit")
     total = _rapidity(a1 + b1, 1.0 + t1, "(a1 + b1)/(1 + t1)")
     diff = _rapidity(a1 - b1, 1.0 - t1, "(a1 - b1)/(1 - t1)")
     total = diff if total is None else total
@@ -215,8 +210,8 @@ def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarra
     the caller's axes; the residual is the |g(mu)| just compared with
     _FUNDAMENTAL_TOL, so it is finite and at most that.
     """
-    av, tv = _as_real_vector(a, "a"), _as_real_vector(tdiag, "tdiag")
-    return _solve_symmetric(av.tolist(), tv.tolist(), beta_limit)[:2]
+    av, tv = _as_real(a, (3,), "a"), _as_real(tdiag, (3,), "tdiag")
+    return _solve_symmetric(av.tolist(), tv.tolist(), _as_real(beta_limit, (), "beta_limit"))[:2]
 
 
 def _secular(values, weights, mu: float) -> tuple[float, float]:
@@ -306,6 +301,7 @@ def _certify(q: np.ndarray, scale: float) -> tuple[SigmaForm, float]:
 
 def separability_verdict(sigma: SigmaForm, tol: float = VERDICT_TOL) -> Verdict:
     """Separable iff |s1| + |s2| + |s3| <= s0, i.e. sum |t'_i| <= 1."""
+    tol = _as_real(tol, (), "tol")
     total = sigma.tprime_sum
     witness = total - 1.0
     entangled = witness > tol
@@ -406,6 +402,7 @@ def solve_normal_form(
     failures propagate, since they indicate a numerical bug rather than a
     non-generic state.
     """
+    beta_limit = _as_real(beta_limit, (), "beta_limit")
     a, b, tdiag = params.a.tolist(), params.b.tolist(), params.t_diagonal().tolist()
     structural = _match_non_generic(a, b, tdiag)
     if structural is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError
-from .hs import PSD_TOL, _as_real_vector, _read_only, _rho_from_r, require_hermitian
+from .hs import _NOT_REAL, PSD_TOL, _as_real, _read_only, _rho_from_r, require_hermitian
 
 # Not called here; perfbench/tracing.py wraps this name on this module.
 from .hs import eigenvalues_hermitian  # noqa: F401
@@ -48,8 +48,11 @@ class Verdict:
 
 
 def partial_transpose_matrix(rho) -> np.ndarray:
-    """Matrix-level partial transpose on qubit A in the computational basis."""
-    m = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    """Matrix-level partial transpose on qubit A; it only moves entries, NaN included."""
+    try:
+        m = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    except _NOT_REAL:
+        raise InvalidParameterError("rho must be a 4x4 matrix of numbers") from None
     return m.transpose(2, 1, 0, 3).reshape(4, 4)
 
 
@@ -101,7 +104,7 @@ def peres_horodecki(rho, tol: float = VERDICT_TOL) -> Verdict:
     """
     spectrum, pt_spectrum = spectra(rho)
     require_state(spectrum, PSD_TOL)
-    return ppt_verdict(pt_spectrum, tol)
+    return ppt_verdict(pt_spectrum, _as_real(tol, (), "tol"))
 
 
 def ppt_verdict(pt_spectrum: np.ndarray, tol: float = VERDICT_TOL) -> Verdict:
@@ -122,5 +125,5 @@ def ppt_verdict(pt_spectrum: np.ndarray, tol: float = VERDICT_TOL) -> Verdict:
 
 def mds_criterion(tdiag) -> bool:
     """|t1| + |t2| + |t3| <= 1, the exact test when both linear vectors vanish."""
-    t = _as_real_vector(tdiag, "tdiag")
+    t = _as_real(tdiag, (3,), "tdiag")
     return float(np.abs(t).sum()) <= 1.0 + MDS_SUM_TOL

@@ -30,6 +30,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidParameterError
+from .hs import _NOT_REAL
 
 _REAL_AXIS_TOL = 1e-4
 _ROOT_RESIDUAL_TOL = 1e-12
@@ -96,7 +97,10 @@ def real_roots(coefficients) -> np.ndarray:
     root and appear once.  An empty array is a valid result.  A leading
     coefficient so small that the monic coefficients overflow is rejected.
     """
-    c = np.asarray(coefficients, dtype=float).ravel().tolist()
+    try:
+        c = np.asarray(coefficients, dtype=float).ravel().tolist()
+    except _NOT_REAL:
+        raise InvalidParameterError("coefficients must be real numbers") from None
     if not c:
         raise InvalidParameterError("empty coefficient list")
     if not all(map(math.isfinite, c)):

@@ -108,11 +108,11 @@ class SampleSpec:
             raise InvalidParameterError(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
-        if self.count < 1:
+        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
             raise InvalidParameterError("count must be >= 1")
-        if self.seed < 0:
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.axis not in (1, 2, 3):
+        if not isinstance(self.axis, (int, np.integer)) or self.axis not in (1, 2, 3):
             raise InvalidParameterError("axis must be 1, 2 or 3")
 
 
@@ -265,7 +265,10 @@ def _proven_indefinite(rs: np.ndarray) -> np.ndarray:
     1e-13 C^2 and the eigvalsh result by about 1e-14 C, all far inside that
     room, so every candidate marked here is one that eigvalsh would reject
     at -1e-12.  Each candidate's mark depends on its own R alone, so the
-    mask of a stack is the concatenation of the masks of its parts.
+    mask of a stack is the concatenation of the masks of its parts.  All
+    seven tests stay: on the family draws only the (0, 3) and (1, 2) minors
+    are ever a sole mark, yet up to 11% of candidates (symmetric-three) are
+    marked only by two or more of the other five, each an eigensolve saved.
 
     The work runs on columns: candidate c is column c of the (16, n) view of
     the stack, so the map is one product and each reduction runs across rows,
@@ -292,15 +295,14 @@ def _new_stack(n: int) -> np.ndarray:
 
 
 def _draw_block(
-    family: str, axis: int, rng: np.random.Generator, n: int, out: np.ndarray | None = None
+    family: str, axis: int, rng: np.random.Generator, n: int, rs: np.ndarray
 ) -> np.ndarray:
     """The R matrices (n, 4, 4) of the next n candidates (see pack_r).
 
-    They are written into `out`, which must be a zero stack with corner 1
-    (_new_stack; in _sample, a block of rows of the round's stack), or into
-    a new such stack; either way the filled stack is returned.  Each family
-    writes its draws straight into the entries of R they set; the others
-    stay 0.
+    They are written into `rs`, which must be a zero stack with corner 1
+    (_new_stack; in _sample, a block of rows of the round's stack), and `rs`
+    is returned.  Each family writes its draws straight into the entries of
+    R they set; the others stay 0.
 
     Families drawn from uniforms alone take the block in one call, which
     yields the same numbers as n calls in a row; symmetric-two and
@@ -311,7 +313,6 @@ def _draw_block(
     normal calls cannot be merged across candidates without changing the
     stream.
     """
-    rs = _new_stack(n) if out is None else out
     a = rs[:, 0, 1:]
     b = rs[:, 1:, 0]
     t_transposed = rs[:, 1:, 1:]
@@ -355,7 +356,7 @@ def _draw_block(
     return rs
 
 
-def _sample(spec: SampleSpec, indices: range, max_attempts: int) -> Iterator[HSParams]:
+def _sample(spec: SampleSpec, indices: range) -> Iterator[HSParams]:
     """The samples of `indices`, in order, drawn in stacked rounds.
 
     The indices go in windows of _WINDOW.  In a round, every pending index of
@@ -363,7 +364,7 @@ def _sample(spec: SampleSpec, indices: range, max_attempts: int) -> Iterator[HSP
     the round's one R stack; the stack gets one prefilter, one assembly and
     one eigensolve, and each index takes its first accepted candidate in
     stream order.  Block sizes start at the family's _FIRST_BLOCK and double
-    up to _MAX_BLOCK; an index's last block is cut short at `max_attempts`
+    up to _MAX_BLOCK; an index's last block is cut short at _MAX_ATTEMPTS
     candidates.  Samples are yielded window by window, so memory does not
     grow with the number of indices.
     """
@@ -374,8 +375,8 @@ def _sample(spec: SampleSpec, indices: range, max_attempts: int) -> Iterator[HSP
         pending = list(range(len(window)))
         checked = 0  # candidates each pending index has checked
         size = _FIRST_BLOCK[spec.family]
-        while pending and checked < max_attempts:
-            n = min(size, max_attempts - checked)
+        while pending and checked < _MAX_ATTEMPTS:
+            n = min(size, _MAX_ATTEMPTS - checked)
             rs = _new_stack(len(pending) * n)
             for j, k in enumerate(pending):
                 _draw_block(spec.family, spec.axis, rngs[k], n, rs[j * n : (j + 1) * n])
@@ -397,23 +398,21 @@ def _sample(spec: SampleSpec, indices: range, max_attempts: int) -> Iterator[HSP
             size = min(2 * size, _MAX_BLOCK)
         if pending:
             raise SamplingExhaustedError(
-                f"no valid state after {max_attempts} attempts "
+                f"no valid state after {_MAX_ATTEMPTS} attempts "
                 f"(family={spec.family}, seed={spec.seed}, index={window[pending[0]]})"
             )
         yield from found
 
 
-def random_state(
-    spec: SampleSpec, index: int, max_attempts: int = _MAX_ATTEMPTS
-) -> HSParams:
+def random_state(spec: SampleSpec, index: int) -> HSParams:
     """Deterministic valid-state draw for (spec.seed, index).
 
-    Checks at most the first `max_attempts` candidates of the stream; the
+    Checks at most the first _MAX_ATTEMPTS candidates of the stream; the
     last block is cut short so that no later candidate is considered.
     """
-    if index < 0:
+    if not isinstance(index, (int, np.integer)) or index < 0:
         raise InvalidParameterError(f"index must be >= 0, got {index}")
-    return next(_sample(spec, range(index, index + 1), max_attempts))
+    return next(_sample(spec, range(index, index + 1)))
 
 
 def reduce_to_diagonal(params: HSParams) -> tuple[HSParams, str | None]:
@@ -451,7 +450,11 @@ def cross_validate(
     `tol` decides both verdicts; a PPT witness within 1e-8 of zero is boundary,
     not a disagreement (both criteria are exact only in exact arithmetic).
     """
-    if not (0.0 <= tol < np.inf and 0.0 <= tol_psd < np.inf and 0.0 <= beta_limit < 1.0):
+    try:
+        valid = 0.0 <= tol < np.inf and 0.0 <= tol_psd < np.inf and 0.0 <= beta_limit < 1.0
+    except (TypeError, ValueError):  # not numbers, or arrays, which have no truth value
+        valid = False
+    if not valid:
         raise InvalidParameterError("tol and tol_psd must be finite and >= 0, beta_limit in [0, 1)")
     spectrum, pt_spectrum = _spectra_of_r(r_from_hs(params))
     require_state(spectrum, tol_psd)
@@ -480,35 +483,24 @@ def cross_validate(
 
 
 def batch_stats(spec: SampleSpec) -> AgreementReport:
-    """Aggregate cross-validation over `spec.count` samples; deterministic."""
-    generic = 0
-    nongeneric = 0
-    agree = 0
-    disagree = 0
-    boundary = 0
+    """Cross-validation counts over `spec.count` samples, deterministic; boundary ones agree."""
     residuals: list[float] = []
-    for params in _sample(spec, range(spec.count), _MAX_ATTEMPTS):
+    boundary = disagree = 0
+    for params in _sample(spec, range(spec.count)):
         rec = cross_validate(params)
         if rec.classification.is_generic:
-            generic += 1
             residuals.append(rec.report.offdiag_residual)
-            if rec.agree is None:
-                boundary += 1
-                agree += 1  # boundary samples are never disagreements
-            elif rec.agree:
-                agree += 1
-            else:
-                disagree += 1
-        else:
-            nongeneric += 1
+            boundary += rec.agree is None
+            disagree += rec.agree is False
+    generic = len(residuals)
     return AgreementReport(
         family=spec.family,
         count=spec.count,
         seed=spec.seed,
         total=spec.count,
         generic_count=generic,
-        nongeneric_count=nongeneric,
-        agree_count=agree,
+        nongeneric_count=spec.count - generic,
+        agree_count=generic - disagree,
         disagree_count=disagree,
         boundary_count=boundary,
         mean_offdiag_residual=float(np.mean(residuals)) if residuals else 0.0,

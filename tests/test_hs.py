@@ -222,7 +222,7 @@ def test_tdiag_recovers_known_factors():
     t = _rot_z(np.pi / 2) @ np.diag([0.5, 0.2, 0.1])
     p = HSParams(np.array([0.1, 0.0, 0.2]), np.zeros(3), t)
     out, rot_a, rot_b = tdiag_via_local_rotations(p)
-    assert out.is_t_diagonal(1e-12)
+    assert out.is_t_diagonal()
     sv = np.sort(np.abs(np.diag(out.t)))[::-1]
     assert np.allclose(sv, [0.5, 0.2, 0.1], atol=1e-12)
     for rot in (rot_a, rot_b):
@@ -265,7 +265,7 @@ def test_tdiag_symmetric_rotation_keeps_symmetry():
         m = rng.uniform(-1, 1, (3, 3))
         p = HSParams(a, a, 0.5 * (m + m.T))
         out, rot = tdiag_via_symmetric_rotation(p)
-        assert out.is_t_diagonal(1e-12)
+        assert out.is_t_diagonal()
         assert np.array_equal(out.a, out.b)
         assert abs(np.linalg.det(rot) - 1.0) < 1e-12
         s1 = eigenvalues_hermitian(rho_from_hs(p))

@@ -66,7 +66,7 @@ def test_family_zero_patterns():
     for index in range(20):
         p = random_state(SampleSpec(family="mds", count=1, seed=1), index)
         assert np.all(p.a == 0.0) and np.all(p.b == 0.0)
-        assert p.is_t_diagonal(0)
+        assert np.array_equal(p.t, np.diag(p.t.diagonal()))
 
         p = random_state(SampleSpec(family="single-pair", count=1, seed=1, axis=2), index)
         assert p.a[0] == 0.0 and p.a[2] == 0.0
@@ -289,15 +289,16 @@ def test_negative_seed_and_index_rejected():
         random_state(SampleSpec(family="mds", count=1, seed=0), -1)
 
 
-def test_sampling_exhausted():
+def test_sampling_exhausted(monkeypatch):
     spec = SampleSpec(family="symmetric-three", count=1, seed=0)
     # find an index whose first draw is rejected, then cap attempts at one
     for index in range(200):
         rng = np.random.default_rng((spec.seed, index))
-        c = _draw_block(spec.family, spec.axis, rng, 1)[0]
+        c = _draw_block(spec.family, spec.axis, rng, 1, _new_stack(1))[0]
         if eigenvalues_hermitian(_rho_from_r(c))[0] / 4 < -1e-12:
+            monkeypatch.setattr(sampling, "_MAX_ATTEMPTS", 1)
             with pytest.raises(SamplingExhaustedError):
-                random_state(spec, index, max_attempts=1)
+                random_state(spec, index)
             return
     pytest.fail("no rejecting draw found to exercise the attempt bound")
 
@@ -339,11 +340,14 @@ def test_random_state_streams_pinned():
     # cuts full-symmetric's second block of 256, so both bounds truncate a block.
     [("symmetric-three", 4, 6), ("full-symmetric", 12, 420)],
 )
-def test_random_state_exact_attempt_bound(family, index, rejected):
+def test_random_state_exact_attempt_bound(monkeypatch, family, index, rejected):
     spec = SampleSpec(family=family, count=1, seed=0)
+    monkeypatch.setattr(sampling, "_MAX_ATTEMPTS", rejected)
     with pytest.raises(SamplingExhaustedError):
-        random_state(spec, index, max_attempts=rejected)
-    bounded = random_state(spec, index, max_attempts=rejected + 1)
+        random_state(spec, index)
+    monkeypatch.setattr(sampling, "_MAX_ATTEMPTS", rejected + 1)
+    bounded = random_state(spec, index)
+    monkeypatch.undo()
     assert _state_bits(bounded) == _state_bits(random_state(spec, index))
 
 
@@ -416,7 +420,7 @@ def test_symmetric_three_decoder_matches_loop(spare):
         assert decoded.bit_generator.state["has_uint32"] == spare
         for n in sizes:
             expected = _symmetric_three_loop(loop, n)
-            got = _draw_block("symmetric-three", 1, decoded, n)
+            got = _draw_block("symmetric-three", 1, decoded, n, _new_stack(n))
             assert got.tobytes() == expected.tobytes(), (seed, n)
             assert decoded.bit_generator.state == loop.bit_generator.state, (seed, n)
 
@@ -445,7 +449,7 @@ def test_symmetric_two_decoder_matches_loop(spare):
         assert decoded.bit_generator.state["has_uint32"] == spare
         for n in (1, 2, 3, 7, 64):
             expected = _symmetric_two_loop(loop, n)
-            got = _draw_block("symmetric-two", 1, decoded, n)
+            got = _draw_block("symmetric-two", 1, decoded, n, _new_stack(n))
             assert got.tobytes() == expected.tobytes(), (seed, n)
             assert decoded.bit_generator.state == loop.bit_generator.state, (seed, n)
 
@@ -470,7 +474,7 @@ def test_symmetric_two_decoder_falls_back_on_a_rejected_half():
             assert decode_raw_uncached(uncached.bit_generator, n, 5, 1, 3) is None
             assert decoded.bit_generator.state == uncached.bit_generator.state == before
             expected = _symmetric_two_loop(loop, n)
-            got = _draw_block("symmetric-two", 1, decoded, n)
+            got = _draw_block("symmetric-two", 1, decoded, n, _new_stack(n))
             assert got.tobytes() == expected.tobytes(), (seed, n)
             assert decoded.bit_generator.state == loop.bit_generator.state, (seed, n)
 
@@ -490,7 +494,8 @@ def _edge_blocks() -> list[np.ndarray]:
     t = np.zeros((100, 3, 3))
     t[:, 2, 2] = -1.0 - eps
     edge = pack_r(np.zeros((100, 3)), np.zeros((100, 3)), t)
-    large = _scaled(_draw_block("full-symmetric", 1, np.random.default_rng(31), 8), 100.0)
+    block = _draw_block("full-symmetric", 1, np.random.default_rng(31), 8, _new_stack(8))
+    large = _scaled(block, 100.0)
     return [edge[:50], large, edge[50:]]
 
 
@@ -507,7 +512,7 @@ def test_batch_matches_single_draws(family):
     # count spans one full window and part of a second
     for seed in range(60):
         spec = SampleSpec(family, _WINDOW + 1, seed)
-        batch = list(_sample(spec, range(spec.count), sampling._MAX_ATTEMPTS))
+        batch = list(_sample(spec, range(spec.count)))
         assert len(batch) == spec.count
         for index, params in enumerate(batch):
             single = random_state(spec, index)
@@ -519,26 +524,27 @@ def test_first_blocks_match_acceptance():
     # candidates per accepted state; a factor of 2 either way is allowed
     assert set(_FIRST_BLOCK) == set(FAMILIES)
     for family in FAMILIES:
-        rs = _draw_block(family, 1, np.random.default_rng(5), 4096)
+        rs = _draw_block(family, 1, np.random.default_rng(5), 4096, _new_stack(4096))
         accept = np.mean(np.linalg.eigvalsh(_rho_from_r(rs))[:, 0] >= -1e-12)
         assert accept > 0, family
         assert 0.5 <= _FIRST_BLOCK[family] * accept <= 2.0, (family, accept)
 
 
-def test_batch_exhaustion_names_the_first_exhausted_index():
+def test_batch_exhaustion_names_the_first_exhausted_index(monkeypatch):
     # seed 0: symmetric-three index 4 rejects its first 6 candidates (see
     # test_random_state_exact_attempt_bound), so a batch capped at 6 fails
     spec = SampleSpec(family="symmetric-three", count=8, seed=0)
+    monkeypatch.setattr(sampling, "_MAX_ATTEMPTS", 6)
     exhausted = []
     for index in range(spec.count):
         try:
-            random_state(spec, index, max_attempts=6)
+            random_state(spec, index)
         except SamplingExhaustedError:
             exhausted.append(index)
     assert 4 in exhausted
     message = f"family=symmetric-three, seed=0, index={exhausted[0]})"
     with pytest.raises(SamplingExhaustedError, match=re.escape(message)):
-        list(_sample(spec, range(spec.count), 6))
+        list(_sample(spec, range(spec.count)))
 
 
 def test_prefilter_never_discards_an_accepted_candidate():
@@ -551,7 +557,7 @@ def test_prefilter_never_discards_an_accepted_candidate():
         rng = np.random.default_rng(2024)
         rejected = caught = 0
         for _ in range(400):
-            rs = _draw_block(family, 1, rng, 256)
+            rs = _draw_block(family, 1, rng, 256, _new_stack(256))
             accepted = np.linalg.eigvalsh(_rho_from_r(rs))[:, 0] >= -1e-12
             discarded = _proven_indefinite(rs)
             assert not (discarded & accepted).any(), family
@@ -593,7 +599,7 @@ def test_prefilter_columns_match_the_row_formula(family):
         if family == "product-mixture":
             rs = _product_mixture_stack(rng, 256)
         else:
-            rs = _draw_block(family, 1, rng, 256)
+            rs = _draw_block(family, 1, rng, 256, _new_stack(256))
         for stack in (rs, _scaled(rs, 100.0)):
             mask = _proven_indefinite(stack)
             assert np.array_equal(mask, proven_indefinite_rows(stack)), family
@@ -627,7 +633,8 @@ def test_draw_block_fills_the_stack_as_pack_r_would(family):
                         _reject_next_half(rng)
                 for n in (1, 2, 7, 64, 256):
                     expected = draw_block_packed(family, axis, oracle, n)
-                    assert _draw_block(family, axis, fresh, n).tobytes() == expected.tobytes()
+                    got = _draw_block(family, axis, fresh, n, _new_stack(n))
+                    assert got.tobytes() == expected.tobytes()
                     stack = _new_stack(3 * n)
                     rows = stack[n : 2 * n]
                     assert _draw_block(family, axis, into, n, rows) is rows

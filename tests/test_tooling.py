@@ -73,3 +73,19 @@ def test_readme_tolerance_table_matches_the_code():
                 if isinstance(target, ast.Name) and re.fullmatch(r"\w+_(TOL|MARGIN)|BETA_LIMIT", target.id):
                     defined.add((target.id, path.stem))
     assert defined == {(name, module) for name, _, module in rows}
+
+
+def test_sources_parse_as_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10; CI runs a newer Python,
+    # so syntax from after 3.10 would only fail for users on the floor
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    version = (int(floor.group(1)), int(floor.group(2)))
+    assert version == (3, 10)
+    paths = [
+        path
+        for folder in ("src/qubitsep", "tests", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
