@@ -7,7 +7,8 @@ gamma = (1 - beta^2)^(-1/2) and spatial block I + X beta beta^T,
 X = (gamma - 1)/beta^2.
 
 The public functions validate their inputs; normal_form's solve path calls the
-unchecked cores _boost_general and _two_sided on the values it built itself.
+unchecked cores _boost_x, _boost_general and _two_sided on the values it built
+itself.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ def boost_x(beta: float, axis: int = 1, beta_limit: float = BETA_LIMIT) -> np.nd
     beta = _as_real(beta, (), "beta")
     if abs(beta) >= 1.0 - _as_real(beta_limit, (), "beta_limit"):
         raise BoostLimitError(f"|beta| = {abs(beta):.12g} reaches the light-speed limit")
+    return _boost_x(beta, axis)
+
+
+def _boost_x(beta: float, axis: int) -> np.ndarray:
+    # boost_x on a checked float velocity within the limit and an axis 1, 2 or 3
     g = _gamma(beta * beta)
     m = np.eye(4)
     m[0, 0] = m[axis, axis] = g
@@ -60,12 +66,19 @@ def _boost_general(vs: list[float], beta_sq: float) -> np.ndarray:
     # boost_general on a checked velocity and its numpy |beta|^2 (v @ v)
     g = _gamma(beta_sq)
     x = g * g / (g + 1.0)
-    # the spatial block is eye(3) + x * outer(v, v), entry by entry on floats
-    w = [-g * vi for vi in vs]
-    rows = [[g, *w]]
-    for i, vi in enumerate(vs):
-        rows.append([w[i], *(float(i == j) + x * (vi * vj) for j, vj in enumerate(vs))])
-    return np.array(rows)
+    v1, v2, v3 = vs
+    w1, w2, w3 = -g * v1, -g * v2, -g * v3
+    # the spatial block is eye(3) + x * outer(v, v), entry by entry on floats;
+    # an off-diagonal entry adds its 0.0, which turns a product -0.0 into 0.0
+    x12, x13, x23 = 0.0 + x * (v1 * v2), 0.0 + x * (v1 * v3), 0.0 + x * (v2 * v3)
+    return np.array(
+        [
+            [g, w1, w2, w3],
+            [w1, 1.0 + x * (v1 * v1), x12, x13],
+            [w2, x12, 1.0 + x * (v2 * v2), x23],
+            [w3, x13, x23, 1.0 + x * (v3 * v3)],
+        ]
+    )
 
 
 def apply_two_sided(r, left, right) -> np.ndarray:

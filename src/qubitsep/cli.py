@@ -28,7 +28,7 @@ import numpy as np
 from .boost import BETA_LIMIT
 from .errors import InvalidStateError, QubitSepError
 from .hs import PSD_TOL, ZERO_TOL, HSParams
-from .pt import SEPARABLE, VERDICT_TOL, Verdict, mds_criterion
+from .pt import MDS_SUM_TOL, SEPARABLE, VERDICT_TOL, Verdict
 from .sampling import FAMILIES, SampleSpec, batch_stats, cross_validate
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
@@ -88,10 +88,13 @@ def load_state_file(path: str) -> HSParams:
     if has_diag == has_full:
         raise StateFileError("exactly one of 't_diag' or 't_full' must be present")
     if has_diag:
-        params = HSParams.diagonal(a, b, _parse_reals(doc, "t_diag", 3))
+        t1, t2, t3 = _parse_reals(doc, "t_diag", 3)
+        t = [t1, 0.0, 0.0, 0.0, t2, 0.0, 0.0, 0.0, t3]
     else:
-        t = np.array(_parse_reals(doc, "t_full", 9)).reshape(3, 3)
-        params = HSParams(a, b, t)
+        t = _parse_reals(doc, "t_full", 9)
+    # R = [[1, a], [b, t^T]] from the checked floats; t is row-major
+    r = [[1.0, *a]] + [[b[m], t[m], t[3 + m], t[6 + m]] for m in range(3)]
+    params = HSParams.from_r(r)
     # Pauli-parameterized input always has unit trace; the flag is accepted
     # for interface stability and has no numeric effect.
     if not isinstance(doc.get("normalize", False), bool):
@@ -167,14 +170,16 @@ def _cmd_analyze(args) -> int:
     )
     notes = [] if rec.note is None else [rec.note]
     work = rec.reduced
-    # solve_normal_form has already checked that the reduced t is diagonal
-    tdiag = np.diag(work.t)
-    if float(np.abs(work.a).max()) <= ZERO_TOL and float(np.abs(work.b).max()) <= ZERO_TOL:
+    # solve_normal_form has already checked that the reduced t is diagonal;
+    # the float sum left to right is numpy's sum of the three, as in mds_criterion
+    t1, t2, t3 = work.t.diagonal().tolist()
+    total = abs(t1) + abs(t2) + abs(t3)
+    if max(map(abs, work.a.tolist() + work.b.tolist())) <= ZERO_TOL:
         notes.append(
             "maximally disordered subsystems: sum|t_i| <= 1 is necessary "
-            f"and sufficient (sum = {float(np.abs(tdiag).sum()):.6g})"
+            f"and sufficient (sum = {total:.6g})"
         )
-    elif not mds_criterion(tdiag):
+    elif not total <= 1.0 + MDS_SUM_TOL:
         notes.append("necessary screen failed: sum|t_i| > 1 already implies entangled")
     solve = rec.report
     report["classification"] = {

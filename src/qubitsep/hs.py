@@ -68,10 +68,11 @@ def _not_real(name: str, shape: tuple) -> InvalidParameterError:
 def _as_real(x, shape: tuple, name: str):
     """The one gate for real input: a new float array of exactly `shape` with
     finite entries, or a Python float for shape (); anything else raises
-    InvalidParameterError naming the input.  An array must hold real numbers
-    (no text, objects or complex values, which a float cast would lose)."""
+    InvalidParameterError naming the input.  A value must hold real numbers
+    (no text, objects or complex values, which a float cast would misread or
+    make real); a Python int or float is taken without a numpy array."""
     try:
-        if shape == ():
+        if shape == () and isinstance(x, (int, float)):
             v = float(x)
             ok = math.isfinite(v)
         else:
@@ -79,11 +80,24 @@ def _as_real(x, shape: tuple, name: str):
             ok = v.dtype.kind in "biuf" and v.shape == shape
             v = v.astype(float, copy=False) if ok else v
             ok = ok and all(map(math.isfinite, v.ravel().tolist()))
+            v = float(v) if ok and shape == () else v
     except _NOT_REAL:
         ok = False
     if not ok:
         raise _not_real(name, shape)
     return v
+
+
+def _as_complex(x, message: str) -> np.ndarray:
+    # x as a complex array, the caller's own if it is one; text, objects and
+    # ragged input raise InvalidParameterError(message), as _as_real does for reals
+    try:
+        m = np.asarray(x)
+    except _NOT_REAL:
+        raise InvalidParameterError(message) from None
+    if m.dtype.kind not in "biufc":
+        raise InvalidParameterError(message)
+    return m.astype(complex, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +181,7 @@ def _read_only(v: np.ndarray) -> np.ndarray:
 def require_hermitian(matrix) -> np.ndarray:
     """Check a finite 4x4 Hermitian matrix: InvalidParameterError if it is not
     finite numbers, ContractViolationError if it is not 4x4 or not Hermitian."""
-    try:
-        m = np.asarray(matrix, dtype=complex)
-    except _NOT_REAL:
-        raise InvalidParameterError("matrix entries must be numbers") from None
+    m = _as_complex(matrix, "matrix entries must be numbers")
     if m.shape != (4, 4):
         raise ContractViolationError("expected a 4x4 matrix")
     if not np.isfinite(m).all():
@@ -197,11 +208,11 @@ def r_from_hs(params: HSParams) -> np.ndarray:
     return params._r
 
 
-def _rho_from_r(r, out=None) -> np.ndarray:
-    # rho_from_r without the input check, for one R or a stack (..., 4, 4),
-    # into `out` if given; each matrix of a stack is bit for bit the one a
-    # single R gives.  Finite coefficients near the float limit overflow rho.
-    m = np.einsum("...nm,mnij->...ij", r, PAULI_KRON, out=out)
+def _rho_from_r(r) -> np.ndarray:
+    # rho_from_r without the input check, for one R or a stack (..., 4, 4);
+    # each matrix of a stack is bit for bit the one a single R gives.  Finite
+    # coefficients near the float limit overflow rho.
+    m = np.einsum("...nm,mnij->...ij", r, PAULI_KRON)
     if not np.isfinite(m).all():
         raise InvalidParameterError("matrix entries must be finite")
     return np.divide(m, 4.0, out=m)
@@ -269,7 +280,7 @@ def tdiag_via_local_rotations(params: HSParams):
     if _is_reflection(vt):
         vt[2, :] *= -1.0
         s[2] *= -1.0
-    out = HSParams(u.T @ params.a, vt @ params.b, np.diag(s))
+    out = HSParams.from_r(pack_r(u.T @ params.a, vt @ params.b, np.diag(s)))
     return out, u.T, vt
 
 
@@ -286,5 +297,5 @@ def tdiag_via_symmetric_rotation(params: HSParams):
     if _is_reflection(v):
         v[:, 0] *= -1.0
     rot = v.T
-    out = HSParams(rot @ params.a, rot @ params.b, np.diag(w))
+    out = HSParams.from_r(pack_r(rot @ params.a, rot @ params.b, np.diag(w)))
     return out, rot

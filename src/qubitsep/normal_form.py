@@ -18,9 +18,12 @@ boost and checking that the eliminated entries actually vanished.  Each solve
 reports the residual its own tolerance accepted: the pair conditions against
 _PAIR_RESIDUAL_TOL, |g(mu)| against _FUNDAMENTAL_TOL.
 
-Inputs are validated once, by the public functions.  solve_normal_form then
-classifies and solves on Python floats and certifies the boosted R it built
-itself with the rules of eliminate_and_diagonalize, without re-checking it.
+Inputs are validated once, by the public functions.  solve_normal_form checks
+its beta_limit, then classifies and solves on Python floats through the
+unchecked cores behind the public solvers and boosts (_solve_pair, _boost_x,
+_solve_symmetric, _boost_general), and certifies the boosted R it built itself
+with the rules of eliminate_and_diagonalize, without re-checking it.  Every
+core gives its public function's result and errors bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BETA_LIMIT, _boost_general, _two_sided, apply_two_sided, boost_x
+from .boost import BETA_LIMIT, _boost_general, _boost_x, _two_sided, apply_two_sided
 from .errors import (
     BoostLimitError,
     InvalidParameterError,
@@ -148,7 +151,11 @@ def solve_pair_general(
     F = cosh(eta/2) I - sinh(eta/2) sigma_k, eta = atanh(beta).
     """
     a1, b1, t1 = _as_real(a1, (), "a1"), _as_real(b1, (), "b1"), _as_real(t1, (), "t1")
-    beta_limit = _as_real(beta_limit, (), "beta_limit")
+    return _solve_pair(a1, b1, t1, _as_real(beta_limit, (), "beta_limit"))[:2]
+
+
+def _solve_pair(a1: float, b1: float, t1: float, beta_limit: float):
+    # solve_pair_general on checked finite floats, plus the residual its certificate accepted
     total = _rapidity(a1 + b1, 1.0 + t1, "(a1 + b1)/(1 + t1)")
     diff = _rapidity(a1 - b1, 1.0 - t1, "(a1 - b1)/(1 - t1)")
     total = diff if total is None else total
@@ -157,9 +164,10 @@ def solve_pair_general(
     for name, beta in (("beta_a", beta_a), ("beta_b", beta_b)):
         if abs(beta) >= 1.0 - beta_limit:
             raise BoostLimitError(f"{name} = {beta:.12g} reaches the light-speed limit")
-    if _pair_residual(a1, b1, t1, beta_a, beta_b) > _PAIR_RESIDUAL_TOL:
+    residual = _pair_residual(a1, b1, t1, beta_a, beta_b)
+    if residual > _PAIR_RESIDUAL_TOL:
         raise SolverInconsistencyError("pair solve failed its elimination certificate")
-    return beta_a, beta_b
+    return beta_a, beta_b, residual
 
 
 def _rapidity(num: float, den: float, name: str) -> float | None:
@@ -284,19 +292,33 @@ def _certify(q: np.ndarray, scale: float) -> tuple[SigmaForm, float]:
     # at most 4 eps times that (Higham's gamma_4), so 128 eps scale bounds the
     # rounding (seen: 2.8 eps scale); it passes OFFDIAG_TOL only past scale 3.5e4
     tol = max(OFFDIAG_TOL, 128 * sys.float_info.epsilon * scale)
-    (s0, *row), *rest = q.tolist()
-    offdiag = max(map(abs, row + [x[0] for x in rest]))
+    (s0, r1, r2, r3), (c1, q11, q12, q13), (c2, q21, q22, q23), (c3, q31, q32, q33) = q.tolist()
+    # Python's max keeps a nan only in first place: a nan residual r1 passes,
+    # as does an asymmetric block whose q11 is not finite (q11 - q11 is nan)
+    offdiag = max(abs(r1), abs(r2), abs(r3), abs(c1), abs(c2), abs(c3))
     if offdiag >= tol:
         raise SolverInconsistencyError(
             f"linear terms not eliminated: residual {offdiag:.3g}"
         )
-    block = [x[1:] for x in rest]
-    pairs = [(block[i][j], block[j][i]) for i in range(3) for j in range(3)]
-    if max(abs(x - y) for x, y in pairs) >= tol:
+    if max(abs(q11 - q11), abs(q12 - q21), abs(q13 - q31), abs(q23 - q32)) >= tol:
         raise SolverInconsistencyError("transformed spatial block is not symmetric")
-    sym = [[0.5 * (x + y) for x, y in pairs[i : i + 3]] for i in (0, 3, 6)]
-    eig = np.linalg.eigvalsh(sym).tolist()
-    return SigmaForm(s0, sorted(eig, key=lambda x: -abs(x))), offdiag
+    # the mean of the block and its transpose; x + x can overflow where x cannot
+    h12, h13, h23 = 0.5 * (q12 + q21), 0.5 * (q13 + q31), 0.5 * (q23 + q32)
+    sym = np.array(
+        [
+            [0.5 * (q11 + q11), h12, h13],
+            [h12, 0.5 * (q22 + q22), h23],
+            [h13, h23, 0.5 * (q33 + q33)],
+        ]
+    )
+    s = np.linalg.eigvalsh(sym).tolist()
+    s.sort(key=lambda x: -abs(x))
+    if not (0.0 < s0 < math.inf and all(map(math.isfinite, s))):
+        SigmaForm(s0, s)  # raises the error of the gate the unchecked form skips
+    sigma = object.__new__(SigmaForm)
+    object.__setattr__(sigma, "s0", s0)
+    object.__setattr__(sigma, "s", _read_only(np.array(s)))
+    return sigma, offdiag
 
 
 def separability_verdict(sigma: SigmaForm, tol: float = VERDICT_TOL) -> Verdict:
@@ -318,6 +340,7 @@ def _is_unit_axis_vector(v: list[float], tol: float) -> bool:
     return abs(s[2] - 1.0) <= tol and s[1] <= tol
 
 
+_GENERIC = Classification(GENERIC)
 _CASE_C = Classification(
     NON_GENERIC_C,
     "symmetric half-strength pair with vanishing axis correlation (boundary "
@@ -420,10 +443,8 @@ def solve_normal_form(
     try:
         if n_active == 1:
             k = active.index(True)
-            betas = solve_pair_general(a[k], b[k], tdiag[k], beta_limit)
-            poly = _pair_residual(a[k], b[k], tdiag[k], *betas)
-            left = boost_x(betas[0], k + 1, beta_limit)
-            right = boost_x(betas[1], k + 1, beta_limit)
+            *betas, poly = _solve_pair(a[k], b[k], tdiag[k], beta_limit)
+            left, right = _boost_x(betas[0], k + 1), _boost_x(betas[1], k + 1)
             boost_kind, axis = "pair", k + 1
         else:
             # an inactive axis may still carry a nonzero |a_i|
@@ -438,7 +459,7 @@ def solve_normal_form(
     except NoPhysicalBoostError as exc:
         return _no_boost_report(Classification(NO_PHYSICAL_BOOST, str(exc)))
     return SolveReport(
-        classification=Classification(GENERIC),
+        classification=_GENERIC,
         boost_kind=boost_kind,
         betas=tuple(betas),
         axis=axis,

@@ -5,6 +5,12 @@ its partial transpose has no negative eigenvalue.  The transposes on qubit A
 and on qubit B are transposes of each other and share their spectrum, so the
 test transposes qubit A.  In the Pauli picture that is the sign flip
 sigma_y -> -sigma_y on qubit A (tests/paper_formulas.py states it on (a, b, t)).
+
+A matrix from outside is checked by require_hermitian and transposed by
+partial_transpose_matrix.  For a checked R, cross_validate's path builds rho
+and its partial transpose with one einsum over a stacked basis: the Pauli
+products and their transposes on qubit A, so that each partial-transpose entry
+is the same sum as the rho entry it moves, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError
-from .hs import _NOT_REAL, PSD_TOL, _as_real, _read_only, _rho_from_r, require_hermitian
+from .hs import PAULI_KRON, PSD_TOL, _as_complex, _as_real, _read_only, require_hermitian
 
 # Not called here; perfbench/tracing.py wraps this name on this module.
 from .hs import eigenvalues_hermitian  # noqa: F401
@@ -48,12 +54,19 @@ class Verdict:
 
 
 def partial_transpose_matrix(rho) -> np.ndarray:
-    """Matrix-level partial transpose on qubit A; it only moves entries, NaN included."""
-    try:
-        m = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    except _NOT_REAL:
-        raise InvalidParameterError("rho must be a 4x4 matrix of numbers") from None
-    return m.transpose(2, 1, 0, 3).reshape(4, 4)
+    """Matrix-level partial transpose on qubit A of a 4x4 matrix of numbers;
+    it only moves entries, NaN included."""
+    message = "rho must be a 4x4 matrix of numbers"
+    m = _as_complex(rho, message)
+    if m.shape != (4, 4):
+        raise InvalidParameterError(message)
+    return m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+
+
+# [0] is PAULI_KRON, [1] its partial transpose on qubit A, one Pauli product at a time
+_RHO_AND_PT_BASIS = _read_only(
+    np.stack([PAULI_KRON, [[partial_transpose_matrix(p) for p in row] for row in PAULI_KRON]])
+)
 
 
 def spectra(rho) -> tuple[np.ndarray, np.ndarray]:
@@ -65,19 +78,26 @@ def spectra(rho) -> tuple[np.ndarray, np.ndarray]:
     """
     pair = np.empty((2, 4, 4), dtype=complex)
     pair[0] = require_hermitian(rho)
+    pair[1] = partial_transpose_matrix(pair[0])
     return _spectra(pair)
+
+
+def _rho_and_pt(r) -> np.ndarray:
+    # rho_from_r(r) and its partial transpose, stacked, for a checked R: the
+    # entries and the error of rho_from_r, bit for bit; rho is exactly Hermitian
+    pair = np.einsum("nm,kmnij->kij", r, _RHO_AND_PT_BASIS)
+    if not np.isfinite(pair).all():
+        raise InvalidParameterError("matrix entries must be finite")
+    return np.divide(pair, 4.0, out=pair)
 
 
 def _spectra_of_r(r) -> tuple[np.ndarray, np.ndarray]:
-    # spectra(rho_from_r(r)) for a checked R; rho, exactly Hermitian, is built in place
-    pair = np.empty((2, 4, 4), dtype=complex)
-    _rho_from_r(r, out=pair[0])
-    return _spectra(pair)
+    # spectra(rho_from_r(r)) for a checked R
+    return _spectra(_rho_and_pt(r))
 
 
 def _spectra(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the spectra of rho = pair[0] and of its partial transpose, written to pair[1]
-    pair[1] = partial_transpose_matrix(pair[0])
+    # the spectra of rho = pair[0] and of its partial transpose pair[1]
     lam = np.linalg.eigvalsh(pair)
     # each spectrum ascends, so its two ends bound it; a nan fails the test too
     (lo, _, _, hi), (pt_lo, _, _, pt_hi) = lam.tolist()

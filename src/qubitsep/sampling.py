@@ -48,6 +48,7 @@ from .errors import InvalidParameterError, SamplingExhaustedError
 from .hs import (
     PSD_TOL,
     HSParams,
+    _as_real,
     _rho_from_r,
     r_from_hs,
     tdiag_via_local_rotations,
@@ -451,8 +452,10 @@ def cross_validate(
     not a disagreement (both criteria are exact only in exact arithmetic).
     """
     try:
-        valid = 0.0 <= tol < np.inf and 0.0 <= tol_psd < np.inf and 0.0 <= beta_limit < 1.0
-    except (TypeError, ValueError):  # not numbers, or arrays, which have no truth value
+        tol, tol_psd = _as_real(tol, (), "tol"), _as_real(tol_psd, (), "tol_psd")
+        beta_limit = _as_real(beta_limit, (), "beta_limit")
+        valid = 0.0 <= tol and 0.0 <= tol_psd and 0.0 <= beta_limit < 1.0
+    except InvalidParameterError:
         valid = False
     if not valid:
         raise InvalidParameterError("tol and tol_psd must be finite and >= 0, beta_limit in [0, 1)")

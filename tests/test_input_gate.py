@@ -3,10 +3,10 @@ raises a QubitSepError subclass that names it, never a raw numpy or Python
 error.
 
 Each parameter gets a non-number, a ragged list, a wrong shape and a NaN;
-integer parameters also get a float, and real arrays numeric text and
-complex values.  A rho that require_hermitian checks
-raises ContractViolationError for a wrong shape, as it always has; everything
-else raises InvalidParameterError.
+integer parameters also get a float, and real numbers and arrays numeric text
+and complex values.  A matrix gets numeric text too.  A rho that
+require_hermitian checks raises ContractViolationError for a wrong shape, as it
+always has; everything else raises InvalidParameterError.
 """
 
 import math
@@ -57,7 +57,17 @@ def _with_nan(m):
 
 # per kind of parameter: (label, value) of each malformed value
 BAD = {
-    "number": [("text", "abc"), ("ragged", RAGGED), ("shape", [0.5, 0.5]), ("nan", NAN)],
+    # float() reads numeric text, and drops the imaginary part of a numpy
+    # complex scalar with only a ComplexWarning
+    "number": [
+        ("text", "abc"),
+        ("ragged", RAGGED),
+        ("shape", [0.5, 0.5]),
+        ("nan", NAN),
+        ("numeric-text", "0.5"),
+        ("complex64", np.complex64(0.5 + 0.5j)),
+        ("complex128", np.complex128(0.5 + 0.5j)),
+    ],
     "integer": [
         ("text", "abc"),
         ("ragged", RAGGED),
@@ -91,7 +101,16 @@ BAD = {
         ("numeric-text", np.eye(4).astype(str)),
         ("complex", np.eye(4) + 0.1j),
     ],
-    "rho": [("text", "abc"), ("ragged", RAGGED), ("shape", np.eye(3)), ("nan", _with_nan(RHO))],
+    # 16 numbers in another shape are not a 4x4 matrix either
+    "rho": [
+        ("text", "abc"),
+        ("ragged", RAGGED),
+        ("shape", np.eye(3)),
+        ("nan", _with_nan(RHO)),
+        ("numeric-text", RHO.astype(str)),
+        ("flat", RHO.ravel()),
+        ("wide", RHO.reshape(2, 8)),
+    ],
     # any length up to five; a 2-D array is read flattened
     "coefficients": [("text", "abc"), ("ragged", RAGGED), ("nan", [1.0, NAN])],
 }
@@ -170,13 +189,13 @@ CASES = [
 
 @pytest.mark.parametrize("call, kind, value", CASES)
 def test_malformed_input_raises_a_package_error(call, kind, value):
-    shape = np.shape(value) if isinstance(value, np.ndarray) else None
-    if call is partial_transpose_matrix and shape == (4, 4):
+    numbers = isinstance(value, np.ndarray) and value.dtype.kind == "f"
+    if call is partial_transpose_matrix and numbers and value.shape == (4, 4):
         # a permutation of the entries computes nothing, so it checks type and
         # shape only: the NaN at (0, 2) comes back in its transposed place
         assert np.argwhere(np.isnan(partial_transpose_matrix(value))).tolist() == [[2, 0]]
         return
-    if kind == "rho" and shape == (3, 3) and call is not partial_transpose_matrix:
+    if kind == "rho" and numbers and value.shape != (4, 4) and call is not partial_transpose_matrix:
         expected = ContractViolationError  # as require_hermitian always raised
     else:
         expected = InvalidParameterError
@@ -209,6 +228,8 @@ def test_the_gate_returns_a_new_float_array_of_exactly_the_shape():
         ([None, 0, 0], (3,), "x must be finite real 3-vector"),
         (np.zeros(3), (3, 3), "x must be finite real 3x3 matrix"),
         (np.full((4, 4), -math.inf), (4, 4), "x must be finite real 4x4 matrix"),
+        ("0.5", (), "x must be finite real number"),
+        (np.complex64(0.5), (), "x must be finite real number"),
     ],
 )
 def test_the_gate_names_the_input_and_its_kind(x, shape, message):
