@@ -4,9 +4,12 @@ analyze and classify format the record of sampling.cross_validate and run no
 analysis themselves.
 State files are single JSON documents with keys "a", "b" and exactly one of
 "t_diag" (3 values) or "t_full" (9 values, row-major), plus an optional
-"normalize" flag.  Floats are emitted with shortest round-trip precision so
-reports re-parse bit for bit; a JSON report is exactly
-json.dumps(report, indent=2), written by _indent2.
+"normalize" flag.  One shared decoder reads them all, each number is checked
+once as it is parsed, and R is laid out from those floats unchecked.  Floats
+are emitted with shortest round-trip precision so reports re-parse bit for
+bit; a JSON report is exactly json.dumps(report, indent=2), written by
+_indent2, which writes the common leaves of a container (finite floats,
+strings, bools) inline.
 
 Exit codes of analyze: 0 separable, 1 entangled, 2 not a state or usage
 error, 3 non-generic (verdict from the partial-transpose test only).  classify
@@ -69,12 +72,19 @@ def _parse_reals(doc, key: str, length: int) -> list[float]:
     return out
 
 
+# one decoder for every state file; an integer literal past the float range
+# becomes inf, not an OverflowError
+_DECODER = json.JSONDecoder(parse_int=float)
+
+
 def load_state_file(path: str) -> HSParams:
     """Parse a state file into HSParams; the normalize flag is validated only."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            # an integer literal past the float range becomes inf, not an OverflowError
-            doc = json.load(handle, parse_int=float)
+            text = handle.read()
+        if text.startswith("\ufeff"):  # json.loads' own check and message
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except OSError as exc:
         raise StateFileError(f"cannot read state file: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
@@ -94,16 +104,12 @@ def load_state_file(path: str) -> HSParams:
         t = _parse_reals(doc, "t_full", 9)
     # R = [[1, a], [b, t^T]] from the checked floats; t is row-major
     r = [[1.0, *a]] + [[b[m], t[m], t[3 + m], t[6 + m]] for m in range(3)]
-    params = HSParams.from_r(r)
+    params = HSParams._of_checked_r(np.array(r))
     # Pauli-parameterized input always has unit trace; the flag is accepted
     # for interface stability and has no numeric effect.
     if not isinstance(doc.get("normalize", False), bool):
         raise StateFileError("field 'normalize' must be a boolean")
     return params
-
-
-def _floats(values) -> list[float]:
-    return np.asarray(values, dtype=float).ravel().tolist()
 
 
 def _verdict(verdict: Verdict) -> dict:
@@ -124,18 +130,35 @@ def _indent2(value, newline: str = "\n") -> str:
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, (list, tuple)) and value:
-        items = [_indent2(item, inner) for item in value]
+        items = _items(value, inner)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict) and value:
         if not all(isinstance(key, str) for key in value):
             # json coerces such keys; ensure_ascii leaves no raw newline in a string
             return json.dumps(value, indent=2).replace("\n", newline)
         items = [
-            encode_basestring_ascii(key) + ": " + _indent2(item, inner)
-            for key, item in value.items()
+            encode_basestring_ascii(key) + ": " + item
+            for key, item in zip(value, _items(value.values(), inner))
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     return json.dumps(value)  # nan, inf, bool, None, int, empty: json's C encoder
+
+
+def _items(values, inner: str) -> list[str]:
+    # the container items of _indent2: the common leaves (a finite float, a str,
+    # a bool) inline, anything else through _indent2
+    out = []
+    for item in values:
+        kind = type(item)
+        if kind is float and math.isfinite(item):
+            out.append(repr(item))
+        elif kind is str:
+            out.append(encode_basestring_ascii(item))
+        elif kind is bool:
+            out.append("true" if item else "false")
+        else:
+            out.append(_indent2(item, inner))
+    return out
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -150,22 +173,22 @@ def _cmd_analyze(args) -> int:
     params = load_state_file(args.state_file)
     report: dict = {
         "input": {
-            "a": _floats(params.a),
-            "b": _floats(params.b),
+            "a": params.a.tolist(),
+            "b": params.b.tolist(),
             "t": params.t.tolist(),
         },
     }
     try:
         rec = cross_validate(params, args.tol_verdict, args.beta_limit, args.tol_psd)
     except InvalidStateError as exc:
-        report.update(psd=False, eigenvalues_4l=_floats(exc.spectrum), error=str(exc))
+        report.update(psd=False, eigenvalues_4l=exc.spectrum.tolist(), error=str(exc))
         _emit(report, args.format)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     report.update(
         psd=True,
-        eigenvalues_4l=_floats(rec.spectrum),
-        pt_eigenvalues_4l=_floats(rec.pt_spectrum),
+        eigenvalues_4l=rec.spectrum.tolist(),
+        pt_eigenvalues_4l=rec.pt_spectrum.tolist(),
         ppt_verdict=_verdict(rec.ppt),
     )
     notes = [] if rec.note is None else [rec.note]
@@ -187,13 +210,13 @@ def _cmd_analyze(args) -> int:
         "detail": solve.classification.detail,
     }
     if solve.classification.is_generic:
-        report["betas"] = _floats(solve.betas)
+        report["betas"] = list(solve.betas)
         report["boost_kind"] = solve.boost_kind
         if solve.axis is not None:
             report["boost_axis"] = solve.axis
         report.update(
-            sigma={"s0": solve.sigma.s0, "s": _floats(solve.sigma.s)},
-            tprime=_floats(solve.sigma.tprime),
+            sigma={"s0": solve.sigma.s0, "s": solve.sigma.s.tolist()},
+            tprime=solve.sigma.tprime.tolist(),
             lorentz_sum=solve.sigma.tprime_sum,
             lorentz_verdict=_verdict(rec.lorentz),
             residuals={

@@ -148,6 +148,12 @@ class HSParams:
         if not all(map(math.isfinite, r.ravel().tolist()[1:])):
             cls(r[0, 1:], r[1:, 0], r[1:, 1:].T)  # raises, naming the part that is not finite
         r[0, 0] = 1.0
+        return cls._of_checked_r(r)
+
+    @classmethod
+    def _of_checked_r(cls, r: np.ndarray) -> "HSParams":
+        # from_r without its checks: the caller built r, a new finite float
+        # array with corner 1, and hands it over
         params = cls.__new__(cls)
         params._adopt(r)
         return params
@@ -273,6 +279,11 @@ def tdiag_via_local_rotations(params: HSParams):
     if params.is_t_diagonal():
         eye = np.eye(3)
         return params, eye, eye
+    return _local_rotations(params)
+
+
+def _local_rotations(params: HSParams):
+    # tdiag_via_local_rotations on a t its caller has found not diagonal
     u, s, vt = np.linalg.svd(params.t)  # new arrays, flipped in place
     if _is_reflection(u):
         u[:, 2] *= -1.0
@@ -293,6 +304,13 @@ def tdiag_via_symmetric_rotation(params: HSParams):
     t = params.t
     if float(np.abs(t - t.T).max()) > ZERO_TOL:
         raise UnsupportedFormError("shared-rotation reduction needs a symmetric t")
+    return _symmetric_rotation(params)
+
+
+def _symmetric_rotation(params: HSParams):
+    # tdiag_via_symmetric_rotation on params that is_symmetric has passed,
+    # which implies its check of t
+    t = params.t
     w, v = np.linalg.eigh(0.5 * (t + t.T))
     if _is_reflection(v):
         v[:, 0] *= -1.0

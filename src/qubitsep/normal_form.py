@@ -19,11 +19,14 @@ reports the residual its own tolerance accepted: the pair conditions against
 _PAIR_RESIDUAL_TOL, |g(mu)| against _FUNDAMENTAL_TOL.
 
 Inputs are validated once, by the public functions.  solve_normal_form checks
-its beta_limit, then classifies and solves on Python floats through the
-unchecked cores behind the public solvers and boosts (_solve_pair, _boost_x,
-_solve_symmetric, _boost_general), and certifies the boosted R it built itself
-with the rules of eliminate_and_diagonalize, without re-checking it.  Every
-core gives its public function's result and errors bit for bit.
+its beta_limit and that t is diagonal, then hands over to _solve_normal_form,
+which classifies and solves on Python floats through the unchecked cores
+behind the public solvers and boosts (_solve_pair, _boost_x, _solve_symmetric,
+_boost_general), and certifies the boosted R it built itself with the rules of
+eliminate_and_diagonalize, without re-checking it.  sampling.cross_validate
+checks its own inputs once and calls _solve_normal_form and
+_separability_verdict directly.  Every core gives its public function's result
+and errors bit for bit.
 """
 
 from __future__ import annotations
@@ -274,8 +277,9 @@ def eliminate_and_diagonalize(r, left, right) -> tuple[SigmaForm, float]:
     hs); apply_two_sided checks that all three are finite real 4x4
     matrices.  The certificate: the boosted linear terms and the asymmetry of
     the boosted spatial block must both stay below OFFDIAG_TOL, or below the
-    rounding bound of the product where that is larger, else
-    SolverInconsistencyError, and the corner s0 must be positive (SigmaForm).
+    rounding bound of the product where that is larger, and every boosted
+    entry must be finite, else SolverInconsistencyError; the corner s0 must be
+    positive (SigmaForm).
     The symmetric 3x3 block is diagonalized by a rotation and its eigenvalues
     are ordered by descending magnitude (stably, for reproducibility).
     Returns Sigma and the largest boosted linear term.
@@ -292,14 +296,17 @@ def _certify(q: np.ndarray, scale: float) -> tuple[SigmaForm, float]:
     # at most 4 eps times that (Higham's gamma_4), so 128 eps scale bounds the
     # rounding (seen: 2.8 eps scale); it passes OFFDIAG_TOL only past scale 3.5e4
     tol = max(OFFDIAG_TOL, 128 * sys.float_info.epsilon * scale)
-    (s0, r1, r2, r3), (c1, q11, q12, q13), (c2, q21, q22, q23), (c3, q31, q32, q33) = q.tolist()
-    # Python's max keeps a nan only in first place: a nan residual r1 passes,
-    # as does an asymmetric block whose q11 is not finite (q11 - q11 is nan)
+    rows = q.tolist()
+    (s0, r1, r2, r3), (c1, q11, q12, q13), (c2, q21, q22, q23), (c3, q31, q32, q33) = rows
+    # Python's max keeps a nan only in first place, so a nan residual r1 passes
+    # this test and is caught by the next one
     offdiag = max(abs(r1), abs(r2), abs(r3), abs(c1), abs(c2), abs(c3))
     if offdiag >= tol:
         raise SolverInconsistencyError(
             f"linear terms not eliminated: residual {offdiag:.3g}"
         )
+    if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
+        raise SolverInconsistencyError("boosted R has entries that are not finite")
     if max(abs(q11 - q11), abs(q12 - q21), abs(q13 - q31), abs(q23 - q32)) >= tol:
         raise SolverInconsistencyError("transformed spatial block is not symmetric")
     # the mean of the block and its transpose; x + x can overflow where x cannot
@@ -313,7 +320,7 @@ def _certify(q: np.ndarray, scale: float) -> tuple[SigmaForm, float]:
     )
     s = np.linalg.eigvalsh(sym).tolist()
     s.sort(key=lambda x: -abs(x))
-    if not (0.0 < s0 < math.inf and all(map(math.isfinite, s))):
+    if not (s0 > 0.0 and all(map(math.isfinite, s))):
         SigmaForm(s0, s)  # raises the error of the gate the unchecked form skips
     sigma = object.__new__(SigmaForm)
     object.__setattr__(sigma, "s0", s0)
@@ -323,7 +330,11 @@ def _certify(q: np.ndarray, scale: float) -> tuple[SigmaForm, float]:
 
 def separability_verdict(sigma: SigmaForm, tol: float = VERDICT_TOL) -> Verdict:
     """Separable iff |s1| + |s2| + |s3| <= s0, i.e. sum |t'_i| <= 1."""
-    tol = _as_real(tol, (), "tol")
+    return _separability_verdict(sigma, _as_real(tol, (), "tol"))
+
+
+def _separability_verdict(sigma: SigmaForm, tol: float) -> Verdict:
+    # separability_verdict on a checked tol
     total = sigma.tprime_sum
     witness = total - 1.0
     entangled = witness > tol
@@ -426,7 +437,13 @@ def solve_normal_form(
     non-generic state.
     """
     beta_limit = _as_real(beta_limit, (), "beta_limit")
-    a, b, tdiag = params.a.tolist(), params.b.tolist(), params.t_diagonal().tolist()
+    return _solve_normal_form(params, params.t_diagonal().tolist(), beta_limit)
+
+
+def _solve_normal_form(params: HSParams, tdiag: list[float], beta_limit: float) -> SolveReport:
+    # solve_normal_form on a checked beta_limit and params whose t the caller
+    # knows to be diagonal, with that diagonal as floats
+    a, b = params.a.tolist(), params.b.tolist()
     structural = _match_non_generic(a, b, tdiag)
     if structural is not None:
         return _no_boost_report(structural)

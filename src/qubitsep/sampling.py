@@ -49,21 +49,23 @@ from .hs import (
     PSD_TOL,
     HSParams,
     _as_real,
+    _local_rotations,
     _rho_from_r,
+    _symmetric_rotation,
     r_from_hs,
-    tdiag_via_local_rotations,
-    tdiag_via_symmetric_rotation,
 )
 from .normal_form import (
     Classification,
     SolveReport,
-    separability_verdict,
-    solve_normal_form,
+    _separability_verdict,
+    _solve_normal_form,
 )
 from .pt import VERDICT_TOL, Verdict, _spectra_of_r, ppt_verdict, require_state
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .hs import eigenvalues_hermitian, rho_from_hs  # noqa: F401
+from .hs import tdiag_via_local_rotations, tdiag_via_symmetric_rotation  # noqa: F401
+from .normal_form import separability_verdict, solve_normal_form  # noqa: F401
 from .pt import peres_horodecki  # noqa: F401
 
 RNG_ALGORITHM = "pcg64"
@@ -426,13 +428,14 @@ def reduce_to_diagonal(params: HSParams) -> tuple[HSParams, str | None]:
     """
     if params.is_t_diagonal():
         return params, None
+    # the rotation cores: t is not diagonal, and is_symmetric covers t's symmetry
     if params.is_symmetric():
-        work, _ = tdiag_via_symmetric_rotation(params)
+        work, _ = _symmetric_rotation(params)
         return work, (
             "correlation matrix diagonalized by one shared local rotation "
             "(symmetric state preserved)"
         )
-    work, _, _ = tdiag_via_local_rotations(params)
+    work, _, _ = _local_rotations(params)
     return work, "correlation matrix diagonalized by local rotations"
 
 
@@ -450,6 +453,9 @@ def cross_validate(
     coefficients whose rho overflows raise InvalidParameterError.
     `tol` decides both verdicts; a PPT witness within 1e-8 of zero is boundary,
     not a disagreement (both criteria are exact only in exact arithmetic).
+    Past this gate every value is checked or built here, so the solve and the
+    verdict run on the unchecked cores, and t's diagonality is read once, by
+    reduce_to_diagonal (its result has an exactly diagonal t).
     """
     try:
         tol, tol_psd = _as_real(tol, (), "tol"), _as_real(tol_psd, (), "tol_psd")
@@ -463,12 +469,12 @@ def cross_validate(
     require_state(spectrum, tol_psd)
     ppt = ppt_verdict(pt_spectrum, tol)
     work, note = reduce_to_diagonal(params)
-    report = solve_normal_form(work, beta_limit=beta_limit)
+    report = _solve_normal_form(work, work.t.diagonal().tolist(), beta_limit)
     boundary = abs(ppt.witness) < _BOUNDARY_TOL
     lorentz = None
     agree = None
     if report.classification.is_generic:
-        lorentz = separability_verdict(report.sigma, tol=tol)
+        lorentz = _separability_verdict(report.sigma, tol)
         if not boundary:
             agree = lorentz.kind == ppt.kind
     return CrossValidation(

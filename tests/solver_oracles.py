@@ -5,7 +5,8 @@ test references.
     comprehension per spatial row;
   * certify_lists: the certificate on the boosted R, with the spatial block
     split into nine (i, j) pairs, eigvalsh on nested lists and every Sigma
-    built through SigmaForm's gate.
+    built through SigmaForm's gate.  A boosted R with an entry that is not
+    finite fails the certificate once its linear terms have passed.
 
 boost._boost_general and normal_form._certify must give the same bits, and
 _certify the same errors.
@@ -38,6 +39,8 @@ def certify_lists(q, scale):
         raise SolverInconsistencyError(
             f"linear terms not eliminated: residual {offdiag:.3g}"
         )
+    if not np.isfinite(q).all():
+        raise SolverInconsistencyError("boosted R has entries that are not finite")
     block = [x[1:] for x in rest]
     pairs = [(block[i][j], block[j][i]) for i in range(3) for j in range(3)]
     if max(abs(x - y) for x, y in pairs) >= tol:

@@ -205,6 +205,35 @@ def test_analyze_malformed_file(tmp_path, capsys):
             assert re.fullmatch(r"error: [^\n]*\n", err), (name, command, err)
 
 
+def test_state_file_with_a_byte_order_mark_is_not_json(tmp_path, capsys):
+    # json.loads refuses a leading BOM with its own message, which the one
+    # shared decoder would turn into "Expecting value"
+    path = tmp_path / "bom.json"
+    path.write_bytes(b'\xef\xbb\xbf{"a": [0, 0, 0], "b": [0, 0, 0], "t_diag": [0, 0, 0]}')
+    for command in ("analyze", "classify"):
+        assert run(capsys, command, str(path)) == (
+            2,
+            "",
+            "error: state file is not valid JSON: Unexpected UTF-8 BOM "
+            "(decode using utf-8-sig): line 1 column 1 (char 0)\n",
+        )
+
+
+def test_load_state_file_builds_no_decoder(pair64_file, monkeypatch):
+    built = []
+    init = json.JSONDecoder.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONDecoder, "__init__", counted)
+    for _ in range(3):
+        params = load_state_file(pair64_file)
+    assert built == []
+    assert params.a.tolist() == [0.0, 0.64, 0.0] and not params.t.flags.writeable
+
+
 def test_light_speed_pair_is_labelled(tmp_path, capsys):
     # (a1 + b1)/(1 + t1) = 1: a valid rank-3 state on the light-speed edge of
     # case a) gets the NoPhysicalBoost label and the exact verdict
@@ -361,10 +390,26 @@ def test_analyze_runs_one_stacked_eigensolve(tmp_path, capsys, monkeypatch):
     assert [s for s in shapes if s[-2:] == (4, 4)] == [(2, 4, 4)]
 
 
+# (a, b, t, boost kind, rotation calls) of test_cross_validate_numpy_call_budget
+CALL_BUDGET_STATES = [
+    # a full-t symmetric state: one shared rotation
+    (
+        [0.2, 0.1, 0],
+        [0.2, 0.1, 0],
+        [[0.3, 0.1, 0], [0.1, -0.2, 0.05], [0, 0.05, 0.1]],
+        "symmetric",
+        [("eigh", (3, 3))],
+    ),
+    # diagonal t: no rotation
+    ([0, 0.64, 0], [0, 0.64, 0], np.diag([0.3] * 3), "pair", []),
+    ([0.1, 0.15, 0.2], [0.1, 0.15, 0.2], np.diag([0.3, -0.2, 0.2]), "symmetric", []),
+]
+
+
 def test_cross_validate_numpy_call_budget(monkeypatch):
-    # a full-t symmetric state: one assembly of rho, one stacked eigensolve of
-    # rho and its partial transpose, one shared rotation and one 3x3 block in
-    # the certificate; no determinant (rotation signs come from a float triple
+    # one assembly of rho, one stacked eigensolve of rho and its partial
+    # transpose, the rotation a full t needs and one 3x3 block in the
+    # certificate; no determinant (rotation signs come from a float triple
     # product) and no companion eigensolve (the secular root is found by Newton)
     calls = []
 
@@ -378,20 +423,48 @@ def test_cross_validate_numpy_call_budget(monkeypatch):
 
         monkeypatch.setattr(module, name, call)
 
-    t = [[0.3, 0.1, 0], [0.1, -0.2, 0.05], [0, 0.05, 0.1]]
-    params = HSParams([0.2, 0.1, 0], [0.2, 0.1, 0], t)
     for name in ("eigvalsh", "eigvals", "eigh", "det", "svd", "eig"):
         counted(np.linalg, name)
     counted(np, "einsum")
+    for a, b, t, kind, rotation in CALL_BUDGET_STATES:
+        params = HSParams(a, b, t)
+        calls.clear()
+        rec = cross_validate(params)
+        assert rec.report.boost_kind == kind and (rec.note is None) is (not rotation)
+        assert sorted(calls) == sorted(
+            rotation + [("eigvalsh", (2, 4, 4)), ("eigvalsh", (3, 3)), ("einsum", (4, 4))]
+        ), kind
+
+
+@pytest.mark.parametrize(
+    "a, b, t",
+    [
+        pytest.param([0, 0.64, 0], [0, 0.64, 0], np.diag([0.3] * 3), id="diagonal-t"),
+        pytest.param(
+            [0.2, 0.1, 0],
+            [0.2, 0.1, 0],
+            [[0.3, 0.1, 0], [0.1, -0.2, 0.05], [0, 0.05, 0.1]],
+            id="full-t-symmetric",
+        ),
+        pytest.param(
+            [0.6, 0, 0], [0, 0.6, 0], [[0, 0.36, 0], [0, 0, 0], [0, 0, 0]], id="full-t-product"
+        ),
+    ],
+)
+def test_cross_validate_reads_t_diagonality_once(monkeypatch, a, b, t):
+    params = HSParams(a, b, t)
+    calls = []
+    is_t_diagonal = HSParams.is_t_diagonal
+
+    def counted(self):
+        calls.append(self)
+        return is_t_diagonal(self)
+
+    monkeypatch.setattr(HSParams, "is_t_diagonal", counted)
     rec = cross_validate(params)
     monkeypatch.undo()
-    assert rec.report.boost_kind == "symmetric" and rec.note is not None
-    assert sorted(calls) == [
-        ("eigh", (3, 3)),
-        ("eigvalsh", (2, 4, 4)),
-        ("eigvalsh", (3, 3)),
-        ("einsum", (4, 4)),
-    ]
+    assert calls == [params]
+    assert rec.classification.is_generic
 
 
 _RHO_OVERFLOW = "matrix entries must be finite"
@@ -678,6 +751,13 @@ def test_non_state_error_line_is_the_same_for_both_commands(tmp_path, capsys):
     assert errors == {"error: input is not positive semidefinite; not a state\n"}
 
 
+class Subfloat(float):
+    """A float subclass whose repr is not float's; json writes float.__repr__."""
+
+    def __repr__(self):
+        return "Subfloat()"
+
+
 JSON_EDGE_VALUES = [
     math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, np.float64(0.1),
     np.float64(-math.inf), 7, -(2**70), True, False, None,
@@ -685,6 +765,10 @@ JSON_EDGE_VALUES = [
     [[0.3, -0.2], [0.1, [0.05, None]]], [0.5, True, None, "s", 2, math.nan],
     {"a": {"b": {"c": [1.5, {}], "d": ()}}}, (1.0, (2.0, "t")),
     {1: 2.0, "x": [{2.5: True, None: [0.1]}]},
+    # leaves inside containers, which the formatter writes inline or hands on
+    [np.float64(0.1), np.float64(-0.0), Subfloat(0.25), True, False, -0.0, 5e-324],
+    {"f": np.float64(2.5), "g": Subfloat(-1e-300), "n": math.nan, "i": math.inf},
+    {"j": -math.inf, "t": True, "u": False, "v": None, "w": "\u00e9"},
 ]
 
 

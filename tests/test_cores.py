@@ -7,27 +7,47 @@ result bit for bit, signed zeros included, and the same errors:
   * normal_form._solve_pair and boost._boost_x against solve_pair_general
     and boost_x;
   * boost._boost_general and normal_form._certify against their earlier
-    formulations in tests/solver_oracles.py.
+    formulations in tests/solver_oracles.py;
+  * normal_form._solve_normal_form and _separability_verdict against
+    solve_normal_form and separability_verdict, and hs._local_rotations and
+    _symmetric_rotation against tdiag_via_local_rotations and
+    tdiag_via_symmetric_rotation, on the inputs their public gates pass.
 """
 
 import math
 
 import numpy as np
 
+import pytest
+
 from qubitsep import (
     HSParams,
+    SolverInconsistencyError,
     boost_x,
     cross_validate,
+    eliminate_and_diagonalize,
     normal_form,
     partial_transpose_matrix,
+    r_from_hs,
     rho_from_r,
+    separability_verdict,
+    solve_normal_form,
     solve_pair_general,
     spectra,
+    tdiag_via_local_rotations,
+    tdiag_via_symmetric_rotation,
 )
 from qubitsep.boost import _boost_general, _boost_x
-from qubitsep.hs import PAULI_KRON, pack_r
-from qubitsep.normal_form import _certify, _pair_residual, _solve_pair
+from qubitsep.hs import PAULI_KRON, _local_rotations, _symmetric_rotation, pack_r
+from qubitsep.normal_form import (
+    _certify,
+    _pair_residual,
+    _separability_verdict,
+    _solve_normal_form,
+    _solve_pair,
+)
 from qubitsep.pt import _RHO_AND_PT_BASIS, _rho_and_pt, _spectra_of_r
+from qubitsep.sampling import reduce_to_diagonal
 
 from conftest import corpus_rows, record_symmetric_solves
 from solver_oracles import boost_general_rows, certify_lists
@@ -218,7 +238,106 @@ def test_certify_is_the_list_formulation_on_its_error_paths():
         assert _certified(q, scale, _certify) == want, q
         kinds.add(want[0] if isinstance(want[0], type) else "ok")
         kinds.add(want[1].split(":")[0] if isinstance(want[0], type) else "ok")
-    # every way out was taken: a Sigma, both certificate errors, the s0 and s gates
+    # every way out was taken: a Sigma, the three certificate errors, the s0
+    # and s gates, and numpy's error on a finite block whose eigensolve overflows
     assert {"ok", "linear terms not eliminated", "transformed spatial block is not symmetric"} <= kinds
-    assert {"s0 must be finite real number", "s0 must be finite and positive"} <= kinds
+    assert {"boosted R has entries that are not finite", "s0 must be finite and positive"} <= kinds
     assert {"s must be finite real 3-vector", np.linalg.LinAlgError} <= kinds
+    # a non-finite s0 no longer reaches the s0 gate
+    assert "s0 must be finite real number" not in kinds
+
+
+def test_a_boosted_r_that_is_not_finite_fails_the_certificate():
+    # a nan on the diagonal used to give a Sigma (eigvalsh of diag(nan, 0, 1)
+    # is [0, -0, 1]), an inf one numpy's LinAlgError
+    for x in (math.nan, math.inf, -math.inf):
+        for i in range(4):
+            q = np.diag([1.0, 0.5, 0.0, 1.0])
+            q[i, i] = x
+            with pytest.raises(SolverInconsistencyError, match="not finite"):
+                _certify(q, 1.0)
+    # the spatial block overflows while the linear terms stay zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverInconsistencyError, match="not finite"):
+            eliminate_and_diagonalize(
+                np.diag([1, 1e308, 1e308, 1e308]), np.diag([1, 10, 10, 10.0]), np.eye(4)
+            )
+
+
+def _report_bits(report):
+    sigma = report.sigma
+    return (
+        report.classification,
+        report.boost_kind,
+        [_bits(x) for x in report.betas],
+        report.axis,
+        _bits(report.polynomial_residual),
+        _bits(report.offdiag_residual),
+        None if sigma is None else (_bits(sigma.s0), _bits(sigma.s)),
+    )
+
+
+def _corpus_params(monkeypatch) -> list[HSParams]:
+    rows = corpus_rows(monkeypatch, 0, 1024)
+    return [HSParams(row[0:3], row[3:6], np.reshape(row[6:], (3, 3))) for row in rows]
+
+
+def _diagonal_params(monkeypatch) -> list[HSParams]:
+    # the diagonal forms cross_validate solves on the corpus, then random
+    # diagonal parameters with zeros (states or not) and the reference edges
+    params = [reduce_to_diagonal(p)[0] for p in _corpus_params(monkeypatch)]
+    rng = np.random.default_rng(47)
+    for _ in range(1500):
+        a, b, t = rng.uniform(-1.0, 1.0, (3, 3))
+        a[rng.random(3) < 0.4] = 0.0
+        b[rng.random(3) < 0.4] = 0.0
+        if rng.random() < 0.4:
+            b = a.copy()
+        params.append(HSParams.diagonal(a, b, t))
+    params.append(HSParams.diagonal([1, 0, 0], [1, 0, 0], [1, 0, 0]))
+    params.append(HSParams.diagonal([0.7, 0, 0], [0.3, 0, 0], [0, 0, 0]))
+    return params
+
+
+def test_solve_core_is_solve_normal_form(monkeypatch):
+    kinds = set()
+    for params in _diagonal_params(monkeypatch):
+        tdiag = params.t.diagonal().tolist()
+        for beta_limit in (1e-9, 0.0, 0.3):
+            public = _outcome(solve_normal_form, params, beta_limit)
+            core = _outcome(_solve_normal_form, params, tdiag, beta_limit)
+            if isinstance(public, tuple):
+                assert core == public
+                continue
+            assert _report_bits(core) == _report_bits(public)
+            kinds.add((public.classification.kind, public.boost_kind))
+            if public.sigma is not None:
+                for tol in (1e-10, 0.0, 0.5):
+                    want = separability_verdict(public.sigma, tol)
+                    got = _separability_verdict(public.sigma, tol)
+                    assert got == want and _bits(got.witness) == _bits(want.witness)
+    assert {("generic", "pair"), ("generic", "symmetric"), ("no-physical-boost", "none")} <= kinds
+    assert {("non-generic-a", "none"), ("non-generic-c", "none"), ("non-generic-d", "none")} <= kinds
+
+
+def test_rotation_cores_are_the_public_reductions(monkeypatch):
+    rng = np.random.default_rng(53)
+    params = _corpus_params(monkeypatch)
+    for _ in range(1000):
+        a, b = rng.uniform(-1.0, 1.0, (2, 3))
+        t = rng.uniform(-1.0, 1.0, (3, 3))
+        params += [HSParams(a, b, t), HSParams(a, a, t + t.T)]
+    local = symmetric = 0
+    for p in params:
+        if p.is_t_diagonal():
+            continue
+        want, got = tdiag_via_local_rotations(p), _local_rotations(p)
+        assert [_bits(x) for x in got[1:]] == [_bits(x) for x in want[1:]]
+        assert _bits(r_from_hs(got[0])) == _bits(r_from_hs(want[0]))
+        local += 1
+        if p.is_symmetric():
+            want, got = tdiag_via_symmetric_rotation(p), _symmetric_rotation(p)
+            assert _bits(got[1]) == _bits(want[1])
+            assert _bits(r_from_hs(got[0])) == _bits(r_from_hs(want[0]))
+            symmetric += 1
+    assert local > 1500 and symmetric > 1000
