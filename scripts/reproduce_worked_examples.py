@@ -39,14 +39,14 @@ def main() -> None:
         "entangled although sum |t_i| = 0.9 <= 1",
         HSParams.diagonal([0, 0.64, 0], [0, 0.64, 0], [0.3, 0.3, 0.3]),
     )
-    beta, _ = solve_pair_general(0.64, 0.64, 0.3)
+    (beta, _), _ = solve_pair_general(0.64, 0.64, 0.3)
     print(f"symmetric pair solve: beta = {beta:.7f},  gamma^2 = {1/(1-beta**2):.6f}")
 
     show(
         "one-sided pair (b = 0), separable",
         HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0.3, 0.3, 0.3]),
     )
-    ba, bb = solve_pair_general(0.2, 0.0, 0.3)
+    (ba, bb), _ = solve_pair_general(0.2, 0.0, 0.3)
     print(f"pair solve: beta_a = {ba:.7f}, beta_b = {bb:.7f}")
 
     show(

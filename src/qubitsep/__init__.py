@@ -6,13 +6,7 @@ separability reads |s1| + |s2| + |s3| <= s0 after the linear terms are
 eliminated by Lorentz boosts.
 """
 
-from .boost import (
-    BETA_LIMIT,
-    ETA,
-    apply_two_sided,
-    boost_general,
-    boost_x,
-)
+from .boost import BETA_LIMIT, ETA, apply_two_sided
 from .errors import (
     BoostLimitError,
     ContractViolationError,

@@ -6,9 +6,10 @@ and the general symmetric boost built from a velocity 3-vector beta with
 gamma = (1 - beta^2)^(-1/2) and spatial block I + X beta beta^T,
 X = (gamma - 1)/beta^2.
 
-The public functions validate their inputs; normal_form's solve path calls the
-unchecked cores _boost_x, _boost_general and _two_sided on the values it built
-itself.
+The boosts are built by normal_form's solve from velocities it has solved
+for and held below the light-speed limit, so _boost_x and _boost_general take
+Python floats as they are.  apply_two_sided takes matrices from outside and
+checks them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import BoostLimitError, InvalidParameterError
+from .errors import BoostLimitError
 from .hs import _as_real
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -32,18 +33,9 @@ def _gamma(beta_sq: float) -> float:
     return 1.0 / math.sqrt(1.0 - beta_sq)
 
 
-def boost_x(beta: float, axis: int = 1, beta_limit: float = BETA_LIMIT) -> np.ndarray:
-    """4x4 boost with block [[g, -g b], [-g b, g]] on indices (0, axis)."""
-    if not isinstance(axis, (int, np.integer)) or axis not in (1, 2, 3):
-        raise InvalidParameterError("axis must be 1, 2 or 3")
-    beta = _as_real(beta, (), "beta")
-    if abs(beta) >= 1.0 - _as_real(beta_limit, (), "beta_limit"):
-        raise BoostLimitError(f"|beta| = {abs(beta):.12g} reaches the light-speed limit")
-    return _boost_x(beta, axis)
-
-
 def _boost_x(beta: float, axis: int) -> np.ndarray:
-    # boost_x on a checked float velocity within the limit and an axis 1, 2 or 3
+    """4x4 boost with block [[g, -g b], [-g b, g]] on indices (0, axis), for a
+    float velocity |beta| < 1 and an axis 1, 2 or 3."""
     g = _gamma(beta * beta)
     m = np.eye(4)
     m[0, 0] = m[axis, axis] = g
@@ -51,19 +43,9 @@ def _boost_x(beta: float, axis: int) -> np.ndarray:
     return m
 
 
-def boost_general(beta, beta_limit: float = BETA_LIMIT) -> np.ndarray:
-    """The symmetric boost for a velocity 3-vector; reduces to boost_x on an axis."""
-    v = _as_real(beta, (3,), "beta")
-    beta_sq = float(v @ v)
-    if beta_sq >= (1.0 - _as_real(beta_limit, (), "beta_limit")) ** 2:
-        raise BoostLimitError(
-            f"|beta| = {math.sqrt(beta_sq):.12g} reaches the light-speed limit"
-        )
-    return _boost_general(v.tolist(), beta_sq)
-
-
 def _boost_general(vs: list[float], beta_sq: float) -> np.ndarray:
-    # boost_general on a checked velocity and its numpy |beta|^2 (v @ v)
+    """The symmetric boost for a velocity 3-vector of floats `vs` with
+    |beta|^2 = beta_sq (numpy's v @ v); on an axis it is _boost_x."""
     g = _gamma(beta_sq)
     x = g * g / (g + 1.0)
     v1, v2, v3 = vs
@@ -91,9 +73,5 @@ def apply_two_sided(r, left, right) -> np.ndarray:
     real 4x4 matrices (InvalidParameterError).
     """
     named = ((r, "R"), (left, "left"), (right, "right"))
-    return _two_sided(*(_as_real(m, (4, 4), name) for m, name in named))
-
-
-def _two_sided(r: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # apply_two_sided without the input checks, for arrays the caller built
+    r, left, right = (_as_real(m, (4, 4), name) for m, name in named)
     return left @ r @ right.T

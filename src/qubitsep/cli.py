@@ -191,10 +191,11 @@ def _cmd_analyze(args) -> int:
         pt_eigenvalues_4l=rec.pt_spectrum.tolist(),
         ppt_verdict=_verdict(rec.ppt),
     )
-    notes = [] if rec.note is None else [rec.note]
-    work = rec.reduced
-    # solve_normal_form has already checked that the reduced t is diagonal;
-    # the float sum left to right is numpy's sum of the three, as in mds_criterion
+    solve = rec.report
+    notes = [] if solve.note is None else [solve.note]
+    work = solve.reduced
+    # the reduced t is exactly diagonal; the float sum left to right is
+    # numpy's sum of the three, as in mds_criterion
     t1, t2, t3 = work.t.diagonal().tolist()
     total = abs(t1) + abs(t2) + abs(t3)
     if max(map(abs, work.a.tolist() + work.b.tolist())) <= ZERO_TOL:
@@ -204,7 +205,6 @@ def _cmd_analyze(args) -> int:
         )
     elif not total <= 1.0 + MDS_SUM_TOL:
         notes.append("necessary screen failed: sum|t_i| > 1 already implies entangled")
-    solve = rec.report
     report["classification"] = {
         "kind": _kind_label(solve.classification.kind),
         "detail": solve.classification.detail,

@@ -18,15 +18,19 @@ boost and checking that the eliminated entries actually vanished.  Each solve
 reports the residual its own tolerance accepted: the pair conditions against
 _PAIR_RESIDUAL_TOL, |g(mu)| against _FUNDAMENTAL_TOL.
 
-Inputs are validated once, by the public functions.  solve_normal_form checks
-its beta_limit and that t is diagonal, then hands over to _solve_normal_form,
-which classifies and solves on Python floats through the unchecked cores
-behind the public solvers and boosts (_solve_pair, _boost_x, _solve_symmetric,
-_boost_general), and certifies the boosted R it built itself with the rules of
-eliminate_and_diagonalize, without re-checking it.  sampling.cross_validate
-checks its own inputs once and calls _solve_normal_form and
-_separability_verdict directly.  Every core gives its public function's result
-and errors bit for bit.
+solve_normal_form is the whole route for any HSParams, one function per
+stage.  It reads t's diagonality once and, where t is not diagonal, turns it
+diagonal by proper local rotations: one shared rotation for a symmetric state,
+so that case b) still applies.  It classifies, solves case a) with
+solve_pair_general and case b) with _solve_symmetric, builds the boosts with
+boost._boost_x or _boost_general and certifies the boosted R with _certify,
+the rules of eliminate_and_diagonalize, without re-checking the arrays it
+built itself.  Its report holds the diagonal-t params it solved (reduced) and
+a note naming the rotation.  On the way only scalars are checked: beta_limit
+here, the pair's numbers in solve_pair_general and tol in
+separability_verdict.  solve_symmetric, for values from outside, checks its
+two arrays and calls _solve_symmetric; the solve calls that core, since the
+array gate would cost cross_validate 7%.
 """
 
 from __future__ import annotations
@@ -37,14 +41,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BETA_LIMIT, _boost_general, _boost_x, _two_sided, apply_two_sided
+from .boost import BETA_LIMIT, _boost_general, _boost_x, apply_two_sided
 from .errors import (
     BoostLimitError,
     InvalidParameterError,
     NoPhysicalBoostError,
     SolverInconsistencyError,
 )
-from .hs import ZERO_TOL, HSParams, _as_real, _read_only, r_from_hs
+from .hs import (
+    ZERO_TOL,
+    HSParams,
+    _as_real,
+    _local_rotations,
+    _read_only,
+    _symmetric_rotation,
+    r_from_hs,
+)
 from .pt import ENTANGLED, SEPARABLE, VERDICT_TOL, Verdict
 
 # Not called here; perfbench/tracing.py wraps this name on this module.
@@ -121,12 +133,17 @@ class SolveReport:
     polynomial_residual: float
     offdiag_residual: float
     sigma: SigmaForm | None
+    # the params solved, with an exactly diagonal t, and a note naming the
+    # rotation that made t diagonal (None when it already was)
+    reduced: HSParams
+    note: str | None
 
 
 def solve_pair_general(
     a1: float, b1: float, t1: float, beta_limit: float = BETA_LIMIT
-) -> tuple[float, float]:
-    """Boost velocities (beta_a, beta_b) eliminating a single linear pair.
+) -> tuple[tuple[float, float], float]:
+    """Boost velocities (beta_a, beta_b) eliminating a single linear pair, and
+    the residual its certificate accepted.
 
     The two elimination conditions
 
@@ -144,21 +161,19 @@ def solve_pair_general(
     and 1 is light speed: above 1 NoPhysicalBoostError, at 1 BoostLimitError.
     A denominator at most _DENOM_TOL leaves its rapidity free; it takes the
     other one's value, so phi_a = 0.  Each velocity must stay below
-    1 - beta_limit, and the pair must pass its elimination certificate.
+    1 - beta_limit, and the pair must pass its elimination certificate: the
+    larger of the two conditions above, returned as the residual, must be at
+    most _PAIR_RESIDUAL_TOL.
 
     beta_a is named for the term it eliminates, a1, not for the qubit it
-    acts on: solve_normal_form passes boost_x(beta_a) to
-    eliminate_and_diagonalize as the left factor of R, which acts on qubit B,
-    and boost_x(beta_b) as the right factor, which acts on qubit A (see
-    hs).  On rho, boost_x(beta, k) is the filter
-    F = cosh(eta/2) I - sinh(eta/2) sigma_k, eta = atanh(beta).
+    acts on: solve_normal_form certifies with the boost _boost_x(beta_a, k)
+    as the left factor of R, which acts on qubit B, and _boost_x(beta_b, k)
+    as the right factor, which acts on qubit A (see hs).  On rho,
+    _boost_x(beta, k) is the filter F = cosh(eta/2) I - sinh(eta/2) sigma_k,
+    eta = atanh(beta).
     """
     a1, b1, t1 = _as_real(a1, (), "a1"), _as_real(b1, (), "b1"), _as_real(t1, (), "t1")
-    return _solve_pair(a1, b1, t1, _as_real(beta_limit, (), "beta_limit"))[:2]
-
-
-def _solve_pair(a1: float, b1: float, t1: float, beta_limit: float):
-    # solve_pair_general on checked finite floats, plus the residual its certificate accepted
+    beta_limit = _as_real(beta_limit, (), "beta_limit")
     total = _rapidity(a1 + b1, 1.0 + t1, "(a1 + b1)/(1 + t1)")
     diff = _rapidity(a1 - b1, 1.0 - t1, "(a1 - b1)/(1 - t1)")
     total = diff if total is None else total
@@ -170,7 +185,7 @@ def _solve_pair(a1: float, b1: float, t1: float, beta_limit: float):
     residual = _pair_residual(a1, b1, t1, beta_a, beta_b)
     if residual > _PAIR_RESIDUAL_TOL:
         raise SolverInconsistencyError("pair solve failed its elimination certificate")
-    return beta_a, beta_b, residual
+    return (beta_a, beta_b), residual
 
 
 def _rapidity(num: float, den: float, name: str) -> float | None:
@@ -262,8 +277,8 @@ def _solve_symmetric(a: list[float], tdiag: list[float], beta_limit: float):
         raise _no_root(beta_limit)
     if dg > 0.0 and abs(g) <= _FUNDAMENTAL_TOL:
         betas = np.array([aj / (mu + tj) if aj != 0.0 else 0.0 for aj, tj in zip(a, tdiag)])
-        # numpy's dot, as in boost_general (a float sum rounds differently), so
-        # that _boost_general gets the |beta|^2 boost_general would compute
+        # numpy's dot (a float sum rounds differently): the |beta|^2 that
+        # _boost_general builds the boost from
         beta_sq = float(betas @ betas)
         if beta_sq < (1.0 - beta_limit) ** 2:
             return betas, abs(g), beta_sq
@@ -277,9 +292,9 @@ def eliminate_and_diagonalize(r, left, right) -> tuple[SigmaForm, float]:
     hs); apply_two_sided checks that all three are finite real 4x4
     matrices.  The certificate: the boosted linear terms and the asymmetry of
     the boosted spatial block must both stay below OFFDIAG_TOL, or below the
-    rounding bound of the product where that is larger, and every boosted
-    entry must be finite, else SolverInconsistencyError; the corner s0 must be
-    positive (SigmaForm).
+    rounding bound of the product where that is larger, every boosted entry
+    must be finite and the symmetric block's eigensolve must converge, else
+    SolverInconsistencyError; the corner s0 must be positive (SigmaForm).
     The symmetric 3x3 block is diagonalized by a rotation and its eigenvalues
     are ordered by descending magnitude (stably, for reproducibility).
     Returns Sigma and the largest boosted linear term.
@@ -318,7 +333,10 @@ def _certify(q: np.ndarray, scale: float) -> tuple[SigmaForm, float]:
             [h13, h23, 0.5 * (q33 + q33)],
         ]
     )
-    s = np.linalg.eigvalsh(sym).tolist()
+    try:
+        s = np.linalg.eigvalsh(sym).tolist()
+    except np.linalg.LinAlgError:  # a finite block with entries near the float limit
+        raise SolverInconsistencyError("boosted spatial block has no computable spectrum") from None
     s.sort(key=lambda x: -abs(x))
     if not (s0 > 0.0 and all(map(math.isfinite, s))):
         SigmaForm(s0, s)  # raises the error of the gate the unchecked form skips
@@ -330,16 +348,10 @@ def _certify(q: np.ndarray, scale: float) -> tuple[SigmaForm, float]:
 
 def separability_verdict(sigma: SigmaForm, tol: float = VERDICT_TOL) -> Verdict:
     """Separable iff |s1| + |s2| + |s3| <= s0, i.e. sum |t'_i| <= 1."""
-    return _separability_verdict(sigma, _as_real(tol, (), "tol"))
-
-
-def _separability_verdict(sigma: SigmaForm, tol: float) -> Verdict:
-    # separability_verdict on a checked tol
-    total = sigma.tprime_sum
-    witness = total - 1.0
-    entangled = witness > tol
+    tol = _as_real(tol, (), "tol")
+    witness = sigma.tprime_sum - 1.0
     return Verdict(
-        kind=ENTANGLED if entangled else SEPARABLE,
+        kind=ENTANGLED if witness > tol else SEPARABLE,
         witness=witness,
         criterion="lorentz-normal-form",
         boundary=abs(witness) <= tol,
@@ -410,7 +422,9 @@ def _match_non_generic(a: list[float], b: list[float], tdiag: list[float]):
     return None
 
 
-def _no_boost_report(classification: Classification) -> SolveReport:
+def _no_boost_report(
+    classification: Classification, reduced: HSParams, note: str | None
+) -> SolveReport:
     return SolveReport(
         classification=classification,
         boost_kind="none",
@@ -419,6 +433,8 @@ def _no_boost_report(classification: Classification) -> SolveReport:
         polynomial_residual=math.nan,
         offdiag_residual=math.nan,
         sigma=None,
+        reduced=reduced,
+        note=note,
     )
 
 
@@ -426,7 +442,13 @@ def solve_normal_form(
     params: HSParams,
     beta_limit: float = BETA_LIMIT,
 ) -> SolveReport:
-    """Full pipeline for diagonal-t parameters: classify, solve, certify.
+    """The Lorentz route for any params: diagonalize t, classify, solve, certify.
+
+    A t that is not diagonal is diagonalized by proper local rotations: one
+    shared rotation for a symmetric state (a == b, t symmetric), so that the
+    symmetric boost still applies, and independent ones on the two qubits
+    otherwise.  The report holds the params solved (`reduced`, params itself
+    when t was diagonal) and a `note` naming the rotation, or None.
 
     Dispatches on the pattern of active linear terms: none or one active axis
     is the zero boost or one linear pair, several are the symmetric boost of
@@ -437,16 +459,22 @@ def solve_normal_form(
     non-generic state.
     """
     beta_limit = _as_real(beta_limit, (), "beta_limit")
-    return _solve_normal_form(params, params.t_diagonal().tolist(), beta_limit)
-
-
-def _solve_normal_form(params: HSParams, tdiag: list[float], beta_limit: float) -> SolveReport:
-    # solve_normal_form on a checked beta_limit and params whose t the caller
-    # knows to be diagonal, with that diagonal as floats
-    a, b = params.a.tolist(), params.b.tolist()
+    note = None
+    if not params.is_t_diagonal():
+        # is_symmetric covers t's symmetry, so the shared rotation needs no check
+        if params.is_symmetric():
+            params = _symmetric_rotation(params)[0]
+            note = (
+                "correlation matrix diagonalized by one shared local rotation "
+                "(symmetric state preserved)"
+            )
+        else:
+            params = _local_rotations(params)[0]
+            note = "correlation matrix diagonalized by local rotations"
+    a, b, tdiag = params.a.tolist(), params.b.tolist(), params.t.diagonal().tolist()
     structural = _match_non_generic(a, b, tdiag)
     if structural is not None:
-        return _no_boost_report(structural)
+        return _no_boost_report(structural, params, note)
     active = [abs(x) > ZERO_TOL or abs(y) > ZERO_TOL for x, y in zip(a, b)]
     n_active = sum(active)
     if n_active >= 2 and not params.is_symmetric():
@@ -455,12 +483,14 @@ def _solve_normal_form(params: HSParams, tdiag: list[float], beta_limit: float) 
                 NO_PHYSICAL_BOOST,
                 "outside the supported boost families: more than one "
                 "axis carries linear terms and the state is not symmetric",
-            )
+            ),
+            params,
+            note,
         )
     try:
         if n_active == 1:
             k = active.index(True)
-            *betas, poly = _solve_pair(a[k], b[k], tdiag[k], beta_limit)
+            betas, poly = solve_pair_general(a[k], b[k], tdiag[k], beta_limit)
             left, right = _boost_x(betas[0], k + 1), _boost_x(betas[1], k + 1)
             boost_kind, axis = "pair", k + 1
         else:
@@ -472,9 +502,9 @@ def _solve_normal_form(params: HSParams, tdiag: list[float], beta_limit: float) 
             boost_kind, axis = "symmetric", None
         # no entry of a boost exceeds its corner gamma
         scale = float(left[0, 0] * right[0, 0]) * max(1.0, *map(abs, a + b + tdiag))
-        sigma, offdiag = _certify(_two_sided(r_from_hs(params), left, right), scale)
+        sigma, offdiag = _certify(left @ r_from_hs(params) @ right.T, scale)
     except NoPhysicalBoostError as exc:
-        return _no_boost_report(Classification(NO_PHYSICAL_BOOST, str(exc)))
+        return _no_boost_report(Classification(NO_PHYSICAL_BOOST, str(exc)), params, note)
     return SolveReport(
         classification=_GENERIC,
         boost_kind=boost_kind,
@@ -483,4 +513,6 @@ def _solve_normal_form(params: HSParams, tdiag: list[float], beta_limit: float) 
         polynomial_residual=poly,
         offdiag_residual=offdiag,
         sigma=sigma,
+        reduced=params,
+        note=note,
     )

@@ -7,10 +7,11 @@ test transposes qubit A.  In the Pauli picture that is the sign flip
 sigma_y -> -sigma_y on qubit A (tests/paper_formulas.py states it on (a, b, t)).
 
 A matrix from outside is checked by require_hermitian and transposed by
-partial_transpose_matrix.  For a checked R, cross_validate's path builds rho
-and its partial transpose with one einsum over a stacked basis: the Pauli
-products and their transposes on qubit A, so that each partial-transpose entry
-is the same sum as the rho entry it moves, bit for bit.
+partial_transpose_matrix, and spectra hands both to _spectra.  For the R of
+HSParams, cross_validate builds rho and its partial transpose with
+_rho_and_pt, one einsum over a stacked basis: the Pauli products and their
+transposes on qubit A, so that each partial-transpose entry is the same sum as
+the rho entry it moves, bit for bit.  It hands that pair to _spectra too.
 """
 
 from __future__ import annotations
@@ -89,11 +90,6 @@ def _rho_and_pt(r) -> np.ndarray:
     if not np.isfinite(pair).all():
         raise InvalidParameterError("matrix entries must be finite")
     return np.divide(pair, 4.0, out=pair)
-
-
-def _spectra_of_r(r) -> tuple[np.ndarray, np.ndarray]:
-    # spectra(rho_from_r(r)) for a checked R
-    return _spectra(_rho_and_pt(r))
 
 
 def _spectra(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

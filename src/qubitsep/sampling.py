@@ -33,6 +33,11 @@ candidate-at-a-time loop's, whatever the block sizes and whichever indices
 share a round; its sample holds a read-only copy of its R
 (HSParams.from_r).  Draws past it are thrown away; they cannot shift any
 other sample, because every (seed, index) has its own generator.
+
+cross_validate runs both routes on one state: the exact test on one stacked
+eigensolve of rho and its partial transpose, and the Lorentz route through
+solve_normal_form and separability_verdict, called by those names so that
+perfbench's tracer times them.
 """
 
 from __future__ import annotations
@@ -45,27 +50,13 @@ import numpy as np
 
 from .boost import BETA_LIMIT
 from .errors import InvalidParameterError, SamplingExhaustedError
-from .hs import (
-    PSD_TOL,
-    HSParams,
-    _as_real,
-    _local_rotations,
-    _rho_from_r,
-    _symmetric_rotation,
-    r_from_hs,
-)
-from .normal_form import (
-    Classification,
-    SolveReport,
-    _separability_verdict,
-    _solve_normal_form,
-)
-from .pt import VERDICT_TOL, Verdict, _spectra_of_r, ppt_verdict, require_state
+from .hs import PSD_TOL, HSParams, _as_real, _rho_from_r, r_from_hs
+from .normal_form import Classification, SolveReport, separability_verdict, solve_normal_form
+from .pt import VERDICT_TOL, Verdict, _rho_and_pt, _spectra, ppt_verdict, require_state
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .hs import eigenvalues_hermitian, rho_from_hs  # noqa: F401
 from .hs import tdiag_via_local_rotations, tdiag_via_symmetric_rotation  # noqa: F401
-from .normal_form import separability_verdict, solve_normal_form  # noqa: F401
 from .pt import peres_horodecki  # noqa: F401
 
 RNG_ALGORITHM = "pcg64"
@@ -121,9 +112,8 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class CrossValidation:
-    """Verdicts of both pipelines on one state, the spectra of rho and of its partial
-    transpose (read-only, ascending, 4*lambda units), and `reduced`, the diagonal-t
-    form solved (`note` names the rotation)."""
+    """Verdicts of both pipelines on one state, the solve report and the spectra
+    of rho and of its partial transpose (read-only, ascending, 4*lambda units)."""
 
     ppt: Verdict
     classification: Classification
@@ -133,8 +123,11 @@ class CrossValidation:
     agree: bool | None
     spectrum: np.ndarray
     pt_spectrum: np.ndarray
-    reduced: HSParams
-    note: str | None
+
+    @property
+    def note(self) -> str | None:
+        """report.note: the rotation that made t diagonal, or None."""
+        return self.report.note
 
 
 @dataclass(frozen=True)
@@ -418,27 +411,6 @@ def random_state(spec: SampleSpec, index: int) -> HSParams:
     return next(_sample(spec, range(index, index + 1)))
 
 
-def reduce_to_diagonal(params: HSParams) -> tuple[HSParams, str | None]:
-    """Diagonalize t by proper local rotations; return the result and a note.
-
-    A symmetric state (a == b, t symmetric) gets one shared rotation so the
-    symmetric boost solvers still apply; any other state gets independent
-    rotations on the two qubits.  The note says which was used and is None
-    when t was already diagonal.
-    """
-    if params.is_t_diagonal():
-        return params, None
-    # the rotation cores: t is not diagonal, and is_symmetric covers t's symmetry
-    if params.is_symmetric():
-        work, _ = _symmetric_rotation(params)
-        return work, (
-            "correlation matrix diagonalized by one shared local rotation "
-            "(symmetric state preserved)"
-        )
-    work, _, _ = _local_rotations(params)
-    return work, "correlation matrix diagonalized by local rotations"
-
-
 def cross_validate(
     params: HSParams,
     tol: float = VERDICT_TOL,
@@ -453,9 +425,9 @@ def cross_validate(
     coefficients whose rho overflows raise InvalidParameterError.
     `tol` decides both verdicts; a PPT witness within 1e-8 of zero is boundary,
     not a disagreement (both criteria are exact only in exact arithmetic).
-    Past this gate every value is checked or built here, so the solve and the
-    verdict run on the unchecked cores, and t's diagonality is read once, by
-    reduce_to_diagonal (its result has an exactly diagonal t).
+    Past this gate the spectra come from HSParams' own R through the stacked
+    assembly (pt._rho_and_pt), and solve_normal_form and separability_verdict
+    check only their scalars; the solve reads t's diagonality once.
     """
     try:
         tol, tol_psd = _as_real(tol, (), "tol"), _as_real(tol_psd, (), "tol_psd")
@@ -465,16 +437,15 @@ def cross_validate(
         valid = False
     if not valid:
         raise InvalidParameterError("tol and tol_psd must be finite and >= 0, beta_limit in [0, 1)")
-    spectrum, pt_spectrum = _spectra_of_r(r_from_hs(params))
+    spectrum, pt_spectrum = _spectra(_rho_and_pt(r_from_hs(params)))
     require_state(spectrum, tol_psd)
     ppt = ppt_verdict(pt_spectrum, tol)
-    work, note = reduce_to_diagonal(params)
-    report = _solve_normal_form(work, work.t.diagonal().tolist(), beta_limit)
+    report = solve_normal_form(params, beta_limit)
     boundary = abs(ppt.witness) < _BOUNDARY_TOL
     lorentz = None
     agree = None
     if report.classification.is_generic:
-        lorentz = _separability_verdict(report.sigma, tol)
+        lorentz = separability_verdict(report.sigma, tol)
         if not boundary:
             agree = lorentz.kind == ppt.kind
     return CrossValidation(
@@ -486,8 +457,6 @@ def cross_validate(
         agree=agree,
         spectrum=spectrum,
         pt_spectrum=pt_spectrum,
-        reduced=work,
-        note=note,
     )
 
 

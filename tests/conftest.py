@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qubitsep import HSParams, normal_form
+from qubitsep.boost import _boost_general
 from qubitsep.hs import SIGMA
 
 
@@ -47,6 +48,13 @@ def random_params(rng: np.random.Generator, scale: float = 1.0) -> HSParams:
         rng.uniform(-scale, scale, 3),
         rng.uniform(-scale, scale, (3, 3)),
     )
+
+
+def symmetric_boost(v) -> np.ndarray:
+    """The symmetric boost of a velocity 3-vector, built as the solve builds it:
+    boost._boost_general on its floats and numpy's |v|^2."""
+    v = np.asarray(v, dtype=float)
+    return _boost_general(v.tolist(), float(v @ v))
 
 
 def lorentz_of_filter(f: np.ndarray) -> np.ndarray:

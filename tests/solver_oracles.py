@@ -6,7 +6,8 @@ test references.
   * certify_lists: the certificate on the boosted R, with the spatial block
     split into nine (i, j) pairs, eigvalsh on nested lists and every Sigma
     built through SigmaForm's gate.  A boosted R with an entry that is not
-    finite fails the certificate once its linear terms have passed.
+    finite fails the certificate once its linear terms have passed, and so
+    does a finite block whose eigensolve does not converge.
 
 boost._boost_general and normal_form._certify must give the same bits, and
 _certify the same errors.
@@ -46,5 +47,8 @@ def certify_lists(q, scale):
     if max(abs(x - y) for x, y in pairs) >= tol:
         raise SolverInconsistencyError("transformed spatial block is not symmetric")
     sym = [[0.5 * (x + y) for x, y in pairs[i : i + 3]] for i in (0, 3, 6)]
-    eig = np.linalg.eigvalsh(sym).tolist()
+    try:
+        eig = np.linalg.eigvalsh(sym).tolist()
+    except np.linalg.LinAlgError:
+        raise SolverInconsistencyError("boosted spatial block has no computable spectrum") from None
     return SigmaForm(s0, sorted(eig, key=lambda x: -abs(x))), offdiag

@@ -17,8 +17,6 @@ from qubitsep import (
     HSParams,
     SampleSpec,
     batch_stats,
-    boost_general,
-    boost_x,
     cross_validate,
     eigenvalues_hermitian,
     eliminate_and_diagonalize,
@@ -36,6 +34,7 @@ from qubitsep import (
     solve_symmetric,
     tdiag_via_local_rotations,
 )
+from qubitsep.boost import _boost_x
 from qubitsep.normal_form import (
     GENERIC,
     NON_GENERIC_A,
@@ -44,6 +43,7 @@ from qubitsep.normal_form import (
     NON_GENERIC_D,
 )
 
+from conftest import symmetric_boost
 from paper_formulas import (
     cubic_coefficients,
     eigenvalues_closed_form_pair,
@@ -92,7 +92,7 @@ def test_criterion_2_pt_regression():
 
 def test_criterion_3_symmetric_single_pair():
     def body():
-        beta, _ = solve_pair_general(0.64, 0.64, 0.3)
+        (beta, _), _ = solve_pair_general(0.64, 0.64, 0.3)
         assert abs(beta - 0.8382) < 5e-4
         assert abs(beta - 0.83816) < 5e-4
         gamma_sq = 1.0 / (1.0 - beta * beta)
@@ -113,7 +113,7 @@ def test_criterion_3_symmetric_single_pair():
 
 def test_criterion_4_one_sided_pair():
     def body():
-        beta_a, beta_b = solve_pair_general(0.2, 0.0, 0.3)
+        (beta_a, beta_b), _ = solve_pair_general(0.2, 0.0, 0.3)
         assert abs(beta_a - (-0.069297)) < 1e-6
         assert abs(beta_b - 0.220789) < 1e-6
         c2 = 0.0 - 0.2 * 0.3
@@ -123,7 +123,7 @@ def test_criterion_4_one_sided_pair():
         # brute-force substitution oracle: boost R on both sides, renormalize
         p = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0.3, 0.3, 0.3])
         oracle_sig, _ = eliminate_and_diagonalize(
-            r_from_hs(p), boost_x(beta_a), boost_x(beta_b)
+            r_from_hs(p), _boost_x(beta_a, 1), _boost_x(beta_b, 1)
         )
         assert abs(sig.tprime_sum - oracle_sig.tprime_sum) < 1e-4
         assert abs(sig.tprime_sum - 0.92756) < 1e-4
@@ -149,7 +149,7 @@ def test_criterion_5_cubic_example():
         assert abs(b1 - 0.0792) < 5e-5
         assert abs(b2 - 0.1967) < 5e-5
         p = HSParams.diagonal([0.1, 0.15, 0], [0.1, 0.15, 0], tdiag)
-        boost = boost_general([b1, b2, 0.0])
+        boost = symmetric_boost([b1, b2, 0.0])
         q = boost @ r_from_hs(p) @ boost.T
         q_expected = np.array(
             [
@@ -182,7 +182,7 @@ def test_criterion_6_quartic_example():
         assert abs(b2 - 0.2068) < 2e-3
         assert abs(b3 - 0.1777) < 2e-3
         p = HSParams.diagonal(a, a, tdiag)
-        boost = boost_general([b1, b2, b3])
+        boost = symmetric_boost([b1, b2, b3])
         sig, offdiag = eliminate_and_diagonalize(r_from_hs(p), boost, boost)
         assert offdiag < 1e-9
         q = boost @ r_from_hs(p) @ boost.T
@@ -265,7 +265,7 @@ def test_criterion_7_boundary_boost_limit():
             solve_pair_general(0.65, 0.65, 0.3)  # |2a| = |1 + t1| exactly
         eps = 4e-13
         a = (1 + 0.3) * (1 - eps) / 2
-        beta, _ = solve_pair_general(a, a, 0.3)
+        (beta, _), _ = solve_pair_general(a, a, 0.3)
         assert beta < 1.0 and 1.0 - beta < 1e-6
 
     _report("7d", "boundary |2a| = |1+t1| raises; beta -> 1 just inside", body)
@@ -297,11 +297,11 @@ def test_criterion_8_property_suite():
         rng = np.random.default_rng(202)
         for k in range(1000):
             if k % 2:
-                m = boost_x(rng.uniform(-0.99, 0.99), int(rng.integers(1, 4)))
+                m = _boost_x(rng.uniform(-0.99, 0.99), int(rng.integers(1, 4)))
             else:
                 v = rng.normal(size=3)
                 v *= rng.uniform(0.0, 0.99) / np.linalg.norm(v)
-                m = boost_general(v)
+                m = symmetric_boost(v)
             assert np.abs(m.T @ ETA @ m - ETA).max() < 1e-12
 
         # (iii) 1000 round trips rho <-> HS <-> R below 1e-12

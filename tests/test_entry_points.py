@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the worked-examples script's stdout, byte for byte
+WORKED_EXAMPLES = ROOT / "tests" / "golden" / "worked_examples.txt"
 
 
 def _run(*args):
@@ -47,6 +49,4 @@ def test_module_analyze_rejects_a_non_state(tmp_path):
 def test_worked_examples_script_runs():
     proc = _run("scripts/reproduce_worked_examples.py")
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    headers = [line for line in lines if line.startswith("=== ") and line.endswith(" ===")]
-    assert len(headers) == 5
+    assert proc.stdout == WORKED_EXAMPLES.read_text(encoding="utf-8")

@@ -11,7 +11,6 @@ from qubitsep import (
     HSParams,
     InvalidParameterError,
     UnsupportedFormError,
-    boost_general,
     eigenvalues_hermitian,
     mds_criterion,
     r_from_rho,
@@ -293,8 +292,6 @@ def test_invalid_inputs():
         lambda: HSParams([0, 0, 0], [[0, 0], [0]], np.zeros((3, 3))),
         lambda: solve_symmetric([0.1, 0.1], [0.3, 0.2, 0.1]),
         lambda: solve_symmetric([0.1, 0.1, 0.1], [0.3, 0.2, np.inf]),
-        lambda: boost_general([0.1, 0.1]),
-        lambda: boost_general(None),
         lambda: mds_criterion([0.1, 0.1]),
         lambda: mds_criterion([0.1, 0.1, np.nan]),
     ):

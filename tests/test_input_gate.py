@@ -21,8 +21,6 @@ from qubitsep import (
     SampleSpec,
     SigmaForm,
     apply_two_sided,
-    boost_general,
-    boost_x,
     cross_validate,
     eigenvalues_hermitian,
     eliminate_and_diagonalize,
@@ -132,11 +130,6 @@ PARAMETERS = [
     ("peres_horodecki.tol", "number", lambda x: peres_horodecki(RHO, x)),
     ("partial_transpose_matrix.rho", "rho", partial_transpose_matrix),
     ("mds_criterion.tdiag", "3-vector", mds_criterion),
-    ("boost_x.beta", "number", boost_x),
-    ("boost_x.axis", "integer", lambda x: boost_x(0.1, x)),
-    ("boost_x.beta_limit", "number", lambda x: boost_x(0.1, 1, x)),
-    ("boost_general.beta", "3-vector", boost_general),
-    ("boost_general.beta_limit", "number", lambda x: boost_general(VECTOR, x)),
     ("apply_two_sided.r", "4x4", lambda x: apply_two_sided(x, np.eye(4), np.eye(4))),
     ("apply_two_sided.left", "4x4", lambda x: apply_two_sided(np.eye(4), x, np.eye(4))),
     ("apply_two_sided.right", "4x4", lambda x: apply_two_sided(np.eye(4), np.eye(4), x)),

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import warnings
 
@@ -17,9 +18,6 @@ from qubitsep import (
     SampleSpec,
     SigmaForm,
     SolverInconsistencyError,
-    UnsupportedFormError,
-    boost_general,
-    boost_x,
     eliminate_and_diagonalize,
     peres_horodecki,
     r_from_hs,
@@ -31,7 +29,7 @@ from qubitsep import (
     solve_pair_general,
     solve_symmetric,
 )
-from qubitsep import normal_form, sampling
+from qubitsep import cli, normal_form, sampling
 from qubitsep.normal_form import (
     GENERIC,
     NO_PHYSICAL_BOOST,
@@ -41,9 +39,10 @@ from qubitsep.normal_form import (
     NON_GENERIC_D,
     _FUNDAMENTAL_TOL,
 )
+from qubitsep.boost import _boost_x
 from qubitsep.hs import SIGMA
 
-from conftest import corpus_rows, lorentz_of_filter, record_symmetric_solves
+from conftest import corpus_rows, lorentz_of_filter, record_symmetric_solves, symmetric_boost
 from paper_formulas import (
     cubic_coefficients,
     pair_sigma,
@@ -69,17 +68,17 @@ BETAS_QUARTIC = (0.0816147674563641, 0.2068199699475560, 0.1777353654311645)
 
 
 def test_solve_pair_general_trivial():
-    assert solve_pair_general(0.0, 0.0, 0.7) == (0.0, 0.0)
+    assert solve_pair_general(0.0, 0.0, 0.7)[0] == (0.0, 0.0)
 
 
 def test_solve_pair_general_symmetric_case():
-    ba, bb = solve_pair_general(0.64, 0.64, 0.3)
+    (ba, bb), _ = solve_pair_general(0.64, 0.64, 0.3)
     assert abs(ba - BETA_SYM_064) < 1e-12
     assert abs(bb - BETA_SYM_064) < 1e-12
 
 
 def test_solve_pair_general_one_sided():
-    ba, bb = solve_pair_general(0.2, 0.0, 0.3)
+    (ba, bb), _ = solve_pair_general(0.2, 0.0, 0.3)
     assert abs(ba - BETA_A_B1ZERO) < 1e-12
     assert abs(bb - BETA_B_B1ZERO) < 1e-12
     # quadratic residual well below 1e-12
@@ -100,7 +99,7 @@ def test_solve_pair_general_roots_multiply_to_one():
         roots = np.roots([c2, c1, c2])
         assert abs(roots[0] * roots[1] - 1.0) < 1e-8
         try:
-            ba, _ = solve_pair_general(a1, b1, t1)
+            (ba, _), _ = solve_pair_general(a1, b1, t1)
         except NoPhysicalBoostError:
             continue
         checked += 1
@@ -144,7 +143,7 @@ def test_pair_velocities_match_the_decimal_oracle():
     for index, d in enumerate(np.geomspace(1e-4, 1e-8, 600)):
         blocks.append(_near_light_speed_block(rng, index, d))
     for block in blocks:
-        assert _scaled_velocity_error(*block, solve_pair_general(*block)) <= 4.0, block
+        assert _scaled_velocity_error(*block, solve_pair_general(*block)[0]) <= 4.0, block
 
 
 def test_pair_solve_certifies_states_near_light_speed(pair64):
@@ -168,11 +167,11 @@ def test_pair_solve_certifies_states_near_light_speed(pair64):
             assert rec.agree is not False, (seed, d, index)
     # at a typical scale the bound stays OFFDIAG_TOL: a velocity 1e-8 off
     # (relative) still fails the certificate
-    ba, bb = solve_pair_general(0.64, 0.64, 0.3)
+    (ba, bb), _ = solve_pair_general(0.64, 0.64, 0.3)
     r = r_from_hs(pair64)
-    assert eliminate_and_diagonalize(r, boost_x(ba, 2), boost_x(bb, 2))[1] < 1e-15
+    assert eliminate_and_diagonalize(r, _boost_x(ba, 2), _boost_x(bb, 2))[1] < 1e-15
     with pytest.raises(SolverInconsistencyError, match="linear terms"):
-        eliminate_and_diagonalize(r, boost_x(ba * (1 + 1e-8), 2), boost_x(bb, 2))
+        eliminate_and_diagonalize(r, _boost_x(ba * (1 + 1e-8), 2), _boost_x(bb, 2))
 
 
 def test_solve_pair_general_elimination_certificate():
@@ -180,12 +179,13 @@ def test_solve_pair_general_elimination_certificate():
     for _ in range(500):
         a1, b1, t1 = rng.uniform(-0.9, 0.9, 3)
         try:
-            ba, bb = solve_pair_general(a1, b1, t1)
+            (ba, bb), residual = solve_pair_general(a1, b1, t1)
         except NoPhysicalBoostError:
             continue
         e1 = -bb + b1 * ba * bb + a1 - ba * t1
         e2 = -ba + a1 * ba * bb + b1 - bb * t1
-        assert max(abs(e1), abs(e2)) < 1e-12
+        # the residual returned is the larger of the two conditions
+        assert residual == max(abs(e1), abs(e2)) < 1e-12
 
 
 def _boost_filter(beta, axis):
@@ -198,7 +198,7 @@ def test_boost_filter_is_boost_x():
     for axis in (1, 2, 3):
         for beta in (-0.9, -0.3, 0.2, 0.7):
             lam = lorentz_of_filter(_boost_filter(beta, axis))
-            assert np.abs(lam - boost_x(beta, axis)).max() < 1e-14
+            assert np.abs(lam - _boost_x(beta, axis)).max() < 1e-14
 
 
 def test_pair_betas_act_on_the_named_sides():
@@ -210,7 +210,7 @@ def test_pair_betas_act_on_the_named_sides():
         for index in range(50):
             p = random_state(spec, index)
             k = axis - 1
-            beta_a, beta_b = solve_pair_general(p.a[k], p.b[k], p.t[k, k])
+            (beta_a, beta_b), _ = solve_pair_general(p.a[k], p.b[k], p.t[k, k])
             rho = rho_from_hs(p)
             for name, (f_a, f_b) in (
                 ("named", (_boost_filter(beta_b, axis), _boost_filter(beta_a, axis))),
@@ -226,8 +226,8 @@ def test_pair_betas_act_on_the_named_sides():
 
 def test_solve_pair_symmetric_values():
     # a symmetric pair a1 = b1 = a shares one velocity
-    assert solve_pair_general(0.0, 0.0, 0.3) == (0.0, 0.0)
-    beta, beta_b = solve_pair_general(0.64, 0.64, 0.3)
+    assert solve_pair_general(0.0, 0.0, 0.3)[0] == (0.0, 0.0)
+    (beta, beta_b), _ = solve_pair_general(0.64, 0.64, 0.3)
     assert beta_b == pytest.approx(beta, abs=1e-14)
     assert abs(beta - BETA_SYM_064) < 1e-12
     g2 = 1.0 / (1.0 - beta * beta)
@@ -263,7 +263,7 @@ def test_boundary_beta_approach():
     # just inside the boundary the solver succeeds with beta within 1e-6 of 1
     eps = 4e-13
     a = (1 + 0.3) * (1 - eps) / 2
-    beta, _ = solve_pair_general(a, a, 0.3)
+    (beta, _), _ = solve_pair_general(a, a, 0.3)
     assert beta < 1.0
     assert 1.0 - beta < 1e-6
     # the paper's non-generic cases are beta = 1, "not reachable physically":
@@ -312,7 +312,7 @@ def test_boundary_verdict_continuity():
     t1 = 0.3
     for eps in np.geomspace(1e-6, 0.1, 25):
         a = (1 + t1) * (1 - eps) / 2
-        beta, _ = solve_pair_general(a, a, t1)
+        (beta, _), _ = solve_pair_general(a, a, t1)
         assert abs(beta) < 1.0 - 1e-9
         p = HSParams.diagonal([a, 0, 0], [a, 0, 0], [t1, 0.1, 0.1])
         assert solve_normal_form(p).classification.kind == GENERIC
@@ -345,9 +345,9 @@ def test_sigma_pair_b1zero_reference():
 
 def test_sigma_pair_b1zero_matches_brute_force_substitution():
     # independent route: apply the axis boosts to R and renormalize
-    ba, bb = solve_pair_general(0.2, 0.0, 0.3)
+    (ba, bb), _ = solve_pair_general(0.2, 0.0, 0.3)
     p = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0.3, 0.3, 0.3])
-    sig, offdiag = eliminate_and_diagonalize(r_from_hs(p), boost_x(ba), boost_x(bb))
+    sig, offdiag = eliminate_and_diagonalize(r_from_hs(p), _boost_x(ba, 1), _boost_x(bb, 1))
     closed = pair_sigma(0.2, 0.0, [0.3, 0.3, 0.3])
     assert abs(sig.tprime_sum - closed.tprime_sum) < 1e-12
     assert abs(sig.s0 - closed.s0) < 1e-12
@@ -640,7 +640,7 @@ def test_certificate_rejects_an_asymmetric_spatial_block():
 
 def test_eliminate_reference_cubic(cubic_state):
     (b1, b2, _), _ = solve_symmetric([0.1, 0.15, 0.0], [0.3, -0.2, 0.4])
-    boost = boost_general([b1, b2, 0.0])
+    boost = symmetric_boost([b1, b2, 0.0])
     sig, offdiag = eliminate_and_diagonalize(r_from_hs(cubic_state), boost, boost)
     q_expected = np.array(
         [
@@ -661,7 +661,7 @@ def test_eliminate_reference_cubic(cubic_state):
 
 def test_eliminate_reference_quartic(quartic_state):
     betas, _ = solve_symmetric([0.1, 0.15, 0.2], [0.3, -0.2, 0.2])
-    boost = boost_general(betas)
+    boost = symmetric_boost(betas)
     q_expected = np.array(
         [
             [0.92527, 0, 0, 0],
@@ -713,9 +713,39 @@ def test_classify_generic_and_boundary(pair64):
     assert cls.kind == NO_PHYSICAL_BOOST
 
 
-def test_classify_requires_diagonal_t():
-    with pytest.raises(UnsupportedFormError):
-        solve_normal_form(HSParams(np.zeros(3), np.zeros(3), np.ones((3, 3))))
+def _solve_bits(report):
+    sigma = report.sigma
+    floats = [*report.betas, report.polynomial_residual, report.offdiag_residual]
+    return (
+        report.classification,
+        report.boost_kind,
+        report.axis,
+        [x.hex() for x in floats],
+        None if sigma is None else (sigma.s0.hex(), sigma.s.tobytes()),
+    )
+
+
+def test_solve_normal_form_reduces_a_full_t(monkeypatch, tmp_path, capsys):
+    # on every full-t state of the corpus the report holds params with an
+    # exactly diagonal t and the note analyze prints, and solving those params
+    # again gives the same solve, bit for bit
+    path = tmp_path / "state.json"
+    full = 0
+    for row in corpus_rows(monkeypatch, 0, 1024).tolist():
+        p = HSParams(row[0:3], row[3:6], np.reshape(row[6:], (3, 3)))
+        if p.is_t_diagonal():
+            continue
+        full += 1
+        report = solve_normal_form(p)
+        t = report.reduced.t
+        assert np.array_equal(t, np.diag(t.diagonal()))
+        path.write_text(json.dumps({"a": row[0:3], "b": row[3:6], "t_full": row[6:]}))
+        cli.main(["analyze", str(path)])
+        assert json.loads(capsys.readouterr().out)["criteria_notes"][0] == report.note
+        again = solve_normal_form(report.reduced)
+        assert again.reduced is report.reduced and again.note is None
+        assert _solve_bits(again) == _solve_bits(report)
+    assert full > 100
 
 
 def test_classify_unsupported_family():

@@ -4,6 +4,7 @@ qubitsep's real API."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -47,11 +48,31 @@ def test_unused_imports_are_traced_names():
     assert unused <= wrapped, sorted(unused - wrapped)
 
 
+def _entry_points_block() -> str:
+    section = (ROOT / "README.md").read_text().split("## Library entry points", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _imported_names(source: str) -> set[str]:
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
 def test_readme_entry_points_import():
-    readme = (ROOT / "README.md").read_text()
-    section = readme.split("## Library entry points", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(block, "README.md", "exec"), {})
+    exec(compile(_entry_points_block(), "README.md", "exec"), {})
+
+
+def test_readme_entry_points_are_the_exported_functions():
+    # the block lists every function qubitsep exports, and nothing it does not export
+    package = importlib.import_module("qubitsep")
+    exported = _imported_names((ROOT / "src" / "qubitsep" / "__init__.py").read_text())
+    functions = {name for name in exported if inspect.isfunction(getattr(package, name))}
+    listed = _imported_names(_entry_points_block())
+    assert functions <= listed <= exported, (sorted(functions - listed), sorted(listed - exported))
 
 
 def test_readme_tolerance_table_matches_the_code():
