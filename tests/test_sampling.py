@@ -396,6 +396,38 @@ def test_cross_validate_outputs_pinned():
         assert digest.hexdigest() == expected, (family, axis)
 
 
+def _report_hex(report) -> str:
+    fields = (getattr(report, f.name) for f in dataclasses.fields(report))
+    return ",".join(v.hex() if isinstance(v, float) else repr(v) for v in fields) + ";"
+
+
+# sha256 over every AgreementReport field (floats as float.hex) of
+# batch_stats(SampleSpec(family, count, seed, axis)) for seeds 0, 3, 11 and
+# counts 1, 2, 33, 70 (33 and 70 span two and three windows of _WINDOW).
+# The single-pair axes are relabelings of each other, so their reports agree.
+PINNED_BATCH_STATS = {
+    ("mds", 1): "5d07f6b16a791a0cbae0c57ec1b9adfc78395941d145dead7420ac69cafbe6db",
+    ("single-pair", 1): "ee9fd6735a31c7e9d367b926bb91be8b3771874c229f9cc4c0b224f80dd252eb",
+    ("single-pair", 2): "ee9fd6735a31c7e9d367b926bb91be8b3771874c229f9cc4c0b224f80dd252eb",
+    ("single-pair", 3): "ee9fd6735a31c7e9d367b926bb91be8b3771874c229f9cc4c0b224f80dd252eb",
+    ("symmetric-two", 1): "03de640bb7b57ab33a19da73d775abccbe57bd0d818992881fbcc3649b4c6c60",
+    ("symmetric-three", 1): "50a086241bfef2eedd1e155111455f08975b16cffce56f9727cc51b1a81a1937",
+    ("full-symmetric", 1): "f7743968f5cb043249f4e03504136628e8d9791f0f667d3b0f604d1b9b7fd4be",
+    ("product-mixture", 1): "590558758987e9556c9a7c636fc7fda9f64d2246eb1a14f20f6fa4dd96bb7f63",
+}
+
+
+def test_batch_stats_reports_pinned():
+    assert {family for family, _ in PINNED_BATCH_STATS} == set(FAMILIES)
+    for (family, axis), expected in PINNED_BATCH_STATS.items():
+        digest = hashlib.sha256()
+        for seed in (0, 3, 11):
+            for count in (1, 2, 33, 70):
+                report = batch_stats(SampleSpec(family, count, seed, axis))
+                digest.update(_report_hex(report).encode())
+        assert digest.hexdigest() == expected, (family, axis)
+
+
 def _symmetric_three_loop(rng, n):
     # the candidate-at-a-time draws that the raw-bit decoder must reproduce
     axes = np.arange(3)
