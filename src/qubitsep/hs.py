@@ -136,7 +136,7 @@ class HSParams:
         """Params that hold a read-only copy of R (see pack_r), its corner set to 1.
 
         The corner is not read; the other 15 entries get the checks, and the
-        messages, of HSParams(a, b, t); a finite R costs one pass (once per sample).
+        messages, of HSParams(a, b, t); a finite R costs one pass.
         """
         try:
             r = np.array(r)

@@ -6,12 +6,12 @@ and on qubit B are transposes of each other and share their spectrum, so the
 test transposes qubit A.  In the Pauli picture that is the sign flip
 sigma_y -> -sigma_y on qubit A (tests/paper_formulas.py states it on (a, b, t)).
 
-A matrix from outside is checked by require_hermitian and transposed by
-partial_transpose_matrix, and spectra hands both to _spectra.  For the R of
-HSParams, cross_validate builds rho and its partial transpose with
-_rho_and_pt, one einsum over a stacked basis: the Pauli products and their
-transposes on qubit A, so that each partial-transpose entry is the same sum as
-the rho entry it moves, bit for bit.  It hands that pair to _spectra too.
+The partial transpose only moves entries: entry (i, j) of it is entry
+_PT_INDEX[i, j] of rho's 16, read in row-major order.  That one index map
+transposes every matrix here: a matrix from outside (partial_transpose_matrix,
+after require_hermitian in spectra), the rho that cross_validate assembles
+from an R, and the stack of sampled rho that batch_stats holds.  A moved entry
+is the rho entry itself, bit for bit, signed zeros and NaN included.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError
-from .hs import PAULI_KRON, PSD_TOL, _as_complex, _as_real, _read_only, require_hermitian
+from .hs import PSD_TOL, _as_complex, _as_real, _read_only, require_hermitian
 
 # Not called here; perfbench/tracing.py wraps this name on this module.
 from .hs import eigenvalues_hermitian  # noqa: F401
@@ -34,6 +34,10 @@ VERDICT_TOL = 1e-10
 MDS_SUM_TOL = 1e-12
 # 4*lambda leaves the float range past this |lambda|
 _SPECTRUM_MAX = sys.float_info.max / 4.0
+# the row-major positions in rho of the entries of its partial transpose on
+# qubit A; stacked after the identity map, rho and its transpose in one take
+_PT_INDEX = _read_only(np.arange(16).reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4))
+_PAIR_INDEX = _read_only(np.stack([np.arange(16).reshape(4, 4), _PT_INDEX]))
 
 
 @dataclass(frozen=True)
@@ -61,13 +65,7 @@ def partial_transpose_matrix(rho) -> np.ndarray:
     m = _as_complex(rho, message)
     if m.shape != (4, 4):
         raise InvalidParameterError(message)
-    return m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
-
-
-# [0] is PAULI_KRON, [1] its partial transpose on qubit A, one Pauli product at a time
-_RHO_AND_PT_BASIS = _read_only(
-    np.stack([PAULI_KRON, [[partial_transpose_matrix(p) for p in row] for row in PAULI_KRON]])
-)
+    return m.reshape(16)[_PT_INDEX]
 
 
 def spectra(rho) -> tuple[np.ndarray, np.ndarray]:
@@ -77,31 +75,22 @@ def spectra(rho) -> tuple[np.ndarray, np.ndarray]:
     read-only, ascending, in 4*lambda units.  A spectrum past the float range
     in those units raises InvalidParameterError.
     """
-    pair = np.empty((2, 4, 4), dtype=complex)
-    pair[0] = require_hermitian(rho)
-    pair[1] = partial_transpose_matrix(pair[0])
-    return _spectra(pair)
+    return _pair_spectra(require_hermitian(rho))
 
 
-def _rho_and_pt(r) -> np.ndarray:
-    # rho_from_r(r) and its partial transpose, stacked, for a checked R: the
-    # entries and the error of rho_from_r, bit for bit; rho is exactly Hermitian
-    pair = np.einsum("nm,kmnij->kij", r, _RHO_AND_PT_BASIS)
-    if not np.isfinite(pair).all():
-        raise InvalidParameterError("matrix entries must be finite")
-    return np.divide(pair, 4.0, out=pair)
-
-
-def _spectra(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the spectra of rho = pair[0] and of its partial transpose pair[1]
-    lam = np.linalg.eigvalsh(pair)
-    # each spectrum ascends, so its two ends bound it; a nan fails the test too
-    (lo, _, _, hi), (pt_lo, _, _, pt_hi) = lam.tolist()
-    top = _SPECTRUM_MAX
-    if not (-top <= lo <= hi <= top and -top <= pt_lo <= pt_hi <= top):
-        raise InvalidParameterError("spectrum exceeds the float range in 4*lambda units")
-    four = _read_only(4.0 * lam)
+def _pair_spectra(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # spectra for a checked 4x4 rho: it and its partial transpose in one eigensolve
+    four = _spectra(np.linalg.eigvalsh(rho.reshape(16)[_PAIR_INDEX]))
     return four[0], four[1]
+
+
+def _spectra(lam: np.ndarray) -> np.ndarray:
+    # eigvalsh rows (..., 4) as read-only spectra in 4*lambda units; each row
+    # ascends, so its two ends bound it; a nan fails the test too
+    top = _SPECTRUM_MAX
+    if not all(-top <= lo <= hi <= top for lo, _, _, hi in lam.reshape(-1, 4).tolist()):
+        raise InvalidParameterError("spectrum exceeds the float range in 4*lambda units")
+    return _read_only(4.0 * lam)
 
 
 def require_state(spectrum: np.ndarray, tol: float) -> None:

@@ -30,14 +30,21 @@ does not depend on the rest of the stack.  The others get one stacked
 assembly and one stacked eigensolve, and each stacked result equals the
 per-matrix one bit for bit.  So the accepted candidate is the same as a
 candidate-at-a-time loop's, whatever the block sizes and whichever indices
-share a round; its sample holds a read-only copy of its R
-(HSParams.from_r).  Draws past it are thrown away; they cannot shift any
-other sample, because every (seed, index) has its own generator.
+share a round; its sample holds a read-only copy of its R, adopted without a
+second check (the prefilter has raised on any non-finite entry of the stack),
+and the sampler keeps its rho and its row of the accept eigensolve: that row
+is the sample's spectrum.  Draws past it are thrown away; they cannot shift
+any other sample, because every (seed, index) has its own generator.
 
 cross_validate runs both routes on one state: the exact test on one stacked
-eigensolve of rho and its partial transpose, and the Lorentz route through
+eigensolve of rho and its partial transpose, then _validate, which checks the
+spectrum, reads the PPT verdict and runs the Lorentz route through
 solve_normal_form and separability_verdict, called by those names so that
-perfbench's tracer times them.
+perfbench's tracer times them.  batch_stats hands _validate the spectra the
+sampler has: each sample's accept eigensolve row, and the partial-transpose
+spectra of a window's samples from one stacked eigensolve of their rho moved
+by pt._PT_INDEX.  Both give each state the spectra cross_validate gives it,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +59,8 @@ from .boost import BETA_LIMIT
 from .errors import InvalidParameterError, SamplingExhaustedError
 from .hs import PSD_TOL, HSParams, _as_real, _rho_from_r, r_from_hs
 from .normal_form import Classification, SolveReport, separability_verdict, solve_normal_form
-from .pt import VERDICT_TOL, Verdict, _rho_and_pt, _spectra, ppt_verdict, require_state
+from .pt import VERDICT_TOL, Verdict, ppt_verdict, require_state
+from .pt import _PT_INDEX, _pair_spectra, _spectra
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .hs import eigenvalues_hermitian, rho_from_hs  # noqa: F401
@@ -352,7 +360,9 @@ def _draw_block(
     return rs
 
 
-def _sample(spec: SampleSpec, indices: range) -> Iterator[HSParams]:
+def _sample(
+    spec: SampleSpec, indices: range
+) -> Iterator[tuple[list[HSParams], np.ndarray, np.ndarray]]:
     """The samples of `indices`, in order, drawn in stacked rounds.
 
     The indices go in windows of _WINDOW.  In a round, every pending index of
@@ -361,13 +371,17 @@ def _sample(spec: SampleSpec, indices: range) -> Iterator[HSParams]:
     one eigensolve, and each index takes its first accepted candidate in
     stream order.  Block sizes start at the family's _FIRST_BLOCK and double
     up to _MAX_BLOCK; an index's last block is cut short at _MAX_ATTEMPTS
-    candidates.  Samples are yielded window by window, so memory does not
-    grow with the number of indices.
+    candidates.  Each window is yielded as its samples, their rho (w, 4, 4)
+    and their rows of the accept eigensolve (w, 4): eigvalsh of each rho,
+    ascending, in lambda units, which is the sample's spectrum.  So memory
+    does not grow with the number of indices.
     """
     for start in range(0, len(indices), _WINDOW):
         window = indices[start : start + _WINDOW]
         rngs = [np.random.default_rng((spec.seed, index)) for index in window]
         found: list[HSParams | None] = [None] * len(window)
+        found_rho = np.empty((len(window), 4, 4), dtype=complex)
+        found_lam = np.empty((len(window), 4))
         pending = list(range(len(window)))
         checked = 0  # candidates each pending index has checked
         size = _FIRST_BLOCK[spec.family]
@@ -380,13 +394,17 @@ def _sample(spec: SampleSpec, indices: range) -> Iterator[HSParams]:
             survivors = np.flatnonzero(~_proven_indefinite(rs))
             if survivors.size:
                 rho = _rho_from_r(rs[survivors])
-                accepted[survivors] = np.linalg.eigvalsh(rho)[:, 0] >= -_PSD_ACCEPT_TOL
+                lam = np.linalg.eigvalsh(rho)
+                accepted[survivors] = lam[:, 0] >= -_PSD_ACCEPT_TOL
             hits = accepted.reshape(len(pending), n)
             first = hits.argmax(axis=1)
             still = []
             for j, k in enumerate(pending):
                 if hits[j, first[j]]:
-                    found[k] = HSParams.from_r(rs[j * n + first[j]])
+                    i = j * n + first[j]
+                    found[k] = HSParams._of_checked_r(rs[i].copy())
+                    row = survivors.searchsorted(i)
+                    found_rho[k], found_lam[k] = rho[row], lam[row]
                 else:
                     still.append(k)
             pending = still
@@ -397,7 +415,7 @@ def _sample(spec: SampleSpec, indices: range) -> Iterator[HSParams]:
                 f"no valid state after {_MAX_ATTEMPTS} attempts "
                 f"(family={spec.family}, seed={spec.seed}, index={window[pending[0]]})"
             )
-        yield from found
+        yield found, found_rho, found_lam
 
 
 def random_state(spec: SampleSpec, index: int) -> HSParams:
@@ -408,7 +426,8 @@ def random_state(spec: SampleSpec, index: int) -> HSParams:
     """
     if not isinstance(index, (int, np.integer)) or index < 0:
         raise InvalidParameterError(f"index must be >= 0, got {index}")
-    return next(_sample(spec, range(index, index + 1)))
+    found, _, _ = next(_sample(spec, range(index, index + 1)))
+    return found[0]
 
 
 def cross_validate(
@@ -425,9 +444,9 @@ def cross_validate(
     coefficients whose rho overflows raise InvalidParameterError.
     `tol` decides both verdicts; a PPT witness within 1e-8 of zero is boundary,
     not a disagreement (both criteria are exact only in exact arithmetic).
-    Past this gate the spectra come from HSParams' own R through the stacked
-    assembly (pt._rho_and_pt), and solve_normal_form and separability_verdict
-    check only their scalars; the solve reads t's diagonality once.
+    Past this gate the spectra come from HSParams' own R (rho assembled by
+    hs._rho_from_r, its partial transpose moved by pt._PT_INDEX), and
+    _validate does the rest.
     """
     try:
         tol, tol_psd = _as_real(tol, (), "tol"), _as_real(tol_psd, (), "tol_psd")
@@ -437,7 +456,21 @@ def cross_validate(
         valid = False
     if not valid:
         raise InvalidParameterError("tol and tol_psd must be finite and >= 0, beta_limit in [0, 1)")
-    spectrum, pt_spectrum = _spectra(_rho_and_pt(r_from_hs(params)))
+    spectrum, pt_spectrum = _pair_spectra(_rho_from_r(r_from_hs(params)))
+    return _validate(params, spectrum, pt_spectrum, tol, beta_limit, tol_psd)
+
+
+def _validate(
+    params: HSParams,
+    spectrum: np.ndarray,
+    pt_spectrum: np.ndarray,
+    tol: float,
+    beta_limit: float,
+    tol_psd: float,
+) -> CrossValidation:
+    # cross_validate past its gate and its spectra: the PSD check, the PPT
+    # verdict and the Lorentz route (solve_normal_form and separability_verdict
+    # check only their scalars; the solve reads t's diagonality once)
     require_state(spectrum, tol_psd)
     ppt = ppt_verdict(pt_spectrum, tol)
     report = solve_normal_form(params, beta_limit)
@@ -461,16 +494,25 @@ def cross_validate(
 
 
 def batch_stats(spec: SampleSpec) -> AgreementReport:
-    """Cross-validation counts over `spec.count` samples, deterministic; boundary ones agree."""
-    residuals: list[float] = []
-    boundary = disagree = 0
-    for params in _sample(spec, range(spec.count)):
-        rec = cross_validate(params)
-        if rec.classification.is_generic:
-            residuals.append(rec.report.offdiag_residual)
-            boundary += rec.agree is None
-            disagree += rec.agree is False
-    generic = len(residuals)
+    """Cross-validation counts over `spec.count` samples, deterministic; boundary ones agree.
+
+    Each sample is validated as cross_validate(params) would, on the spectra
+    the sampler has already: its row of the accept eigensolve, and its
+    partial-transpose spectrum from one stacked eigensolve per window.
+    """
+    residuals = np.empty(spec.count)
+    generic = boundary = disagree = 0
+    for found, rho, lam in _sample(spec, range(spec.count)):
+        spectra = _spectra(lam)
+        pt_spectra = _spectra(np.linalg.eigvalsh(rho.reshape(-1, 16)[:, _PT_INDEX]))
+        for params, spectrum, pt_spectrum in zip(found, spectra, pt_spectra):
+            rec = _validate(params, spectrum, pt_spectrum, VERDICT_TOL, BETA_LIMIT, PSD_TOL)
+            if rec.classification.is_generic:
+                residuals[generic] = rec.report.offdiag_residual
+                generic += 1
+                boundary += rec.agree is None
+                disagree += rec.agree is False
+    residuals = residuals[:generic]
     return AgreementReport(
         family=spec.family,
         count=spec.count,
@@ -481,6 +523,7 @@ def batch_stats(spec: SampleSpec) -> AgreementReport:
         agree_count=generic - disagree,
         disagree_count=disagree,
         boundary_count=boundary,
-        mean_offdiag_residual=float(np.mean(residuals)) if residuals else 0.0,
-        max_offdiag_residual=float(np.max(residuals)) if residuals else 0.0,
+        # np.mean and np.max of the same values, bit for bit
+        mean_offdiag_residual=float(residuals.sum() / generic) if generic else 0.0,
+        max_offdiag_residual=float(residuals.max()) if generic else 0.0,
     )

@@ -2,8 +2,11 @@
 against an independent oracle, bit for bit, signed zeros included, with the
 same errors:
 
-  * pt._rho_and_pt (one einsum over a stacked basis) against rho_from_r and
-    partial_transpose_matrix, and its spectra against pt.spectra;
+  * pt._PT_INDEX (the partial transpose as one index map of rho's 16
+    entries), moving the stacked rho of hs._rho_from_r as batch_stats does,
+    against partial_transpose_matrix of rho_from_r and the entry-by-entry
+    formula, and the spectra of both of cross_validate's paths against
+    pt.spectra;
   * boost._boost_general and normal_form._certify against their earlier
     formulations in tests/solver_oracles.py;
   * hs._local_rotations and _symmetric_rotation, which solve_normal_form
@@ -19,6 +22,7 @@ import pytest
 
 from qubitsep import (
     HSParams,
+    InvalidParameterError,
     SolverInconsistencyError,
     cross_validate,
     eliminate_and_diagonalize,
@@ -31,9 +35,9 @@ from qubitsep import (
     tdiag_via_symmetric_rotation,
 )
 from qubitsep.boost import _boost_general
-from qubitsep.hs import PAULI_KRON, _local_rotations, _symmetric_rotation, pack_r
+from qubitsep.hs import _local_rotations, _rho_from_r, _symmetric_rotation, pack_r
 from qubitsep.normal_form import _certify
-from qubitsep.pt import _RHO_AND_PT_BASIS, _rho_and_pt, _spectra
+from qubitsep.pt import _PT_INDEX, _pair_spectra, _spectra
 
 from conftest import corpus_rows, record_symmetric_solves
 from solver_oracles import boost_general_rows, certify_lists
@@ -76,33 +80,44 @@ def _random_r_with_zeros(seed: int, n: int) -> list[np.ndarray]:
     return list(rs)
 
 
-def test_stacked_basis_is_the_pauli_products_and_their_partial_transposes():
-    assert _RHO_AND_PT_BASIS.shape == (2, 4, 4, 4, 4) and not _RHO_AND_PT_BASIS.flags.writeable
-    assert _RHO_AND_PT_BASIS[0].tobytes() == PAULI_KRON.tobytes()
-    for m in range(4):
-        for n in range(4):
-            moved = partial_transpose_matrix(PAULI_KRON[m, n])
-            assert _RHO_AND_PT_BASIS[1, m, n].tobytes() == moved.tobytes()
+def _pt_by_entries(rho: np.ndarray) -> np.ndarray:
+    # transpose on qubit A: <i j| pt |k l> = <k j| rho |i l>, basis |qubit A, qubit B>
+    pt = np.empty_like(rho)
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        pt[2 * i + j, 2 * k + l] = rho[2 * k + j, 2 * i + l]
+    return pt
 
 
-def test_rho_and_pt_are_the_separate_assembly_bit_for_bit(monkeypatch):
+def test_pt_index_map_is_the_partial_transpose_bit_for_bit(monkeypatch):
     rs = _corpus_r(monkeypatch) + _random_r_with_zeros(29, 4000)
     assert sum(int((np.signbit(r) & (r == 0.0)).sum()) for r in rs) > 1000
-    for r in rs:
+    assert not _PT_INDEX.flags.writeable
+    # one assembly of the whole stack and one move, as batch_stats does per window
+    stacked = _rho_from_r(np.array(rs))
+    moved = stacked.reshape(-1, 16)[:, _PT_INDEX]
+    pt_spectra = _spectra(np.linalg.eigvalsh(moved))
+    assert not pt_spectra.flags.writeable
+    for r, rho_k, pt_k, pt_spectrum in zip(rs, stacked, moved, pt_spectra):
         rho = rho_from_r(r)
         pt = partial_transpose_matrix(rho)
-        pair = _rho_and_pt(r)
         # tobytes tells -0.0 from 0.0
-        assert pair[0].tobytes() == rho.tobytes() and pair[1].tobytes() == pt.tobytes()
-        got, want = _spectra(pair), spectra(rho)
+        assert rho_k.tobytes() == rho.tobytes()
+        assert pt_k.tobytes() == pt.tobytes() == _pt_by_entries(rho).tobytes()
+        got, want = _pair_spectra(rho), spectra(rho)
         assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
         assert not got[0].flags.writeable and not got[1].flags.writeable
+        assert pt_spectrum.tobytes() == want[1].tobytes()
 
 
-def test_rho_and_pt_overflow_raises_as_rho_from_r():
+def test_pt_index_map_paths_raise_as_rho_from_r_on_overflow():
+    # every coefficient 1e308 is finite, but rho overflows before any map
     r = np.full((4, 4), 1e308)
     r[0, 0] = 1.0
-    assert _outcome(_rho_and_pt, r) == _outcome(rho_from_r, r)
+    expected = _outcome(rho_from_r, r)
+    assert expected[0] is InvalidParameterError
+    assert _outcome(cross_validate, HSParams.from_r(r)) == expected
+    stack = np.array([np.eye(4), r])
+    assert _outcome(lambda rs: _rho_from_r(rs).reshape(-1, 16)[:, _PT_INDEX], stack) == expected
 
 
 def test_boost_general_core_is_the_row_comprehension(monkeypatch):

@@ -468,7 +468,7 @@ def test_symmetric_solve_matches_the_root_scan_oracle(monkeypatch):
     states = [HSParams(r[0:3], r[3:6], np.reshape(r[6:], (3, 3))) for r in rows]
     for family in ("symmetric-two", "symmetric-three", "full-symmetric"):
         spec = SampleSpec(family, 200, 5)
-        states += sampling._sample(spec, range(200))
+        states += [p for found, _, _ in sampling._sample(spec, range(200)) for p in found]
     solves, evaluations = record_symmetric_solves(monkeypatch), []
     secular = normal_form._secular
 
@@ -547,7 +547,7 @@ def test_tprime_sum_is_the_numpy_sum():
     sigmas = 0
     for family in FAMILIES:
         spec = SampleSpec(family, 200, 1)
-        for params in sampling._sample(spec, range(200)):
+        for params in (p for found, _, _ in sampling._sample(spec, range(200)) for p in found):
             sigma = sampling.cross_validate(params).report.sigma
             if sigma is not None:
                 sigmas += 1

@@ -250,7 +250,7 @@ def test_batch_stats_counts_every_outcome(monkeypatch):
             record(False, None, float("nan")),
         ]
     )
-    monkeypatch.setattr(sampling, "cross_validate", lambda params: next(records))
+    monkeypatch.setattr(sampling, "_validate", lambda params, *spectra_and_tols: next(records))
     report = batch_stats(SampleSpec(family="mds", count=4, seed=0))
     assert (report.total, report.generic_count, report.nongeneric_count) == (4, 3, 1)
     # a boundary sample counts as agreement and as boundary
@@ -428,6 +428,34 @@ def test_batch_stats_reports_pinned():
         assert digest.hexdigest() == expected, (family, axis)
 
 
+def test_batch_stats_validates_with_the_spectra_of_cross_validate(monkeypatch):
+    # batch_stats hands the validation core the sampler's accept eigensolve
+    # row and a stacked partial-transpose eigensolve per window; both must be
+    # what cross_validate computes for the same params, bit for bit
+    handed = []
+    validate = sampling._validate
+
+    def recording(params, spectrum, pt_spectrum, *tols):
+        handed.append((params, spectrum, pt_spectrum))
+        return validate(params, spectrum, pt_spectrum, *tols)
+
+    monkeypatch.setattr(sampling, "_validate", recording)
+    for family, axis in PINNED_BATCH_STATS:
+        for seed in (0, 3, 11):
+            for count in (1, 2, 33, 70):
+                spec = SampleSpec(family, count, seed, axis)
+                handed.clear()
+                batch_stats(spec)
+                batch = handed[:]  # cross_validate below goes through the core too
+                assert len(batch) == count
+                for index, (params, spectrum, pt_spectrum) in enumerate(batch):
+                    assert _state_bits(params) == _state_bits(random_state(spec, index))
+                    rec = cross_validate(params)
+                    assert spectrum.tobytes() == rec.spectrum.tobytes(), (spec, index)
+                    assert pt_spectrum.tobytes() == rec.pt_spectrum.tobytes(), (spec, index)
+                    assert not spectrum.flags.writeable and not pt_spectrum.flags.writeable
+
+
 def _symmetric_three_loop(rng, n):
     # the candidate-at-a-time draws that the raw-bit decoder must reproduce
     axes = np.arange(3)
@@ -544,7 +572,7 @@ def test_batch_matches_single_draws(family):
     # count spans one full window and part of a second
     for seed in range(60):
         spec = SampleSpec(family, _WINDOW + 1, seed)
-        batch = list(_sample(spec, range(spec.count)))
+        batch = [params for found, _, _ in _sample(spec, range(spec.count)) for params in found]
         assert len(batch) == spec.count
         for index, params in enumerate(batch):
             single = random_state(spec, index)
