@@ -26,14 +26,27 @@ on qubit A.  Hermiticity of rho is equivalent to R being real.
 A rho assembled from a real R is exactly Hermitian (mirror entries come from the
 same operations in the same order), so only its finiteness is checked; a matrix
 from outside gets both checks (require_hermitian, in pt.spectra and others).
+
+Every Hermitian eigensolve of the package runs through _eigvalsh or _eigh:
+numpy's own LAPACK gufuncs (eigvalsh_lo, eigh_lo) under the error state that
+numpy's eigvalsh and eigh set.  A result is bit for bit numpy's, and a solve
+that does not converge raises numpy's LinAlgError with no RuntimeWarning, but
+the public wrapper's re-checks of an array the package built, a large share
+of the cost of a 4x4 or 3x3 solve, are skipped.  _local_rotations keeps
+np.linalg.svd: its gufunc was renamed in numpy 2.0, while eigvalsh_lo and
+eigh_lo have kept their names since numpy 1.8.  _spectra turns eigenvalue
+rows into spectra and raises InvalidParameterError on one past the float
+range in 4*lambda units, for eigenvalues_hermitian and for pt and sampling.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ContractViolationError, InvalidParameterError, UnsupportedFormError
 
@@ -54,6 +67,9 @@ SIGMA = np.array(
 
 # PAULI_KRON[mu, nu] = sigma_mu (qubit A) x sigma_nu (qubit B)
 PAULI_KRON = np.array([[np.kron(SIGMA[m], SIGMA[n]) for n in range(4)] for m in range(4)])
+
+# 4*lambda leaves the float range past this |lambda|
+_SPECTRUM_MAX = sys.float_info.max / 4.0
 
 
 # what float() and numpy's conversions raise on non-numbers, ragged input and huge ints
@@ -144,7 +160,12 @@ class HSParams:
             raise _not_real("R", (4, 4)) from None
         if r.dtype.kind not in "biuf" or r.shape != (4, 4):
             raise _not_real("R", (4, 4))
-        r = r.astype(float, copy=False)
+        return cls._of_new_r(r.astype(float, copy=False))
+
+    @classmethod
+    def _of_new_r(cls, r: np.ndarray) -> "HSParams":
+        # from_r past its copy: the caller hands over r, a new float 4x4
+        # array, and one pass checks its 15 entries past the corner
         if not all(map(math.isfinite, r.ravel().tolist()[1:])):
             cls(r[0, 1:], r[1:, 0], r[1:, 1:].T)  # raises, naming the part that is not finite
         r[0, 0] = 1.0
@@ -255,10 +276,47 @@ def rho_from_hs(params: HSParams) -> np.ndarray:
     return _rho_from_r(r_from_hs(params))
 
 
+def _no_convergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+# the error state numpy's eigvalsh and eigh set around their gufuncs: a solve
+# that does not converge sets the invalid flag, which raises numpy's
+# LinAlgError, and LAPACK's own scaling may over- or underflow unseen
+_LAPACK_ERRSTATE = dict(
+    call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+
+
+@np.errstate(**_LAPACK_ERRSTATE)
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    # np.linalg.eigvalsh(m) bit for bit, for a float or complex array the
+    # package built: numpy's own LAPACK gufunc, without the wrapper's re-checks
+    return _umath_linalg.eigvalsh_lo(m, signature="D->d" if m.dtype.kind == "c" else "d->d")
+
+
+@np.errstate(**_LAPACK_ERRSTATE)
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # np.linalg.eigh(m) bit for bit, as (w, v), for a real array the package built
+    return _umath_linalg.eigh_lo(m, signature="d->dd")
+
+
+def _spectra(lam: np.ndarray) -> np.ndarray:
+    # eigvalsh rows (..., 4) as read-only spectra in 4*lambda units; each row
+    # ascends, so its two ends bound it; a nan fails the test too
+    top = _SPECTRUM_MAX
+    if not all(-top <= lo <= hi <= top for lo, _, _, hi in lam.reshape(-1, 4).tolist()):
+        raise InvalidParameterError("spectrum exceeds the float range in 4*lambda units")
+    return _read_only(4.0 * lam)
+
+
 def eigenvalues_hermitian(matrix) -> np.ndarray:
-    """Eigenvalues of a 4x4 Hermitian matrix, ascending, in 4*lambda units."""
-    m = require_hermitian(matrix)
-    return _read_only(4.0 * np.linalg.eigvalsh(m))
+    """Eigenvalues of a 4x4 Hermitian matrix, ascending, in 4*lambda units.
+
+    A spectrum past the float range in those units raises
+    InvalidParameterError.
+    """
+    return _spectra(_eigvalsh(require_hermitian(matrix)))
 
 
 def _is_reflection(q: np.ndarray) -> bool:
@@ -291,7 +349,7 @@ def _local_rotations(params: HSParams):
     if _is_reflection(vt):
         vt[2, :] *= -1.0
         s[2] *= -1.0
-    out = HSParams.from_r(pack_r(u.T @ params.a, vt @ params.b, np.diag(s)))
+    out = HSParams._of_new_r(pack_r(u.T @ params.a, vt @ params.b, np.diag(s)))
     return out, u.T, vt
 
 
@@ -311,9 +369,9 @@ def _symmetric_rotation(params: HSParams):
     # tdiag_via_symmetric_rotation on params that is_symmetric has passed,
     # which implies its check of t
     t = params.t
-    w, v = np.linalg.eigh(0.5 * (t + t.T))
+    w, v = _eigh(0.5 * (t + t.T))
     if _is_reflection(v):
         v[:, 0] *= -1.0
     rot = v.T
-    out = HSParams.from_r(pack_r(rot @ params.a, rot @ params.b, np.diag(w)))
+    out = HSParams._of_new_r(pack_r(rot @ params.a, rot @ params.b, np.diag(w)))
     return out, rot

@@ -25,10 +25,12 @@ so that case b) still applies.  It classifies, solves case a) with
 solve_pair_general and case b) with _solve_symmetric, builds the boosts with
 boost._boost_x or _boost_general and certifies the boosted R with _certify,
 the rules of eliminate_and_diagonalize, without re-checking the arrays it
-built itself.  Its report holds the diagonal-t params it solved (reduced) and
-a note naming the rotation.  On the way only scalars are checked: beta_limit
-here, the pair's numbers in solve_pair_general and tol in
-separability_verdict.  solve_symmetric, for values from outside, checks its
+built itself; the certificate's 3x3 eigensolve is hs._eigvalsh, numpy's
+LAPACK gufunc without the np.linalg wrapper, whose LinAlgError on a block
+that does not converge becomes SolverInconsistencyError.  Its report holds
+the diagonal-t params it solved (reduced) and a note naming the rotation.
+On the way only scalars are checked: beta_limit here, the pair's numbers in
+solve_pair_general and tol in separability_verdict.  solve_symmetric, for values from outside, checks its
 two arrays and calls _solve_symmetric; the solve calls that core, since the
 array gate would cost cross_validate 7%.
 """
@@ -52,6 +54,7 @@ from .hs import (
     ZERO_TOL,
     HSParams,
     _as_real,
+    _eigvalsh,
     _local_rotations,
     _read_only,
     _symmetric_rotation,
@@ -334,7 +337,7 @@ def _certify(q: np.ndarray, scale: float) -> tuple[SigmaForm, float]:
         ]
     )
     try:
-        s = np.linalg.eigvalsh(sym).tolist()
+        s = _eigvalsh(sym).tolist()
     except np.linalg.LinAlgError:  # a finite block with entries near the float limit
         raise SolverInconsistencyError("boosted spatial block has no computable spectrum") from None
     s.sort(key=lambda x: -abs(x))

@@ -12,17 +12,20 @@ transposes every matrix here: a matrix from outside (partial_transpose_matrix,
 after require_hermitian in spectra), the rho that cross_validate assembles
 from an R, and the stack of sampled rho that batch_stats holds.  A moved entry
 is the rho entry itself, bit for bit, signed zeros and NaN included.
+
+spectra solves rho and its partial transpose in one stacked eigensolve,
+hs._eigvalsh (numpy's LAPACK gufunc under numpy's error state, without the
+np.linalg wrapper), and hs._spectra checks both against the float range.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError
-from .hs import PSD_TOL, _as_complex, _as_real, _read_only, require_hermitian
+from .hs import PSD_TOL, _as_complex, _as_real, _eigvalsh, _read_only, _spectra, require_hermitian
 
 # Not called here; perfbench/tracing.py wraps this name on this module.
 from .hs import eigenvalues_hermitian  # noqa: F401
@@ -32,8 +35,6 @@ ENTANGLED = "entangled"
 
 VERDICT_TOL = 1e-10
 MDS_SUM_TOL = 1e-12
-# 4*lambda leaves the float range past this |lambda|
-_SPECTRUM_MAX = sys.float_info.max / 4.0
 # the row-major positions in rho of the entries of its partial transpose on
 # qubit A; stacked after the identity map, rho and its transpose in one take
 _PT_INDEX = _read_only(np.arange(16).reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4))
@@ -80,17 +81,8 @@ def spectra(rho) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_spectra(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # spectra for a checked 4x4 rho: it and its partial transpose in one eigensolve
-    four = _spectra(np.linalg.eigvalsh(rho.reshape(16)[_PAIR_INDEX]))
+    four = _spectra(_eigvalsh(rho.reshape(16)[_PAIR_INDEX]))
     return four[0], four[1]
-
-
-def _spectra(lam: np.ndarray) -> np.ndarray:
-    # eigvalsh rows (..., 4) as read-only spectra in 4*lambda units; each row
-    # ascends, so its two ends bound it; a nan fails the test too
-    top = _SPECTRUM_MAX
-    if not all(-top <= lo <= hi <= top for lo, _, _, hi in lam.reshape(-1, 4).tolist()):
-        raise InvalidParameterError("spectrum exceeds the float range in 4*lambda units")
-    return _read_only(4.0 * lam)
 
 
 def require_state(spectrum: np.ndarray, tol: float) -> None:

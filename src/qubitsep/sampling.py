@@ -27,14 +27,16 @@ the diagonal and the 2x2 principal minors of each candidate (Cauchy
 interlacing), run on the stack's columns, discards those that are provably
 below the accept threshold; it reads each candidate alone, so its result
 does not depend on the rest of the stack.  The others get one stacked
-assembly and one stacked eigensolve, and each stacked result equals the
-per-matrix one bit for bit.  So the accepted candidate is the same as a
-candidate-at-a-time loop's, whatever the block sizes and whichever indices
-share a round; its sample holds a read-only copy of its R, adopted without a
-second check (the prefilter has raised on any non-finite entry of the stack),
-and the sampler keeps its rho and its row of the accept eigensolve: that row
-is the sample's spectrum.  Draws past it are thrown away; they cannot shift
-any other sample, because every (seed, index) has its own generator.
+assembly and one stacked eigensolve (hs._eigvalsh, numpy's LAPACK gufunc
+without the np.linalg wrapper, as every eigensolve here), and each stacked
+result equals the per-matrix one bit for bit.  So the accepted candidate is
+the same as a candidate-at-a-time loop's, whatever the block sizes and
+whichever indices share a round; its sample holds a read-only copy of its R,
+adopted without a second check (the prefilter has raised on any non-finite
+entry of the stack), and the sampler keeps its rho and its row of the accept
+eigensolve: that row is the sample's spectrum.  Draws past it are thrown
+away; they cannot shift any other sample, because every (seed, index) has
+its own generator.
 
 cross_validate runs both routes on one state: the exact test on one stacked
 eigensolve of rho and its partial transpose, then _validate, which checks the
@@ -57,10 +59,10 @@ import numpy as np
 
 from .boost import BETA_LIMIT
 from .errors import InvalidParameterError, SamplingExhaustedError
-from .hs import PSD_TOL, HSParams, _as_real, _rho_from_r, r_from_hs
+from .hs import PSD_TOL, HSParams, _as_real, _eigvalsh, _rho_from_r, _spectra, r_from_hs
 from .normal_form import Classification, SolveReport, separability_verdict, solve_normal_form
 from .pt import VERDICT_TOL, Verdict, ppt_verdict, require_state
-from .pt import _PT_INDEX, _pair_spectra, _spectra
+from .pt import _PT_INDEX, _pair_spectra
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .hs import eigenvalues_hermitian, rho_from_hs  # noqa: F401
@@ -394,7 +396,7 @@ def _sample(
             survivors = np.flatnonzero(~_proven_indefinite(rs))
             if survivors.size:
                 rho = _rho_from_r(rs[survivors])
-                lam = np.linalg.eigvalsh(rho)
+                lam = _eigvalsh(rho)
                 accepted[survivors] = lam[:, 0] >= -_PSD_ACCEPT_TOL
             hits = accepted.reshape(len(pending), n)
             first = hits.argmax(axis=1)
@@ -504,7 +506,7 @@ def batch_stats(spec: SampleSpec) -> AgreementReport:
     generic = boundary = disagree = 0
     for found, rho, lam in _sample(spec, range(spec.count)):
         spectra = _spectra(lam)
-        pt_spectra = _spectra(np.linalg.eigvalsh(rho.reshape(-1, 16)[:, _PT_INDEX]))
+        pt_spectra = _spectra(_eigvalsh(rho.reshape(-1, 16)[:, _PT_INDEX]))
         for params, spectrum, pt_spectrum in zip(found, spectra, pt_spectra):
             rec = _validate(params, spectrum, pt_spectrum, VERDICT_TOL, BETA_LIMIT, PSD_TOL)
             if rec.classification.is_generic:

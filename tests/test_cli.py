@@ -16,7 +16,7 @@ from qubitsep import (
     cross_validate,
     random_state,
 )
-from qubitsep import cli
+from qubitsep import cli, hs, normal_form, pt, sampling
 from qubitsep.cli import build_parser, load_state_file, main
 
 
@@ -366,17 +366,31 @@ def test_analyze_full_t_input(tmp_path, capsys):
         }
 
 
+def count_eigensolves(monkeypatch, calls: list) -> None:
+    """Append ("eigvalsh" or "eigh", shape) to `calls` for every call of
+    hs._eigvalsh and hs._eigh, in whichever module calls it, and make numpy's
+    public eigvalsh and eigh raise, so that a solve through the wrapper fails."""
+    for name in ("eigvalsh", "eigh"):
+        helper = getattr(hs, f"_{name}")
+
+        def call(m, name=name, helper=helper):
+            calls.append((name, np.shape(m)))
+            return helper(m)
+
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called")
+
+        for module in (hs, pt, normal_form, sampling):
+            if getattr(module, f"_{name}", None) is helper:
+                monkeypatch.setattr(module, f"_{name}", call)
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
 def test_analyze_runs_one_stacked_eigensolve(tmp_path, capsys, monkeypatch):
     # the spectra of rho and of its partial transpose come from one call;
     # the only other eigvalsh call is the 3x3 block of the normal form
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(m):
-        shapes.append(np.shape(m))
-        return eigvalsh(m)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    calls = []
+    count_eigensolves(monkeypatch, calls)
     path = write_state(
         tmp_path,
         {
@@ -387,6 +401,7 @@ def test_analyze_runs_one_stacked_eigensolve(tmp_path, capsys, monkeypatch):
     )
     code, _, _ = run(capsys, "analyze", path)
     assert code == 0
+    shapes = [shape for name, shape in calls if name == "eigvalsh"]
     assert [s for s in shapes if s[-2:] == (4, 4)] == [(2, 4, 4)]
 
 
@@ -423,7 +438,8 @@ def test_cross_validate_numpy_call_budget(monkeypatch):
 
         monkeypatch.setattr(module, name, call)
 
-    for name in ("eigvalsh", "eigvals", "eigh", "det", "svd", "eig"):
+    count_eigensolves(monkeypatch, calls)
+    for name in ("eigvals", "det", "svd", "eig"):
         counted(np.linalg, name)
     counted(np, "einsum")
     for a, b, t, kind, rotation in CALL_BUDGET_STATES:
