@@ -16,7 +16,6 @@ from .errors import (
     QubitSepError,
     SamplingExhaustedError,
     SolverInconsistencyError,
-    UnsupportedFormError,
 )
 from .hs import (
     HSParams,
@@ -47,7 +46,6 @@ from .pt import (
     peres_horodecki,
     spectra,
 )
-from .roots import real_roots
 from .sampling import (
     FAMILIES,
     AgreementReport,

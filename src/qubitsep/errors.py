@@ -13,10 +13,6 @@ class ContractViolationError(QubitSepError):
     """An input violates a documented precondition, e.g. a non-Hermitian matrix."""
 
 
-class UnsupportedFormError(QubitSepError):
-    """The operation requires a diagonal correlation block."""
-
-
 class InvalidStateError(QubitSepError):
     """The input is not a valid quantum state; `spectrum` holds the one that showed it
     (read-only, ascending, 4*lambda units)."""

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import ContractViolationError, InvalidParameterError, UnsupportedFormError
+from .errors import ContractViolationError, InvalidParameterError
 
 HERMITICITY_TOL = 1e-12
 # an entry at or below this counts as zero: off-diagonal t, a - b, linear terms
@@ -186,12 +186,6 @@ class HSParams:
     def is_t_diagonal(self) -> bool:
         (_, t12, t13), (t21, _, t23), (t31, t32, _) = self.t.tolist()
         return max(abs(t12), abs(t13), abs(t21), abs(t23), abs(t31), abs(t32)) <= ZERO_TOL
-
-    def t_diagonal(self) -> np.ndarray:
-        """The diagonal of t; raises if off-diagonal entries are present."""
-        if not self.is_t_diagonal():
-            raise UnsupportedFormError("correlation matrix is not diagonal")
-        return self.t.diagonal().copy()
 
     def is_symmetric(self) -> bool:
         """True when R equals its transpose (a == b, t == t^T) within ZERO_TOL."""
@@ -357,11 +351,12 @@ def tdiag_via_symmetric_rotation(params: HSParams):
     """Diagonalize a symmetric t with one shared proper rotation on both qubits.
 
     Keeps a == b intact, which the symmetric boost solvers require.  The
-    diagonal entries are the eigenvalues of t (signs preserved).
+    diagonal entries are the eigenvalues of t (signs preserved).  A t with
+    max|t - t^T| > ZERO_TOL raises ContractViolationError.
     """
     t = params.t
     if float(np.abs(t - t.T).max()) > ZERO_TOL:
-        raise UnsupportedFormError("shared-rotation reduction needs a symmetric t")
+        raise ContractViolationError("shared-rotation reduction needs a symmetric t")
     return _symmetric_rotation(params)
 
 

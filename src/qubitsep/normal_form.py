@@ -325,7 +325,7 @@ def _certify(q: np.ndarray, scale: float) -> tuple[SigmaForm, float]:
         )
     if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
         raise SolverInconsistencyError("boosted R has entries that are not finite")
-    if max(abs(q11 - q11), abs(q12 - q21), abs(q13 - q31), abs(q23 - q32)) >= tol:
+    if max(abs(q12 - q21), abs(q13 - q31), abs(q23 - q32)) >= tol:
         raise SolverInconsistencyError("transformed spatial block is not symmetric")
     # the mean of the block and its transpose; x + x can overflow where x cannot
     h12, h13, h23 = 0.5 * (q12 + q21), 0.5 * (q13 + q31), 0.5 * (q23 + q32)

@@ -1,7 +1,7 @@
 """Real roots of a real polynomial of degree at most four.
 
 No solve calls it: case b) runs Newton's method on its secular equation (see
-normal_form.solve_symmetric).  It stays for the public qubitsep.real_roots,
+normal_form.solve_symmetric).  It stays, as qubitsep.roots.real_roots, for
 the tests' root-scan oracle of case b) and perfbench/tracing.py.
 
 The roots come from one eigensolve of the monic companion matrix.  Its

@@ -98,6 +98,11 @@ _WINDOW = 32  # indices sampled together, so a round's stack stays bounded
 _BOUNDARY_TOL = 1e-8
 
 
+def _is_whole(x) -> bool:
+    # a Python or numpy integer; bool subclasses int but is no count or index
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     """A reproducible batch: family name, sample count and stream seed."""
@@ -112,11 +117,11 @@ class SampleSpec:
             raise InvalidParameterError(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
-        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
+        if not _is_whole(self.count) or self.count < 1:
             raise InvalidParameterError("count must be >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_whole(self.seed) or self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
-        if not isinstance(self.axis, (int, np.integer)) or self.axis not in (1, 2, 3):
+        if not _is_whole(self.axis) or self.axis not in (1, 2, 3):
             raise InvalidParameterError("axis must be 1, 2 or 3")
 
 
@@ -133,11 +138,6 @@ class CrossValidation:
     agree: bool | None
     spectrum: np.ndarray
     pt_spectrum: np.ndarray
-
-    @property
-    def note(self) -> str | None:
-        """report.note: the rotation that made t diagonal, or None."""
-        return self.report.note
 
 
 @dataclass(frozen=True)
@@ -426,7 +426,7 @@ def random_state(spec: SampleSpec, index: int) -> HSParams:
     Checks at most the first _MAX_ATTEMPTS candidates of the stream; the
     last block is cut short so that no later candidate is considered.
     """
-    if not isinstance(index, (int, np.integer)) or index < 0:
+    if not _is_whole(index) or index < 0:
         raise InvalidParameterError(f"index must be >= 0, got {index}")
     found, _, _ = next(_sample(spec, range(index, index + 1)))
     return found[0]

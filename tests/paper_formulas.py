@@ -33,11 +33,11 @@ from qubitsep import (
     SigmaForm,
     Verdict,
     eigenvalues_hermitian,
-    real_roots,
 )
 from qubitsep.hs import ZERO_TOL
 from qubitsep.normal_form import _DENOM_TOL, _FUNDAMENTAL_TOL
 from qubitsep.pt import VERDICT_TOL
+from qubitsep.roots import real_roots
 
 
 def eigenvalues_closed_form_pair(axis: int, a: float, b: float, tdiag) -> np.ndarray:
@@ -65,8 +65,11 @@ def partial_transpose(params: HSParams) -> HSParams:
 
 def ptu(params: HSParams) -> HSParams:
     """Partial transpose followed by a 180-degree y rotation on qubit A:
-    a -> -a and t -> -t for a diagonal t, b unchanged."""
-    return HSParams.diagonal(-params.a, params.b, -params.t_diagonal())
+    a -> -a and t -> -t for a diagonal t, b unchanged; any other t raises
+    ContractViolationError."""
+    if not params.is_t_diagonal():
+        raise ContractViolationError("correlation matrix is not diagonal")
+    return HSParams.diagonal(-params.a, params.b, -params.t.diagonal())
 
 
 def half_eigenvalue_criterion(rho, params: HSParams, tol: float = VERDICT_TOL) -> Verdict:

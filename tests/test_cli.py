@@ -446,7 +446,7 @@ def test_cross_validate_numpy_call_budget(monkeypatch):
         params = HSParams(a, b, t)
         calls.clear()
         rec = cross_validate(params)
-        assert rec.report.boost_kind == kind and (rec.note is None) is (not rotation)
+        assert rec.report.boost_kind == kind and (rec.report.note is None) is (not rotation)
         assert sorted(calls) == sorted(
             rotation + [("eigvalsh", (2, 4, 4)), ("eigvalsh", (3, 3)), ("einsum", (4, 4))]
         ), kind

@@ -10,7 +10,6 @@ from qubitsep import (
     ContractViolationError,
     HSParams,
     InvalidParameterError,
-    UnsupportedFormError,
     eigenvalues_hermitian,
     mds_criterion,
     r_from_rho,
@@ -277,8 +276,6 @@ def test_invalid_inputs():
         HSParams([np.inf, 0, 0], [0, 0, 0], np.zeros((3, 3)))
     with pytest.raises(InvalidParameterError):
         HSParams([0, 0, 0], [0, 0, 0], np.full((3, 3), np.nan))
-    with pytest.raises(UnsupportedFormError):
-        HSParams(np.zeros(3), np.zeros(3), np.ones((3, 3))).t_diagonal()
     with pytest.raises(ContractViolationError):
         r_from_rho(np.arange(16, dtype=complex).reshape(4, 4))
     # Hermitian within HERMITICITY_TOL, but Tr rho has imaginary part 1.6e-12

@@ -29,7 +29,6 @@ from qubitsep import (
     peres_horodecki,
     r_from_rho,
     random_state,
-    real_roots,
     rho_from_r,
     separability_verdict,
     solve_normal_form,
@@ -38,6 +37,7 @@ from qubitsep import (
     spectra,
 )
 from qubitsep import hs
+from qubitsep.roots import real_roots
 
 NAN = math.nan
 RAGGED = [[0.1, 0.2], [0.3]]
@@ -72,6 +72,8 @@ BAD = {
         ("shape", [1, 1]),
         ("nan", NAN),
         ("float", 1.0),
+        ("bool", True),
+        ("numpy-bool", np.True_),
     ],
     # (1, 3) was taken as a 3-vector before the gate; now the shape is exact.
     # A float cast would read numeric text and drop an imaginary part.

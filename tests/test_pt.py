@@ -11,7 +11,6 @@ from qubitsep import (
     HSParams,
     InvalidStateError,
     SampleSpec,
-    UnsupportedFormError,
     eigenvalues_hermitian,
     mds_criterion,
     partial_transpose_matrix,
@@ -97,7 +96,7 @@ def test_ptu_trivial_and_form_check():
     p = HSParams.zero()
     q = ptu(p)
     assert np.array_equal(q.t, p.t)
-    with pytest.raises(UnsupportedFormError):
+    with pytest.raises(ContractViolationError):
         ptu(HSParams(np.zeros(3), np.zeros(3), np.ones((3, 3))))
 
 
@@ -191,12 +190,13 @@ def test_mds_criterion():
 def test_necessity_check(pair64):
     # the correlation-sum screen is necessary only: it passes for the
     # reference state although that is entangled
-    assert mds_criterion(pair64.t_diagonal())
+    assert pair64.is_t_diagonal()
+    assert mds_criterion(pair64.t.diagonal())
     assert peres_horodecki(rho_from_hs(pair64)).kind == ENTANGLED
     assert not mds_criterion(
-        HSParams.diagonal([0, 0, 0], [0, 0, 0], [0.6, 0.6, 0.0]).t_diagonal()
+        HSParams.diagonal([0, 0, 0], [0, 0, 0], [0.6, 0.6, 0.0]).t.diagonal()
     )
-    assert mds_criterion(HSParams.zero().t_diagonal())
+    assert mds_criterion(HSParams.zero().t.diagonal())
 
 
 def test_half_eigenvalue_reference(one_sided02):

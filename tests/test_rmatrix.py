@@ -97,7 +97,7 @@ def test_cross_validate_packs_r_once_per_params(monkeypatch, a, b, t, packs, kin
     monkeypatch.undo()
     assert len(calls) == packs
     assert rec.report.boost_kind == kind
-    assert (rec.note is None) is (packs == 0)
+    assert (rec.report.note is None) is (packs == 0)
 
 
 def test_r_from_rho_identity():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qubitsep import InvalidParameterError, SampleSpec, batch_stats, real_roots, roots
+from qubitsep import InvalidParameterError, SampleSpec, batch_stats, roots
+from qubitsep.roots import real_roots
 
 from conftest import record_symmetric_solves
 from paper_formulas import symmetric_velocity_oracle

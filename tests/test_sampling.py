@@ -289,6 +289,22 @@ def test_negative_seed_and_index_rejected():
         random_state(SampleSpec(family="mds", count=1, seed=0), -1)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: batch_stats(SampleSpec("mds", True, 0)), "count must be >= 1"),
+        (lambda: SampleSpec("single-pair", 2, True), "seed must be >= 0, got True"),
+        (lambda: SampleSpec("single-pair", 2, 0, axis=True), "axis must be 1, 2 or 3"),
+        (lambda: random_state(SampleSpec("mds", 1, 0), True), "index must be >= 0, got True"),
+    ],
+    ids=["count", "seed", "axis", "index"],
+)
+def test_bools_are_not_whole_numbers(build, message):
+    # bool subclasses int, but True is no count, seed, axis or index
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        build()
+
+
 def test_sampling_exhausted(monkeypatch):
     spec = SampleSpec(family="symmetric-three", count=1, seed=0)
     # find an index whose first draw is rejected, then cap attempts at one

@@ -1,7 +1,7 @@
-"""Comparisons that read an eigensolve's output, at their tolerance edge.
+"""Tolerance comparisons at their edge, on the side the README table documents.
 
-Each comparison gets a value exactly at its edge and one np.nextafter step on
-each side, and lands on the side that the README tolerance table documents:
+The comparisons that read an eigensolve's output get a value exactly at their
+edge and one np.nextafter step on each side:
 
   * VERDICT_TOL: the partial-transpose verdict is entangled when
     lambda_min < -VERDICT_TOL, and boundary when |lambda_min| <= VERDICT_TOL;
@@ -11,6 +11,14 @@ each side, and lands on the side that the README tolerance table documents:
 
 Spectra are in 4*lambda units; 4 * x is exact for these x, so the comparison
 in lambda units sees x itself.
+
+The comparisons of the Lorentz route get the last float on the documented
+side and the one np.nextafter step past it:
+
+  * ZERO_TOL: tdiag_via_symmetric_rotation refuses max|t - t^T| > ZERO_TOL;
+  * _DENOM_TOL: a pair rapidity is free when its |denominator| <= _DENOM_TOL;
+  * BETA_LIMIT: the symmetric boost needs |beta|^2 < (1 - beta_limit)^2;
+  * _STRUCTURAL_TOL: case d) matches when each of its distances is <= it.
 """
 
 import math
@@ -21,14 +29,27 @@ import pytest
 from qubitsep import (
     ENTANGLED,
     SEPARABLE,
+    ContractViolationError,
+    HSParams,
     InvalidStateError,
+    NoPhysicalBoostError,
     SampleSpec,
     SamplingExhaustedError,
     r_from_hs,
     random_state,
     sampling,
+    solve_symmetric,
+    tdiag_via_symmetric_rotation,
 )
-from qubitsep.hs import PSD_TOL
+from qubitsep.hs import PSD_TOL, ZERO_TOL
+from qubitsep.normal_form import (
+    _DENOM_TOL,
+    _STRUCTURAL_TOL,
+    NON_GENERIC_D,
+    _match_non_generic,
+    _rapidity,
+    _solve_symmetric,
+)
 from qubitsep.pt import VERDICT_TOL, ppt_verdict, require_state
 from qubitsep.sampling import _PSD_ACCEPT_TOL, _draw_block, _new_stack, _proven_indefinite
 
@@ -90,3 +111,83 @@ def test_sampler_accept_at_minus_psd_accept_tol(monkeypatch, side, accepted):
     rs = _draw_block("mds", 1, np.random.default_rng((2, 0)), 2, _new_stack(2))
     assert (~_proven_indefinite(rs)).tolist() == [False, True]
     assert r_from_hs(random_state(spec, 0)).tobytes() == rs[1].tobytes()
+
+
+def _last_inside(inside, x: float, outward: float) -> float:
+    # the last float on the way from x toward `outward` for which inside holds:
+    # the one np.nextafter step past it fails
+    while not inside(x):
+        x = float(np.nextafter(x, -outward))
+    while inside(step := float(np.nextafter(x, outward))):
+        x = step
+    return x
+
+
+@pytest.mark.parametrize("side, symmetric", [(AT, True), (ABOVE, False)])
+def test_symmetric_rotation_refuses_asymmetry_past_zero_tol(side, symmetric):
+    t = np.diag([0.3, 0.2, 0.1])
+    t[0, 1] = {AT: ZERO_TOL, ABOVE: np.nextafter(ZERO_TOL, math.inf)}[side]
+    params = HSParams([0.1, 0.2, 0.0], [0.1, 0.2, 0.0], t)
+    if symmetric:
+        out, _ = tdiag_via_symmetric_rotation(params)
+        assert out.is_t_diagonal() and np.array_equal(out.a, out.b)
+    else:
+        with pytest.raises(ContractViolationError, match="needs a symmetric t"):
+            tdiag_via_symmetric_rotation(params)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pair_rapidity_is_free_at_denom_tol(sign):
+    # num = den / 2 is exact, so past the edge the rapidity is atanh(1/2)
+    at = sign * _DENOM_TOL
+    past = float(np.nextafter(at, sign * math.inf))
+    assert _rapidity(at / 2.0, at, "ratio") is None
+    assert _rapidity(past / 2.0, past, "ratio") == math.atanh(0.5)
+
+
+def test_symmetric_boost_refuses_beta_sq_at_the_light_speed_bound():
+    # the first of these states whose |beta|^2 the bound (1 - beta_limit)^2
+    # reaches exactly: at that beta_limit the strict < refuses the boost
+    for a1 in (0.3, 0.35, 0.4, 0.45, 0.25):
+        a, tdiag = [a1, 0.3, 0.0], [0.2, 0.1, 0.0]
+        beta_sq = _solve_symmetric(a, tdiag, 0.0)[2]
+        start = 1.0 - math.sqrt(beta_sq)
+        inside = _last_inside(lambda limit: (1.0 - limit) ** 2 > beta_sq, start, math.inf)
+        past = float(np.nextafter(inside, math.inf))
+        if (1.0 - past) ** 2 == beta_sq:
+            break
+    else:
+        pytest.fail("no state puts the bound on its own beta_sq")
+    betas, _ = solve_symmetric(a, tdiag, inside)
+    assert float(betas @ betas) == beta_sq
+    with pytest.raises(NoPhysicalBoostError, match="no real root gives a boost"):
+        solve_symmetric(a, tdiag, past)
+
+
+def _case_d(entry: str, x: float):
+    # case d) on axis 1, a = b = (1, 0, 0) and t = diag(1, 0, 0), one entry set to x
+    a, tdiag = [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]
+    if entry == "a_k":
+        a[0] = x
+    else:
+        tdiag[{"t_k": 0, "t_i": 1, "t_j": 2}[entry]] = x
+    return _match_non_generic(a, list(a), tdiag)
+
+
+@pytest.mark.parametrize(
+    "entry, start, inside",
+    [
+        # no float x has 1 - x exactly at 1e-9, so these edges sit strictly inside
+        ("a_k", 1.0, lambda x: abs(abs(x) - 1.0) <= _STRUCTURAL_TOL),
+        ("t_k", 1.0, lambda x: abs(x - 1.0) <= _STRUCTURAL_TOL),
+        ("t_i", 0.0, lambda x: abs(x) <= _STRUCTURAL_TOL),
+        ("t_j", 0.0, lambda x: abs(x) <= _STRUCTURAL_TOL),
+    ],
+)
+def test_case_d_matches_up_to_structural_tol(entry, start, inside):
+    outward = -math.inf if start == 1.0 else math.inf
+    edge = _last_inside(inside, start + math.copysign(_STRUCTURAL_TOL, outward), outward)
+    if start == 0.0:
+        assert edge == _STRUCTURAL_TOL
+    assert _case_d(entry, edge).kind == NON_GENERIC_D
+    assert _case_d(entry, float(np.nextafter(edge, outward))) is None

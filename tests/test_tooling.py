@@ -75,6 +75,61 @@ def test_readme_entry_points_are_the_exported_functions():
     assert functions <= listed <= exported, (sorted(functions - listed), sorted(listed - exported))
 
 
+# exported names that nothing outside the tests reads, each with its reason to stay
+PUBLIC_FOR_TESTS_ONLY = {
+    "ETA": "the paper's metric diag(1, -1, -1, -1); ROADMAP item 3's Lorentz SVD normalizes in it",
+    "mds_criterion": "the MDS criterion of tests/test_acceptance.py calls it",
+    "spectra": "both spectra of a matrix from outside, the documented core of peres_horodecki",
+}
+
+
+def _names_read(path: Path) -> set[str]:
+    # the names a file imports by name or reads as an attribute
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    # an exported name stays public only if another module of the package, a
+    # script or perfbench reads it, the README's paper section names it, or an
+    # exported function returns it; the allowlist is a ratchet: shorten it
+    src = ROOT / "src" / "qubitsep"
+    init = ast.parse((src / "__init__.py").read_text())
+    exports = {
+        alias.asname or alias.name: node.module
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read_in = {path.stem: _names_read(path) for path in src.glob("*.py") if path.stem != "__init__"}
+    outside = {name for _, name, _ in _load_tracing().WRAPPED}
+    for folder in ("scripts", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            outside |= _names_read(path)
+    paper = (ROOT / "README.md").read_text().split("## Install and test", 1)[0]
+    returned = {
+        word
+        for module in set(exports.values())
+        for node in ast.parse((src / f"{module}.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name in exports and node.returns
+        for word in re.findall(r"\w+", ast.unparse(node.returns))
+    }
+    unread = {
+        name
+        for name, module in exports.items()
+        if not any(name in names for stem, names in read_in.items() if stem != module)
+        and name not in outside
+        and not re.search(rf"\b{name}\b", paper)
+        and name not in returned
+    }
+    assert unread == set(PUBLIC_FOR_TESTS_ONLY), sorted(unread ^ set(PUBLIC_FOR_TESTS_ONLY))
+
+
 def test_readme_tolerance_table_matches_the_code():
     # every row names a constant of the stated module with the stated value,
     # and every module-level *_TOL, *_MARGIN and BETA_LIMIT has a row
