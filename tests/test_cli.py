@@ -289,15 +289,31 @@ def test_symmetric_report_past_the_float_range_is_strict_json(tmp_path, capsys):
     assert 0.0 <= report["residuals"]["polynomial"] <= 1e-10
 
 
-def test_pair_state_near_light_speed_is_certified(tmp_path, capsys):
+# generic states next to an edge of the solve: exit 0, strict JSON and the
+# Generic label from both commands
+CERTIFIED_NEAR_AN_EDGE = {
     # gamma_a gamma_b is about 3.5e6 here: the boosted R rounds past 1e-9, and
     # the certificate's rounding bound accepts it (4 lambda_min = +9.2e-15)
-    a, b, t = [0.819813367216895, 0, 0], [-0.09106559296220595, 0, 0], [0.08912103982088992, 0, 0]
-    path = write_state(tmp_path, {"a": a, "b": b, "t_diag": t})
-    code, out, err = run(capsys, "analyze", path)
-    assert (code, err) == (0, "")
-    assert _strict_json(out)["classification"]["kind"] == "Generic"
-    assert run(capsys, "classify", path) == (0, "Generic\n", "")
+    "near-light-speed": {
+        "a": [0.819813367216895, 0, 0],
+        "b": [-0.09106559296220595, 0, 0],
+        "t_diag": [0.08912103982088992, 0, 0],
+    },
+    # qubit A maximally mixed, qubit B nearly pure: a generic product state
+    # whose pair solve sits next to case b)
+    "near-case-b": {"a": [0, 0, 0], "b": [0.999999, 0, 0], "t_diag": [0, 0, 0]},
+    # a near tie in t (t3 - t2 = 1e-11) is generic and separable
+    "near-tie": {"a": [0.1, 0.15, 0.2], "b": [0.1, 0.15, 0.2], "t_diag": [0.3, -0.2, -0.19999999999]},
+}
+
+
+def test_pair_state_near_light_speed_is_certified(tmp_path, capsys):
+    for name, doc in CERTIFIED_NEAR_AN_EDGE.items():
+        path = write_state(tmp_path, doc, name=f"{name}.json")
+        code, out, err = run(capsys, "analyze", path)
+        assert (code, err) == (0, ""), name
+        assert _strict_json(out)["classification"]["kind"] == "Generic", name
+        assert run(capsys, "classify", path) == (0, "Generic\n", ""), name
 
 
 def test_analyze_full_t_input(tmp_path, capsys):
@@ -619,12 +635,11 @@ def test_sample_command_deterministic(capsys):
     assert doc["rng_algorithm"] == "pcg64"
 
 
-def test_sample_command_single_pair(capsys):
-    code, out, _ = run(
-        capsys, "sample", "--family", "single-pair", "--count", "300", "--seed", "1"
-    )
-    assert code == 0
-    assert json.loads(out)["disagree_count"] == 0
+def test_sample_command_every_family(capsys):
+    for family in FAMILIES:
+        code, out, _ = run(capsys, "sample", "--family", family, "--count", "300", "--seed", "1")
+        assert code == 0, family
+        assert json.loads(out)["disagree_count"] == 0, family
 
 
 def test_sample_usage_errors(capsys):

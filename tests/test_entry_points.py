@@ -1,6 +1,6 @@
-"""`python -m qubitsep` and the worked-examples script, run as separate
-processes the way the CI workflow runs them: PYTHONPATH=src, and a
-RuntimeWarning (an overflow or invalid value) is an error."""
+"""`python -m qubitsep`, each subcommand, and the worked-examples script, run
+as separate processes: PYTHONPATH=src, and a RuntimeWarning (an overflow or
+invalid value) is an error."""
 
 import json
 import os
@@ -44,6 +44,21 @@ def test_module_analyze_rejects_a_non_state(tmp_path):
     proc = _run("-m", "qubitsep", "analyze", path)
     assert proc.returncode == 2
     assert proc.stderr == "error: input is not positive semidefinite; not a state\n"
+
+
+def test_module_classify_prints_the_label(tmp_path):
+    path = _state_file(tmp_path, {"a": [0.7, 0, 0], "b": [0.3, 0, 0], "t_diag": [0, 0, 0]})
+    proc = _run("-m", "qubitsep", "classify", path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("NoPhysicalBoost: ") and proc.stdout.count("\n") == 1
+
+
+def test_module_sample_prints_strict_json():
+    proc = _run("-m", "qubitsep", "sample", "--family", "symmetric-two", "--count", "5", "--seed", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert (report["total"], report["disagree_count"]) == (5, 0)
+    assert proc.stdout == json.dumps(report, indent=2) + "\n"
 
 
 def test_worked_examples_script_runs():

@@ -19,8 +19,19 @@ side and the one np.nextafter step past it:
   * _DENOM_TOL: a pair rapidity is free when its |denominator| <= _DENOM_TOL;
   * BETA_LIMIT: the symmetric boost needs |beta|^2 < (1 - beta_limit)^2;
   * _STRUCTURAL_TOL: case d) matches when each of its distances is <= it.
+
+The strict comparisons get a value exactly at their edge and the one
+np.nextafter step to the side that passes:
+
+  * OFFDIAG_TOL: the elimination certificate refuses a boosted linear term or
+    a block asymmetry >= it;
+  * HERMITICITY_TOL: require_hermitian refuses max|M - M^H| >= it;
+  * MDS_SUM_TOL: mds_criterion and the screen note of analyze accept
+    sum|t_i| <= 1 + it;
+  * _BOUNDARY_TOL: a partial-transpose witness with |witness| < it is boundary.
 """
 
+import json
 import math
 
 import numpy as np
@@ -35,23 +46,36 @@ from qubitsep import (
     NoPhysicalBoostError,
     SampleSpec,
     SamplingExhaustedError,
+    SolverInconsistencyError,
+    mds_criterion,
     r_from_hs,
     random_state,
+    rho_from_hs,
     sampling,
     solve_symmetric,
+    spectra,
     tdiag_via_symmetric_rotation,
 )
-from qubitsep.hs import PSD_TOL, ZERO_TOL
+from qubitsep.cli import main
+from qubitsep.hs import HERMITICITY_TOL, PSD_TOL, ZERO_TOL, require_hermitian
 from qubitsep.normal_form import (
     _DENOM_TOL,
     _STRUCTURAL_TOL,
     NON_GENERIC_D,
+    OFFDIAG_TOL,
+    _certify,
     _match_non_generic,
     _rapidity,
     _solve_symmetric,
 )
-from qubitsep.pt import VERDICT_TOL, ppt_verdict, require_state
-from qubitsep.sampling import _PSD_ACCEPT_TOL, _draw_block, _new_stack, _proven_indefinite
+from qubitsep.pt import MDS_SUM_TOL, VERDICT_TOL, ppt_verdict, require_state
+from qubitsep.sampling import (
+    _BOUNDARY_TOL,
+    _PSD_ACCEPT_TOL,
+    _draw_block,
+    _new_stack,
+    _proven_indefinite,
+)
 
 BELOW, AT, ABOVE = "below", "at", "above"
 
@@ -191,3 +215,58 @@ def test_case_d_matches_up_to_structural_tol(entry, start, inside):
         assert edge == _STRUCTURAL_TOL
     assert _case_d(entry, edge).kind == NON_GENERIC_D
     assert _case_d(entry, float(np.nextafter(edge, outward))) is None
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0), (2, 3)])
+def test_certificate_refuses_offdiag_tol(entry):
+    # a linear term r1 or c1, or the block asymmetry q12 - q21, at the edge
+    # raises; one step below it passes (scale 1 keeps the tolerance at 1e-9)
+    for x, refused in ((OFFDIAG_TOL, True), (np.nextafter(OFFDIAG_TOL, 0.0), False)):
+        q = np.diag([1.0, 0.3, 0.2, 0.1])
+        q[entry] = x
+        if refused:
+            with pytest.raises(SolverInconsistencyError):
+                _certify(q, 1.0)
+        else:
+            _certify(q, 1.0)
+
+
+def test_require_hermitian_refuses_hermiticity_tol():
+    for x, refused in ((HERMITICITY_TOL, True), (np.nextafter(HERMITICITY_TOL, 0.0), False)):
+        m = np.eye(4, dtype=complex)
+        m[0, 1] = x
+        assert abs(m[0, 1] - m[1, 0].conjugate()) == x
+        if refused:
+            with pytest.raises(ContractViolationError, match="not Hermitian"):
+                require_hermitian(m)
+        else:
+            require_hermitian(m)
+
+
+def test_mds_screen_accepts_up_to_mds_sum_tol(tmp_path, capsys):
+    # 1 + MDS_SUM_TOL is the edge float; the screen note of analyze (a1 = 1e-11
+    # is active, so not the MDS note) fails only one step above it
+    edge = 1.0 + MDS_SUM_TOL
+    path = tmp_path / "state.json"
+    for t1, screened in ((edge, True), (np.nextafter(edge, math.inf), False)):
+        assert mds_criterion([t1, 0.0, 0.0]) is screened
+        path.write_text(json.dumps({"a": [1e-11, 0, 0], "b": [0, 0, 0], "t_diag": [t1, 0, 0]}))
+        main(["analyze", str(path)])
+        notes = json.loads(capsys.readouterr().out)["criteria_notes"]
+        failed = "necessary screen failed: sum|t_i| > 1 already implies entangled"
+        assert (failed in notes) is not screened
+
+
+def test_boundary_witness_is_below_boundary_tol():
+    # a separable generic state given a partial-transpose witness of exactly
+    # -_BOUNDARY_TOL: a disagreement; one step toward 0 it is boundary
+    params = HSParams.diagonal([0.2, 0, 0], [0, 0, 0], [0.3, 0.3, 0.3])
+    spectrum = spectra(rho_from_hs(params))[0]
+    for witness, boundary, agree in (
+        (-_BOUNDARY_TOL, False, False),
+        (np.nextafter(-_BOUNDARY_TOL, 0.0), True, None),
+    ):
+        pt_spectrum = np.array([witness, 1.0, 1.0, 2.0])
+        rec = sampling._validate(params, spectrum, pt_spectrum, VERDICT_TOL, 1e-9, PSD_TOL)
+        assert rec.ppt.witness == witness and rec.ppt.kind == ENTANGLED
+        assert (rec.boundary, rec.agree) == (boundary, agree)

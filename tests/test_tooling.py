@@ -1,15 +1,19 @@
 """The benchmark's tracer and the README's examples and tolerance table name
-qubitsep's real API."""
+qubitsep's real API, and the CI workflow parses."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def _load_tracing():
@@ -178,3 +182,15 @@ def test_no_module_calls_numpys_eigvalsh_or_eigh_wrapper():
                 names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
             calls += [(path.name, node.lineno, name) for name in names if name in ("eigvalsh", "eigh")]
     assert calls == []
+
+
+def test_workflow_run_blocks_parse_as_bash():
+    # a broken CI edit shows here, without a CI run; YAML 1.1 loads "on" as True
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    assert workflow[True] == {"push": None, "pull_request": None}
+    blocks = [step["run"] for job in workflow["jobs"].values() for step in job["steps"] if "run" in step]
+    assert len(blocks) >= 4
+    for block in blocks:
+        proc = subprocess.run(["bash", "-n"], input=block, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (block, proc.stderr)
