@@ -4,8 +4,12 @@ analyze and classify format the record of sampling.cross_validate and run no
 analysis themselves.
 State files are single JSON documents with keys "a", "b" and exactly one of
 "t_diag" (3 values) or "t_full" (9 values, row-major), plus an optional
-"normalize" flag.  One shared decoder reads them all, each number is checked
-once as it is parsed, and R is laid out from those floats unchecked.  Floats
+"normalize" flag.  A file is read as bytes and decoded once, with the
+newlines of a text-mode read; one shared decoder parses them all, each number
+is checked once as it is parsed, and R is laid out from those floats
+unchecked.  A request parses its arguments once, with its subcommand's parser;
+the full top-level parse runs only without a subcommand or with arguments left
+over, so help and usage errors read as argparse writes them.  Floats
 are emitted with shortest round-trip precision so reports re-parse bit for
 bit; a JSON report is exactly json.dumps(report, indent=2), written by
 _indent2, which writes the common leaves of a container (finite floats,
@@ -80,8 +84,10 @@ _DECODER = json.JSONDecoder(parse_int=float)
 def load_state_file(path: str) -> HSParams:
     """Parse a state file into HSParams; the normalize flag is validated only."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb", buffering=0) as handle:  # one unbuffered readall
+            text = handle.read().decode("utf-8")
+        if "\r" in text:  # the newlines a text-mode read would give
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         if text.startswith("\ufeff"):  # json.loads' own check and message
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         doc = _DECODER.decode(text)
@@ -266,13 +272,18 @@ def _number_below(limit: float):
     return parse
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The qubitsep parser, built on first use and shared by every main() call.
 
     Parsing leaves the parser unchanged, so one object serves all requests of
     a process; callers must not add arguments to it.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # the top-level parser and its subcommand table, name -> subparser
     parser = argparse.ArgumentParser(
         prog="qubitsep",
         description=(
@@ -311,13 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--axis", type=int, default=1, choices=(1, 2, 3))
     p_sample.add_argument("--format", choices=("json", "text"), default="json")
     p_sample.set_defaults(func=_cmd_sample)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
     try:
-        args = parser.parse_args(argv)
+        # argparse's top-level pass would make this same call; the full parse
+        # runs only for what the subcommand leaves over, or without one
+        command = commands.get(argv[0]) if argv else None
+        if command is not None:
+            namespace = argparse.Namespace(command=argv[0])
+            args, rest = command.parse_known_args(argv[1:], namespace)
+        if command is None or rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which matches our error code
         return int(exc.code) if exc.code else 0

@@ -1,8 +1,10 @@
 import gc
 import hashlib
+import io
 import json
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -14,10 +16,12 @@ from qubitsep import (
     InvalidParameterError,
     SampleSpec,
     cross_validate,
+    r_from_hs,
     random_state,
 )
 from qubitsep import cli, hs, normal_form, pt, sampling
 from qubitsep.cli import build_parser, load_state_file, main
+from qubitsep.errors import QubitSepError
 
 
 def write_state(tmp_path, doc, name="state.json"):
@@ -587,6 +591,150 @@ def test_one_parser_serves_repeated_calls(pair64_file, capsys):
     assert run(capsys, "classify", pair64_file) == (0, "Generic\n", "")
     code, out, _ = run(capsys, "sample", "--family", "mds", "--count", "3", "--seed", "0")
     assert code == 0 and json.loads(out)["total"] == 3
+
+
+def full_parse_main(argv) -> int:
+    # main as it was before the subcommand dispatch: every request through the
+    # top-level parser
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
+    try:
+        return args.func(args)
+    except QubitSepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_ERROR
+
+
+SAMPLE = ["sample", "--family", "mds", "--count", "3", "--seed", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["-x"],
+        ["bogus"],
+        ["anal", "STATE"],
+        ["--", "analyze", "STATE"],
+        ["analyze", "STATE"],
+        ["analyze"],
+        ["analyze", "-h", "STATE"],
+        ["analyze", "STATE", "-h"],
+        ["analyze", "STATE", "extra"],
+        ["analyze", "STATE", "--bogus"],
+        ["analyze", "STATE", "--tol-p", "1e-6"],
+        ["analyze", "STATE", "--format=text"],
+        ["analyze", "--format", "text", "STATE"],
+        ["analyze", "--", "STATE"],
+        ["analyze", "STATE", "--tol-psd"],
+        ["analyze", "STATE", "--tol-verdict", "-1"],
+        ["analyze", "STATE", "--beta-limit", "1"],
+        ["analyze", "MISSING"],
+        ["analyze", "MALFORMED"],
+        ["analyze", "NON_STATE"],
+        ["classify", "STATE"],
+        ["classify"],
+        ["classify", "STATE", "STATE"],
+        ["classify", "NON_STATE"],
+        SAMPLE,
+        ["sample"],
+        ["sample", "--family", "bogus", "--count", "1", "--seed", "1"],
+        [*SAMPLE, "--axis", "4"],
+        [*SAMPLE, "extra"],
+        [*SAMPLE, "--format", "text"],
+    ],
+)
+def test_dispatch_behaves_like_the_full_parse(tmp_path, capsys, argv):
+    files = {
+        "STATE": write_state(tmp_path, GOLDEN_STATES["pair64"]),
+        "MISSING": str(tmp_path / "missing.json"),
+        "MALFORMED": write_state(tmp_path, {"a": [0, 0]}, name="malformed.json"),
+        "NON_STATE": write_state(tmp_path, GOLDEN_STATES["non-psd"], name="non-state.json"),
+    }
+    argv = [files.get(arg, arg) for arg in argv]
+    dispatched = run(capsys, *argv)
+    code = full_parse_main(argv)
+    captured = capsys.readouterr()
+    assert dispatched == (code, captured.out, captured.err)
+
+
+def test_a_well_formed_request_skips_the_top_level_parse(pair64_file, capsys, monkeypatch):
+    requests = [["analyze", pair64_file], ["classify", pair64_file], SAMPLE]
+    expected = [run(capsys, *argv) for argv in requests]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    assert [run(capsys, *argv) for argv in requests] == expected
+    assert [code for code, _, _ in expected] == [1, 0, 0]
+
+
+def text_mode_open(path, mode, buffering=-1):
+    # what load_state_file read before it read bytes: a text-mode read, handed
+    # on as the UTF-8 bytes of its text
+    assert mode == "rb"
+    with open(path, encoding="utf-8") as handle:
+        return io.BytesIO(handle.read().encode("utf-8"))
+
+
+VALID_STATE = '{"a": [0, 0.64, 0],\n "b": [0, 0.64, 0],\n "t_diag": [0.3, 0.3, 0.3]}\n'
+MALFORMED_STATE = '{"a": [0, 0, 0],\n "b": [0, 0, 0],\n "t_diag": [0, 0, 0,]}\n'
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(VALID_STATE.encode(), id="lf"),
+        pytest.param(VALID_STATE.replace("\n", "\r\n").encode(), id="crlf"),
+        pytest.param(VALID_STATE.replace("\n", "\r").encode(), id="cr"),
+        pytest.param(
+            VALID_STATE.replace("\n", "\r\n", 1).replace("\n ", "\r ").encode(), id="crlf-cr-lf"
+        ),
+        pytest.param(
+            b'{"a": [0, 0, 0], "b": [0, 0, 0],\r\n "t_full": [0.1, 0, 0, 0, 0.2, 0, 0, 0, 0.3]}',
+            id="t_full-crlf",
+        ),
+        pytest.param(MALFORMED_STATE.replace("\n", "\r\n").encode(), id="malformed-crlf"),
+        pytest.param(MALFORMED_STATE.replace("\n", "\r").encode(), id="malformed-cr"),
+        pytest.param(
+            b'{"a": [0, 0, 0],\r\n "b": [0, 0, 0], "t_diag": [0, 0, 0], "n": "x\ry"}',
+            id="cr-in-a-string",
+        ),
+        pytest.param(b"[0.1, 0.2]\r\n", id="not-an-object-crlf"),
+        pytest.param(b"\r\n\r", id="newlines-only"),
+        pytest.param(b"", id="empty"),
+        pytest.param(b"\xef\xbb\xbf" + VALID_STATE.encode(), id="bom"),
+        pytest.param(b"\xef\xbb\xbf" + VALID_STATE.replace("\n", "\r\n").encode(), id="bom-crlf"),
+        pytest.param(VALID_STATE.replace("]}", '], "n": "\xe9"}').encode("latin-1"), id="latin-1"),
+        pytest.param(VALID_STATE.encode("utf-16"), id="utf-16"),
+        # an invalid byte at offset 9006, past a text-mode reader's 8192-byte chunk
+        pytest.param(b'{"n": "' + b"x" * 8999 + b'\xff", "a": [0, 0, 0]}', id="bad-byte-at-9006"),
+        pytest.param("DIRECTORY", id="directory"),
+        pytest.param("MISSING", id="missing"),
+    ],
+)
+def test_byte_read_equals_the_text_read(tmp_path, monkeypatch, content):
+    path = tmp_path / "state.json"
+    if content == "DIRECTORY":
+        path.mkdir()
+    elif content != "MISSING":
+        path.write_bytes(content)
+
+    def outcome():
+        try:
+            params = load_state_file(str(path))
+        except cli.StateFileError as exc:
+            return str(exc)
+        return r_from_hs(params).tobytes()
+
+    got = outcome()
+    monkeypatch.setattr(cli, "open", text_mode_open, raising=False)
+    assert got == outcome()
 
 
 def test_analyze_text_format_same_values(pair64_file, capsys):

@@ -20,6 +20,13 @@ side and the one np.nextafter step past it:
   * BETA_LIMIT: the symmetric boost needs |beta|^2 < (1 - beta_limit)^2;
   * _STRUCTURAL_TOL: case d) matches when each of its distances is <= it.
 
+The residual certificates of the two boost solves get a residual exactly at
+their edge and the one np.nextafter step past it:
+
+  * _PAIR_RESIDUAL_TOL: solve_pair_general accepts an elimination residual
+    <= it;
+  * _FUNDAMENTAL_TOL: the symmetric solve accepts a root with |g(mu)| <= it.
+
 The strict comparisons get a value exactly at their edge and the one
 np.nextafter step to the side that passes:
 
@@ -52,14 +59,18 @@ from qubitsep import (
     random_state,
     rho_from_hs,
     sampling,
+    solve_pair_general,
     solve_symmetric,
     spectra,
     tdiag_via_symmetric_rotation,
 )
 from qubitsep.cli import main
 from qubitsep.hs import HERMITICITY_TOL, PSD_TOL, ZERO_TOL, require_hermitian
+from qubitsep import normal_form
 from qubitsep.normal_form import (
     _DENOM_TOL,
+    _FUNDAMENTAL_TOL,
+    _PAIR_RESIDUAL_TOL,
     _STRUCTURAL_TOL,
     NON_GENERIC_D,
     OFFDIAG_TOL,
@@ -186,6 +197,34 @@ def test_symmetric_boost_refuses_beta_sq_at_the_light_speed_bound():
     assert float(betas @ betas) == beta_sq
     with pytest.raises(NoPhysicalBoostError, match="no real root gives a boost"):
         solve_symmetric(a, tdiag, past)
+
+
+def test_pair_solve_accepts_a_residual_up_to_pair_residual_tol(monkeypatch):
+    for residual, accepted in (
+        (_PAIR_RESIDUAL_TOL, True),
+        (np.nextafter(_PAIR_RESIDUAL_TOL, math.inf), False),
+    ):
+        monkeypatch.setattr(normal_form, "_pair_residual", lambda *args: residual)
+        if accepted:
+            assert solve_pair_general(0.2, 0.1, 0.3)[1] == residual
+        else:
+            with pytest.raises(SolverInconsistencyError, match="elimination certificate"):
+                solve_pair_general(0.2, 0.1, 0.3)
+
+
+def test_symmetric_solve_accepts_g_up_to_fundamental_tol(monkeypatch):
+    # g <= 0 ends the Newton loop at mu = 1, where every |beta| is well below 1
+    a, tdiag = [0.1, 0.15, 0.2], [0.3, -0.2, 0.2]
+    for g, accepted in (
+        (-_FUNDAMENTAL_TOL, True),
+        (np.nextafter(-_FUNDAMENTAL_TOL, -math.inf), False),
+    ):
+        monkeypatch.setattr(normal_form, "_secular", lambda *args: (g, 1.0))
+        if accepted:
+            assert solve_symmetric(a, tdiag)[1] == _FUNDAMENTAL_TOL
+        else:
+            with pytest.raises(NoPhysicalBoostError, match="fundamental identity"):
+                solve_symmetric(a, tdiag)
 
 
 def _case_d(entry: str, x: float):
