@@ -32,9 +32,11 @@ numpy's own LAPACK gufuncs (eigvalsh_lo, eigh_lo) under the error state that
 numpy's eigvalsh and eigh set.  A result is bit for bit numpy's, and a solve
 that does not converge raises numpy's LinAlgError with no RuntimeWarning, but
 the public wrapper's re-checks of an array the package built, a large share
-of the cost of a 4x4 or 3x3 solve, are skipped.  _local_rotations keeps
-np.linalg.svd: its gufunc was renamed in numpy 2.0, while eigvalsh_lo and
-eigh_lo have kept their names since numpy 1.8.  _spectra turns eigenvalue
+of the cost of a 4x4 or 3x3 solve, are skipped.  _local_rotations' SVD runs the
+same way through _svd: numpy's svd_f, named svd_n_f before numpy 2.0, under
+the error state of np.linalg.svd, so a failure raises LinAlgError("SVD did not
+converge").  Both rotation cores write the rotated a and b and the diagonal
+into one zeroed R, which the reduced params adopt.  _spectra turns eigenvalue
 rows into spectra and raises InvalidParameterError on one past the float
 range in 4*lambda units, for eigenvalues_hermitian and for pt and sampling.
 """
@@ -189,8 +191,10 @@ class HSParams:
 
     def is_symmetric(self) -> bool:
         """True when R equals its transpose (a == b, t == t^T) within ZERO_TOL."""
-        r = self._r.tolist()
-        return max(abs(r[m][n] - r[n][m]) for m in range(4) for n in range(m)) <= ZERO_TOL
+        (_, a1, a2, a3), (b1, _, r12, r13), (b2, r21, _, r23), (b3, r31, r32, _) = self._r.tolist()
+        return max(
+            abs(a1 - b1), abs(a2 - b2), abs(a3 - b3), abs(r12 - r21), abs(r13 - r31), abs(r23 - r32)
+        ) <= ZERO_TOL
 
 
 def _read_only(v: np.ndarray) -> np.ndarray:
@@ -295,6 +299,20 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _umath_linalg.eigh_lo(m, signature="d->dd")
 
 
+def _svd_no_convergence(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+# numpy's full-matrices SVD gufunc; before numpy 2.0 a square matrix took svd_n_f
+_SVD_GUFUNC = getattr(_umath_linalg, "svd_f", None) or getattr(_umath_linalg, "svd_n_f", None)
+
+
+@np.errstate(**dict(_LAPACK_ERRSTATE, call=_svd_no_convergence))
+def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # np.linalg.svd(m) bit for bit, as (u, s, vt), for a real array the package built
+    return _SVD_GUFUNC(m, signature="d->ddd")
+
+
 def _spectra(lam: np.ndarray) -> np.ndarray:
     # eigvalsh rows (..., 4) as read-only spectra in 4*lambda units; each row
     # ascends, so its two ends bound it; a nan fails the test too
@@ -336,15 +354,24 @@ def tdiag_via_local_rotations(params: HSParams):
 
 def _local_rotations(params: HSParams):
     # tdiag_via_local_rotations on a t its caller has found not diagonal
-    u, s, vt = np.linalg.svd(params.t)  # new arrays, flipped in place
+    u, s, vt = _svd(params.t)  # new arrays, flipped in place
     if _is_reflection(u):
         u[:, 2] *= -1.0
         s[2] *= -1.0
     if _is_reflection(vt):
         vt[2, :] *= -1.0
         s[2] *= -1.0
-    out = HSParams._of_new_r(pack_r(u.T @ params.a, vt @ params.b, np.diag(s)))
-    return out, u.T, vt
+    return _rotated(u.T @ params.a, vt @ params.b, s), u.T, vt
+
+
+def _rotated(a: np.ndarray, b: np.ndarray, tdiag: np.ndarray) -> HSParams:
+    # params of a, b and diag(tdiag), written into one zeroed R: pack_r's R
+    # bit for bit, without building diag(tdiag)
+    r = np.zeros((4, 4))
+    r[0, 1:] = a
+    r[1:, 0] = b
+    r.flat[5::5] = tdiag
+    return HSParams._of_new_r(r)
 
 
 def tdiag_via_symmetric_rotation(params: HSParams):
@@ -368,5 +395,4 @@ def _symmetric_rotation(params: HSParams):
     if _is_reflection(v):
         v[:, 0] *= -1.0
     rot = v.T
-    out = HSParams._of_new_r(pack_r(rot @ params.a, rot @ params.b, np.diag(w)))
-    return out, rot
+    return _rotated(rot @ params.a, rot @ params.b, w), rot

@@ -21,18 +21,18 @@ _PAIR_RESIDUAL_TOL, |g(mu)| against _FUNDAMENTAL_TOL.
 solve_normal_form is the whole route for any HSParams, one function per
 stage.  It reads t's diagonality once and, where t is not diagonal, turns it
 diagonal by proper local rotations: one shared rotation for a symmetric state,
-so that case b) still applies.  It classifies, solves case a) with
-solve_pair_general and case b) with _solve_symmetric, builds the boosts with
-boost._boost_x or _boost_general and certifies the boosted R with _certify,
-the rules of eliminate_and_diagonalize, without re-checking the arrays it
-built itself; the certificate's 3x3 eigensolve is hs._eigvalsh, numpy's
-LAPACK gufunc without the np.linalg wrapper, whose LinAlgError on a block
-that does not converge becomes SolverInconsistencyError.  Its report holds
-the diagonal-t params it solved (reduced) and a note naming the rotation.
-On the way only scalars are checked: beta_limit here, the pair's numbers in
-solve_pair_general and tol in separability_verdict.  solve_symmetric, for values from outside, checks its
-two arrays and calls _solve_symmetric; the solve calls that core, since the
-array gate would cost cross_validate 7%.
+so that case b) still applies.  It classifies, solves case a) with _solve_pair
+and case b) with _solve_symmetric, builds the boosts with boost._boost_x or
+_boost_general and certifies the boosted R with _certify, the rules of
+eliminate_and_diagonalize, without re-checking the arrays it built itself;
+the certificate's 3x3 eigensolve is hs._eigvalsh, numpy's LAPACK gufunc
+without the np.linalg wrapper, whose LinAlgError on a block that does not
+converge becomes SolverInconsistencyError.  Its report holds the diagonal-t
+params it solved (reduced) and a note naming the rotation.  On the way it
+checks one scalar, beta_limit, and separability_verdict checks tol.
+solve_pair_general and solve_symmetric, for values from outside, check their
+input and call _solve_pair and _solve_symmetric, the cores the solve calls
+on the floats it read from its own params.
 """
 
 from __future__ import annotations
@@ -176,7 +176,11 @@ def solve_pair_general(
     eta = atanh(beta).
     """
     a1, b1, t1 = _as_real(a1, (), "a1"), _as_real(b1, (), "b1"), _as_real(t1, (), "t1")
-    beta_limit = _as_real(beta_limit, (), "beta_limit")
+    return _solve_pair(a1, b1, t1, _as_real(beta_limit, (), "beta_limit"))
+
+
+def _solve_pair(a1: float, b1: float, t1: float, beta_limit: float):
+    # solve_pair_general on checked finite floats
     total = _rapidity(a1 + b1, 1.0 + t1, "(a1 + b1)/(1 + t1)")
     diff = _rapidity(a1 - b1, 1.0 - t1, "(a1 - b1)/(1 - t1)")
     total = diff if total is None else total
@@ -497,7 +501,7 @@ def solve_normal_form(
     try:
         if n_active == 1:
             k = active.index(True)
-            betas, poly = solve_pair_general(a[k], b[k], tdiag[k], beta_limit)
+            betas, poly = _solve_pair(a[k], b[k], tdiag[k], beta_limit)
             left, right = _boost_x(betas[0], k + 1), _boost_x(betas[1], k + 1)
             boost_kind, axis = "pair", k + 1
         else:

@@ -7,10 +7,13 @@ test references.
     split into nine (i, j) pairs, eigvalsh on nested lists and every Sigma
     built through SigmaForm's gate.  A boosted R with an entry that is not
     finite fails the certificate once its linear terms have passed, and so
-    does a finite block whose eigensolve does not converge.
+    does a finite block whose eigensolve does not converge;
+  * local_rotations_packed and symmetric_rotation_packed: the two rotations of
+    a full t through np.linalg.svd and np.linalg.eigh, with the reduced R
+    built by pack_r from np.diag of the diagonal.
 
-boost._boost_general and normal_form._certify must give the same bits, and
-_certify the same errors.
+boost._boost_general, normal_form._certify, hs._local_rotations and
+_symmetric_rotation must give the same bits, and _certify the same errors.
 """
 
 import sys
@@ -19,6 +22,7 @@ import numpy as np
 
 from qubitsep.boost import _gamma
 from qubitsep.errors import SolverInconsistencyError
+from qubitsep.hs import _is_reflection, pack_r
 from qubitsep.normal_form import OFFDIAG_TOL, SigmaForm
 
 
@@ -52,3 +56,25 @@ def certify_lists(q, scale):
     except np.linalg.LinAlgError:
         raise SolverInconsistencyError("boosted spatial block has no computable spectrum") from None
     return SigmaForm(s0, sorted(eig, key=lambda x: -abs(x))), offdiag
+
+
+def local_rotations_packed(params):
+    # (R, rotation_a, rotation_b), R with corner 1
+    u, s, vt = np.linalg.svd(params.t)
+    if _is_reflection(u):
+        u[:, 2] *= -1.0
+        s[2] *= -1.0
+    if _is_reflection(vt):
+        vt[2, :] *= -1.0
+        s[2] *= -1.0
+    return pack_r(u.T @ params.a, vt @ params.b, np.diag(s)), u.T, vt
+
+
+def symmetric_rotation_packed(params):
+    # (R, rotation), R with corner 1
+    t = params.t
+    w, v = np.linalg.eigh(0.5 * (t + t.T))
+    if _is_reflection(v):
+        v[:, 0] *= -1.0
+    rot = v.T
+    return pack_r(rot @ params.a, rot @ params.b, np.diag(w)), rot

@@ -387,10 +387,11 @@ def test_analyze_full_t_input(tmp_path, capsys):
 
 
 def count_eigensolves(monkeypatch, calls: list) -> None:
-    """Append ("eigvalsh" or "eigh", shape) to `calls` for every call of
-    hs._eigvalsh and hs._eigh, in whichever module calls it, and make numpy's
-    public eigvalsh and eigh raise, so that a solve through the wrapper fails."""
-    for name in ("eigvalsh", "eigh"):
+    """Append ("eigvalsh", "eigh" or "svd", shape) to `calls` for every call of
+    hs._eigvalsh, hs._eigh and hs._svd, in whichever module calls it, and make
+    numpy's public eigvalsh, eigh and svd raise, so that a solve through the
+    wrapper fails."""
+    for name in ("eigvalsh", "eigh", "svd"):
         helper = getattr(hs, f"_{name}")
 
         def call(m, name=name, helper=helper):
@@ -435,6 +436,14 @@ CALL_BUDGET_STATES = [
         "symmetric",
         [("eigh", (3, 3))],
     ),
+    # a full t that is not symmetric, and no linear terms: the local rotations' SVD
+    (
+        [0, 0, 0],
+        [0, 0, 0],
+        [[0.3, 0.1, 0], [0, -0.2, 0.05], [0.1, 0, 0.1]],
+        "symmetric",
+        [("svd", (3, 3))],
+    ),
     # diagonal t: no rotation
     ([0, 0.64, 0], [0, 0.64, 0], np.diag([0.3] * 3), "pair", []),
     ([0.1, 0.15, 0.2], [0.1, 0.15, 0.2], np.diag([0.3, -0.2, 0.2]), "symmetric", []),
@@ -459,7 +468,7 @@ def test_cross_validate_numpy_call_budget(monkeypatch):
         monkeypatch.setattr(module, name, call)
 
     count_eigensolves(monkeypatch, calls)
-    for name in ("eigvals", "det", "svd", "eig"):
+    for name in ("eigvals", "det", "eig"):
         counted(np.linalg, name)
     counted(np, "einsum")
     for a, b, t, kind, rotation in CALL_BUDGET_STATES:

@@ -10,8 +10,10 @@ same errors:
   * boost._boost_general and normal_form._certify against their earlier
     formulations in tests/solver_oracles.py;
   * hs._local_rotations and _symmetric_rotation, which solve_normal_form
-    calls, against tdiag_via_local_rotations and tdiag_via_symmetric_rotation
-    on the inputs their public gates pass.
+    calls, against the svd / eigh, np.diag and pack_r formulation in
+    tests/solver_oracles.py, and the public tdiag_via_local_rotations and
+    tdiag_via_symmetric_rotation against the cores on the inputs their gates
+    pass.
 """
 
 import math
@@ -40,7 +42,12 @@ from qubitsep.normal_form import _certify
 from qubitsep.pt import _PT_INDEX, _pair_spectra, _spectra
 
 from conftest import corpus_rows, record_symmetric_solves
-from solver_oracles import boost_general_rows, certify_lists
+from solver_oracles import (
+    boost_general_rows,
+    certify_lists,
+    local_rotations_packed,
+    symmetric_rotation_packed,
+)
 
 SPECIAL = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 1.0, -1e-8, 1e-300]
 
@@ -239,6 +246,13 @@ def _corpus_params(monkeypatch) -> list[HSParams]:
     return [HSParams(row[0:3], row[3:6], np.reshape(row[6:], (3, 3))) for row in rows]
 
 
+def _reduction_bits(reduction) -> list[str]:
+    # a reduction's params (or the oracle's R) and rotations, as bits
+    reduced, *rotations = reduction
+    r = reduced if isinstance(reduced, np.ndarray) else r_from_hs(reduced)
+    return [_bits(x) for x in (r, *rotations)]
+
+
 def test_rotation_cores_are_the_public_reductions(monkeypatch):
     rng = np.random.default_rng(53)
     params = _corpus_params(monkeypatch)
@@ -250,13 +264,13 @@ def test_rotation_cores_are_the_public_reductions(monkeypatch):
     for p in params:
         if p.is_t_diagonal():
             continue
-        want, got = tdiag_via_local_rotations(p), _local_rotations(p)
-        assert [_bits(x) for x in got[1:]] == [_bits(x) for x in want[1:]]
-        assert _bits(r_from_hs(got[0])) == _bits(r_from_hs(want[0]))
+        want = _reduction_bits(_local_rotations(p))
+        assert _reduction_bits(local_rotations_packed(p)) == want
+        assert _reduction_bits(tdiag_via_local_rotations(p)) == want
         local += 1
         if p.is_symmetric():
-            want, got = tdiag_via_symmetric_rotation(p), _symmetric_rotation(p)
-            assert _bits(got[1]) == _bits(want[1])
-            assert _bits(r_from_hs(got[0])) == _bits(r_from_hs(want[0]))
+            want = _reduction_bits(_symmetric_rotation(p))
+            assert _reduction_bits(symmetric_rotation_packed(p)) == want
+            assert _reduction_bits(tdiag_via_symmetric_rotation(p)) == want
             symmetric += 1
     assert local > 1500 and symmetric > 1000

@@ -1,7 +1,8 @@
-"""hs._eigvalsh and hs._eigh, the package's eigensolves, against numpy's public
-np.linalg.eigvalsh and np.linalg.eigh: bit for bit on every kind of array the
-package solves, the same LinAlgError where a solve does not converge, and no
-RuntimeWarning.  eigenvalues_hermitian and pt.spectra share one range check.
+"""hs._eigvalsh, hs._eigh and hs._svd, the package's eigensolves and its SVD,
+against numpy's public np.linalg.eigvalsh, np.linalg.eigh and np.linalg.svd:
+bit for bit on every kind of array the package solves, the same LinAlgError
+where a solve does not converge, and no RuntimeWarning.  eigenvalues_hermitian
+and pt.spectra share one range check.
 """
 
 import math
@@ -20,7 +21,7 @@ from qubitsep import (
     normal_form,
     spectra,
 )
-from qubitsep.hs import _eigh, _eigvalsh, _rho_from_r, pack_r
+from qubitsep.hs import _SVD_GUFUNC, _eigh, _eigvalsh, _rho_from_r, _svd, pack_r
 from qubitsep.pt import _PAIR_INDEX, _PT_INDEX
 from qubitsep.sampling import _draw_block, _new_stack, _proven_indefinite
 
@@ -34,11 +35,19 @@ def _same_as_numpy(m: np.ndarray) -> None:
         assert (w.tobytes(), v.tobytes()) == (want[0].tobytes(), want[1].tobytes())
 
 
+def _same_svd_as_numpy(m: np.ndarray) -> None:
+    assert [x.tobytes() for x in _svd(m)] == [x.tobytes() for x in np.linalg.svd(m)]
+
+
 def test_numpys_eigensolve_gufuncs_resolve():
     missing = [name for name in ("eigvalsh_lo", "eigh_lo") if not hasattr(_umath_linalg, name)]
     assert missing == [], (
         f"numpy {np.__version__} has no numpy.linalg._umath_linalg.{missing}, "
         "which hs._eigvalsh and hs._eigh call"
+    )
+    assert _SVD_GUFUNC is not None, (
+        f"numpy {np.__version__} has neither numpy.linalg._umath_linalg.svd_f "
+        "nor svd_n_f (before numpy 2.0), which hs._svd calls"
     )
 
 
@@ -94,6 +103,17 @@ def test_helpers_are_numpys_solves_on_certificate_and_rotation_blocks(monkeypatc
         _same_as_numpy(block)
 
 
+def test_svd_is_numpys_on_every_full_t_of_the_corpus(monkeypatch):
+    full = 0
+    for p in _corpus_params(monkeypatch):
+        if not p.is_t_diagonal():
+            # params.t is a transposed view of R, as _local_rotations passes it
+            _same_svd_as_numpy(p.t)
+            _same_svd_as_numpy(np.ascontiguousarray(p.t))
+            full += 1
+    assert full > 150
+
+
 def test_helpers_are_numpys_solves_on_strided_views():
     rng = np.random.default_rng(41)
     m = rng.normal(size=(64, 4, 4)) + 1j * rng.normal(size=(64, 4, 4))
@@ -101,6 +121,12 @@ def test_helpers_are_numpys_solves_on_strided_views():
     for view in (h.transpose(0, 2, 1), h[::-2], h[:, ::-1, ::-1], h.real.transpose(0, 2, 1)):
         assert not view.flags.c_contiguous
         _same_as_numpy(view)
+    t = rng.normal(size=(64, 3, 3))
+    for view in (t.transpose(0, 2, 1), t[::-2], t[:, ::-1, ::-1], t[:, :, ::-1].transpose(0, 2, 1)):
+        assert not view.flags.c_contiguous
+        _same_svd_as_numpy(view)
+        for one in view[:4]:
+            _same_svd_as_numpy(one)
 
 
 def _solved(solve, m):
@@ -113,7 +139,9 @@ def _solved(solve, m):
 
 
 # blocks that are not finite: LAPACK sets the invalid flag on some of them,
-# which numpy turns into LinAlgError, and returns nan on others
+# which numpy turns into LinAlgError, and returns nan on others.  The SVD
+# skips the last: LAPACK's SVD of it does not return, through np.linalg.svd
+# too (numpy 2.4.6); a t that reaches _svd is finite
 ILL_BLOCKS = [
     np.diag([1.0, math.inf, 1.0]),
     np.diag([1.0, 1.0, math.nan]),
@@ -140,9 +168,14 @@ def test_a_solve_that_does_not_converge_raises_numpys_error(errors):
                 assert got == _solved(public, block)
                 if got == (LinAlgError, "Eigenvalues did not converge"):
                     raised.add((solve.__name__, block.dtype.kind))
+        for block in ILL_BLOCKS[:-1]:
+            got = _solved(_svd, block)
+            assert got == _solved(np.linalg.svd, block)
+            if got == (LinAlgError, "SVD did not converge"):
+                raised.add(("_svd", block.dtype.kind))
         assert np.geterr() == inside
     assert np.geterr() == before
-    assert raised == {("_eigvalsh", "f"), ("_eigvalsh", "c"), ("_eigh", "f")}
+    assert raised == {("_eigvalsh", "f"), ("_eigvalsh", "c"), ("_eigh", "f"), ("_svd", "f")}
 
 
 def _outcome(fn, m):

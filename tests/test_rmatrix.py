@@ -64,7 +64,7 @@ def test_r_from_hs_is_the_params_own_read_only_r(cubic_state):
     [
         # diagonal t: the spectra and the certificate read the params' own R
         pytest.param([0, 0.64, 0], [0, 0.64, 0], np.diag([0.3] * 3), 0, "pair", id="diagonal-t"),
-        # full t: R is packed once, when the reduced params are built
+        # full t: the rotation writes one R, which the reduced params adopt
         pytest.param(
             [0.2, 0.1, 0],
             [0.2, 0.1, 0],
@@ -84,18 +84,24 @@ def test_r_from_hs_is_the_params_own_read_only_r(cubic_state):
     ],
 )
 def test_cross_validate_packs_r_once_per_params(monkeypatch, a, b, t, packs, kind):
+    # counts the R each new params adopts, and that nothing packs one through pack_r
     params = HSParams(a, b, t)
-    calls = []
-    pack_r = hs.pack_r
+    adopted = []
+    of_new_r = HSParams._of_new_r
 
-    def counted(*args):
-        calls.append(args)
-        return pack_r(*args)
+    def counted(r):
+        adopted.append(r)
+        return of_new_r(r)
 
-    monkeypatch.setattr(hs, "pack_r", counted)
+    def refuse(*args):
+        raise AssertionError("pack_r called")
+
+    monkeypatch.setattr(HSParams, "_of_new_r", staticmethod(counted))
+    monkeypatch.setattr(hs, "pack_r", refuse)
     rec = cross_validate(params)
     monkeypatch.undo()
-    assert len(calls) == packs
+    assert len(adopted) == packs
+    assert all(r is r_from_hs(rec.report.reduced) for r in adopted)
     assert rec.report.boost_kind == kind
     assert (rec.report.note is None) is (packs == 0)
 

@@ -171,16 +171,19 @@ def test_sources_parse_as_the_declared_python_floor():
         ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
-def test_no_module_calls_numpys_eigvalsh_or_eigh_wrapper():
-    # every eigensolve goes through hs._eigvalsh or hs._eigh, which call numpy's
-    # gufuncs; an attribute or an import named eigvalsh or eigh is a wrapper call
+def test_no_module_calls_numpys_eigensolve_or_svd_wrapper():
+    # every eigensolve and SVD goes through hs._eigvalsh, hs._eigh or hs._svd,
+    # which call numpy's gufuncs; an attribute or an import named eigvalsh, eigh
+    # or svd is a wrapper call
     calls = []
     for path in sorted((ROOT / "src" / "qubitsep").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = [node.attr] if isinstance(node, ast.Attribute) else []
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
-            calls += [(path.name, node.lineno, name) for name in names if name in ("eigvalsh", "eigh")]
+            calls += [
+                (path.name, node.lineno, name) for name in names if name in ("eigvalsh", "eigh", "svd")
+            ]
     assert calls == []
 
 
