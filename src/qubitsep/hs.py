@@ -375,24 +375,30 @@ def _rotated(a: np.ndarray, b: np.ndarray, tdiag: np.ndarray) -> HSParams:
 
 
 def tdiag_via_symmetric_rotation(params: HSParams):
-    """Diagonalize a symmetric t with one shared proper rotation on both qubits.
+    """Diagonalize the t of a symmetric state with one shared proper rotation.
 
-    Keeps a == b intact, which the symmetric boost solvers require.  The
-    diagonal entries are the eigenvalues of t (signs preserved).  A t with
-    max|t - t^T| > ZERO_TOL raises ContractViolationError.
+    The rotated a is both a and b of the result, so the result is symmetric
+    bit for bit, as the symmetric boost solvers require.  The diagonal
+    entries are the eigenvalues of t (signs preserved).  A t with
+    max|t - t^T| > ZERO_TOL, or a and b more than ZERO_TOL apart, raises
+    ContractViolationError.
     """
     t = params.t
     if float(np.abs(t - t.T).max()) > ZERO_TOL:
         raise ContractViolationError("shared-rotation reduction needs a symmetric t")
+    if not params.is_symmetric():  # t passed, so a and b differ
+        raise ContractViolationError("shared-rotation reduction needs a == b")
     return _symmetric_rotation(params)
 
 
 def _symmetric_rotation(params: HSParams):
-    # tdiag_via_symmetric_rotation on params that is_symmetric has passed,
-    # which implies its check of t
+    # tdiag_via_symmetric_rotation on params that is_symmetric has passed.
+    # Rotating b on its own could spread |a - b| past ZERO_TOL, so that the
+    # reduced params would no longer pass is_symmetric
     t = params.t
     w, v = _eigh(0.5 * (t + t.T))
     if _is_reflection(v):
         v[:, 0] *= -1.0
     rot = v.T
-    return _rotated(rot @ params.a, rot @ params.b, w), rot
+    a = rot @ params.a
+    return _rotated(a, a, w), rot

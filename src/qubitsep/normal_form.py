@@ -467,13 +467,10 @@ def solve_normal_form(
     """
     beta_limit = _as_real(beta_limit, (), "beta_limit")
     note = None
-    # is_symmetric decides once: the shared rotation's rounding can spread
-    # |a - b| past ZERO_TOL
-    shared = False
     if not params.is_t_diagonal():
-        # is_symmetric covers t's symmetry, so the shared rotation needs no check
-        shared = params.is_symmetric()
-        if shared:
+        # is_symmetric covers t's symmetry, so the shared rotation needs no
+        # check; its params, with the rotated a as both a and b, pass it again
+        if params.is_symmetric():
             params = _symmetric_rotation(params)[0]
             note = (
                 "correlation matrix diagonalized by one shared local rotation "
@@ -488,7 +485,7 @@ def solve_normal_form(
         return _no_boost_report(structural, params, note)
     active = [abs(x) > ZERO_TOL or abs(y) > ZERO_TOL for x, y in zip(a, b)]
     n_active = sum(active)
-    if n_active >= 2 and not (shared or params.is_symmetric()):
+    if n_active >= 2 and not params.is_symmetric():
         return _no_boost_report(
             Classification(
                 NO_PHYSICAL_BOOST,

@@ -81,6 +81,18 @@ def corpus_rows(monkeypatch, seed: int, n: int) -> np.ndarray:
     return rows
 
 
+def file_corpus_docs(monkeypatch, seed: int, n: int) -> list[dict]:
+    """The state files of perfbench's inputs.file_corpus(seed, n) as JSON
+    documents: t_diag where the corpus writes one, else t_full (row-major)."""
+    monkeypatch.setitem(sys.modules, "oracle", load_perfbench("oracle"))
+    rows, _, as_diag = load_perfbench("inputs").file_corpus(seed, n)
+    docs = []
+    for row, diag in zip(rows.tolist(), as_diag.tolist()):
+        t = {"t_diag": row[6::4]} if diag else {"t_full": row[6:]}
+        docs.append({"a": row[0:3], "b": row[3:6], **t})
+    return docs
+
+
 def record_symmetric_solves(monkeypatch) -> list:
     """The arguments (a, tdiag, beta_limit) of every case b) solve from now on."""
     solves = []

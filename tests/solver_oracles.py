@@ -10,7 +10,8 @@ test references.
     does a finite block whose eigensolve does not converge;
   * local_rotations_packed and symmetric_rotation_packed: the two rotations of
     a full t through np.linalg.svd and np.linalg.eigh, with the reduced R
-    built by pack_r from np.diag of the diagonal.
+    built by pack_r from np.diag of the diagonal; the shared rotation's b is
+    its rotated a.
 
 boost._boost_general, normal_form._certify, hs._local_rotations and
 _symmetric_rotation must give the same bits, and _certify the same errors.
@@ -77,4 +78,5 @@ def symmetric_rotation_packed(params):
     if _is_reflection(v):
         v[:, 0] *= -1.0
     rot = v.T
-    return pack_r(rot @ params.a, rot @ params.b, np.diag(w)), rot
+    a = rot @ params.a  # b is the rotated a too
+    return pack_r(a, a, np.diag(w)), rot

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import warnings
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from qubitsep import (
 from qubitsep import cli, hs, normal_form, pt, sampling
 from qubitsep.cli import build_parser, load_state_file, main
 from qubitsep.errors import QubitSepError
+
+from conftest import file_corpus_docs
 
 
 def write_state(tmp_path, doc, name="state.json"):
@@ -965,16 +968,21 @@ def test_json_formatter_is_json_dumps_indent_2():
         assert cli._indent2(value) == json.dumps(value, indent=2), value
 
 
+def record_reports(monkeypatch) -> list:
+    """The reports that the JSON writer gets from now on, in order."""
+    reports = []
+    writer = cli._json
+
+    def record(report):
+        reports.append(report)
+        return writer(report)
+
+    monkeypatch.setattr(cli, "_json", record)
+    return reports
+
+
 def test_json_reports_are_json_dumps_indent_2(tmp_path, capsys, monkeypatch):
-    reports = []  # the report objects that _emit formats
-    formatter = cli._indent2
-
-    def record(value, newline="\n"):
-        if newline == "\n":
-            reports.append(value)
-        return formatter(value, newline)
-
-    monkeypatch.setattr(cli, "_indent2", record)
+    reports = record_reports(monkeypatch)
     runs = [
         ("analyze", write_state(tmp_path, doc, name=f"{name}.json"))
         for name, doc in GOLDEN_STATES.items()
@@ -986,14 +994,122 @@ def test_json_reports_are_json_dumps_indent_2(tmp_path, capsys, monkeypatch):
     assert len(reports) == len(runs)
 
 
-def test_analyze_leaves_no_reference_cycles(pair64_file, capsys):
+@pytest.mark.parametrize("seed", range(4))
+def test_file_corpus_reports_are_json_dumps_indent_2(tmp_path, capsys, monkeypatch, seed):
+    # every analyze report of a benchmark file corpus, each of whose shapes the
+    # layouts serve, with no help from _indent2 once they are built
+    writer = cli._json
+    reports = record_reports(monkeypatch)
+    for i, doc in enumerate(file_corpus_docs(monkeypatch, seed, 256)):
+        _, out, _ = run(capsys, "analyze", write_state(tmp_path, doc))
+        assert out == json.dumps(reports[-1], indent=2) + "\n", (seed, i)
+    assert len(reports) == 256
+
+    def refuse(value, newline="\n"):
+        raise AssertionError("a report went to _indent2")
+
+    monkeypatch.setattr(cli, "_indent2", refuse)
+    for report in reports:
+        assert writer(report) == json.dumps(report, indent=2)
+
+
+# One state per analyze report shape: generic with the pair boost (and its
+# axis), generic with the symmetric boost, non-generic, no physical boost after
+# local rotations, and a non-state
+SHAPE_STATES = {
+    "pair": GOLDEN_STATES["pair64"],
+    "symmetric": GOLDEN_STATES["cubic"],
+    "non-generic": GOLDEN_STATES["case-a"],
+    "local-rotations": {
+        "a": [0.1, 0.2, 0],
+        "b": [0.2, -0.1, 0.1],
+        "t_full": [0.2, 0.1, 0, 0, -0.1, 0.05, 0.1, 0, 0.15],
+    },
+    "non-psd": GOLDEN_STATES["non-psd"],
+}
+
+
+def shape_reports(tmp_path, capsys, monkeypatch) -> dict:
+    """The analyze report of each SHAPE_STATES state."""
+    reports = record_reports(monkeypatch)
+    for doc in SHAPE_STATES.values():
+        run(capsys, "analyze", write_state(tmp_path, doc))
+    return dict(zip(SHAPE_STATES, reports))
+
+
+def leaf_paths(value, path=()):
+    """The key path of every leaf of a report, in the order json writes them."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        yield path
+        return
+    for key, item in items:
+        yield from leaf_paths(item, path + (key,))
+
+
+def leaf(report, path):
+    for key in path:
+        report = report[key]
+    return report
+
+
+def replaced(report, path, value):
+    copy = deepcopy(report)
+    leaf(copy, path[:-1])[path[-1]] = value
+    return copy
+
+
+class Substr(str):
+    pass
+
+
+# what a report's leaves are replaced by: a float leaf by the first list,
+# any other leaf by the second
+FLOAT_EDGES = [
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, np.float64(0.1),
+    np.float64(-0.0), np.float64(math.nan), Subfloat(0.25), 7, True, None, "0.5",
+]
+OTHER_EDGES = [None, 1, 0.5, True, False, Substr("s"), "caf\u00e9 \"q\"\n, 100% %s"]
+
+
+def test_json_writer_is_json_dumps_indent_2_on_edge_leaves(tmp_path, capsys, monkeypatch):
+    reports = shape_reports(tmp_path, capsys, monkeypatch)
+    monkeypatch.setattr(cli, "_LAYOUTS", {})
+    for name, report in reports.items():
+        variants = [report]
+        for path in leaf_paths(report):
+            edges = FLOAT_EDGES if type(leaf(report, path)) is float else OTHER_EDGES
+            variants += [replaced(report, path, value) for value in edges]
+        # a top-level key moved to the end, keys added at the top and inside
+        moved = dict(report)
+        moved["input"] = moved.pop("input")
+        variants += [moved, {**report, "extra": 1.5}, replaced(report, ("input", "x"), [0.5, "x"])]
+        # every float 1e308: each is finite, their sum is not
+        huge = deepcopy(report)
+        for path in leaf_paths(report):
+            if type(leaf(report, path)) is float:
+                leaf(huge, path[:-1])[path[-1]] = 1e308
+        variants.append(huge)
+        for variant in variants + [report]:
+            assert cli._json(variant) == json.dumps(variant, indent=2), (name, variant)
+
+
+def test_analyze_leaves_no_reference_cycles(tmp_path, capsys, monkeypatch):
+    # the layouts are built in the measured window, one per shape
+    monkeypatch.setattr(cli, "_LAYOUTS", {})
+    paths = [write_state(tmp_path, doc, name=f"{name}.json") for name, doc in SHAPE_STATES.items()]
     gc.collect()
     gc.disable()
     try:
-        for _ in range(5):
-            assert main(["analyze", pair64_file]) == 1
+        codes = [main(["analyze", path]) for _ in range(3) for path in paths]
         unreachable = gc.collect()
     finally:
         gc.enable()
     assert unreachable == 0
-    assert capsys.readouterr().out.count('"psd": true') == 5
+    assert codes == [1, 0, 3, 3, 2] * 3
+    out = capsys.readouterr().out
+    assert (out.count('"psd": true'), out.count('"psd": false')) == (12, 3)
+    assert len(cli._LAYOUTS) == 5

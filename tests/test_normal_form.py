@@ -755,21 +755,37 @@ def test_classify_unsupported_family():
     assert "not symmetric" in cls.detail
 
 
-def test_shared_rotation_keeps_the_symmetric_decision():
-    # |a - b| = 9.0e-13 passes is_symmetric; the shared rotation spreads it to
-    # 1.56e-12, past ZERO_TOL, but the state still takes the symmetric boost
+def near_symmetric_full_t() -> HSParams:
+    # |a - b| = 9.0e-13 passes is_symmetric; rotating b on its own would
+    # spread it to 1.56e-12, past ZERO_TOL
     a = np.array([0.1, 0.12, 0.08])
     q = np.column_stack(
         [np.array([1.0, -1, 1]) / math.sqrt(3), np.array([1.0, 1, 0]) / math.sqrt(2),
          np.array([-1.0, 1, 2]) / math.sqrt(6)]
     )
-    p = HSParams(a, a + 0.9e-12 * np.array([1, -1, 1]), q @ np.diag([0.3, -0.2, 0.1]) @ q.T)
+    return HSParams(a, a + 0.9e-12 * np.array([1, -1, 1]), q @ np.diag([0.3, -0.2, 0.1]) @ q.T)
+
+
+def test_shared_rotation_keeps_the_symmetric_decision():
+    p = near_symmetric_full_t()
     assert p.is_symmetric() and not p.is_t_diagonal()
     report = solve_normal_form(p)
-    assert not report.reduced.is_symmetric()
+    assert report.reduced.is_symmetric()
+    assert np.array_equal(report.reduced.a, report.reduced.b)
     assert "symmetric state preserved" in report.note
     assert (report.classification.kind, report.boost_kind) == (GENERIC, "symmetric")
     assert separability_verdict(report.sigma).kind == peres_horodecki(rho_from_hs(p)).kind == SEPARABLE
+
+
+def test_reduced_params_solve_to_the_same_report():
+    report = solve_normal_form(near_symmetric_full_t())
+    again = solve_normal_form(report.reduced)
+    assert again.classification == report.classification
+    assert again.boost_kind == report.boost_kind == "symmetric"
+    assert np.array(again.betas).tobytes() == np.array(report.betas).tobytes()
+    for field in ("s0", "s", "tprime", "tprime_sum"):
+        want = np.asarray(getattr(report.sigma, field)).tobytes()
+        assert np.asarray(getattr(again.sigma, field)).tobytes() == want, field
 
 
 def test_solver_reports_offdiag_certificate(pair64):

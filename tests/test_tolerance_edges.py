@@ -15,7 +15,8 @@ in lambda units sees x itself.
 The comparisons of the Lorentz route get the last float on the documented
 side and the one np.nextafter step past it:
 
-  * ZERO_TOL: tdiag_via_symmetric_rotation refuses max|t - t^T| > ZERO_TOL;
+  * ZERO_TOL: tdiag_via_symmetric_rotation refuses max|t - t^T| > ZERO_TOL,
+    and max|a - b| > ZERO_TOL;
   * _DENOM_TOL: a pair rapidity is free when its |denominator| <= _DENOM_TOL;
   * BETA_LIMIT: the symmetric boost needs |beta|^2 < (1 - beta_limit)^2;
   * _STRUCTURAL_TOL: case d) matches when each of its distances is <= it.
@@ -168,6 +169,19 @@ def test_symmetric_rotation_refuses_asymmetry_past_zero_tol(side, symmetric):
         assert out.is_t_diagonal() and np.array_equal(out.a, out.b)
     else:
         with pytest.raises(ContractViolationError, match="needs a symmetric t"):
+            tdiag_via_symmetric_rotation(params)
+
+
+@pytest.mark.parametrize("side, symmetric", [(AT, True), (ABOVE, False)])
+def test_symmetric_rotation_refuses_a_and_b_apart_past_zero_tol(side, symmetric):
+    gap = {AT: ZERO_TOL, ABOVE: np.nextafter(ZERO_TOL, math.inf)}[side]
+    t = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.1]])
+    params = HSParams([0.0, 0.2, 0.1], [gap, 0.2, 0.1], t)
+    if symmetric:
+        out, _ = tdiag_via_symmetric_rotation(params)
+        assert out.is_t_diagonal() and np.array_equal(out.a, out.b)
+    else:
+        with pytest.raises(ContractViolationError, match="needs a == b"):
             tdiag_via_symmetric_rotation(params)
 
 
