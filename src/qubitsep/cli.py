@@ -7,7 +7,12 @@ State files are single JSON documents with keys "a", "b" and exactly one of
 "normalize" flag.  A file is read as bytes and decoded once, with the
 newlines of a text-mode read; one shared decoder parses them all, each number
 is checked once as it is parsed, and R is laid out from those floats
-unchecked.  A request parses its arguments once, with its subcommand's parser;
+unchecked.  A one-file request, exactly [analyze or classify, token] with a
+token that does not start with the subparser's prefix characters, runs no
+argparse pass: argparse can read such a token only as state_file, so the
+request gets a new Namespace copied from the one the subparser gave a
+placeholder when the parsers were built, with state_file set to the token.
+Any other request parses its arguments once, with its subcommand's parser;
 the full top-level parse runs only without a subcommand or with arguments left
 over, so help and usage errors read as argparse writes them.  Floats
 are emitted with shortest round-trip precision so reports re-parse bit for
@@ -21,7 +26,7 @@ sum is finite, the strings through json's C string encoder, the bools as
 literals.  A report holding NaN, an infinity or a leaf of another type, and a
 sample report, go to _indent2, the one generic formatter, which writes the
 common leaves of a container (finite floats, strings, bools) inline.  Filling
-a layout takes about 24 us of an in-process request's 0.27 ms (median),
+a layout takes about 24 us of an in-process request (0.23 ms median),
 against 45 us for _indent2; the floats' repr is most of it.
 
 Exit codes of analyze: 0 separable, 1 entangled, 2 not a state or usage
@@ -45,7 +50,7 @@ import numpy as np
 
 from .boost import BETA_LIMIT
 from .errors import InvalidStateError, QubitSepError
-from .hs import PSD_TOL, ZERO_TOL, HSParams
+from .hs import PSD_TOL, ZERO_TOL, HSParams, r_from_hs
 from .pt import MDS_SUM_TOL, SEPARABLE, VERDICT_TOL, Verdict
 from .sampling import FAMILIES, SampleSpec, batch_stats, cross_validate
 
@@ -61,6 +66,7 @@ EXIT_ERROR = 2
 EXIT_NON_GENERIC = 3
 
 
+@functools.cache  # one entry per classification kind, six in all
 def _kind_label(kind: str) -> str:
     """A classification kind in CamelCase: "non-generic-a" -> "NonGenericA"."""
     return "".join(word.capitalize() for word in kind.split("-"))
@@ -308,11 +314,15 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _cmd_analyze(args) -> int:
     params = load_state_file(args.state_file)
+    # t is the transpose of R's lower block, so its rows are the block's columns
+    (_, a1, a2, a3), (b1, r11, r12, r13), (b2, r21, r22, r23), (b3, r31, r32, r33) = (
+        r_from_hs(params).tolist()
+    )
     report: dict = {
         "input": {
-            "a": params.a.tolist(),
-            "b": params.b.tolist(),
-            "t": params.t.tolist(),
+            "a": [a1, a2, a3],
+            "b": [b1, b2, b3],
+            "t": [[r11, r21, r31], [r12, r22, r32], [r13, r23, r33]],
         },
     }
     try:
@@ -330,12 +340,13 @@ def _cmd_analyze(args) -> int:
     )
     solve = rec.report
     notes = [] if solve.note is None else [solve.note]
-    work = solve.reduced
     # the reduced t is exactly diagonal; the float sum left to right is
     # numpy's sum of the three, as in mds_criterion
-    t1, t2, t3 = work.t.diagonal().tolist()
+    (_, ra1, ra2, ra3), (rb1, t1, _, _), (rb2, _, t2, _), (rb3, _, _, t3) = (
+        r_from_hs(solve.reduced).tolist()
+    )
     total = abs(t1) + abs(t2) + abs(t3)
-    if max(map(abs, work.a.tolist() + work.b.tolist())) <= ZERO_TOL:
+    if max(map(abs, (ra1, ra2, ra3, rb1, rb2, rb3))) <= ZERO_TOL:
         notes.append(
             "maximally disordered subsystems: sum|t_i| <= 1 is necessary "
             f"and sufficient (sum = {total:.6g})"
@@ -351,10 +362,15 @@ def _cmd_analyze(args) -> int:
         report["boost_kind"] = solve.boost_kind
         if solve.axis is not None:
             report["boost_axis"] = solve.axis
+        # SigmaForm.tprime and tprime_sum on floats: the same divisions, and
+        # the same sum left to right
+        s0, s = solve.sigma.s0, solve.sigma.s.tolist()
+        tprime = [value / s0 for value in s]
+        x, y, z = tprime
         report.update(
-            sigma={"s0": solve.sigma.s0, "s": solve.sigma.s.tolist()},
-            tprime=solve.sigma.tprime.tolist(),
-            lorentz_sum=solve.sigma.tprime_sum,
+            sigma={"s0": s0, "s": s},
+            tprime=tprime,
+            lorentz_sum=abs(x) + abs(y) + abs(z),
             lorentz_verdict=_verdict(rec.lorentz),
             residuals={
                 "polynomial": solve.polynomial_residual,
@@ -413,8 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # the top-level parser and its subcommand table, name -> subparser
+def _parsers() -> tuple[
+    argparse.ArgumentParser,
+    dict[str, argparse.ArgumentParser],
+    dict[str, tuple[tuple[str, ...], dict]],
+]:
+    # the top-level parser, its subcommand table (name -> subparser) and, for
+    # each subcommand whose one positional is state_file, the subparser's
+    # prefix characters and the attributes argparse gives a request
+    # [name, STATE] (the subparser's own pass over a placeholder)
     parser = argparse.ArgumentParser(
         prog="qubitsep",
         description=(
@@ -453,24 +476,39 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_sample.add_argument("--axis", type=int, default=1, choices=(1, 2, 3))
     p_sample.add_argument("--format", choices=("json", "text"), default="json")
     p_sample.set_defaults(func=_cmd_sample)
-    return parser, sub.choices
+
+    one_file = {}
+    for name, command in (("analyze", p_analyze), ("classify", p_classify)):
+        template, _ = command.parse_known_args(["STATE"], argparse.Namespace(command=name))
+        one_file[name] = (tuple(command.prefix_chars), vars(template))
+    return parser, sub.choices, one_file
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parsers()
-    try:
-        # argparse's top-level pass would make this same call; the full parse
-        # runs only for what the subcommand leaves over, or without one
-        command = commands.get(argv[0]) if argv else None
-        if command is not None:
-            namespace = argparse.Namespace(command=argv[0])
-            args, rest = command.parse_known_args(argv[1:], namespace)
-        if command is None or rest:
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, which matches our error code
-        return int(exc.code) if exc.code else 0
+    parser, commands, one_file = _parsers()
+    args = None
+    if len(argv) == 2 and argv[0] in one_file:
+        prefixes, template = one_file[argv[0]]
+        token = argv[1]
+        if isinstance(token, str) and not token.startswith(prefixes):
+            # argparse reads such a token as the state_file positional and
+            # nothing else, so the request gets what its pass would give
+            args = argparse.Namespace(**template)
+            args.state_file = token
+    if args is None:
+        try:
+            # argparse's top-level pass would make this same call; the full
+            # parse runs only for what the subcommand leaves over, or without one
+            command = commands.get(argv[0]) if argv else None
+            if command is not None:
+                namespace = argparse.Namespace(command=argv[0])
+                args, rest = command.parse_known_args(argv[1:], namespace)
+            if command is None or rest:
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors, which matches our error code
+            return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
     except QubitSepError as exc:

@@ -29,7 +29,8 @@ the certificate's 3x3 eigensolve is hs._eigvalsh, numpy's LAPACK gufunc
 without the np.linalg wrapper, whose LinAlgError on a block that does not
 converge becomes SolverInconsistencyError.  Its report holds the diagonal-t
 params it solved (reduced) and a note naming the rotation.  On the way it
-checks one scalar, beta_limit, and separability_verdict checks tol.
+checks one scalar, beta_limit (below 1), and separability_verdict checks tol
+(>= 0).
 solve_pair_general and solve_symmetric, for values from outside, check their
 input and call _solve_pair and _solve_symmetric, the cores the solve calls
 on the floats it read from its own params.
@@ -60,7 +61,7 @@ from .hs import (
     _symmetric_rotation,
     r_from_hs,
 )
-from .pt import ENTANGLED, SEPARABLE, VERDICT_TOL, Verdict
+from .pt import ENTANGLED, SEPARABLE, VERDICT_TOL, Verdict, _verdict_tol
 
 # Not called here; perfbench/tracing.py wraps this name on this module.
 from .roots import real_roots  # noqa: F401
@@ -176,7 +177,17 @@ def solve_pair_general(
     eta = atanh(beta).
     """
     a1, b1, t1 = _as_real(a1, (), "a1"), _as_real(b1, (), "b1"), _as_real(t1, (), "t1")
-    return _solve_pair(a1, b1, t1, _as_real(beta_limit, (), "beta_limit"))
+    return _solve_pair(a1, b1, t1, _beta_limit(beta_limit))
+
+
+def _beta_limit(beta_limit) -> float:
+    # a beta_limit from outside: through the gate, and below 1, since at 1 or
+    # above no |beta| < 1 - beta_limit is left and every boost would fail.
+    # One below 0 is taken (see README).
+    beta_limit = _as_real(beta_limit, (), "beta_limit")
+    if beta_limit >= 1.0:
+        raise InvalidParameterError("beta_limit must be finite and below 1")
+    return beta_limit
 
 
 def _solve_pair(a1: float, b1: float, t1: float, beta_limit: float):
@@ -244,7 +255,7 @@ def solve_symmetric(a, tdiag, beta_limit: float = BETA_LIMIT) -> tuple[np.ndarra
     _FUNDAMENTAL_TOL, so it is finite and at most that.
     """
     av, tv = _as_real(a, (3,), "a"), _as_real(tdiag, (3,), "tdiag")
-    return _solve_symmetric(av.tolist(), tv.tolist(), _as_real(beta_limit, (), "beta_limit"))[:2]
+    return _solve_symmetric(av.tolist(), tv.tolist(), _beta_limit(beta_limit))[:2]
 
 
 def _secular(values, weights, mu: float) -> tuple[float, float]:
@@ -354,8 +365,10 @@ def _certify(q: np.ndarray, scale: float) -> tuple[SigmaForm, float]:
 
 
 def separability_verdict(sigma: SigmaForm, tol: float = VERDICT_TOL) -> Verdict:
-    """Separable iff |s1| + |s2| + |s3| <= s0, i.e. sum |t'_i| <= 1."""
-    tol = _as_real(tol, (), "tol")
+    """Separable iff |s1| + |s2| + |s3| <= s0, i.e. sum |t'_i| <= 1.
+
+    tol must be finite and >= 0 (InvalidParameterError)."""
+    tol = _verdict_tol(tol)
     witness = sigma.tprime_sum - 1.0
     return Verdict(
         kind=ENTANGLED if witness > tol else SEPARABLE,
@@ -465,7 +478,7 @@ def solve_normal_form(
     failures propagate, since they indicate a numerical bug rather than a
     non-generic state.
     """
-    beta_limit = _as_real(beta_limit, (), "beta_limit")
+    beta_limit = _beta_limit(beta_limit)
     note = None
     if not params.is_t_diagonal():
         # is_symmetric covers t's symmetry, so the shared rotation needs no

@@ -97,11 +97,21 @@ def peres_horodecki(rho, tol: float = VERDICT_TOL) -> Verdict:
 
     Raises InvalidStateError for inputs with an eigenvalue below -PSD_TOL;
     a verdict on a non-state would mask upstream bugs.  `tol` is the verdict
-    margin only.
+    margin only; it must be finite and >= 0 (InvalidParameterError).
     """
     spectrum, pt_spectrum = spectra(rho)
     require_state(spectrum, PSD_TOL)
-    return ppt_verdict(pt_spectrum, _as_real(tol, (), "tol"))
+    return ppt_verdict(pt_spectrum, _verdict_tol(tol))
+
+
+def _verdict_tol(tol) -> float:
+    # a verdict margin from outside: through the gate, and >= 0, since a
+    # negative margin turns a verdict around (the maximally mixed state would
+    # read entangled)
+    tol = _as_real(tol, (), "tol")
+    if tol < 0.0:
+        raise InvalidParameterError("tol must be finite and >= 0")
+    return tol
 
 
 def ppt_verdict(pt_spectrum: np.ndarray, tol: float = VERDICT_TOL) -> Verdict:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import io
@@ -658,14 +659,23 @@ SAMPLE = ["sample", "--family", "mds", "--count", "3", "--seed", "0"]
         [*SAMPLE, "--axis", "4"],
         [*SAMPLE, "extra"],
         [*SAMPLE, "--format", "text"],
+        *[
+            [command, token]
+            for command in ("analyze", "classify")
+            for token in ("", "-", "--", "-1", "@STATE", "SPACED", "analyze")
+        ],
     ],
 )
-def test_dispatch_behaves_like_the_full_parse(tmp_path, capsys, argv):
+def test_dispatch_behaves_like_the_full_parse(tmp_path, capsys, monkeypatch, argv):
+    # a token "analyze" names the state file ./analyze
+    monkeypatch.chdir(tmp_path)
+    write_state(tmp_path, GOLDEN_STATES["cubic"], name="analyze")
     files = {
         "STATE": write_state(tmp_path, GOLDEN_STATES["pair64"]),
         "MISSING": str(tmp_path / "missing.json"),
         "MALFORMED": write_state(tmp_path, {"a": [0, 0]}, name="malformed.json"),
         "NON_STATE": write_state(tmp_path, GOLDEN_STATES["non-psd"], name="non-state.json"),
+        "SPACED": write_state(tmp_path, GOLDEN_STATES["quartic"], name="a state ψ ü.json"),
     }
     argv = [files.get(arg, arg) for arg in argv]
     dispatched = run(capsys, *argv)
@@ -684,6 +694,53 @@ def test_a_well_formed_request_skips_the_top_level_parse(pair64_file, capsys, mo
     monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
     assert [run(capsys, *argv) for argv in requests] == expected
     assert [code for code, _, _ in expected] == [1, 0, 0]
+
+
+@pytest.fixture
+def rebuilt_parsers():
+    # the test's first call builds the parsers with the handlers it patched
+    # in, and the first call after the test builds them again
+    cli._parsers.cache_clear()
+    yield
+    cli._parsers.cache_clear()
+
+
+def test_a_one_file_request_runs_no_argparse_pass(pair64_file, capsys, monkeypatch):
+    requests = [["analyze", pair64_file], ["classify", pair64_file]]
+    expected = [run(capsys, *argv) for argv in requests]
+    assert [code for code, _, _ in expected] == [1, 0]
+    refuse_argparse(monkeypatch)
+    assert [run(capsys, *argv) for argv in requests] == expected
+
+
+def refuse_argparse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a one-file request")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+
+
+def test_one_file_requests_get_a_namespace_each(
+    pair64_file, tmp_path, capsys, monkeypatch, rebuilt_parsers
+):
+    seen = []
+
+    def record(args):
+        seen.append((args, dict(vars(args))))
+        args.state_file = args.tol_psd = None  # a handler may write its namespace
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_analyze", record)
+    other = str(tmp_path / "other.json")
+    parsed = vars(build_parser().parse_args(["analyze", other]))
+    refuse_argparse(monkeypatch)
+    assert run(capsys, "analyze", pair64_file) == (0, "", "")
+    assert run(capsys, "analyze", other) == (0, "", "")
+    (first, given), (second, again) = seen
+    assert first is not second
+    assert given == {**parsed, "state_file": pair64_file}
+    assert list(again.items()) == list(parsed.items())  # in argparse's order too
 
 
 def text_mode_open(path, mode, buffering=-1):

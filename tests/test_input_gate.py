@@ -7,6 +7,10 @@ integer parameters also get a float, and real numbers and arrays numeric text
 and complex values.  A matrix gets numeric text too.  A rho that
 require_hermitian checks raises ContractViolationError for a wrong shape, as it
 always has; everything else raises InvalidParameterError.
+
+A number the gate takes can still be out of range: a verdict margin below 0
+or a beta_limit of 1 or more raises InvalidParameterError too, and the edge
+of each range is taken.
 """
 
 import math
@@ -15,11 +19,15 @@ import numpy as np
 import pytest
 
 from qubitsep import (
+    SEPARABLE,
     ContractViolationError,
+    CrossValidation,
     HSParams,
     InvalidParameterError,
     SampleSpec,
     SigmaForm,
+    SolveReport,
+    Verdict,
     apply_two_sided,
     cross_validate,
     eigenvalues_hermitian,
@@ -231,3 +239,86 @@ def test_the_gate_names_the_input_and_its_kind(x, shape, message):
     with pytest.raises(InvalidParameterError) as raised:
         hs._as_real(x, shape, "x")
     assert str(raised.value) == message
+
+
+SIGMA = SigmaForm(1.0, [0.1, 0.1, 0.1])
+TINY = 5e-324
+
+# (callable and parameter, the call with that parameter set to x, values out
+# of range, values in range); a negative margin turned a verdict around: the
+# maximally mixed state read entangled, sum|t'| = 0.3 entangled, and a
+# beta_limit past 1 made the pair of PARAMS no-physical-boost
+RANGES = [
+    ("peres_horodecki.tol", lambda x: peres_horodecki(RHO, x), [-1.0, -TINY], [0.0, -0.0, 1.0]),
+    (
+        "separability_verdict.tol",
+        lambda x: separability_verdict(SIGMA, x),
+        [-1.0, -TINY],
+        [0.0, -0.0, 1.0],
+    ),
+    ("cross_validate.tol", lambda x: cross_validate(PARAMS, tol=x), [-1.0, -TINY], [0.0, 1.0]),
+    (
+        "cross_validate.tol_psd",
+        lambda x: cross_validate(PARAMS, tol_psd=x),
+        [-1.0, -TINY],
+        [0.0, 1.0],
+    ),
+    (
+        "cross_validate.beta_limit",
+        lambda x: cross_validate(PARAMS, beta_limit=x),
+        [-TINY, 1.0, 2.0],
+        [0.0, 0.5],
+    ),
+    # a beta_limit below 0 is taken here (README)
+    (
+        "solve_pair_general.beta_limit",
+        lambda x: solve_pair_general(0.1, 0.1, 0.3, x),
+        [1.0, 2.0],
+        [-0.5, 0.0, 0.5],
+    ),
+    (
+        "solve_symmetric.beta_limit",
+        lambda x: solve_symmetric(VECTOR, TDIAG, x),
+        [1.0, 2.0],
+        [-0.5, 0.0, 0.5],
+    ),
+    (
+        "solve_normal_form.beta_limit",
+        lambda x: solve_normal_form(PARAMS, x),
+        [1.0, 2.0],
+        [-0.5, 0.0, 0.5],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{name}-{value!r}")
+        for name, call, refused, _ in RANGES
+        for value in refused
+    ],
+)
+def test_out_of_range_input_raises_invalid_parameter(call, value):
+    with pytest.raises(InvalidParameterError):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{name}-{value!r}")
+        for name, call, _, taken in RANGES
+        for value in taken
+    ],
+)
+def test_in_range_input_is_taken(call, value):
+    # RHO, SIGMA and PARAMS are separable well inside every margin here, and
+    # the pair boost of PARAMS is far below light speed
+    result = call(value)
+    if isinstance(result, Verdict):
+        assert result.kind == SEPARABLE
+    elif isinstance(result, CrossValidation):
+        assert result.ppt.kind == result.lorentz.kind == SEPARABLE
+    elif isinstance(result, SolveReport):
+        assert result.classification.is_generic

@@ -28,6 +28,10 @@ their edge and the one np.nextafter step past it:
     <= it;
   * _FUNDAMENTAL_TOL: the symmetric solve accepts a root with |g(mu)| <= it.
 
+The symmetric solve's Newton loop runs while mu + values[0] > _DENOM_TOL (mu
+more than it above the top pole), and the solve accepts a root only where
+g'(mu) > 0: each at its edge, and the one step to the side that passes.
+
 The strict comparisons get a value exactly at their edge and the one
 np.nextafter step to the side that passes:
 
@@ -236,6 +240,44 @@ def test_symmetric_solve_accepts_g_up_to_fundamental_tol(monkeypatch):
         monkeypatch.setattr(normal_form, "_secular", lambda *args: (g, 1.0))
         if accepted:
             assert solve_symmetric(a, tdiag)[1] == _FUNDAMENTAL_TOL
+        else:
+            with pytest.raises(NoPhysicalBoostError, match="fundamental identity"):
+                solve_symmetric(a, tdiag)
+
+
+def test_symmetric_newton_loop_needs_mu_above_the_top_pole_by_more_than_denom_tol(monkeypatch):
+    # the loop runs only while mu + values[0] > _DENOM_TOL.  At mu = 1 that sum
+    # is 1 + t_1, a multiple of 2**-53, and 1e-12 is not; so the tolerance is
+    # also moved onto that grid, where t_1 = grid - 1 puts the sum on the edge.
+    # a_1 = 2**-48 makes g(1) so small that the Newton step leaves mu at 1,
+    # the root the solve then takes.
+    grid = 1.0 + (_DENOM_TOL - 1.0)
+    edge = grid - 1.0
+    inside = float(np.nextafter(edge, math.inf))
+    a, tdiag = [2.0**-48, 0.0, 0.0], [edge, 0.3, 0.2]
+    for tol in (_DENOM_TOL, grid):
+        monkeypatch.setattr(normal_form, "_DENOM_TOL", tol)
+        with pytest.raises(NoPhysicalBoostError, match="fundamental identity"):
+            solve_symmetric(a, tdiag)
+        betas, _ = solve_symmetric(a, [inside, *tdiag[1:]])
+        assert betas.tolist() == [a[0] / (1.0 + inside), 0.0, 0.0]
+
+
+def test_symmetric_solve_refuses_a_root_where_g_has_zero_slope(monkeypatch):
+    # g'(mu) = 1 - |beta|^2: at 0 the boost is at light speed, refused even
+    # where a beta_limit below 0 would take |beta| = 1.  With 1 + t_1 = a_1 =
+    # 2**-34, mu = 1 gives g = 2**-34 (within _FUNDAMENTAL_TOL) and g' = 0
+    # exactly, and beta_1 = 1
+    a1 = 2.0**-34
+    assert normal_form._secular([a1 - 1.0], [a1 * a1], 1.0) == (a1, 0.0)
+    with pytest.raises(NoPhysicalBoostError, match="fundamental identity"):
+        solve_symmetric([a1, 0.0, 0.0], [a1 - 1.0, 0.0, 0.0], -1.0)
+    # one step up, g' > 0 takes the root (g <= 0 ends the loop at mu = 1)
+    a, tdiag = [0.1, 0.15, 0.2], [0.3, -0.2, 0.2]
+    for slope, accepted in ((0.0, False), (5e-324, True)):
+        monkeypatch.setattr(normal_form, "_secular", lambda *args: (0.0, slope))
+        if accepted:
+            assert solve_symmetric(a, tdiag)[1] == 0.0
         else:
             with pytest.raises(NoPhysicalBoostError, match="fundamental identity"):
                 solve_symmetric(a, tdiag)
