@@ -7,27 +7,25 @@ State files are single JSON documents with keys "a", "b" and exactly one of
 "normalize" flag.  A file is read as bytes and decoded once, with the
 newlines of a text-mode read; one shared decoder parses them all, each number
 is checked once as it is parsed, and R is laid out from those floats
-unchecked.  A one-file request, exactly [analyze or classify, token] with a
-token that does not start with the subparser's prefix characters, runs no
-argparse pass: argparse can read such a token only as state_file, so the
-request gets a new Namespace copied from the one the subparser gave a
-placeholder when the parsers were built, with state_file set to the token.
-Any other request parses its arguments once, with its subcommand's parser;
-the full top-level parse runs only without a subcommand or with arguments left
-over, so help and usage errors read as argparse writes them.  Floats
-are emitted with shortest round-trip precision so reports re-parse bit for
-bit; a JSON report is exactly json.dumps(report, indent=2), written by _json.
-_cmd_analyze's dict is the one definition of an analyze report; _json writes
-it by filling the layout of its shape (its keys at every level and the length
-of every list): the report's text with one slot per leaf, made once per shape
-by _indent2 and kept only if it writes that first report as _indent2 does.
-The floats fill their slots through float.__repr__ after one check that their
-sum is finite, the strings through json's C string encoder, the bools as
-literals.  A report holding NaN, an infinity or a leaf of another type, and a
-sample report, go to _indent2, the one generic formatter, which writes the
-common leaves of a container (finite floats, strings, bools) inline.  Filling
-a layout takes about 24 us of an in-process request (0.23 ms median),
-against 45 us for _indent2; the floats' repr is most of it.
+unchecked.
+
+A request takes one of two routes.  A one-file request, exactly [analyze or
+classify, token] with a token that does not start with the subparser's prefix
+characters, runs no argparse pass: argparse can read such a token only as
+state_file, so the request gets a new Namespace copied from the one the
+subparser gave a placeholder when the parsers were built.  Any other request
+goes through the full parse, so help, options and usage errors read as
+argparse writes them.
+
+A JSON report is exactly json.dumps(report, indent=2), written by _json into
+the layout of the report's shape (the keys of each dict, the length of each
+list and the place of each leaf): a finite float or an int by repr, a string
+through json's C string encoder, a bool as true or false.  A layout is
+_indent2 of the report with a %s slot per leaf, made once per shape, kept
+only if it writes that first report as _indent2 does, and never for a shape
+with a non-str key.  A report with any other leaf (NaN, an infinity, None, a
+tuple, a subclass) goes to _indent2, the one generic formatter.  Floats are
+written with shortest round-trip precision, so reports re-parse bit for bit.
 
 Exit codes of analyze: 0 separable, 1 entangled, 2 not a state or usage
 error, 3 non-generic (verdict from the partial-transpose test only).  classify
@@ -39,10 +37,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
-import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -153,154 +149,88 @@ def _indent2(value, newline: str = "\n") -> str:
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, (list, tuple)) and value:
-        items = _items(value, inner)
+        items = [_indent2(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict) and value:
         if not all(isinstance(key, str) for key in value):
             # json coerces such keys; ensure_ascii leaves no raw newline in a string
             return json.dumps(value, indent=2).replace("\n", newline)
         items = [
-            encode_basestring_ascii(key) + ": " + item
-            for key, item in zip(value, _items(value.values(), inner))
+            encode_basestring_ascii(key) + ": " + _indent2(item, inner)
+            for key, item in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     return json.dumps(value)  # nan, inf, bool, None, int, empty: json's C encoder
 
 
-def _items(values, inner: str) -> list[str]:
-    # the container items of _indent2: the common leaves (a finite float, a str,
-    # a bool) inline, anything else through _indent2
-    out = []
-    for item in values:
-        kind = type(item)
-        if kind is float and math.isfinite(item):
-            out.append(repr(item))
-        elif kind is str:
-            out.append(encode_basestring_ascii(item))
-        elif kind is bool:
-            out.append("true" if item else "false")
-        else:
-            out.append(_indent2(item, inner))
-    return out
-
-
 def _json(report: dict) -> str:
-    """json.dumps(report, indent=2): an analyze report through the layout of
-    its shape, any other report (or one holding NaN, an infinity or a leaf of
-    an unexpected type) through _indent2."""
+    """json.dumps(report, indent=2): the report's leaves filled into the layout
+    of its shape, or _indent2 for a report with a leaf no layout writes."""
+    leaves: list = []
+    shape: list = []
     try:
-        floats, others, shape = _analyze_leaves(report)
-        # float.__repr__ is what json writes for a float or a float subclass
-        # and refuses anything else
-        text = list(map(float.__repr__, floats))
-    except (LookupError, TypeError):  # another report, or an unexpected leaf
+        _leaves(report, leaves, shape)
+    except TypeError:  # NaN, an infinity, None, a tuple, a subclass, ...
         return _indent2(report)
-    # one check for all: NaN or an infinity makes the sum non-finite (a sum
-    # past the float range only sends a finite report to _indent2)
-    if not math.isfinite(sum(floats)):
-        return _indent2(report)
-    layout = _LAYOUTS.get(shape)
-    if layout is None:
-        # a new shape: its layout is kept once it writes this report as
-        # _indent2 does
-        layout = _layout(report, len(floats), len(others))
-        if layout is None or _fill(layout, text, others) != _indent2(report):
-            return _indent2(report)
-        _LAYOUTS[shape] = layout
-    return _fill(layout, text, others)
+    key = tuple(shape)
+    layout = _LAYOUTS.get(key)
+    if layout is not None:
+        return layout % tuple(leaves)
+    # a new shape: its layout is kept once it writes this report as _indent2
+    # does, and never for a non-str key, which 1 == True == 1.0 would let
+    # another report's shape match
+    text = _indent2(report)
+    try:
+        layout = _indent2(_blank(report)).replace("%", "%%").replace(_SLOT_TEXT, "%s")
+        if layout % tuple(leaves) == text:
+            _LAYOUTS[key] = layout
+    except TypeError:  # a non-str key, or not one slot per leaf
+        pass
+    return text
 
 
-# (template, order) per analyze report shape
-_LAYOUTS: dict[tuple, tuple[str, operator.itemgetter]] = {}
+# a layout, _indent2 of the report with a %s slot per leaf, per report shape
+_LAYOUTS: dict[tuple, str] = {}
 
 
-def _fill(layout: tuple[str, operator.itemgetter], text: list[str], others: list[str]) -> str:
-    template, order = layout
-    return template % order(text + others)
+def _leaves(value, leaves: list, shape: list) -> None:
+    # the leaves of a dict or list, each as its slot takes it, and its shape:
+    # the keys of each dict, the length of each list and None for each leaf,
+    # in the order _indent2 writes them.  TypeError for any other leaf
+    if type(value) is dict:
+        shape.append(tuple(value))
+        value = value.values()
+    else:
+        shape.append(len(value))
+    for item in value:
+        kind = type(item)
+        # a slot writes repr for a float or an int, which is what json writes
+        if kind is float and math.isfinite(item) or kind is int:
+            leaves.append(item)
+        elif kind is dict or kind is list:
+            _leaves(item, leaves, shape)
+            continue
+        elif kind is str:
+            leaves.append(encode_basestring_ascii(item))
+        elif kind is bool:
+            leaves.append("true" if item else "false")
+        else:
+            raise TypeError(f"no slot for a {kind.__name__}")
+        shape.append(None)
 
 
-def _literal(flag) -> str:
-    if flag is True:
-        return "true"
-    if flag is False:
-        return "false"
-    raise TypeError("not a bool")
+_SLOT = "\0"  # a leaf of _blank's copy, written as _SLOT_TEXT
+_SLOT_TEXT = encode_basestring_ascii(_SLOT)
 
 
-def _analyze_leaves(report: dict) -> tuple[list, list[str], tuple]:
-    # an analyze report's floats and its other leaves written as JSON, each in
-    # report order, and its shape: the keys of each object it reads and the
-    # length of each list.  LookupError for another report, TypeError for an
-    # unexpected leaf
-    encode = encode_basestring_ascii
-    given = report["input"]
-    a, b, t, spectrum = given["a"], given["b"], given["t"], report["eigenvalues_4l"]
-    floats = [*a, *b, *t[0], *t[1], *t[2], *spectrum]
-    shape = [tuple(report), tuple(given), len(a), len(b), len(t), *map(len, t), len(spectrum)]
-    if report["psd"] is False:
-        return floats, ["false", encode(report["error"])], tuple(shape)
-    ppt, classification = report["ppt_verdict"], report["classification"]
-    pt_spectrum = report["pt_eigenvalues_4l"]
-    floats += pt_spectrum
-    floats.append(ppt["witness"])
-    others = [
-        _literal(report["psd"]),
-        encode(ppt["kind"]),
-        encode(ppt["criterion"]),
-        _literal(ppt["boundary"]),
-        encode(classification["kind"]),
-        encode(classification["detail"]),
-    ]
-    shape += (len(pt_spectrum), tuple(ppt), tuple(classification))
-    if "betas" in report:
-        betas, sigma, tprime = report["betas"], report["sigma"], report["tprime"]
-        lorentz, residuals = report["lorentz_verdict"], report["residuals"]
-        floats += betas
-        floats.append(sigma["s0"])
-        floats += sigma["s"]
-        floats += tprime
-        floats += (report["lorentz_sum"], lorentz["witness"])
-        floats += (residuals["polynomial"], residuals["offdiag"])
-        others.append(encode(report["boost_kind"]))
-        if "boost_axis" in report:
-            axis = report["boost_axis"]
-            if type(axis) is not int:
-                raise TypeError("not an int")
-            others.append(repr(axis))
-        others += (encode(lorentz["kind"]), encode(lorentz["criterion"]))
-        others.append(_literal(lorentz["boundary"]))
-        shape += (len(betas), tuple(sigma), len(sigma["s"]), len(tprime))
-        shape += (tuple(lorentz), tuple(residuals))
-    notes = report["criteria_notes"]
-    others += map(encode, notes)
-    shape.append(len(notes))
-    return floats, others, tuple(shape)
-
-
-def _layout(report: dict, n_floats: int, n_others: int):
-    # _indent2 of the report with a %s slot per leaf, and the order that takes
-    # the written floats, then the other leaves, to the slots; None when the
-    # report's leaves are not those counts
-    kinds: list[bool] = []
-    template = _indent2(_blank(report, kinds))
-    if kinds.count(True) != n_floats or len(kinds) != n_floats + n_others:
-        return None
-    template = template.replace("%", "%%").replace(encode_basestring_ascii(_SLOT), "%s")
-    floats, others = iter(range(n_floats)), itertools.count(n_floats)
-    return template, operator.itemgetter(*[next(floats if f else others) for f in kinds])
-
-
-_SLOT = "\0"  # a leaf of _blank's copy; no key of a report holds it
-
-
-def _blank(value, kinds: list[bool]):
-    # a copy of value with _SLOT for each leaf; kinds gets, leaf by leaf in
-    # the order _indent2 writes them, whether the leaf is a float
-    if isinstance(value, dict):
-        return {key: _blank(item, kinds) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_blank(item, kinds) for item in value]
-    kinds.append(isinstance(value, float))
+def _blank(value):
+    # a copy of a report with _SLOT for each leaf; TypeError for a non-str key
+    if type(value) is dict:
+        if not all(type(key) is str for key in value):
+            raise TypeError("a non-str key")
+        return {key: _blank(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_blank(item) for item in value]
     return _SLOT
 
 
@@ -429,15 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parsers() -> tuple[
-    argparse.ArgumentParser,
-    dict[str, argparse.ArgumentParser],
-    dict[str, tuple[tuple[str, ...], dict]],
-]:
-    # the top-level parser, its subcommand table (name -> subparser) and, for
-    # each subcommand whose one positional is state_file, the subparser's
-    # prefix characters and the attributes argparse gives a request
-    # [name, STATE] (the subparser's own pass over a placeholder)
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple[tuple[str, ...], dict]]]:
+    # the top-level parser and, for each subcommand whose one positional is
+    # state_file, the subparser's prefix characters and the attributes
+    # argparse gives a request [name, STATE] (the subparser's own pass over a
+    # placeholder)
     parser = argparse.ArgumentParser(
         prog="qubitsep",
         description=(
@@ -481,12 +407,12 @@ def _parsers() -> tuple[
     for name, command in (("analyze", p_analyze), ("classify", p_classify)):
         template, _ = command.parse_known_args(["STATE"], argparse.Namespace(command=name))
         one_file[name] = (tuple(command.prefix_chars), vars(template))
-    return parser, sub.choices, one_file
+    return parser, one_file
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands, one_file = _parsers()
+    parser, one_file = _parsers()
     args = None
     if len(argv) == 2 and argv[0] in one_file:
         prefixes, template = one_file[argv[0]]
@@ -498,14 +424,7 @@ def main(argv=None) -> int:
             args.state_file = token
     if args is None:
         try:
-            # argparse's top-level pass would make this same call; the full
-            # parse runs only for what the subcommand leaves over, or without one
-            command = commands.get(argv[0]) if argv else None
-            if command is not None:
-                namespace = argparse.Namespace(command=argv[0])
-                args, rest = command.parse_known_args(argv[1:], namespace)
-            if command is None or rest:
-                args = parser.parse_args(argv)
+            args = parser.parse_args(argv)
         except SystemExit as exc:
             # argparse exits 2 on usage errors, which matches our error code
             return int(exc.code) if exc.code else 0

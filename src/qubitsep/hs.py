@@ -347,8 +347,7 @@ def tdiag_via_local_rotations(params: HSParams):
     unchanged with identity rotations.
     """
     if params.is_t_diagonal():
-        eye = np.eye(3)
-        return params, eye, eye
+        return params, np.eye(3), np.eye(3)
     return _local_rotations(params)
 
 

@@ -684,18 +684,6 @@ def test_dispatch_behaves_like_the_full_parse(tmp_path, capsys, monkeypatch, arg
     assert dispatched == (code, captured.out, captured.err)
 
 
-def test_a_well_formed_request_skips_the_top_level_parse(pair64_file, capsys, monkeypatch):
-    requests = [["analyze", pair64_file], ["classify", pair64_file], SAMPLE]
-    expected = [run(capsys, *argv) for argv in requests]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the top-level parser ran")
-
-    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
-    assert [run(capsys, *argv) for argv in requests] == expected
-    assert [code for code, _, _ in expected] == [1, 0, 0]
-
-
 @pytest.fixture
 def rebuilt_parsers():
     # the test's first call builds the parsers with the handlers it patched
@@ -1025,6 +1013,31 @@ def test_json_formatter_is_json_dumps_indent_2():
         assert cli._indent2(value) == json.dumps(value, indent=2), value
 
 
+def test_json_writer_is_json_dumps_indent_2_on_edge_values(monkeypatch):
+    monkeypatch.setattr(cli, "_LAYOUTS", {})
+    for value in JSON_EDGE_VALUES:
+        report = {"v": value}
+        for _ in range(2):  # the second through a layout, if the first made one
+            assert cli._json(report) == json.dumps(report, indent=2), value
+
+
+@pytest.mark.parametrize(
+    "reports",
+    [
+        # 1 == True == 1.0, so these keys make equal shapes
+        [{"x": 0.5, 1: 1.5}, {"x": 0.5, True: 1.5}, {"x": 0.5, 1.0: 1.5}],
+        [{"x": 0.5, True: 1.5}, {"x": 0.5, 1: 1.5}],
+        # a leaf and an empty list trade places
+        [{"a": 1.5, "b": []}, {"a": [], "b": 1.5}],
+        [{"a": [1.5, []]}, {"a": [[], 1.5]}],
+    ],
+)
+def test_json_writer_keeps_reports_of_equal_keys_apart(monkeypatch, reports):
+    monkeypatch.setattr(cli, "_LAYOUTS", {})
+    for report in reports * 2:
+        assert cli._json(report) == json.dumps(report, indent=2), report
+
+
 def record_reports(monkeypatch) -> list:
     """The reports that the JSON writer gets from now on, in order."""
     reports = []
@@ -1154,19 +1167,37 @@ def test_json_writer_is_json_dumps_indent_2_on_edge_leaves(tmp_path, capsys, mon
             assert cli._json(variant) == json.dumps(variant, indent=2), (name, variant)
 
 
-def test_analyze_leaves_no_reference_cycles(tmp_path, capsys, monkeypatch):
+def test_json_writer_leaves_no_reference_cycles(tmp_path, capsys, monkeypatch):
     # the layouts are built in the measured window, one per shape
     monkeypatch.setattr(cli, "_LAYOUTS", {})
     paths = [write_state(tmp_path, doc, name=f"{name}.json") for name, doc in SHAPE_STATES.items()]
+    requests = [["analyze", path] for path in paths] + [SAMPLE]
     gc.collect()
     gc.disable()
     try:
-        codes = [main(["analyze", path]) for _ in range(3) for path in paths]
+        codes = [main(argv) for _ in range(3) for argv in requests]
         unreachable = gc.collect()
     finally:
         gc.enable()
     assert unreachable == 0
-    assert codes == [1, 0, 3, 3, 2] * 3
+    assert codes == [1, 0, 3, 3, 2, 0] * 3
     out = capsys.readouterr().out
     assert (out.count('"psd": true'), out.count('"psd": false')) == (12, 3)
-    assert len(cli._LAYOUTS) == 5
+    assert out.count('"family": "mds"') == 3
+    assert len(cli._LAYOUTS) == 6
+
+
+def test_a_second_sample_report_is_written_from_its_layout(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_LAYOUTS", {})
+    first = run(capsys, *SAMPLE)
+    assert len(cli._LAYOUTS) == 1
+
+    def refuse(value, newline="\n"):
+        raise AssertionError("a report went to _indent2")
+
+    monkeypatch.setattr(cli, "_indent2", refuse)
+    assert run(capsys, *SAMPLE) == first
+    other = run(capsys, *SAMPLE[:-1], "1")
+    assert other[0] == 0 and other[1] != first[1]
+    assert other[1] == json.dumps(json.loads(other[1]), indent=2) + "\n"
+    assert json.loads(other[1])["seed"] == 1

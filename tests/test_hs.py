@@ -211,6 +211,16 @@ def test_tdiag_diagonal_input_is_unchanged():
     assert (signs < 0).sum() == 1
 
 
+def test_tdiag_diagonal_input_gets_two_distinct_rotations():
+    p = HSParams.diagonal([0.1, 0, 0], [0, 0.2, 0], [0.3, -0.2, 0.1])
+    _, rot_a, rot_b = tdiag_via_local_rotations(p)
+    assert rot_a is not rot_b
+    rot_a[0, 1] = 0.5  # a caller may write one rotation
+    assert np.array_equal(rot_b, np.eye(3))
+    _, again, _ = tdiag_via_local_rotations(p)
+    assert np.array_equal(again, np.eye(3))
+
+
 def _rot_z(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])

@@ -41,6 +41,13 @@ np.nextafter step to the side that passes:
   * MDS_SUM_TOL: mds_criterion and the screen note of analyze accept
     sum|t_i| <= 1 + it;
   * _BOUNDARY_TOL: a partial-transpose witness with |witness| < it is boundary.
+
+The sampler's prefilter marks a candidate when a 2x2 principal minor of 4 rho
+is below -_PREFILTER_MARGIN * C^2 (C = max|R|): a minor exactly there and one
+step past it.  Its other test, a diagonal entry below -_PREFILTER_MARGIN * C,
+never decides the mark (see test_prefilter_diagonal_edge_is_decided_by_a_minor).
+roots._is_root accepts |p(x)| <= _ROOT_RESIDUAL_TOL * sum |c_k| |x|^k: a
+residual exactly there and one step past it.
 """
 
 import json
@@ -85,8 +92,10 @@ from qubitsep.normal_form import (
     _solve_symmetric,
 )
 from qubitsep.pt import MDS_SUM_TOL, VERDICT_TOL, ppt_verdict, require_state
+from qubitsep.roots import _ROOT_RESIDUAL_TOL, _is_root
 from qubitsep.sampling import (
     _BOUNDARY_TOL,
+    _PREFILTER_MARGIN,
     _PSD_ACCEPT_TOL,
     _draw_block,
     _new_stack,
@@ -365,3 +374,61 @@ def test_boundary_witness_is_below_boundary_tol():
         rec = sampling._validate(params, spectrum, pt_spectrum, VERDICT_TOL, 1e-9, PSD_TOL)
         assert rec.ppt.witness == witness and rec.ppt.kind == ENTANGLED
         assert (rec.boundary, rec.agree) == (boundary, agree)
+
+
+def _candidate(**entries) -> np.ndarray:
+    # a one-candidate stack: corner 1, the given entries of R, the rest 0
+    rs = _new_stack(1)
+    for name, value in entries.items():
+        rs[0, int(name[1]), int(name[2])] = value
+    return rs
+
+
+def test_prefilter_marks_a_minor_below_minus_margin_times_scale():
+    # a_3 = -1 makes 4 rho's diagonal (0, 0, 2, 2) and b_1 = y puts y at (0, 1):
+    # the (0, 1) minor is 0 * 0 - y^2, C = 1, and y^2 rounds to 1e-9 exactly
+    y = math.sqrt(_PREFILTER_MARGIN)
+    assert y * y == _PREFILTER_MARGIN
+    assert _proven_indefinite(_candidate(r03=-1.0, r10=y)).tolist() == [False]
+    past = float(np.nextafter(y, math.inf))
+    assert _proven_indefinite(_candidate(r03=-1.0, r10=past)).tolist() == [True]
+
+
+def test_prefilter_diagonal_edge_is_decided_by_a_minor():
+    # The diagonal test's < against <= cannot change the mark.  Let D = 4 rho
+    # have D_ii = -m C (m = _PREFILTER_MARGIN) and no diagonal entry below
+    # -m C, and suppose no minor is below -m C^2.  The minors (i, j) =
+    # -m C D_jj - |D_ij|^2 give D_jj <= C and |D_ij|^2 <= 2 m C^2, and then
+    # the other minors |D_kl|^2 <= (1 + m) C^2.  Each entry of R is a signed
+    # sum of D's entries: (±D_00 ± D_11 ± D_22 ± D_33) / 4, at most
+    # (m + 3) C / 4, or (±D_ij ± D_kl) / 2 for a pair through i and the pair
+    # left over, at most (sqrt(2 m) + sqrt(1 + m)) C / 2.  Both are below
+    # C = max|R|, by far more than rounding moves them, so some minor is below
+    # its own edge whenever a diagonal entry is at its edge.  On a_3 = x = -(1 + d),
+    # where D = (-d, -d, 2 + d, 2 + d) and C = -x, the last float inside the
+    # diagonal test and the next one out are both marked; the mark starts
+    # where the (0, 2) minor -d (2 + d) crosses -m C^2, at d near m / 2.
+    def diagonal_inside(x):
+        return 1.0 + x >= -_PREFILTER_MARGIN * abs(x)
+
+    def marked(x):
+        return _proven_indefinite(_candidate(r03=x)).tolist() == [True]
+
+    edge = _last_inside(diagonal_inside, -1.0 - _PREFILTER_MARGIN, -math.inf)
+    assert marked(edge) and marked(float(np.nextafter(edge, -math.inf)))
+    first = _last_inside(lambda x: not marked(x), -1.0 - _PREFILTER_MARGIN / 2, -math.inf)
+    assert not marked(first) and marked(float(np.nextafter(first, -math.inf)))
+    assert 0.49 < -(1.0 + first) / _PREFILTER_MARGIN < 0.51
+
+
+def test_is_root_accepts_a_residual_up_to_root_residual_tol():
+    # x = 1 on x^2 - x + c: Horner gives p = c exactly and the bound 1 * 1 +
+    # 1 * 1 + |c| = 2 + |c|; c = 2.000000000002e-12 is its own tolerance
+    c = 2.000000000002e-12
+    assert _ROOT_RESIDUAL_TOL * (2.0 + c) == c
+    assert _is_root([1.0, -1.0, c], 1.0)
+    assert _is_root([1.0, -1.0, -c], 1.0)
+    past = float(np.nextafter(c, math.inf))
+    assert _ROOT_RESIDUAL_TOL * (2.0 + past) < past
+    assert not _is_root([1.0, -1.0, past], 1.0)
+    assert not _is_root([1.0, -1.0, -past], 1.0)
