@@ -28,7 +28,7 @@ BETA_LIMIT = 1e-9
 
 
 def _gamma(beta_sq: float) -> float:
-    if not beta_sq < 1.0:  # reachable only with a beta_limit below 0
+    if not beta_sq < 1.0:  # the solves, with beta_limit >= 0, never reach it
         raise BoostLimitError("|beta| reaches light speed")
     return 1.0 / math.sqrt(1.0 - beta_sq)
 

@@ -13,8 +13,9 @@ the supported families:
     pairs); axes whose t values tie share one pole,
 
 classifies the structurally non-generic states for which the required boost
-degenerates to light speed, and certifies every solve by re-applying the
-boost and checking that the eliminated entries actually vanished.  Each solve
+degenerates to light speed (at t = 0 by the lengths of a and b, so in any
+direction), and certifies every solve by re-applying the boost and checking
+that the eliminated entries actually vanished.  Each solve
 reports the residual its own tolerance accepted: the pair conditions against
 _PAIR_RESIDUAL_TOL, |g(mu)| against _FUNDAMENTAL_TOL.
 
@@ -29,8 +30,8 @@ the certificate's 3x3 eigensolve is hs._eigvalsh, numpy's LAPACK gufunc
 without the np.linalg wrapper, whose LinAlgError on a block that does not
 converge becomes SolverInconsistencyError.  Its report holds the diagonal-t
 params it solved (reduced) and a note naming the rotation.  On the way it
-checks one scalar, beta_limit (below 1), and separability_verdict checks tol
-(>= 0).
+checks one scalar, beta_limit (in [0, 1), _beta_limit), and
+separability_verdict checks tol (>= 0, pt._verdict_tol).
 solve_pair_general and solve_symmetric, for values from outside, check their
 input and call _solve_pair and _solve_symmetric, the cores the solve calls
 on the floats it read from its own params.
@@ -181,12 +182,12 @@ def solve_pair_general(
 
 
 def _beta_limit(beta_limit) -> float:
-    # a beta_limit from outside: through the gate, and below 1, since at 1 or
-    # above no |beta| < 1 - beta_limit is left and every boost would fail.
-    # One below 0 is taken (see README).
+    # a beta_limit from outside: through the gate, and in [0, 1).  At 1 or above
+    # no |beta| < 1 - beta_limit is left and every boost would fail; below 0 it
+    # admits only |beta| within rounding of 1, which the boost cannot take.
     beta_limit = _as_real(beta_limit, (), "beta_limit")
-    if beta_limit >= 1.0:
-        raise InvalidParameterError("beta_limit must be finite and below 1")
+    if not 0.0 <= beta_limit < 1.0:
+        raise InvalidParameterError("beta_limit must be finite and in [0, 1)")
     return beta_limit
 
 
@@ -378,11 +379,6 @@ def separability_verdict(sigma: SigmaForm, tol: float = VERDICT_TOL) -> Verdict:
     )
 
 
-def _is_unit_axis_vector(v: list[float], tol: float) -> bool:
-    s = sorted(map(abs, v))
-    return abs(s[2] - 1.0) <= tol and s[1] <= tol
-
-
 _GENERIC = Classification(GENERIC)
 _CASE_C = Classification(
     NON_GENERIC_C,
@@ -400,22 +396,22 @@ def _match_non_generic(a: list[float], b: list[float], tdiag: list[float]):
     boost-limit failures.
     """
     tol = _STRUCTURAL_TOL
-    if max(map(abs, tdiag)) <= tol:
-        if max(map(abs, b)) <= tol and _is_unit_axis_vector(a, tol):
-            return Classification(
-                NON_GENERIC_A,
-                "qubit A pure with qubit B maximally mixed; the eliminating "
-                "boost for B degenerates to light speed; known verdict: separable",
-            )
-        if max(map(abs, a)) <= tol and _is_unit_axis_vector(b, tol):
-            return Classification(
-                NON_GENERIC_B,
-                "qubit B pure with qubit A maximally mixed; the eliminating "
-                "boost for A degenerates to light speed; known verdict: separable",
-            )
+    # with t = 0 every direction is an axis, so cases a) to c) read lengths
+    t_zero = max(map(abs, tdiag)) <= tol
+    if t_zero and max(map(abs, b)) <= tol and abs(math.hypot(*a) - 1.0) <= tol:
+        return Classification(
+            NON_GENERIC_A,
+            "qubit A pure with qubit B maximally mixed; the eliminating "
+            "boost for B degenerates to light speed; known verdict: separable",
+        )
+    if t_zero and max(map(abs, a)) <= tol and abs(math.hypot(*b) - 1.0) <= tol:
+        return Classification(
+            NON_GENERIC_B,
+            "qubit B pure with qubit A maximally mixed; the eliminating "
+            "boost for A degenerates to light speed; known verdict: separable",
+        )
     if max(abs(x - y) for x, y in zip(a, b)) <= tol:
-        # with t = 0 every direction is an axis of case c)
-        if max(map(abs, tdiag)) <= tol and abs(math.hypot(*a) - 0.5) <= tol:
+        if t_zero and abs(math.hypot(*a) - 0.5) <= tol:
             return _CASE_C
         for k in range(3):
             i, j = (k + 1) % 3, (k + 2) % 3

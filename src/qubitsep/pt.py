@@ -104,13 +104,13 @@ def peres_horodecki(rho, tol: float = VERDICT_TOL) -> Verdict:
     return ppt_verdict(pt_spectrum, _verdict_tol(tol))
 
 
-def _verdict_tol(tol) -> float:
-    # a verdict margin from outside: through the gate, and >= 0, since a
+def _verdict_tol(tol, name: str = "tol") -> float:
+    # a margin from outside, named `name`: through the gate, and >= 0, since a
     # negative margin turns a verdict around (the maximally mixed state would
     # read entangled)
-    tol = _as_real(tol, (), "tol")
+    tol = _as_real(tol, (), name)
     if tol < 0.0:
-        raise InvalidParameterError("tol must be finite and >= 0")
+        raise InvalidParameterError(f"{name} must be finite and >= 0")
     return tol
 
 

@@ -59,10 +59,11 @@ import numpy as np
 
 from .boost import BETA_LIMIT
 from .errors import InvalidParameterError, SamplingExhaustedError
-from .hs import PSD_TOL, HSParams, _as_real, _eigvalsh, _rho_from_r, _spectra, r_from_hs
+from .hs import PSD_TOL, HSParams, _eigvalsh, _rho_from_r, _spectra, r_from_hs
 from .normal_form import Classification, SolveReport, separability_verdict, solve_normal_form
+from .normal_form import _beta_limit
 from .pt import VERDICT_TOL, Verdict, ppt_verdict, require_state
-from .pt import _PT_INDEX, _pair_spectra
+from .pt import _PT_INDEX, _pair_spectra, _verdict_tol
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .hs import eigenvalues_hermitian, rho_from_hs  # noqa: F401
@@ -440,8 +441,9 @@ def cross_validate(
 ) -> CrossValidation:
     """Run the exact partial-transpose test and the boost pipeline side by side.
 
-    tol and tol_psd must be finite and >= 0 and beta_limit in [0, 1), the ranges
-    of the analyze options (InvalidParameterError, before any solve).
+    tol and tol_psd must be finite and >= 0 (pt._verdict_tol) and beta_limit in
+    [0, 1) (normal_form._beta_limit), the ranges of the analyze options;
+    InvalidParameterError, naming the knob, before any solve.
     An eigenvalue below -tol_psd raises InvalidStateError, spectrum attached;
     coefficients whose rho overflows raise InvalidParameterError.
     `tol` decides both verdicts; a PPT witness within 1e-8 of zero is boundary,
@@ -450,14 +452,8 @@ def cross_validate(
     hs._rho_from_r, its partial transpose moved by pt._PT_INDEX), and
     _validate does the rest.
     """
-    try:
-        tol, tol_psd = _as_real(tol, (), "tol"), _as_real(tol_psd, (), "tol_psd")
-        beta_limit = _as_real(beta_limit, (), "beta_limit")
-        valid = 0.0 <= tol and 0.0 <= tol_psd and 0.0 <= beta_limit < 1.0
-    except InvalidParameterError:
-        valid = False
-    if not valid:
-        raise InvalidParameterError("tol and tol_psd must be finite and >= 0, beta_limit in [0, 1)")
+    tol, tol_psd = _verdict_tol(tol), _verdict_tol(tol_psd, "tol_psd")
+    beta_limit = _beta_limit(beta_limit)
     spectrum, pt_spectrum = _pair_spectra(_rho_from_r(r_from_hs(params)))
     return _validate(params, spectrum, pt_spectrum, tol, beta_limit, tol_psd)
 

@@ -10,6 +10,8 @@ special families, against which the tests check the package's numbers:
   * the half-eigenvalue criterion for one-sided linear terms (criterion 4);
   * the normal form of one linear pair, case a) (criteria 3 and 4), and its
     two boost velocities, evaluated in 50-digit decimal arithmetic;
+  * case a) as an X-state: its two diagonal products p+ and p-, and Yu and
+    Eberly's concurrence of an X-state;
   * the case b) cubic (two symmetric pairs) and quartic (three pairs) in
     beta_1.  The solver works on the secular equation in mu instead (see
     normal_form.solve_symmetric);
@@ -33,6 +35,7 @@ from qubitsep import (
     SigmaForm,
     Verdict,
     eigenvalues_hermitian,
+    rho_from_hs,
 )
 from qubitsep.hs import ZERO_TOL
 from qubitsep.normal_form import _DENOM_TOL, _FUNDAMENTAL_TOL
@@ -90,21 +93,60 @@ def half_eigenvalue_criterion(rho, params: HSParams, tol: float = VERDICT_TOL) -
     )
 
 
+def pair_products(a_k: float, b_k: float, t_k: float) -> tuple[float, float]:
+    """Case a): p+ = sqrt((1 + t_k)^2 - (a_k + b_k)^2) and
+    p- = sqrt((1 - t_k)^2 - (a_k - b_k)^2).
+
+    With the pair axis turned to z the state is an X-state (pair_x_state), and
+    these are 4 sqrt(rho11 rho44) and 4 sqrt(rho22 rho33).  The pair solve's
+    light-speed conditions |a_k + b_k| = |1 + t_k| and |a_k - b_k| = |1 - t_k|
+    are p+ = 0 and p- = 0.
+    """
+    return (
+        math.sqrt((1 + t_k) ** 2 - (a_k + b_k) ** 2),
+        math.sqrt((1 - t_k) ** 2 - (a_k - b_k) ** 2),
+    )
+
+
 def pair_sigma(a_k: float, b_k: float, tdiag, axis: int = 1) -> SigmaForm:
     """Case a): the normal form of one linear pair (a_k, b_k) on `axis`.
 
     The pair block B = [[1, a_k], [b_k, t_k]] has the Lorentz invariants
     s0^2 + s_k^2 = tr(B eta B^T eta) and s0 s_k = det B, solved by
-    s0 = (P + Q)/2, s_k = (P - Q)/2 with P = sqrt((1 + t_k)^2 - (a_k + b_k)^2),
-    Q = sqrt((1 - t_k)^2 - (a_k - b_k)^2).  The transverse values are
-    untouched; s is in axis order.
+    s0 = (p+ + p-)/2, s_k = (p+ - p-)/2 (pair_products).  The transverse
+    values are untouched; s is in axis order.
     """
     s = [float(x) for x in tdiag]
     k = axis - 1
-    big_p = math.sqrt((1 + s[k]) ** 2 - (a_k + b_k) ** 2)
-    big_q = math.sqrt((1 - s[k]) ** 2 - (a_k - b_k) ** 2)
-    s[k] = (big_p - big_q) / 2
-    return SigmaForm((big_p + big_q) / 2, s)
+    p_plus, p_minus = pair_products(a_k, b_k, s[k])
+    s[k] = (p_plus - p_minus) / 2
+    return SigmaForm((p_plus + p_minus) / 2, s)
+
+
+def pair_x_state(a_k: float, b_k: float, tdiag, axis: int = 1) -> np.ndarray:
+    """Case a): rho of the pair state with its pair axis turned to z.
+
+    The turn is the cyclic relabeling of the axes that ends on `axis`, one
+    proper rotation on both qubits.  rho is then an X-state: nonzero only on
+    its diagonal and anti-diagonal, with 4 rho14 = t_i - t_j and
+    4 rho23 = t_i + t_j for the other two diagonal values of t.
+    """
+    t = [float(x) for x in tdiag]
+    k = axis - 1
+    i, j = (k + 1) % 3, (k + 2) % 3
+    return rho_from_hs(HSParams.diagonal([0, 0, a_k], [0, 0, b_k], [t[i], t[j], t[k]]))
+
+
+def x_state_concurrence(rho) -> float:
+    """Concurrence of a two-qubit X-state (Yu & Eberly, Quantum Inf. Comput. 7,
+    459, 2007): C = 2 max(0, |rho14| - sqrt(rho22 rho33),
+    |rho23| - sqrt(rho11 rho44))."""
+    r11, r22, r33, r44 = np.diag(rho).real.tolist()
+    return 2 * max(
+        0.0,
+        abs(rho[0, 3]) - math.sqrt(r22 * r33),
+        abs(rho[1, 2]) - math.sqrt(r11 * r44),
+    )
 
 
 def pair_velocities(a1: float, b1: float, t1: float) -> tuple[float, float]:

@@ -1,9 +1,10 @@
-"""`python -m qubitsep`, each subcommand, and the worked-examples script, run
-as separate processes: PYTHONPATH=src, and a RuntimeWarning (an overflow or
-invalid value) is an error."""
+"""`python -m qubitsep`, each subcommand, the `qubitsep` console script and
+the worked-examples script, run as separate processes: PYTHONPATH=src, and a
+RuntimeWarning (an overflow or invalid value) is an error."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,21 @@ def test_module_classify_prints_the_label(tmp_path):
     proc = _run("-m", "qubitsep", "classify", path)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("NoPhysicalBoost: ") and proc.stdout.count("\n") == 1
+
+
+def test_console_script_target_classifies_a_state(tmp_path):
+    # the `qubitsep` entry of [project.scripts], called as the wrapper pip
+    # installs calls it (read with a regex: Python 3.10 has no tomllib)
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    module, function = re.search(r'^qubitsep\s*=\s*"([\w.]+):(\w+)"$', scripts, re.M).groups()
+    wrapper = (
+        f"import sys; from {module} import {function}; "
+        f"sys.argv[0] = 'qubitsep'; sys.exit({function}())"
+    )
+    path = _state_file(tmp_path, {"a": [0, 0.64, 0], "b": [0, 0.64, 0], "t_diag": [0.3, 0.3, 0.3]})
+    proc = _run("-c", wrapper, "classify", path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Generic\n", "")
 
 
 def test_module_sample_prints_strict_json():

@@ -9,7 +9,7 @@ require_hermitian checks raises ContractViolationError for a wrong shape, as it
 always has; everything else raises InvalidParameterError.
 
 A number the gate takes can still be out of range: a verdict margin below 0
-or a beta_limit of 1 or more raises InvalidParameterError too, and the edge
+or a beta_limit outside [0, 1) raises InvalidParameterError too, and the edge
 of each range is taken.
 """
 
@@ -266,27 +266,26 @@ RANGES = [
     (
         "cross_validate.beta_limit",
         lambda x: cross_validate(PARAMS, beta_limit=x),
-        [-TINY, 1.0, 2.0],
+        [-TINY, -0.5, 1.0, 2.0],
         [0.0, 0.5],
     ),
-    # a beta_limit below 0 is taken here (README)
     (
         "solve_pair_general.beta_limit",
         lambda x: solve_pair_general(0.1, 0.1, 0.3, x),
-        [1.0, 2.0],
-        [-0.5, 0.0, 0.5],
+        [-TINY, -0.5, 1.0, 2.0],
+        [0.0, 0.5],
     ),
     (
         "solve_symmetric.beta_limit",
         lambda x: solve_symmetric(VECTOR, TDIAG, x),
-        [1.0, 2.0],
-        [-0.5, 0.0, 0.5],
+        [-TINY, -0.5, 1.0, 2.0],
+        [0.0, 0.5],
     ),
     (
         "solve_normal_form.beta_limit",
         lambda x: solve_normal_form(PARAMS, x),
-        [1.0, 2.0],
-        [-0.5, 0.0, 0.5],
+        [-TINY, -0.5, 1.0, 2.0],
+        [0.0, 0.5],
     ),
 ]
 

@@ -706,6 +706,41 @@ def test_classify_non_generic_axis_permutation():
     assert solve_normal_form(c_case).classification.kind == NON_GENERIC_C
 
 
+def test_t_zero_light_speed_cases_are_read_by_length(tmp_path, capsys):
+    # a = (0.6, 0.8, 0), b = 0, t = 0 is case a) turned about axis 3; it was
+    # once outside the supported boost families.  Its mirror is case b)
+    path = tmp_path / "state.json"
+    for a, b, kind, label in (
+        ([0.6, 0.8, 0.0], [0.0, 0.0, 0.0], NON_GENERIC_A, "NonGenericA"),
+        ([0.0, 0.0, 0.0], [0.6, 0.8, 0.0], NON_GENERIC_B, "NonGenericB"),
+    ):
+        assert solve_normal_form(HSParams.diagonal(a, b, [0, 0, 0])).classification.kind == kind
+        path.write_text(json.dumps({"a": a, "b": b, "t_diag": [0, 0, 0]}))
+        assert cli.main(["classify", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"{label}: ")
+
+
+def test_t_zero_light_speed_cases_keep_kind_and_detail_under_rotations():
+    # at t = 0 a proper rotation of a (cases a and c, where b = a turns with
+    # it) or of b (case b) leaves the kind and the detail
+    rng = np.random.default_rng(16)
+    zero = [0.0, 0.0, 0.0]
+    for a, b, kind in (
+        ([0, 0, -1.0], zero, NON_GENERIC_A),
+        (zero, [0, 1.0, 0], NON_GENERIC_B),
+        ([0.5, 0, 0], [0.5, 0, 0], NON_GENERIC_C),
+    ):
+        expected = solve_normal_form(HSParams.diagonal(a, b, zero)).classification
+        assert expected.kind == kind
+        for _ in range(50):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            rotation = q * np.sign(np.linalg.det(q))
+            turned_a = rotation @ a
+            turned_b = turned_a if a == b else rotation @ b
+            p = HSParams.diagonal(turned_a, turned_b, zero)
+            assert solve_normal_form(p).classification == expected
+
+
 def test_classify_generic_and_boundary(pair64):
     assert solve_normal_form(pair64).classification.kind == GENERIC
     boundary = HSParams.diagonal([0.65, 0, 0], [0.65, 0, 0], [0.3, 0.1, 0.1])

@@ -185,12 +185,12 @@ def test_cross_validate_tol_psd_decides_validity():
     ],
 )
 def test_cross_validate_rejects_tolerances_the_cli_rejects(pair64, name, value):
-    # the ranges of the analyze options, checked before any solve; unchecked,
-    # a nan tol calls the entangled pair64 separable, and a nan tol_psd takes
-    # the non-state t = (1, 1, 1) for a state
+    # the ranges of the analyze options, checked before any solve, and the
+    # refusal names the knob; unchecked, a nan tol calls the entangled pair64
+    # separable, and a nan tol_psd takes the non-state t = (1, 1, 1) for a state
     non_state = HSParams.diagonal([0, 0, 0], [0, 0, 0], [1, 1, 1])
     for params in (pair64, non_state):
-        with pytest.raises(InvalidParameterError, match="beta_limit in"):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite"):
             cross_validate(params, **{name: value})
 
 

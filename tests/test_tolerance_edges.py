@@ -19,7 +19,8 @@ side and the one np.nextafter step past it:
     and max|a - b| > ZERO_TOL;
   * _DENOM_TOL: a pair rapidity is free when its |denominator| <= _DENOM_TOL;
   * BETA_LIMIT: the symmetric boost needs |beta|^2 < (1 - beta_limit)^2;
-  * _STRUCTURAL_TOL: case d) matches when each of its distances is <= it.
+  * _STRUCTURAL_TOL: case d) matches when each of its distances is <= it, and
+    at t = 0 case a) (and b)) when ||a| - 1| (||b| - 1|) is <= it.
 
 The residual certificates of the two boost solves get a residual exactly at
 their edge and the one np.nextafter step past it:
@@ -47,7 +48,10 @@ is below -_PREFILTER_MARGIN * C^2 (C = max|R|): a minor exactly there and one
 step past it.  Its other test, a diagonal entry below -_PREFILTER_MARGIN * C,
 never decides the mark (see test_prefilter_diagonal_edge_is_decided_by_a_minor).
 roots._is_root accepts |p(x)| <= _ROOT_RESIDUAL_TOL * sum |c_k| |x|^k: a
-residual exactly there and one step past it.
+residual exactly there and one step past it.  real_roots seeds Newton's
+method from a companion-matrix eigenvalue z with |Im z| <= _REAL_AXIS_TOL |z|:
+a root at 0 sits on that edge, and so does a seed placed exactly there, which
+is taken, while the one np.nextafter step past it is not.
 """
 
 import json
@@ -84,6 +88,8 @@ from qubitsep.normal_form import (
     _FUNDAMENTAL_TOL,
     _PAIR_RESIDUAL_TOL,
     _STRUCTURAL_TOL,
+    NON_GENERIC_A,
+    NON_GENERIC_B,
     NON_GENERIC_D,
     OFFDIAG_TOL,
     _certify,
@@ -92,7 +98,7 @@ from qubitsep.normal_form import (
     _solve_symmetric,
 )
 from qubitsep.pt import MDS_SUM_TOL, VERDICT_TOL, ppt_verdict, require_state
-from qubitsep.roots import _ROOT_RESIDUAL_TOL, _is_root
+from qubitsep.roots import _REAL_AXIS_TOL, _ROOT_RESIDUAL_TOL, _is_root, real_roots
 from qubitsep.sampling import (
     _BOUNDARY_TOL,
     _PREFILTER_MARGIN,
@@ -273,14 +279,15 @@ def test_symmetric_newton_loop_needs_mu_above_the_top_pole_by_more_than_denom_to
 
 
 def test_symmetric_solve_refuses_a_root_where_g_has_zero_slope(monkeypatch):
-    # g'(mu) = 1 - |beta|^2: at 0 the boost is at light speed, refused even
-    # where a beta_limit below 0 would take |beta| = 1.  With 1 + t_1 = a_1 =
-    # 2**-34, mu = 1 gives g = 2**-34 (within _FUNDAMENTAL_TOL) and g' = 0
-    # exactly, and beta_1 = 1
+    # g'(mu) = 1 - |beta|^2: at 0 the boost is at light speed, refused by the
+    # g' > 0 test alone, since the core is called with a beta_limit of -1
+    # (solve_symmetric refuses it), whose limit test would take |beta| = 1.
+    # With 1 + t_1 = a_1 = 2**-34, mu = 1 gives g = 2**-34 (within
+    # _FUNDAMENTAL_TOL) and g' = 0 exactly, and beta_1 = 1
     a1 = 2.0**-34
     assert normal_form._secular([a1 - 1.0], [a1 * a1], 1.0) == (a1, 0.0)
     with pytest.raises(NoPhysicalBoostError, match="fundamental identity"):
-        solve_symmetric([a1, 0.0, 0.0], [a1 - 1.0, 0.0, 0.0], -1.0)
+        _solve_symmetric([a1, 0.0, 0.0], [a1 - 1.0, 0.0, 0.0], -1.0)
     # one step up, g' > 0 takes the root (g <= 0 ends the loop at mu = 1)
     a, tdiag = [0.1, 0.15, 0.2], [0.3, -0.2, 0.2]
     for slope, accepted in ((0.0, False), (5e-324, True)):
@@ -319,6 +326,28 @@ def test_case_d_matches_up_to_structural_tol(entry, start, inside):
         assert edge == _STRUCTURAL_TOL
     assert _case_d(entry, edge).kind == NON_GENERIC_D
     assert _case_d(entry, float(np.nextafter(edge, outward))) is None
+
+
+@pytest.mark.parametrize("outward", [math.inf, -math.inf])
+@pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.6, 0.8, 0.0)])
+def test_case_a_matches_its_length_up_to_structural_tol(direction, outward):
+    # at t = 0 case a) (a = x * direction, b = 0) and its mirror case b)
+    # match while ||a| - 1| <= _STRUCTURAL_TOL, on an axis or off it
+    def length(x):
+        return math.hypot(*(x * c for c in direction))
+
+    def inside(x):
+        return abs(length(x) - 1.0) <= _STRUCTURAL_TOL
+
+    edge = _last_inside(inside, 1.0 + math.copysign(_STRUCTURAL_TOL, outward), outward)
+    zero = [0.0, 0.0, 0.0]
+    for x, matched in ((edge, True), (float(np.nextafter(edge, outward)), False)):
+        v = [x * c for c in direction]
+        for kind, found in (
+            (NON_GENERIC_A, _match_non_generic(v, zero, zero)),
+            (NON_GENERIC_B, _match_non_generic(zero, v, zero)),
+        ):
+            assert (found.kind if found else None) == (kind if matched else None)
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (1, 0), (2, 3)])
@@ -432,3 +461,21 @@ def test_is_root_accepts_a_residual_up_to_root_residual_tol():
     assert _ROOT_RESIDUAL_TOL * (2.0 + past) < past
     assert not _is_root([1.0, -1.0, past], 1.0)
     assert not _is_root([1.0, -1.0, -past], 1.0)
+
+
+def test_real_roots_seeds_from_eigenvalues_up_to_real_axis_tol(monkeypatch):
+    # x^3 - x: the companion matrix gives the root 0 exactly, where
+    # |Im z| = 0 = _REAL_AXIS_TOL * |z|
+    companion = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    assert 0.0 in np.linalg.eigvals(companion).tolist()
+    assert real_roots([1.0, 0.0, -1.0, 0.0]).tolist() == [-1.0, 0.0, 1.0]
+    # x^2 - 1 with the seed of its root 1 moved off the real axis: the largest
+    # Im z the band takes, and the next float
+    im = _REAL_AXIS_TOL * abs(complex(1.0, _REAL_AXIS_TOL))
+    while not im <= _REAL_AXIS_TOL * abs(complex(1.0, im)):
+        im = float(np.nextafter(im, 0.0))
+    while (up := float(np.nextafter(im, 1.0))) <= _REAL_AXIS_TOL * abs(complex(1.0, up)):
+        im = up
+    for seed_im, found in ((im, [-1.0, 1.0]), (float(np.nextafter(im, 1.0)), [-1.0])):
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: np.array([-1.0, complex(1.0, seed_im)]))
+        assert real_roots([1.0, 0.0, -1.0]).tolist() == found
