@@ -272,19 +272,19 @@ RANGES = [
     (
         "solve_pair_general.beta_limit",
         lambda x: solve_pair_general(0.1, 0.1, 0.3, x),
-        [-TINY, -0.5, 1.0, 2.0],
+        [-TINY, 1.0, 2.0],
         [0.0, 0.5],
     ),
     (
         "solve_symmetric.beta_limit",
         lambda x: solve_symmetric(VECTOR, TDIAG, x),
-        [-TINY, -0.5, 1.0, 2.0],
+        [-TINY, 1.0, 2.0],
         [0.0, 0.5],
     ),
     (
         "solve_normal_form.beta_limit",
         lambda x: solve_normal_form(PARAMS, x),
-        [-TINY, -0.5, 1.0, 2.0],
+        [-TINY, 1.0, 2.0],
         [0.0, 0.5],
     ),
 ]
@@ -301,6 +301,20 @@ RANGES = [
 def test_out_of_range_input_raises_invalid_parameter(call, value):
     with pytest.raises(InvalidParameterError):
         call(value)
+
+
+# the three solves took a negative beta_limit until they shared the range
+# [0, 1) of cross_validate and analyze
+SOLVE_LIMITS = {name: call for name, call, _, _ in RANGES if name.startswith("solve_")}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [pytest.param(name, -0.5, id=f"{name.split('.')[0]}--0.5") for name in SOLVE_LIMITS],
+)
+def test_negative_beta_limit_is_refused(name, value):
+    with pytest.raises(InvalidParameterError, match="^beta_limit"):
+        SOLVE_LIMITS[name](value)
 
 
 @pytest.mark.parametrize(
