@@ -1,7 +1,8 @@
 """Command-line front end: analyze / classify single states, run sample batches.
 
 analyze and classify format the record of sampling.cross_validate and run no
-analysis themselves.
+analysis themselves; each analyze knob is parsed by the gate cross_validate
+puts it through (named as there), so a value it refuses is a usage error.
 State files are single JSON documents with keys "a", "b" and exactly one of
 "t_diag" (3 values) or "t_full" (9 values, row-major), plus an optional
 "normalize" flag.  A file is read as bytes and decoded once, with the
@@ -46,8 +47,9 @@ import numpy as np
 
 from .boost import BETA_LIMIT
 from .errors import InvalidStateError, QubitSepError
-from .hs import PSD_TOL, ZERO_TOL, HSParams, r_from_hs
-from .pt import MDS_SUM_TOL, SEPARABLE, VERDICT_TOL, Verdict
+from .hs import PSD_TOL, ZERO_TOL, HSParams
+from .normal_form import _beta_limit
+from .pt import MDS_SUM_TOL, SEPARABLE, VERDICT_TOL, _verdict_tol
 from .sampling import FAMILIES, SampleSpec, batch_stats, cross_validate
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
@@ -129,15 +131,6 @@ def load_state_file(path: str) -> HSParams:
     if not isinstance(doc.get("normalize", False), bool):
         raise StateFileError("field 'normalize' must be a boolean")
     return params
-
-
-def _verdict(verdict: Verdict) -> dict:
-    return {
-        "kind": verdict.kind,
-        "witness": verdict.witness,
-        "criterion": verdict.criterion,
-        "boundary": verdict.boundary,
-    }
 
 
 def _indent2(value, newline: str = "\n") -> str:
@@ -244,17 +237,8 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _cmd_analyze(args) -> int:
     params = load_state_file(args.state_file)
-    # t is the transpose of R's lower block, so its rows are the block's columns
-    (_, a1, a2, a3), (b1, r11, r12, r13), (b2, r21, r22, r23), (b3, r31, r32, r33) = (
-        r_from_hs(params).tolist()
-    )
-    report: dict = {
-        "input": {
-            "a": [a1, a2, a3],
-            "b": [b1, b2, b3],
-            "t": [[r11, r21, r31], [r12, r22, r32], [r13, r23, r33]],
-        },
-    }
+    a, b, t = params.a.tolist(), params.b.tolist(), params.t.tolist()
+    report: dict = {"input": {"a": a, "b": b, "t": t}}
     try:
         rec = cross_validate(params, args.tol_verdict, args.beta_limit, args.tol_psd)
     except InvalidStateError as exc:
@@ -266,17 +250,15 @@ def _cmd_analyze(args) -> int:
         psd=True,
         eigenvalues_4l=rec.spectrum.tolist(),
         pt_eigenvalues_4l=rec.pt_spectrum.tolist(),
-        ppt_verdict=_verdict(rec.ppt),
+        ppt_verdict=vars(rec.ppt).copy(),
     )
     solve = rec.report
     notes = [] if solve.note is None else [solve.note]
     # the reduced t is exactly diagonal; the float sum left to right is
     # numpy's sum of the three, as in mds_criterion
-    (_, ra1, ra2, ra3), (rb1, t1, _, _), (rb2, _, t2, _), (rb3, _, _, t3) = (
-        r_from_hs(solve.reduced).tolist()
-    )
+    t1, t2, t3 = solve.reduced.t.diagonal().tolist()
     total = abs(t1) + abs(t2) + abs(t3)
-    if max(map(abs, (ra1, ra2, ra3, rb1, rb2, rb3))) <= ZERO_TOL:
+    if max(map(abs, solve.reduced.a.tolist() + solve.reduced.b.tolist())) <= ZERO_TOL:
         notes.append(
             "maximally disordered subsystems: sum|t_i| <= 1 is necessary "
             f"and sufficient (sum = {total:.6g})"
@@ -301,7 +283,7 @@ def _cmd_analyze(args) -> int:
             sigma={"s0": s0, "s": s},
             tprime=tprime,
             lorentz_sum=abs(x) + abs(y) + abs(z),
-            lorentz_verdict=_verdict(rec.lorentz),
+            lorentz_verdict=vars(rec.lorentz).copy(),
             residuals={
                 "polynomial": solve.polynomial_residual,
                 "offdiag": solve.offdiag_residual,
@@ -332,19 +314,19 @@ def _cmd_sample(args) -> int:
     return 0 if report.disagree_count == 0 else 1
 
 
-def _number_below(limit: float):
-    """argparse type: a float in [0, limit); nan and infinities are usage errors."""
+def _gated(gate, *name):
+    """argparse type: the float the library's own gate for a knob takes; a
+    value it refuses is a usage error with the gate's message."""
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
-            value = math.nan
-        if not 0.0 <= value < limit:
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not a finite number in [0, {limit:g})"
-            )
-        return value
+            value = text  # the gate refuses text with its own message
+        try:
+            return gate(value, *name)
+        except QubitSepError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -376,14 +358,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple[tuple[str, ...]
 
     p_analyze = sub.add_parser("analyze", help="full analysis of one state file")
     p_analyze.add_argument("state_file")
-    tolerance = _number_below(math.inf)
-    p_analyze.add_argument("--tol-psd", type=tolerance, default=PSD_TOL, dest="tol_psd")
-    p_analyze.add_argument(
-        "--tol-verdict", type=tolerance, default=VERDICT_TOL, dest="tol_verdict"
-    )
-    p_analyze.add_argument(
-        "--beta-limit", type=_number_below(1.0), default=BETA_LIMIT, dest="beta_limit"
-    )
+    p_analyze.add_argument("--tol-psd", type=_gated(_verdict_tol, "tol_psd"), default=PSD_TOL)
+    p_analyze.add_argument("--tol-verdict", type=_gated(_verdict_tol, "tol"), default=VERDICT_TOL)
+    p_analyze.add_argument("--beta-limit", type=_gated(_beta_limit), default=BETA_LIMIT)
     p_analyze.add_argument("--format", choices=("json", "text"), default="json")
     p_analyze.set_defaults(func=_cmd_analyze)
 

@@ -16,10 +16,8 @@ too are one (multiple) root, reported once as their mean.
 
 Newton runs on Python floats: the coefficients are converted once, and the
 IEEE operations are the ones numpy scalars would do, only cheaper.  Near a
-root, Newton in floating point often settles into an exact cycle among
-neighbouring floats; the polish detects any repeated iterate and returns the
-float the full step budget would have ended on, instead of spending the
-remaining steps going round the cycle.
+root it may settle into a cycle among neighbouring floats; the polish then
+ends where its step budget does.
 """
 
 from __future__ import annotations
@@ -47,15 +45,11 @@ def _eval_with_derivative(coeffs, x: float) -> tuple[float, float]:
     return p, dp
 
 
-def _polish(coeffs, x: float, steps: int = _MAX_POLISH_STEPS) -> float:
+def _polish(coeffs, x: float) -> float:
     # Newton iteration from an eigenvalue seed.  Usually one or two steps
     # suffice; a small root next to large ones can start well off in relative
     # terms, so iterate to a fixed point.
-    # The step depends on x alone, so once an iterate repeats an earlier one
-    # the rest of the loop goes round that cycle: return the iterate the last
-    # step would reach, found from the cycle's start and length.
-    seen = [x]
-    for _ in range(steps):
+    for _ in range(_MAX_POLISH_STEPS):
         p, dp = _eval_with_derivative(coeffs, x)
         if p == 0.0 or dp == 0.0 or not math.isfinite(p):
             break
@@ -63,10 +57,6 @@ def _polish(coeffs, x: float, steps: int = _MAX_POLISH_STEPS) -> float:
         if not math.isfinite(step):
             break
         x -= step
-        if x in seen:
-            start = seen.index(x)
-            return seen[start + (steps - start) % (len(seen) - start)]
-        seen.append(x)
     return x
 
 

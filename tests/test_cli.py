@@ -336,6 +336,8 @@ def test_analyze_full_t_input(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", product)
     assert code in (0, 3)
     doc = json.loads(out)
+    # t is not symmetric, so a transposed echo would show here
+    assert doc["input"] == {"a": u.tolist(), "b": v.tolist(), "t": t.tolist()}
     assert doc["ppt_verdict"]["kind"] == "separable"
     assert any("diagonalized" in note for note in doc["criteria_notes"])
 
@@ -557,14 +559,17 @@ def test_overflowing_state_is_an_input_error(tmp_path, capsys, doc, message):
         ("--tol-verdict", "-1"),
         ("--tol-verdict", "nan"),
         ("--tol-verdict", "inf"),
+        ("--tol-verdict", "-5e-324"),
         ("--tol-psd", "-1e-10"),
         ("--tol-psd", "nan"),
         ("--tol-psd", "inf"),
+        ("--tol-psd", "-5e-324"),
         ("--beta-limit", "1.5"),
         ("--beta-limit", "1"),
         ("--beta-limit", "-0.1"),
         ("--beta-limit", "nan"),
         ("--beta-limit", "one"),
+        ("--beta-limit", "-5e-324"),
     ],
 )
 def test_analyze_rejects_bad_numeric_options(tmp_path, capsys, option, value):
@@ -575,17 +580,37 @@ def test_analyze_rejects_bad_numeric_options(tmp_path, capsys, option, value):
     code, out, err = run(capsys, "analyze", path, f"{option}={value}")
     assert code == 2
     assert out == ""
-    assert f"argument {option}: {value!r} is not a finite number in [0, " in err
+    # the option's value goes through the gate cross_validate runs on its knob
+    knob = {"--tol-verdict": "tol", "--tol-psd": "tol_psd", "--beta-limit": "beta_limit"}[option]
+    try:
+        parsed = float(value)
+    except ValueError:
+        parsed = value
+    with pytest.raises(InvalidParameterError, match=f"^{knob} must be finite") as refused:
+        cross_validate(load_state_file(path), **{knob: parsed})
+    assert f"analyze: error: argument {option}: {refused.value}\n" in err
 
 
 @pytest.mark.parametrize(
-    "option, value", [("--tol-verdict", "0"), ("--tol-psd", "0"), ("--beta-limit", "0")]
+    "option, value",
+    [
+        ("--tol-verdict", "0"),
+        ("--tol-psd", "0"),
+        ("--beta-limit", "0"),
+        ("--beta-limit", "-0.0"),
+        ("--beta-limit", repr(math.nextafter(1.0, 0.0))),
+    ],
 )
 def test_analyze_accepts_zero_options(tmp_path, capsys, option, value):
     path = write_state(tmp_path, {"a": [0.2, 0, 0], "b": [0, 0, 0], "t_diag": [0.3, 0.3, 0.3]})
     code, out, _ = run(capsys, "analyze", path, option, value)
-    assert code == 0
-    assert json.loads(out)["ppt_verdict"]["kind"] == "separable"
+    doc = json.loads(out)
+    assert doc["ppt_verdict"]["kind"] == "separable"
+    if float(value) < 0.5:
+        assert code == 0
+    else:
+        # a limit this close to 1 leaves no boost for this state, but is taken
+        assert code == 3 and doc["classification"]["kind"] == "NoPhysicalBoost"
 
 
 def test_analyze_json_round_trip(pair64_file, capsys):

@@ -1,15 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qubitsep import InvalidParameterError, SampleSpec, batch_stats, roots
+from qubitsep import InvalidParameterError, roots
 from qubitsep.roots import real_roots
-
-from conftest import record_symmetric_solves
-from paper_formulas import symmetric_velocity_oracle
 
 coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -201,96 +196,3 @@ def test_residual_postcondition_random():
         for r in real_roots(coeffs):
             mag = _poly_magnitude(coeffs, r)
             assert abs(np.polyval(coeffs, r)) < 1e-12 * max(mag, 1e-300)
-
-
-def _reference_polish(coeffs, x, steps):
-    # the plain Newton loop without the cycle exit; returns (x, steps taken)
-    taken = 0
-    for _ in range(steps):
-        p, dp = roots._eval_with_derivative(coeffs, x)
-        if p == 0.0 or dp == 0.0 or not math.isfinite(p):
-            break
-        step = p / dp
-        if not math.isfinite(step):
-            break
-        x_new = x - step
-        if x_new == x:
-            break
-        x = x_new
-        taken += 1
-    return x, taken
-
-
-def test_polish_two_cycle_exit_matches_full_loop(monkeypatch):
-    # seeds from the companion eigenvalues of random quartics whose plain
-    # Newton loop never stops early: it bounces between two neighbouring floats
-    rng = np.random.default_rng(0)
-    bouncing = []
-    while len(bouncing) < 20:
-        c = rng.uniform(-1.0, 1.0, 5)
-        monic = (c / c[0]).tolist()
-        eig = np.roots(monic)
-        for x0 in eig.real[eig.imag == 0].tolist():
-            _, taken = _reference_polish(monic, x0, roots._MAX_POLISH_STEPS)
-            if taken == roots._MAX_POLISH_STEPS:
-                bouncing.append((monic, x0))
-    # both parities of the remaining step count pick a different end point
-    cases = [
-        (monic, x0, steps, _reference_polish(monic, x0, steps)[0])
-        for steps in (roots._MAX_POLISH_STEPS, roots._MAX_POLISH_STEPS - 1)
-        for monic, x0 in bouncing
-    ]
-    calls = 0
-    evaluate = roots._eval_with_derivative
-
-    def counting(coeffs, x):
-        nonlocal calls
-        calls += 1
-        return evaluate(coeffs, x)
-
-    monkeypatch.setattr(roots, "_eval_with_derivative", counting)
-    for monic, x0, steps, expected in cases:
-        calls = 0
-        got = roots._polish(monic, x0, steps)
-        assert got.hex() == expected.hex()
-        assert calls < steps
-
-
-def test_polish_cycle_exit_matches_full_loop_on_sampled_states(monkeypatch):
-    # every polish of the root-scan oracle for case b) on 200 seed-1 samples of
-    # each symmetric family; some of them settle into cycles longer than two
-    solves = record_symmetric_solves(monkeypatch)
-    for family in ("symmetric-two", "symmetric-three", "full-symmetric"):
-        batch_stats(SampleSpec(family, 200, 1))
-    monkeypatch.undo()
-    calls = []
-    polish = roots._polish
-
-    def recording(coeffs, x, steps=roots._MAX_POLISH_STEPS):
-        calls.append((list(coeffs), x, steps))
-        return polish(coeffs, x, steps)
-
-    monkeypatch.setattr(roots, "_polish", recording)
-    for a, tdiag, beta_limit in solves:
-        symmetric_velocity_oracle(a, tdiag, beta_limit)
-    monkeypatch.undo()
-    evaluations = 0
-    evaluate = roots._eval_with_derivative
-
-    def counting(coeffs, x):
-        nonlocal evaluations
-        evaluations += 1
-        return evaluate(coeffs, x)
-
-    monkeypatch.setattr(roots, "_eval_with_derivative", counting)
-    longer = 0
-    for coeffs, x0, steps in calls:
-        expected, taken = _reference_polish(coeffs, x0, steps)
-        evaluations = 0
-        assert roots._polish(coeffs, x0, steps).hex() == expected.hex()
-        if taken == steps:
-            assert evaluations < steps
-            # no two-cycle: the iterate two steps before the end differs
-            longer += _reference_polish(coeffs, x0, steps - 2)[0] != expected
-    assert len(calls) == 2200
-    assert longer > 0
