@@ -18,15 +18,15 @@ subparser gave a placeholder when the parsers were built.  Any other request
 goes through the full parse, so help, options and usage errors read as
 argparse writes them.
 
-A JSON report is exactly json.dumps(report, indent=2), written by _json into
-the layout of the report's shape (the keys of each dict, the length of each
-list and the place of each leaf): a finite float or an int by repr, a string
-through json's C string encoder, a bool as true or false.  A layout is
-_indent2 of the report with a %s slot per leaf, made once per shape, kept
-only if it writes that first report as _indent2 does, and never for a shape
-with a non-str key.  A report with any other leaf (NaN, an infinity, None, a
-tuple, a subclass) goes to _indent2, the one generic formatter.  Floats are
-written with shortest round-trip precision, so reports re-parse bit for bit.
+A JSON report is exactly json.dumps(report, indent=2).  _json walks the report
+once for its leaves and its shape (the keys of each dict, the length of each
+list and the place of each leaf) and fills the leaves into the layout of that
+shape: a float or an int by repr (NaN and the infinities as json writes
+them), a string through json's C string encoder, a bool as true or false.
+_layout writes a shape's layout, the structure json writes with a %s slot per
+leaf, the first time the shape is seen.  Any other leaf, and any key that is
+not a str, is a TypeError.  Floats are written with shortest round-trip
+precision, so reports re-parse bit for bit.
 
 Exit codes of analyze: 0 separable, 1 entangled, 2 not a state or usage
 error, 3 non-generic (verdict from the partial-transpose test only).  classify
@@ -133,63 +133,27 @@ def load_state_file(path: str) -> HSParams:
     return params
 
 
-def _indent2(value, newline: str = "\n") -> str:
-    """json.dumps(value, indent=2) nested behind `newline`, without json's
-    pure-Python indent encoder and the reference cycle it leaves per call."""
-    inner = newline + "  "
-    if type(value) is float and math.isfinite(value):
-        return repr(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, (list, tuple)) and value:
-        items = [_indent2(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict) and value:
-        if not all(isinstance(key, str) for key in value):
-            # json coerces such keys; ensure_ascii leaves no raw newline in a string
-            return json.dumps(value, indent=2).replace("\n", newline)
-        items = [
-            encode_basestring_ascii(key) + ": " + _indent2(item, inner)
-            for key, item in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(value)  # nan, inf, bool, None, int, empty: json's C encoder
-
-
 def _json(report: dict) -> str:
     """json.dumps(report, indent=2): the report's leaves filled into the layout
-    of its shape, or _indent2 for a report with a leaf no layout writes."""
+    of its shape."""
     leaves: list = []
     shape: list = []
-    try:
-        _leaves(report, leaves, shape)
-    except TypeError:  # NaN, an infinity, None, a tuple, a subclass, ...
-        return _indent2(report)
+    _leaves(report, leaves, shape)
     key = tuple(shape)
     layout = _LAYOUTS.get(key)
-    if layout is not None:
-        return layout % tuple(leaves)
-    # a new shape: its layout is kept once it writes this report as _indent2
-    # does, and never for a non-str key, which 1 == True == 1.0 would let
-    # another report's shape match
-    text = _indent2(report)
-    try:
-        layout = _indent2(_blank(report)).replace("%", "%%").replace(_SLOT_TEXT, "%s")
-        if layout % tuple(leaves) == text:
-            _LAYOUTS[key] = layout
-    except TypeError:  # a non-str key, or not one slot per leaf
-        pass
-    return text
+    if layout is None:
+        layout = _LAYOUTS[key] = _layout(report)
+    return layout % tuple(leaves)
 
 
-# a layout, _indent2 of the report with a %s slot per leaf, per report shape
+# the layout of each report shape, made by _layout
 _LAYOUTS: dict[tuple, str] = {}
 
 
 def _leaves(value, leaves: list, shape: list) -> None:
     # the leaves of a dict or list, each as its slot takes it, and its shape:
     # the keys of each dict, the length of each list and None for each leaf,
-    # in the order _indent2 writes them.  TypeError for any other leaf
+    # in the order json writes them.  TypeError for any other leaf
     if type(value) is dict:
         shape.append(tuple(value))
         value = value.values()
@@ -207,24 +171,31 @@ def _leaves(value, leaves: list, shape: list) -> None:
             leaves.append(encode_basestring_ascii(item))
         elif kind is bool:
             leaves.append("true" if item else "false")
+        elif kind is float:
+            leaves.append(json.dumps(item))  # NaN, Infinity or -Infinity
         else:
             raise TypeError(f"no slot for a {kind.__name__}")
         shape.append(None)
 
 
-_SLOT = "\0"  # a leaf of _blank's copy, written as _SLOT_TEXT
-_SLOT_TEXT = encode_basestring_ascii(_SLOT)
-
-
-def _blank(value):
-    # a copy of a report with _SLOT for each leaf; TypeError for a non-str key
+def _layout(value, newline: str = "\n") -> str:
+    # json.dumps(value, indent=2) nested behind `newline`, with a %s slot for
+    # each leaf _leaves took; TypeError for a key that is not a str
+    inner = newline + "  "
     if type(value) is dict:
-        if not all(type(key) is str for key in value):
-            raise TypeError("a non-str key")
-        return {key: _blank(item) for key, item in value.items()}
-    if type(value) is list:
-        return [_blank(item) for item in value]
-    return _SLOT
+        items = [
+            encode_basestring_ascii(key).replace("%", "%%") + ": " + _layout(item, inner)
+            for key, item in value.items()
+        ]
+        brackets = "{}"
+    elif type(value) is list:
+        items = [_layout(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        return "%s"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def _emit(report: dict, fmt: str) -> None:

@@ -213,6 +213,28 @@ def test_analyze_malformed_file(tmp_path, capsys):
             assert re.fullmatch(r"error: [^\n]*\n", err), (name, command, err)
 
 
+ZERO_STATE = {"a": [0, 0, 0], "b": [0, 0, 0], "t_diag": [0, 0, 0]}
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+@pytest.mark.parametrize(
+    "field, doc",
+    [
+        ("a", {"b": [0, 0, 0], "t_diag": [0, 0, 0]}),
+        ("a", {**ZERO_STATE, "a": [True, 0, 0]}),
+        ("a", {**ZERO_STATE, "a": [None, 0, 0]}),
+        ("a", {**ZERO_STATE, "a": ["0.5", 0, 0]}),
+        ("a", {**ZERO_STATE, "a": [[0.1], 0, 0]}),
+        ("normalize", {**ZERO_STATE, "normalize": 1}),
+        ("normalize", {**ZERO_STATE, "normalize": "yes"}),
+    ],
+)
+def test_state_file_reader_refuses_a_field_it_cannot_read(tmp_path, capsys, command, field, doc):
+    code, out, err = run(capsys, command, write_state(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"error: [^\n]*'{field}'[^\n]*\n", err), err
+
+
 def test_state_file_with_a_byte_order_mark_is_not_json(tmp_path, capsys):
     # json.loads refuses a leading BOM with its own message, which the one
     # shared decoder would turn into "Expecting value"
@@ -1012,55 +1034,64 @@ def test_non_state_error_line_is_the_same_for_both_commands(tmp_path, capsys):
     assert errors == {"error: input is not positive semidefinite; not a state\n"}
 
 
-class Subfloat(float):
-    """A float subclass whose repr is not float's; json writes float.__repr__."""
-
-    def __repr__(self):
-        return "Subfloat()"
-
-
 JSON_EDGE_VALUES = [
-    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, np.float64(0.1),
-    np.float64(-math.inf), 7, -(2**70), True, False, None,
-    "caf\u00e9 \"q\"\n, ", {"\u00e9\n\"": 1.5, ", ": "\u2603"}, [], {}, [[], {}],
-    [[0.3, -0.2], [0.1, [0.05, None]]], [0.5, True, None, "s", 2, math.nan],
-    {"a": {"b": {"c": [1.5, {}], "d": ()}}}, (1.0, (2.0, "t")),
-    {1: 2.0, "x": [{2.5: True, None: [0.1]}]},
-    # leaves inside containers, which the formatter writes inline or hands on
-    [np.float64(0.1), np.float64(-0.0), Subfloat(0.25), True, False, -0.0, 5e-324],
-    {"f": np.float64(2.5), "g": Subfloat(-1e-300), "n": math.nan, "i": math.inf},
-    {"j": -math.inf, "t": True, "u": False, "v": None, "w": "\u00e9"},
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 7, -(2**70), True, False,
+    "caf\u00e9 \"q\"\n, ", {"\u00e9\n\"": 1.5, ", ": "\u2603"}, {"100% %s": 1.5},
+    [], {}, [[], {}], [[0.3, -0.2], [0.1, [0.05, "n"]]], [0.5, True, "s", 2, math.nan],
+    {"a": {"b": {"c": [1.5, {}], "d": []}}},
+    # leaves inside containers, which the writer fills into slots
+    [True, False, -0.0, 5e-324, math.inf],
+    {"n": math.nan, "i": math.inf, "j": -math.inf, "t": True, "u": False, "w": "\u00e9"},
 ]
-
-
-def test_json_formatter_is_json_dumps_indent_2():
-    for value in JSON_EDGE_VALUES:
-        assert cli._indent2(value) == json.dumps(value, indent=2), value
 
 
 def test_json_writer_is_json_dumps_indent_2_on_edge_values(monkeypatch):
     monkeypatch.setattr(cli, "_LAYOUTS", {})
     for value in JSON_EDGE_VALUES:
         report = {"v": value}
-        for _ in range(2):  # the second through a layout, if the first made one
+        for _ in range(2):  # the second through the layout the first made
             assert cli._json(report) == json.dumps(report, indent=2), value
 
 
 @pytest.mark.parametrize(
     "reports",
     [
-        # 1 == True == 1.0, so these keys make equal shapes
-        [{"x": 0.5, 1: 1.5}, {"x": 0.5, True: 1.5}, {"x": 0.5, 1.0: 1.5}],
-        [{"x": 0.5, True: 1.5}, {"x": 0.5, 1: 1.5}],
         # a leaf and an empty list trade places
         [{"a": 1.5, "b": []}, {"a": [], "b": 1.5}],
         [{"a": [1.5, []]}, {"a": [[], 1.5]}],
+        # an empty list and an empty dict trade places; the same keys in
+        # another order
+        [{"a": [], "b": {}}, {"a": {}, "b": []}],
+        [{"a": 1.5, "b": "s"}, {"b": "s", "a": 1.5}],
     ],
 )
 def test_json_writer_keeps_reports_of_equal_keys_apart(monkeypatch, reports):
     monkeypatch.setattr(cli, "_LAYOUTS", {})
     for report in reports * 2:
         assert cli._json(report) == json.dumps(report, indent=2), report
+
+
+class Subfloat(float):
+    pass
+
+
+class Substr(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"v": None}, {"v": (0.5,)}, {"v": np.float64(0.1)}, {"v": Subfloat(0.25)},
+        {"v": Substr("s")}, {"v": [1.5, None]}, {1: 1.5}, {"v": {True: 1.5}},
+    ],
+)
+def test_json_writer_refuses_what_no_report_holds(monkeypatch, report):
+    # no CLI report holds these leaves or keys, so no layout writes them
+    monkeypatch.setattr(cli, "_LAYOUTS", {})
+    with pytest.raises(TypeError):
+        cli._json(report)
+    assert cli._LAYOUTS == {}
 
 
 def record_reports(monkeypatch) -> list:
@@ -1092,7 +1123,7 @@ def test_json_reports_are_json_dumps_indent_2(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("seed", range(4))
 def test_file_corpus_reports_are_json_dumps_indent_2(tmp_path, capsys, monkeypatch, seed):
     # every analyze report of a benchmark file corpus, each of whose shapes the
-    # layouts serve, with no help from _indent2 once they are built
+    # layouts serve, with no new layout once they are built
     writer = cli._json
     reports = record_reports(monkeypatch)
     for i, doc in enumerate(file_corpus_docs(monkeypatch, seed, 256)):
@@ -1101,9 +1132,9 @@ def test_file_corpus_reports_are_json_dumps_indent_2(tmp_path, capsys, monkeypat
     assert len(reports) == 256
 
     def refuse(value, newline="\n"):
-        raise AssertionError("a report went to _indent2")
+        raise AssertionError("a report needed a new layout")
 
-    monkeypatch.setattr(cli, "_indent2", refuse)
+    monkeypatch.setattr(cli, "_layout", refuse)
     for report in reports:
         assert writer(report) == json.dumps(report, indent=2)
 
@@ -1157,17 +1188,10 @@ def replaced(report, path, value):
     return copy
 
 
-class Substr(str):
-    pass
-
-
 # what a report's leaves are replaced by: a float leaf by the first list,
 # any other leaf by the second
-FLOAT_EDGES = [
-    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, np.float64(0.1),
-    np.float64(-0.0), np.float64(math.nan), Subfloat(0.25), 7, True, None, "0.5",
-]
-OTHER_EDGES = [None, 1, 0.5, True, False, Substr("s"), "caf\u00e9 \"q\"\n, 100% %s"]
+FLOAT_EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 7, True, "0.5"]
+OTHER_EDGES = [1, 0.5, True, False, "caf\u00e9 \"q\"\n, 100% %s"]
 
 
 def test_json_writer_is_json_dumps_indent_2_on_edge_leaves(tmp_path, capsys, monkeypatch):
@@ -1218,9 +1242,9 @@ def test_a_second_sample_report_is_written_from_its_layout(capsys, monkeypatch):
     assert len(cli._LAYOUTS) == 1
 
     def refuse(value, newline="\n"):
-        raise AssertionError("a report went to _indent2")
+        raise AssertionError("a report needed a new layout")
 
-    monkeypatch.setattr(cli, "_indent2", refuse)
+    monkeypatch.setattr(cli, "_layout", refuse)
     assert run(capsys, *SAMPLE) == first
     other = run(capsys, *SAMPLE[:-1], "1")
     assert other[0] == 0 and other[1] != first[1]

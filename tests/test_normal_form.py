@@ -741,6 +741,32 @@ def test_t_zero_light_speed_cases_keep_kind_and_detail_under_rotations():
             assert solve_normal_form(p).classification == expected
 
 
+# a = (0.3, 0.3, 0), b = 0, t = diag(0.2, 0.2, 0.1), and the same state turned
+# about axis 3 to a = (0.3 sqrt 2, 0, 0)
+REPEATED_BLOCK_REPRO = HSParams.diagonal([0.3, 0.3, 0], [0, 0, 0], [0.2, 0.2, 0.1])
+REPEATED_BLOCK_TURNED = HSParams.diagonal([0.3 * math.sqrt(2), 0, 0], [0, 0, 0], [0.2, 0.2, 0.1])
+
+
+def _reads_generic_and_separable_on_both_routes(params):
+    rec = sampling.cross_validate(params)
+    assert rec.classification.kind == GENERIC
+    assert (rec.ppt.kind, rec.lorentz.kind, rec.agree) == (SEPARABLE, SEPARABLE, True)
+
+
+def test_repeated_t_block_state_turned_onto_an_axis_is_generic():
+    _reads_generic_and_separable_on_both_routes(REPEATED_BLOCK_TURNED)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 16: linear terms off the axes inside a repeated block "
+    "of t are not rotated onto one axis, so this reads no-physical-boost",
+)
+def test_repeated_t_block_state_reads_as_its_turn_onto_an_axis():
+    _reads_generic_and_separable_on_both_routes(REPEATED_BLOCK_REPRO)
+
+
 def test_classify_generic_and_boundary(pair64):
     assert solve_normal_form(pair64).classification.kind == GENERIC
     boundary = HSParams.diagonal([0.65, 0, 0], [0.65, 0, 0], [0.3, 0.1, 0.1])
